@@ -160,9 +160,8 @@ let print_rom rom =
   (match Awe.Measures.unity_gain_frequency rom with
   | Some f ->
     Printf.printf "unity gain     : %g Hz\n" f;
-    Option.iter
-      (fun pm -> Printf.printf "phase margin   : %.1f deg\n" pm)
-      (Awe.Measures.phase_margin rom)
+    Printf.printf "phase margin   : %.1f deg\n"
+      (Awe.Measures.phase_margin_at rom f)
   | None -> ());
   match Awe.Measures.delay_50 rom with
   | Some t -> Printf.printf "50%% step delay : %g s\n" t

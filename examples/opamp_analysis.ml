@@ -89,7 +89,7 @@ let () =
         (fun c ->
           let rom = Model.rom model2 (Model.values model2 [ (gname, g); (cname, c) ]) in
           let fu = Measures.unity_gain_frequency rom in
-          let pm = Measures.phase_margin rom in
+          let pm = Option.map (Measures.phase_margin_at rom) fu in
           Printf.printf "%12s %12s %14s %14s\n" (Circuit.Units.format g)
             (Circuit.Units.format c)
             (match fu with Some f -> Printf.sprintf "%.4g" f | None -> "-")

@@ -3,7 +3,30 @@ module Cx = Numeric.Cx
 let dc_gain = Rom.dc_gain
 let dc_gain_db m = 20.0 *. Float.log10 (Float.abs (Rom.dc_gain m))
 let dominant_pole_hz m = Cx.norm (Rom.dominant_pole m) /. (2.0 *. Float.pi)
-let gain_at m f = Cx.norm (Rom.at_frequency m f)
+(* [Cx.norm (Rom.at_frequency m f)] on unboxed floats: the same operations
+   in the same order ([Complex.div]'s branch included, then
+   [Float.hypot]), so the same bits, with nothing allocated. *)
+let[@inline] gain_at m f =
+  let w = 2.0 *. Float.pi *. f in
+  let poles = m.Rom.poles and residues = m.Rom.residues in
+  let re = ref m.Rom.direct and im = ref 0.0 in
+  for i = 0 to Array.length poles - 1 do
+    let p = poles.(i) and k = residues.(i) in
+    let yre = 0.0 -. p.Cx.re and yim = w -. p.Cx.im in
+    if Float.abs yre >= Float.abs yim then begin
+      let r = yim /. yre in
+      let d = yre +. (r *. yim) in
+      re := !re +. ((k.Cx.re +. (r *. k.Cx.im)) /. d);
+      im := !im +. ((k.Cx.im -. (r *. k.Cx.re)) /. d)
+    end
+    else begin
+      let r = yre /. yim in
+      let d = yim +. (r *. yre) in
+      re := !re +. (((r *. k.Cx.re) +. k.Cx.im) /. d);
+      im := !im +. (((r *. k.Cx.im) -. k.Cx.re) /. d)
+    end
+  done;
+  Float.hypot !re !im
 
 let fastest_pole_hz m =
   Array.fold_left (fun acc p -> Float.max acc (Cx.norm p)) 0.0 m.Rom.poles
@@ -25,24 +48,26 @@ let unity_gain_frequency m =
       match bracket (Float.max f_lo (fastest_pole_hz m *. 10.0)) 40 with
       | None -> None
       | Some f_hi ->
-        (* Bisection in log-frequency. *)
-        let rec go lo hi n =
-          if n = 0 then Some (Float.sqrt (lo *. hi))
-          else begin
-            let mid = Float.sqrt (lo *. hi) in
-            if gain_at m mid > 1.0 then go mid hi (n - 1) else go lo mid (n - 1)
-          end
-        in
-        go f_lo f_hi 100
+        (* Bisection in log-frequency, at most 100 steps.  [gain_at lo > 1]
+           holds throughout and [gain_at hi > 1] never does, so once the
+           midpoint rounds onto an end the bracket cannot move again and
+           every later step would return that same midpoint: stop there. *)
+        let lo = ref f_lo and hi = ref f_hi and steps = ref 100 in
+        let mid = ref (Float.sqrt (f_lo *. f_hi)) in
+        while !steps > 0 && !mid <> !lo && !mid <> !hi do
+          if gain_at m !mid > 1.0 then lo := !mid else hi := !mid;
+          decr steps;
+          mid := Float.sqrt (!lo *. !hi)
+        done;
+        Some !mid
     end
   end
 
-let phase_margin m =
-  match unity_gain_frequency m with
-  | None -> None
-  | Some f ->
-    let h = Rom.at_frequency m f in
-    Some (180.0 +. (Cx.arg h *. 180.0 /. Float.pi))
+let phase_margin_at m f =
+  let h = Rom.at_frequency m f in
+  180.0 +. (Cx.arg h *. 180.0 /. Float.pi)
+
+let phase_margin m = Option.map (phase_margin_at m) (unity_gain_frequency m)
 
 let default_horizon m = 30.0 *. Rom.time_constant m
 

@@ -11,15 +11,26 @@ val dominant_pole_hz : Rom.t -> float
     system. *)
 
 val unity_gain_frequency : Rom.t -> float option
-(** Frequency [f] (hertz) where [|H(j·2πf)| = 1], found by bisection between
-    the dominant pole and well past the fastest pole.  [None] when the
-    magnitude never crosses unity (e.g. DC gain below 1). *)
+(** Frequency [f] (hertz) where [|H(j·2πf)| = 1], found by bisection in
+    log-frequency between the dominant pole and well past the fastest
+    pole.  The bisection stops at its floating-point fixed point — the
+    first midpoint that rounds onto an end of the bracket, after which no
+    step could move it — or after 100 steps, whichever comes first.
+    [None] when the magnitude never crosses unity (e.g. DC gain below
+    1). *)
 
 val phase_margin : Rom.t -> float option
-(** [180° + ∠H(j·2π·f_unity)] in degrees; [None] without a unity crossing. *)
+(** [180° + ∠H(j·2π·f_unity)] in degrees; [None] without a unity crossing.
+    Solves the crossing with {!unity_gain_frequency}. *)
+
+val phase_margin_at : Rom.t -> float -> float
+(** [phase_margin_at m f] is the phase margin at a given crossing [f],
+    as returned by {!unity_gain_frequency}: a caller that needs both
+    measures solves the crossing once and reuses it here. *)
 
 val gain_at : Rom.t -> float -> float
-(** Magnitude at a frequency in hertz. *)
+(** Magnitude at a frequency in hertz: [Cx.norm (Rom.at_frequency m f)]
+    bit for bit, computed on unboxed floats without allocating. *)
 
 val delay_50 : ?horizon:float -> Rom.t -> float option
 (** 50% step-response delay: first time the unit-step response reaches half

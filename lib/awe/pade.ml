@@ -122,8 +122,11 @@ let rec fit_scaled ~offset ~order m =
         if Array.length kept = 0 then fit_scaled ~offset ~order:(order - 1) m
         else
           match
-            residues ~offset ~poles:kept
-              (Array.sub m 0 (offset + Array.length kept))
+            (* Every pole visible: the solve just done had these inputs. *)
+            if Array.length kept = Array.length poles then res
+            else
+              residues ~offset ~poles:kept
+                (Array.sub m 0 (offset + Array.length kept))
           with
           | exception Numeric.Cmatrix.Singular _ ->
             fit_scaled ~offset ~order:(order - 1) m

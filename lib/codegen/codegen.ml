@@ -8,7 +8,7 @@ module Err = Awesym_error
 module Cache = Awesymbolic.Cache
 module Slp = Symbolic.Slp
 
-let schema = "awesymbolic-kernel/1"
+let schema = "awesymbolic-kernel/2"
 let abi_version = 1
 let max_ops = 50_000
 

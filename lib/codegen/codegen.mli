@@ -35,7 +35,7 @@
     program. *)
 
 val schema : string
-(** ["awesymbolic-kernel/1"] — bumped when the emitted code or the
+(** ["awesymbolic-kernel/2"] — bumped when the emitted code or the
     registered value's layout changes; part of the cache key, so a bump
     misses cleanly instead of loading stale objects. *)
 

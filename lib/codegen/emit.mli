@@ -19,6 +19,9 @@
     register file is renamed into SSA let-bindings whose data
     dependencies reproduce the interpreter's read-sources-before-write
     order.  The batch kernel runs the same scalar chain per lane over
-    [\[lo, lo+len)], indexing the same columns the interpreter blits. *)
+    [\[lo, lo+len)], indexing the same columns the interpreter blits.
+    Both kernels fold a NaN output to the host's [Float.nan], as the
+    interpreter does: the sign and payload of a two-NaN operation depend
+    on operand order, which ocamlopt may commute. *)
 
 val source : callback_name:string -> abi:int -> Symbolic.Slp.t -> string

@@ -25,12 +25,13 @@ let max_frame = 64 * 1024 * 1024
 
 let hex_of_float v = Printf.sprintf "%016Lx" (Int64.bits_of_float v)
 
+(* Exactly the 16 lowercase hex digits [hex_of_float] writes: anything
+   else — "_" separators, uppercase — would decode to some other float. *)
 let float_of_hex s =
-  if String.length s <> 16 then None
-  else
-    match Int64.of_string_opt ("0x" ^ s) with
-    | Some bits -> Some (Int64.float_of_bits bits)
-    | None -> None
+  let digit c = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') in
+  if String.length s = 16 && String.for_all digit s then
+    Some (Int64.float_of_bits (Int64.of_string ("0x" ^ s)))
+  else None
 
 (* ------------------------------------------------------------------ *)
 (* Framing *)

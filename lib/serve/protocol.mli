@@ -24,7 +24,8 @@ val hex_of_float : float -> string
 (** 16 hex digits of [Int64.bits_of_float]. *)
 
 val float_of_hex : string -> float option
-(** Inverse of {!hex_of_float}; [None] unless exactly 16 hex digits. *)
+(** Inverse of {!hex_of_float}; [None] unless exactly 16 lowercase hex
+    digits, the only spelling {!hex_of_float} writes. *)
 
 (** {1 Framing} *)
 

@@ -131,25 +131,35 @@ let survivors r = r.n - List.length r.failed
 
 let default_measures = [ Dc_gain; Dominant_pole_hz; Delay_50 ]
 
-(* Strict per-point measure extraction: [rom_of] raises (rather than
-   degrading to NaN) when the Padé finish fails, so the policy layer in
-   [run] decides what a degenerate fit means.  A NaN from a {e successful}
-   fit (no unity-gain crossing, say) is a legitimate value, not a fault. *)
-let eval_measure nm moments rom_of = function
+(* One point's measure finish, shared by every path that evaluates
+   points: moment measures read the moments; ROM measures share one
+   [fit moments], and unity-gain frequency and phase margin share one
+   crossing, each solved at most once whatever measures the point asks
+   for.  Strict: [fit] raises (rather than degrading to NaN) when the
+   Padé finish fails, so the policy layer in [run] decides what a
+   degenerate fit means.  A NaN from a {e successful} fit (no unity-gain
+   crossing, say) is a legitimate value, not a fault. *)
+let point_finish ~fit nm moments =
+  let rom = lazy (fit moments) in
+  let crossing = lazy (Measures.unity_gain_frequency (Lazy.force rom)) in
+  let or_nan = Option.value ~default:nan in
+  function
   | Moment k -> if k < nm then moments.(k) else nan
   | Elmore_delay -> Measures.elmore_delay moments
-  | m -> (
-    let rom = rom_of () in
-    match m with
-    | Dc_gain -> Measures.dc_gain rom
-    | Dc_gain_db -> Measures.dc_gain_db rom
-    | Dominant_pole_hz -> Measures.dominant_pole_hz rom
-    | Unity_gain_frequency ->
-      Option.value ~default:nan (Measures.unity_gain_frequency rom)
-    | Phase_margin -> Option.value ~default:nan (Measures.phase_margin rom)
-    | Delay_50 -> Option.value ~default:nan (Measures.delay_50 rom)
-    | Rise_time -> Option.value ~default:nan (Measures.rise_time rom)
-    | Moment _ | Elmore_delay -> assert false)
+  | Dc_gain -> Measures.dc_gain (Lazy.force rom)
+  | Dc_gain_db -> Measures.dc_gain_db (Lazy.force rom)
+  | Dominant_pole_hz -> Measures.dominant_pole_hz (Lazy.force rom)
+  | Unity_gain_frequency -> or_nan (Lazy.force crossing)
+  | Phase_margin -> (
+    match Lazy.force crossing with
+    | Some f -> Measures.phase_margin_at (Lazy.force rom) f
+    | None -> nan)
+  | Delay_50 -> or_nan (Measures.delay_50 (Lazy.force rom))
+  | Rise_time -> or_nan (Measures.rise_time (Lazy.force rom))
+
+let moment_measures model ms moments =
+  let order = Model.order model in
+  List.map (point_finish ~fit:(Awe.Pade.fit ~order) (2 * order) moments) ms
 
 (* Single-point evaluation with the same finish [eval_chunk] applies:
    compiled moments, fixed-order Padé fit, strict NaN-measure semantics.
@@ -157,8 +167,6 @@ let eval_measure nm moments rom_of = function
    point's measures match what a sweep visiting the same point reports,
    bit for bit. *)
 let point_measures model ms v =
-  let order = Model.order model in
-  let nm = 2 * order in
   let moments = Model.eval_moments model v in
   Array.iteri
     (fun k m ->
@@ -167,29 +175,7 @@ let point_measures model ms v =
           ~context:[ ("moment", Printf.sprintf "m%d" k) ]
           "compiled moment m%d is non-finite (%h)" k m)
     moments;
-  let romq = ref None in
-  let rom_of () =
-    match !romq with
-    | Some r -> r
-    | None ->
-      let r = Awe.Pade.fit ~order moments in
-      romq := Some r;
-      r
-  in
-  List.map (eval_measure nm moments rom_of) ms
-
-let moment_measures model ms moments =
-  let nm = 2 * Model.order model in
-  let romq = ref None in
-  let rom_of () =
-    match !romq with
-    | Some r -> r
-    | None ->
-      let r = Awe.Pade.fit ~order:(Model.order model) moments in
-      romq := Some r;
-      r
-  in
-  List.map (eval_measure nm moments rom_of) ms
+  moment_measures model ms moments
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint format (schema awesymbolic-ckpt/1)
@@ -203,6 +189,15 @@ let moment_measures model ms moments =
    trivially bit-exact, which the byte-identical-resume contract needs. *)
 
 let hexbits v = Printf.sprintf "%016Lx" (Int64.bits_of_float v)
+
+(* The inverse of [hexbits] on exactly what it writes, 16 lowercase hex
+   digits: [Int64.of_string] alone would also take "1" or
+   "3ff0_00000000000" and decode them to some other float. *)
+let float_of_hexbits s =
+  let digit c = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') in
+  if String.length s = 16 && String.for_all digit s then
+    Some (Int64.float_of_bits (Int64.of_string ("0x" ^ s)))
+  else None
 
 let failed_point_json fp =
   let open Obs.Json in
@@ -427,6 +422,27 @@ let eval_chunk p idx =
   | Ok mcols ->
     (* Point stage: measure finish with per-point isolation. *)
     let moments = Array.make nm 0.0 in
+    let fit m =
+      match Awe.Pade.fit ~order m with
+      | rom -> rom
+      | exception (Awe.Pade.Degenerate _ as e) -> (
+        match policy with
+        | Retry _ ->
+          (* Order-reduction fallback: an unstable or degenerate fit at q
+             often fits fine at q-1 (fewer spurious poles chasing noise
+             moments). *)
+          let rec down q =
+            if q < 1 then raise e
+            else
+              match Awe.Pade.fit ~order:q m with
+              | rom ->
+                Obs.Metrics.incr "sweep.fault.order_reduced";
+                rom
+              | exception Awe.Pade.Degenerate _ -> down (q - 1)
+          in
+          down (order - 1)
+        | Fail_fast | Skip -> raise e)
+    in
     for li = 0 to c.len - 1 do
       let i = c.lo + li in
       let eval_once attempt =
@@ -445,36 +461,7 @@ let eval_chunk p idx =
               "compiled moment m%d is non-finite (%h) at point %d" k
               moments.(k) i
         done;
-        let romq = ref None in
-        let rom_of () =
-          match !romq with
-          | Some r -> r
-          | None ->
-            let r =
-              match Awe.Pade.fit ~order moments with
-              | rom -> rom
-              | exception (Awe.Pade.Degenerate _ as e) -> (
-                match policy with
-                | Retry _ ->
-                  (* Order-reduction fallback: an unstable or
-                     degenerate fit at q often fits fine at q-1
-                     (fewer spurious poles chasing noise moments). *)
-                  let rec down q =
-                    if q < 1 then raise e
-                    else
-                      match Awe.Pade.fit ~order:q moments with
-                      | rom ->
-                        Obs.Metrics.incr "sweep.fault.order_reduced";
-                        rom
-                      | exception Awe.Pade.Degenerate _ -> down (q - 1)
-                  in
-                  down (order - 1)
-                | Fail_fast | Skip -> raise e)
-            in
-            romq := Some r;
-            r
-        in
-        Array.map (fun m -> eval_measure nm moments rom_of m) marr
+        Array.map (point_finish ~fit nm moments) marr
       in
       let rec point_try attempt =
         match eval_once attempt with
@@ -567,9 +554,9 @@ let chunk_result_of_json ?file p record =
             (fun li cell ->
               match cell with
               | Obs.Json.Str hex -> (
-                match Int64.of_string_opt ("0x" ^ hex) with
-                | Some bits -> vals.(j).(li) <- Int64.float_of_bits bits
-                | None -> bad "bad float bits %S at %d" hex (lo + li))
+                match float_of_hexbits hex with
+                | Some v -> vals.(j).(li) <- v
+                | None -> bad "bad float bits %S at point %d" hex (lo + li))
               | _ -> bad "non-hex value cell at %d" (lo + li))
             cells
         | _ -> bad "malformed measure row %d of chunk at %d" j lo)

@@ -119,8 +119,9 @@ val point_measures :
   Awesymbolic.Model.t -> measure list -> float array -> float list
 (** Evaluate measures at a single input point with {e exactly} the
     per-point finish the sweep applies: compiled moments, fixed-order
-    Padé fit (shared across the ROM-based measures), NaN for a
-    successful fit with no crossing.  The optimizer's objective goes
+    Padé fit (shared across the ROM-based measures), one unity-gain
+    crossing (shared by [Unity_gain_frequency] and [Phase_margin]), NaN
+    for a successful fit with no crossing.  The optimizer's objective goes
     through this, so a sized design point and a sweep visiting the same
     point agree bit for bit.  Raises [Nonfinite_result] on a non-finite
     compiled moment and [Awe.Pade.Degenerate] on a degenerate fit. *)
@@ -228,10 +229,12 @@ val chunk_result_to_json : chunk_result -> Obs.Json.t
 
 val chunk_result_of_json : ?file:string -> prep -> Obs.Json.t -> chunk_result
 (** Parse and validate a chunk record against the prep's layout
-    (bounds, block alignment, measure-row count).  Raises
-    [Artifact_corrupt] on any mismatch — a hostile or stale record
-    cannot scribble outside its chunk.  [file] names the source in
-    error messages. *)
+    (bounds, block alignment, measure-row count).  Every value cell must
+    be exactly the 16 lowercase hex digits the encoder writes.  Raises
+    [Artifact_corrupt] on any mismatch, naming the point of a bad cell —
+    a hostile or stale record cannot scribble outside its chunk or
+    decode to a wrong value.  [file] names the source in error
+    messages. *)
 
 val finish : prep -> chunk_result option array -> result
 (** Merge chunk results (slot [i] = chunk [i]) and compute statistics.

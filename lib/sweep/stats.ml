@@ -23,12 +23,86 @@ let quantile_sorted sorted p =
     sorted.(lo) +. (frac *. (sorted.(lo + 1) -. sorted.(lo)))
   end
 
+(* In-place ternary heap sort: [Array.sort compare]'s algorithm step for
+   step, on unboxed floats.  It allocates nothing, stays O(n log n) on
+   every input (sorted, reversed, constant, duplicated), and on finite
+   samples — where [<] and [compare] agree — leaves exactly the order
+   [Array.sort compare] does, ties between -0.0 and 0.0 included. *)
+let sort_finite (a : float array) =
+  let n = Array.length a in
+  (* The largest of the up-to-three children of [i] in the heap [a.(0..l-1)],
+     or -1 when [i] is a leaf. *)
+  let maxson l i =
+    let i31 = i + i + i + 1 in
+    if i31 + 2 < l then begin
+      let x = if a.(i31) < a.(i31 + 1) then i31 + 1 else i31 in
+      if a.(x) < a.(i31 + 2) then i31 + 2 else x
+    end
+    else if i31 + 1 < l && a.(i31) < a.(i31 + 1) then i31 + 1
+    else if i31 < l then i31
+    else -1
+  in
+  (* Heapify: sift each inner node's value down to its place. *)
+  for node = ((n + 1) / 3) - 1 downto 0 do
+    let e = a.(node) in
+    let i = ref node and j = ref (maxson n node) in
+    while !j >= 0 && a.(!j) > e do
+      a.(!i) <- a.(!j);
+      i := !j;
+      j := maxson n !i
+    done;
+    a.(!i) <- e
+  done;
+  (* Move the root to the end, sink the hole to a leaf along the larger
+     children, then let the displaced value climb back from there. *)
+  for l = n - 1 downto 2 do
+    let e = a.(l) in
+    a.(l) <- a.(0);
+    let i = ref 0 and j = ref (maxson l 0) in
+    while !j >= 0 do
+      a.(!i) <- a.(!j);
+      i := !j;
+      j := maxson l !i
+    done;
+    let climbing = ref true in
+    while !climbing do
+      let father = (!i - 1) / 3 in
+      if a.(father) < e then begin
+        a.(!i) <- a.(father);
+        if father > 0 then i := father
+        else begin
+          a.(0) <- e;
+          climbing := false
+        end
+      end
+      else begin
+        a.(!i) <- e;
+        climbing := false
+      end
+    done
+  done;
+  if n > 1 then begin
+    let e = a.(1) in
+    a.(1) <- a.(0);
+    a.(0) <- e
+  end
+
 let summarize ?(bins = 20) ?(probs = default_probs) xs =
   let n = Array.length xs in
   if n = 0 then invalid_arg "Stats.summarize: empty sample";
   if bins < 1 then invalid_arg "Stats.summarize: bins must be >= 1";
-  let finite = Array.of_seq (Seq.filter Float.is_finite (Array.to_seq xs)) in
-  let nf = Array.length finite in
+  (* Loops rather than folds and sequences, so no float is boxed; the
+     sums run in sample order. *)
+  let finite = Array.make n 0.0 and nf = ref 0 in
+  for i = 0 to n - 1 do
+    let x = xs.(i) in
+    if Float.is_finite x then begin
+      finite.(!nf) <- x;
+      incr nf
+    end
+  done;
+  let nf = !nf in
+  let finite = if nf = n then finite else Array.sub finite 0 nf in
   if nf = 0 then
     {
       n;
@@ -41,32 +115,35 @@ let summarize ?(bins = 20) ?(probs = default_probs) xs =
       histogram = [||];
     }
   else begin
-    let mean = Array.fold_left ( +. ) 0.0 finite /. float_of_int nf in
+    let sum = ref 0.0 in
+    for i = 0 to nf - 1 do
+      sum := !sum +. finite.(i)
+    done;
+    let mean = !sum /. float_of_int nf in
     let var =
       if nf < 2 then 0.0
-      else
-        Array.fold_left
-          (fun acc x ->
-            let d = x -. mean in
-            acc +. (d *. d))
-          0.0 finite
-        /. float_of_int (nf - 1)
+      else begin
+        let acc = ref 0.0 in
+        for i = 0 to nf - 1 do
+          let d = finite.(i) -. mean in
+          acc := !acc +. (d *. d)
+        done;
+        !acc /. float_of_int (nf - 1)
+      end
     in
-    let sorted = Array.copy finite in
-    Array.sort compare sorted;
-    let mn = sorted.(0) and mx = sorted.(nf - 1) in
-    let quantiles = List.map (fun p -> (p, quantile_sorted sorted p)) probs in
+    sort_finite finite;
+    let mn = finite.(0) and mx = finite.(nf - 1) in
+    let quantiles = List.map (fun p -> (p, quantile_sorted finite p)) probs in
     let histogram =
       if mn = mx then [| (mn, mx, nf) |]
       else begin
         let counts = Array.make bins 0 in
         let w = (mx -. mn) /. float_of_int bins in
-        Array.iter
-          (fun x ->
-            let b = int_of_float ((x -. mn) /. w) in
-            let b = if b >= bins then bins - 1 else b in
-            counts.(b) <- counts.(b) + 1)
-          finite;
+        for i = 0 to nf - 1 do
+          let b = int_of_float ((finite.(i) -. mn) /. w) in
+          let b = if b >= bins then bins - 1 else b in
+          counts.(b) <- counts.(b) + 1
+        done;
         Array.mapi
           (fun b c ->
             ( mn +. (float_of_int b *. w),

@@ -463,6 +463,12 @@ let resolve_native p =
         | None -> Obs.Metrics.incr "kernel.backend.interp");
         r))
 
+(* An operation on two NaNs keeps one operand's sign and payload, and the
+   compiler may commute the operands differently in each backend, so
+   every backend folds a NaN output to [Float.nan] — at the outputs only:
+   a NaN anywhere in a chain makes every output it reaches NaN. *)
+let[@inline] canonical v = if Float.is_nan v then Float.nan else v
+
 let run p regs values out =
   (* One flag test per evaluation (not per instruction): the op count is
      known statically, so the whole program is charged in two bumps. *)
@@ -482,7 +488,7 @@ let run p regs values out =
       | Sqrt (r, a) -> regs.(r) <- Float.sqrt regs.(a)
       | Exp (r, a) -> regs.(r) <- Float.exp regs.(a))
     p.instrs;
-  Array.iteri (fun k r -> out.(k) <- regs.(r)) p.outputs;
+  Array.iteri (fun k r -> out.(k) <- canonical regs.(r)) p.outputs;
   out
 
 (* The native scalar path charges the same counters as [run] so --stats
@@ -595,7 +601,13 @@ let run_block p preload regs inputs outs lo len =
           Array.unsafe_set d i (Float.exp (Array.unsafe_get x i))
         done)
     p.instrs;
-  Array.iteri (fun k r -> Array.blit regs.(r) 0 outs.(k) lo len) p.outputs
+  Array.iteri
+    (fun k r ->
+      let x = regs.(r) and y = outs.(k) in
+      for i = 0 to len - 1 do
+        Array.unsafe_set y (lo + i) (canonical (Array.unsafe_get x i))
+      done)
+    p.outputs
 
 let make_batch_evaluator ?(block = default_block) ?jobs p =
   if block <= 0 then invalid_arg "Slp.make_batch_evaluator: block must be > 0";

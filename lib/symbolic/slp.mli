@@ -77,11 +77,11 @@ val of_parts :
     behind {!eval} / {!make_evaluator} / {!eval_batch} /
     {!make_batch_evaluator}, and the backend contract is {b bit-for-bit
     identity}: whichever backend runs, every output of every point has
-    the same IEEE-754 bit pattern — including [-0.0], infinities and
-    NaNs — so switching backends can never change a result, only its
-    cost.  Under [Auto] (the default) native kernels are used whenever a
-    provider is installed and can deliver them, silently falling back to
-    the interpreter otherwise. *)
+    the same IEEE-754 bit pattern — including [-0.0] and infinities,
+    and every NaN output is [Float.nan] — so switching backends can
+    never change a result, only its cost.  Under [Auto] (the default)
+    native kernels are used whenever a provider is installed and can
+    deliver them, silently falling back to the interpreter otherwise. *)
 
 type backend =
   | Interp  (** always use the bytecode interpreter *)

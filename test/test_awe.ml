@@ -607,6 +607,118 @@ let test_measures_no_unity_crossing () =
 let test_elmore () =
   check_float "elmore" 2.0 (Awe.Measures.elmore_delay [| 0.5; -1.0 |])
 
+(* Reference measures: the boxed gain and the fixed 100-step bisection
+   the unboxed, early-stopping ones must reproduce bit for bit. *)
+module Reference = struct
+  let gain_at m f = Cx.norm (Rom.at_frequency m f)
+
+  let fastest_pole_hz m =
+    Array.fold_left (fun acc p -> Float.max acc (Cx.norm p)) 0.0 m.Rom.poles
+    /. (2.0 *. Float.pi)
+
+  let unity_gain_frequency m =
+    if Rom.order m = 0 then None
+    else begin
+      let f_lo = Float.max 1e-12 (Awe.Measures.dominant_pole_hz m /. 1e3) in
+      if gain_at m f_lo <= 1.0 then None
+      else begin
+        let rec bracket f_hi tries =
+          if tries = 0 then None
+          else if gain_at m f_hi < 1.0 then Some f_hi
+          else bracket (f_hi *. 10.0) (tries - 1)
+        in
+        match bracket (Float.max f_lo (fastest_pole_hz m *. 10.0)) 40 with
+        | None -> None
+        | Some f_hi ->
+          let rec go lo hi n =
+            if n = 0 then Some (Float.sqrt (lo *. hi))
+            else begin
+              let mid = Float.sqrt (lo *. hi) in
+              if gain_at m mid > 1.0 then go mid hi (n - 1)
+              else go lo mid (n - 1)
+            end
+          in
+          go f_lo f_hi 100
+      end
+    end
+
+  let phase_margin m =
+    match unity_gain_frequency m with
+    | None -> None
+    | Some f ->
+      let h = Rom.at_frequency m f in
+      Some (180.0 +. (Cx.arg h *. 180.0 /. Float.pi))
+end
+
+(* Random ROMs of orders 1–4 built from real poles and conjugate pairs,
+   with and without a direct term, scaled to a DC gain between 1e-2 and
+   1e6 (so some never cross unity). *)
+let rom_gen =
+  QCheck2.Gen.(
+    let log_uniform lo hi = map (fun u -> 10.0 ** u) (float_range lo hi) in
+    let real_pole =
+      let* a = log_uniform 1.0 9.0 and* k = float_range (-1.0) 1.0 in
+      return [ (Cx.of_float (-.a), Cx.of_float k) ]
+    in
+    let pair =
+      let* sigma = log_uniform 0.0 8.0 and* omega = log_uniform 1.0 9.0 in
+      let* kr = float_range (-1.0) 1.0 and* ki = float_range (-1.0) 1.0 in
+      let p = Cx.make (-.sigma) omega and k = Cx.make kr ki in
+      return [ (p, k); (Cx.conj p, Cx.conj k) ]
+    in
+    let* order = 1 -- 4 in
+    let rec parts q =
+      if q = 0 then return []
+      else if q = 1 then real_pole
+      else
+        let* first = oneof [ real_pole; pair ] in
+        let* rest = parts (q - List.length first) in
+        return (first @ rest)
+    in
+    let* terms = parts order in
+    let* direct = oneof [ return 0.0; float_range (-2.0) 2.0 ] in
+    let* gain = log_uniform (-2.0) 6.0 and* sign = oneofl [ 1.0; -1.0 ] in
+    let poles = Array.of_list (List.map fst terms) in
+    let residues = Array.of_list (List.map snd terms) in
+    let sum = ref 0.0 in
+    Array.iteri (fun i p -> sum := !sum -. (Cx.div residues.(i) p).Cx.re) poles;
+    let scale = if !sum = 0.0 then 1.0 else ((sign *. gain) -. direct) /. !sum in
+    return
+      (Rom.make ~direct ~poles ~residues:(Array.map (Cx.scale scale) residues) ()))
+
+let print_rom m = Format.asprintf "%a" Rom.pp m
+
+let prop_measures_bit_identical =
+  QCheck2.Test.make ~name:"unboxed measures ≡ boxed 100-step reference"
+    ~count:500 ~print:print_rom rom_gen (fun m ->
+      let bits = Int64.bits_of_float in
+      let same_opt what a b =
+        match (a, b) with
+        | None, None -> ()
+        | Some x, Some y when bits x = bits y -> ()
+        | _ ->
+          let show = function None -> "None" | Some v -> Printf.sprintf "%h" v in
+          Alcotest.failf "%s: reference %s, got %s" what (show a) (show b)
+      in
+      let freqs =
+        [ 0.0; 1e-3; 1.0; 1e3; 1e6; 1e9; 1e12 ]
+        @ List.map (fun p -> Cx.norm p /. (2.0 *. Float.pi)) (Array.to_list m.Rom.poles)
+        @ List.map (fun p -> p.Cx.im /. (2.0 *. Float.pi)) (Array.to_list m.Rom.poles)
+      in
+      List.iter
+        (fun f ->
+          let want = Reference.gain_at m f and got = Awe.Measures.gain_at m f in
+          if bits want <> bits got then
+            Alcotest.failf "gain_at %h: reference %h, got %h" f want got)
+        freqs;
+      let unity = Awe.Measures.unity_gain_frequency m in
+      same_opt "unity_gain_frequency" (Reference.unity_gain_frequency m) unity;
+      same_opt "phase_margin" (Reference.phase_margin m) (Awe.Measures.phase_margin m);
+      same_opt "phase_margin_at"
+        (Reference.phase_margin m)
+        (Option.map (Awe.Measures.phase_margin_at m) unity);
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* Sensitivity *)
 
@@ -935,6 +1047,7 @@ let () =
           quick "unity gain and phase margin" test_measures_unity_gain;
           quick "no unity crossing" test_measures_no_unity_crossing;
           quick "elmore delay" test_elmore;
+          QCheck_alcotest.to_alcotest prop_measures_bit_identical;
         ] );
       ( "sensitivity",
         [

@@ -183,6 +183,32 @@ let prop_native_identity =
       check_program_identity ~what:"random" p;
       true)
 
+(* The property's shrunk counterexample under QCHECK_SEED=812320976: the
+   register holding NaN is added to the negated NaN input, and the two
+   backends used to keep different operands' signs ("nan" vs "-nan").
+   Every NaN output must now be [Float.nan] exactly, on both backends. *)
+let test_two_nan_add () =
+  with_native @@ fun () ->
+  let nan_init = Int64.float_of_bits 0x7ff8000000000001L in
+  let p =
+    Slp.of_parts
+      ~inputs:[| Symbol.intern "s0" |]
+      ~instrs:
+        [|
+          Slp.Load_input (0, 0); Slp.Load_input (0, 0); Slp.Neg (0, 0);
+          Slp.Add (2, 1, 0);
+        |]
+      ~init:[| -4.0; nan_init; -4.0; -4.0; -4.0 |]
+      ~outputs:[| 0; 2 |]
+  in
+  check_program_identity ~what:"two-NaN add" p;
+  List.iter
+    (fun backend ->
+      Slp.set_backend backend;
+      Array.iter (check_bits "canonical NaN" Float.nan) (Slp.eval p [| Float.nan |]))
+    [ Slp.Interp; Slp.Native ];
+  Slp.set_backend Auto
+
 (* ------------------------------------------------------------------ *)
 (* Fault-injection parity: both backends walk the same block grid and
    cut the same (site, key) pairs, so an armed fault fires identically —
@@ -359,6 +385,8 @@ let () =
           Alcotest.test_case "opamp-like program, scalar+batch" `Quick
             test_native_matches_interp_bitwise;
           QCheck_alcotest.to_alcotest prop_native_identity;
+          Alcotest.test_case "two-NaN add folds to Float.nan" `Quick
+            test_two_nan_add;
         ] );
       ( "parity",
         [

@@ -66,7 +66,14 @@ let test_hex_float_round_trip () =
   Alcotest.(check (option (float 0.0))) "short rejected" None
     (Protocol.float_of_hex "abc");
   Alcotest.(check (option (float 0.0))) "non-hex rejected" None
-    (Protocol.float_of_hex "zzzzzzzzzzzzzzzz")
+    (Protocol.float_of_hex "zzzzzzzzzzzzzzzz");
+  (* Only the spelling hex_of_float writes: Int64.of_string would read
+     "1" as 5e-324 and skip the "_". *)
+  List.iter
+    (fun s ->
+      Alcotest.(check (option (float 0.0))) (s ^ " rejected") None
+        (Protocol.float_of_hex s))
+    [ "1"; "3ff0_00000000000"; "3FF0000000000000"; "3ff00000000000000" ]
 
 let gen_weird_float =
   QCheck2.Gen.(

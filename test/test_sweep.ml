@@ -299,6 +299,112 @@ let test_stats_non_finite () =
   Alcotest.(check int) "all-NaN histogram empty" 0
     (Array.length all_nan.Stats.histogram)
 
+(* Reference summary: the boxed folds and [Array.sort compare] the
+   allocation-free [Stats.summarize] must reproduce bit for bit. *)
+let reference_summarize xs =
+  let bins = 20 and probs = Stats.default_probs in
+  let n = Array.length xs in
+  let finite = Array.of_seq (Seq.filter Float.is_finite (Array.to_seq xs)) in
+  let nf = Array.length finite in
+  if nf = 0 then
+    { Stats.n; finite = 0; mean = nan; std = nan; min = nan; max = nan;
+      quantiles = List.map (fun p -> (p, nan)) probs; histogram = [||] }
+  else begin
+    let mean = Array.fold_left ( +. ) 0.0 finite /. float_of_int nf in
+    let var =
+      if nf < 2 then 0.0
+      else
+        Array.fold_left
+          (fun acc x ->
+            let d = x -. mean in
+            acc +. (d *. d))
+          0.0 finite
+        /. float_of_int (nf - 1)
+    in
+    let sorted = Array.copy finite in
+    Array.sort compare sorted;
+    let quantile p =
+      if nf = 1 then sorted.(0)
+      else begin
+        let h = p *. float_of_int (nf - 1) in
+        let lo = int_of_float (Float.floor h) in
+        let lo = if lo >= nf - 1 then nf - 2 else if lo < 0 then 0 else lo in
+        let frac = h -. float_of_int lo in
+        sorted.(lo) +. (frac *. (sorted.(lo + 1) -. sorted.(lo)))
+      end
+    in
+    let mn = sorted.(0) and mx = sorted.(nf - 1) in
+    let histogram =
+      if mn = mx then [| (mn, mx, nf) |]
+      else begin
+        let counts = Array.make bins 0 in
+        let w = (mx -. mn) /. float_of_int bins in
+        Array.iter
+          (fun x ->
+            let b = int_of_float ((x -. mn) /. w) in
+            let b = if b >= bins then bins - 1 else b in
+            counts.(b) <- counts.(b) + 1)
+          finite;
+        Array.mapi
+          (fun b c ->
+            ( mn +. (float_of_int b *. w),
+              (if b = bins - 1 then mx else mn +. (float_of_int (b + 1) *. w)),
+              c ))
+          counts
+      end
+    in
+    { Stats.n; finite = nf; mean; std = sqrt var; min = mn; max = mx;
+      quantiles = List.map (fun p -> (p, quantile p)) probs; histogram }
+  end
+
+let summary_bits (s : Stats.summary) =
+  let b = Int64.bits_of_float in
+  ( (s.n, s.finite, b s.mean, b s.std, b s.min, b s.max),
+    List.map (fun (p, v) -> (b p, b v)) s.quantiles,
+    Array.map (fun (lo, hi, c) -> (b lo, b hi, c)) s.histogram )
+
+let check_summary what xs =
+  let want = reference_summarize xs and got = Stats.summarize xs in
+  if summary_bits want <> summary_bits got then
+    Alcotest.failf "%s: summary differs from the Array.sort compare reference" what
+
+let test_stats_matches_reference () =
+  let n = 5000 in
+  let ramp = Array.init n (fun i -> float_of_int i *. 0.37) in
+  check_summary "sorted" ramp;
+  check_summary "reversed" (Array.init n (fun i -> ramp.(n - 1 - i)));
+  check_summary "constant" (Array.make n 2.5);
+  check_summary "two-valued" (Array.init n (fun i -> if i mod 3 = 0 then 1.0 else -4.0));
+  check_summary "signed zeros" (Array.init n (fun i -> if i mod 2 = 0 then 0.0 else -0.0));
+  (* Every arrangement of -0.0 and 0.0 up to length 10: ties the sort
+     must break exactly as Array.sort compare does, exposed through the
+     min/max bits. *)
+  for len = 1 to 10 do
+    for mask = 0 to (1 lsl len) - 1 do
+      check_summary "signed-zero arrangement"
+        (Array.init len (fun i -> if mask land (1 lsl i) = 0 then 0.0 else -0.0))
+    done
+  done;
+  check_summary "one element" [| 42.0 |];
+  check_summary "one finite among non-finite" [| nan; 7.0; infinity |]
+
+let prop_stats_matches_reference =
+  let sample =
+    QCheck2.Gen.(
+      oneof
+        [
+          float_range (-1e3) 1e3;
+          oneofl [ 0.0; -0.0; 1.0; -1.0; nan; infinity; neg_infinity ];
+          map Int64.float_of_bits int64;
+        ])
+  in
+  QCheck2.Test.make ~name:"summarize ≡ Array.sort compare reference" ~count:300
+    ~print:QCheck2.Print.(array float)
+    QCheck2.Gen.(array_size (1 -- 300) sample)
+    (fun xs ->
+      check_summary "random" xs;
+      true)
+
 let test_stats_yield () =
   let samples = [| 1.0; 2.0; 3.0; Float.nan |] in
   check_float "non-finite fails" 0.5
@@ -474,6 +580,86 @@ let test_engine_measures_match_direct () =
   check_float ~tol:1e-12 "corner Elmore mean" dsum.Stats.mean s.Stats.mean;
   check_float ~tol:1e-12 "corner Elmore max" dsum.Stats.max s.Stats.max
 
+(* A chunk record (checkpoint or remote worker) decodes only the exact
+   16-lowercase-digit cells the encoder writes; anything else is a
+   classified error naming the point, never a silently wrong value. *)
+let test_chunk_record_canonical_hex () =
+  let model = Lazy.force fig1_model in
+  let prep =
+    Engine.prepare ~seed:1 ~measures:[ Engine.Dc_gain ] model
+      (plan_c1_g2 (Plan.Monte_carlo 8))
+  in
+  let record = Engine.chunk_result_to_json (Engine.eval_chunk prep 0) in
+  let decoded = Engine.chunk_result_of_json prep record in
+  Alcotest.(check bool) "own record round-trips" true
+    (Engine.chunk_values decoded
+    = Engine.chunk_values (Engine.eval_chunk prep 0));
+  let with_cell hex =
+    match record with
+    | Obs.Json.Obj fields ->
+      Obs.Json.Obj
+        (List.map
+           (function
+             | "vals", Obs.Json.List [ Obs.Json.List cells ] ->
+               ( "vals",
+                 Obs.Json.List
+                   [ Obs.Json.List
+                       (List.mapi
+                          (fun i c -> if i = 3 then Obs.Json.Str hex else c)
+                          cells) ] )
+             | kv -> kv)
+           fields)
+    | _ -> Alcotest.fail "chunk record is not an object"
+  in
+  List.iter
+    (fun hex ->
+      match Engine.chunk_result_of_json prep (with_cell hex) with
+      | exception
+          Awesym_error.Error { kind = Awesym_error.Artifact_corrupt; message; _ }
+        ->
+        if not (String.ends_with ~suffix:"at point 3" message) then
+          Alcotest.failf "error for %S does not name point 3: %s" hex message
+      | _ -> Alcotest.failf "chunk cell %S accepted" hex)
+    [ "1"; "3ff0_00000000000"; "3FF0000000000000"; "3ff00000000000000" ]
+
+(* The op-amp yield sweep over the paper's Figs. 4–7 measures, frozen as a
+   committed report: any change to the Padé/measure finish or to the
+   statistics that moves a single output bit fails here.  On a mismatch
+   the fresh report is written next to the test binary for inspection
+   (see test/golden/README.md). *)
+let golden_opamp_report () =
+  let g, c = Builders.opamp_symbol_names in
+  let mark nl name = Netlist.mark_symbolic nl name (Sym.intern name) in
+  let model = Model.build ~order:2 (mark (mark (Builders.opamp741 ()) g) c) in
+  let plan =
+    Plan.make (Plan.Monte_carlo 2000)
+      [
+        { Plan.name = g; dist = Dist.uniform ~lo:0.5e-6 ~hi:8.5e-6 };
+        { Plan.name = c; dist = Dist.uniform ~lo:5e-12 ~hi:65e-12 };
+      ]
+  in
+  let measures =
+    Engine.
+      [ Dominant_pole_hz; Unity_gain_frequency; Phase_margin; Dc_gain; Delay_50 ]
+  in
+  let specs =
+    [ { Engine.measure = Engine.Phase_margin; bound = Engine.Ge 60.0 } ]
+  in
+  Obs.Json.to_string_pretty
+    (Engine.to_json (Engine.run ~seed:42 ~jobs:1 ~measures ~specs model plan))
+
+let test_golden_opamp_sweep () =
+  let golden =
+    In_channel.with_open_bin "golden/opamp_sweep_rom.json" In_channel.input_all
+  in
+  let actual = golden_opamp_report () in
+  if actual <> golden then begin
+    let out = "opamp_sweep_rom.actual.json" in
+    Out_channel.with_open_bin out (fun oc -> output_string oc actual);
+    Alcotest.failf "op-amp sweep report differs from the golden one; got %s"
+      (Filename.concat (Sys.getcwd ()) out)
+  end
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "sweep"
@@ -503,6 +689,9 @@ let () =
           quick "moments and quantiles" test_stats_basic;
           quick "non-finite handling" test_stats_non_finite;
           quick "yield" test_stats_yield;
+          quick "sorted, reversed, constant, tied inputs ≡ reference"
+            test_stats_matches_reference;
+          QCheck_alcotest.to_alcotest prop_stats_matches_reference;
         ] );
       ( "engine",
         [
@@ -517,5 +706,7 @@ let () =
           quick "measures match direct evaluation" test_engine_measures_match_direct;
           quick "eval_batch bit-identical across jobs" test_eval_batch_jobs_invariant;
           quick "10k sweep JSON byte-identical across jobs" test_engine_json_jobs_invariant;
+          quick "op-amp ROM sweep matches the golden report" test_golden_opamp_sweep;
+          quick "chunk records accept only canonical hex" test_chunk_record_canonical_hex;
         ] );
     ]
