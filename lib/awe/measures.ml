@@ -3,10 +3,11 @@ module Cx = Numeric.Cx
 let dc_gain = Rom.dc_gain
 let dc_gain_db m = 20.0 *. Float.log10 (Float.abs (Rom.dc_gain m))
 let dominant_pole_hz m = Cx.norm (Rom.dominant_pole m) /. (2.0 *. Float.pi)
-(* [Cx.norm (Rom.at_frequency m f)] on unboxed floats: the same operations
-   in the same order ([Complex.div]'s branch included, then
-   [Float.hypot]), so the same bits, with nothing allocated. *)
-let[@inline] gain_at m f =
+(* [Rom.at_frequency m f] on unboxed floats, real part at [h.(0)] and
+   imaginary part at [h.(1)]: the same operations in the same order
+   ([Complex.div]'s branch included), so the same bits, with nothing
+   allocated. *)
+let[@inline] response_into h m f =
   let w = 2.0 *. Float.pi *. f in
   let poles = m.Rom.poles and residues = m.Rom.residues in
   let re = ref m.Rom.direct and im = ref 0.0 in
@@ -26,7 +27,31 @@ let[@inline] gain_at m f =
       im := !im +. (((r *. k.Cx.im) -. k.Cx.re) /. d)
     end
   done;
-  Float.hypot !re !im
+  h.(0) <- !re;
+  h.(1) <- !im
+
+(* [Cx.norm (Rom.at_frequency m f)], [h] as scratch. *)
+let[@inline] gain_into h m f =
+  response_into h m f;
+  Float.hypot h.(0) h.(1)
+
+let gain_at m f = gain_into [| 0.0; 0.0 |] m f
+
+(* [gain_at m f > 1.0], deciding from |H|² = re² + im² unless that lies
+   within [unity_band] of 1.  Rounding leaves |H|² within a few ulps of
+   the exact square, and [Float.hypot] is faithful, so outside the band
+   the two cannot fall on different sides of 1; inside it (and for a
+   NaN, which fails both tests) the exact [Float.hypot] decides.  An
+   overflowing or underflowing square decides as [Float.hypot] would. *)
+let unity_band = 1e-12
+
+let[@inline] above_unity h m f =
+  response_into h m f;
+  let re = h.(0) and im = h.(1) in
+  let s = (re *. re) +. (im *. im) in
+  if s > 1.0 +. unity_band then true
+  else if s < 1.0 -. unity_band then false
+  else Float.hypot re im > 1.0
 
 let fastest_pole_hz m =
   Array.fold_left (fun acc p -> Float.max acc (Cx.norm p)) 0.0 m.Rom.poles
@@ -35,14 +60,15 @@ let fastest_pole_hz m =
 let unity_gain_frequency m =
   if Rom.order m = 0 then None
   else begin
+    let h = [| 0.0; 0.0 |] in
     let f_lo = Float.max 1e-12 (dominant_pole_hz m /. 1e3) in
-    if gain_at m f_lo <= 1.0 then None
+    if gain_into h m f_lo <= 1.0 then None
     else begin
       (* March up past the fastest pole until the magnitude drops below 1;
          a strictly proper model always does eventually. *)
       let rec bracket f_hi tries =
         if tries = 0 then None
-        else if gain_at m f_hi < 1.0 then Some f_hi
+        else if gain_into h m f_hi < 1.0 then Some f_hi
         else bracket (f_hi *. 10.0) (tries - 1)
       in
       match bracket (Float.max f_lo (fastest_pole_hz m *. 10.0)) 40 with
@@ -55,7 +81,7 @@ let unity_gain_frequency m =
         let lo = ref f_lo and hi = ref f_hi and steps = ref 100 in
         let mid = ref (Float.sqrt (f_lo *. f_hi)) in
         while !steps > 0 && !mid <> !lo && !mid <> !hi do
-          if gain_at m !mid > 1.0 then lo := !mid else hi := !mid;
+          if above_unity h m !mid then lo := !mid else hi := !mid;
           decr steps;
           mid := Float.sqrt (!lo *. !hi)
         done;
@@ -71,58 +97,89 @@ let phase_margin m = Option.map (phase_margin_at m) (unity_gain_frequency m)
 
 let default_horizon m = 30.0 *. Rom.time_constant m
 
-let crossing ?horizon m target =
-  let horizon = match horizon with Some h -> h | None -> default_horizon m in
-  if not (Float.is_finite horizon) then None
-  else begin
+let horizon_of horizon m =
+  match horizon with Some h -> h | None -> default_horizon m
+
+(* Bisection for the instant in [t0, t1] where the step response crosses
+   [target], given [f0 = y(t0) − target]: at most 60 halvings, each
+   keeping the end whose sign differs.  Once the midpoint rounds onto an
+   end the bracket cannot move again (the kept half is that same end, or
+   the bracket itself), so every later step would return the same
+   midpoint: stop there. *)
+let bisect s target t0 f0 t1 =
+  let lo = ref t0 and hi = ref t1 and f_lo = ref f0 and n = ref 60 in
+  let mid = ref (0.5 *. (t0 +. t1)) in
+  while !n > 0 && !mid <> !lo && !mid <> !hi do
+    let f_mid = Rom.step_with s !mid -. target in
+    if f_mid *. !f_lo <= 0.0 then hi := !mid
+    else begin
+      lo := !mid;
+      f_lo := f_mid
+    end;
+    decr n;
+    mid := 0.5 *. (!lo +. !hi)
+  done;
+  !mid
+
+(* The first crossings of [a] and of [b] by the step response over the
+   horizon, found by one scan of 4000 samples and stored at [out.(0)]
+   and [out.(1)]; NaN where there is none (a crossing itself is never
+   NaN).  A NaN [b] asks for [a] alone.  Each target sees the samples
+   a scan of its own would see, so its crossing is the same. *)
+let crossings ?horizon m a b out =
+  out.(0) <- Float.nan;
+  out.(1) <- Float.nan;
+  let horizon = horizon_of horizon m in
+  if Float.is_finite horizon then begin
+    let s = Rom.stepper m in
     let samples = 4000 in
     let dt = horizon /. float_of_int samples in
-    let crossed t0 t1 =
-      (* Bisection for the crossing instant inside [t0, t1]. *)
-      let rec go lo hi n =
-        if n = 0 then 0.5 *. (lo +. hi)
-        else begin
-          let mid = 0.5 *. (lo +. hi) in
-          if (Rom.step m mid -. target) *. (Rom.step m lo -. target) <= 0.0 then
-            go lo mid (n - 1)
-          else go mid hi (n - 1)
-        end
-      in
-      go t0 t1 60
-    in
-    let rec scan k prev =
-      if k > samples then None
-      else begin
-        let t = dt *. float_of_int k in
-        let y = Rom.step m t in
-        if (prev -. target) *. (y -. target) <= 0.0 && prev <> y then
-          Some (crossed (dt *. float_of_int (k - 1)) t)
-        else scan (k + 1) y
-      end
-    in
-    scan 1 (Rom.step m 0.0)
+    let found_a = ref false and found_b = ref (Float.is_nan b) in
+    let prev = ref (Rom.step_with s 0.0) and k = ref 1 in
+    while !k <= samples && not (!found_a && !found_b) do
+      let t0 = dt *. float_of_int (!k - 1) and t = dt *. float_of_int !k in
+      let y = Rom.step_with s t in
+      if (not !found_a) && (!prev -. a) *. (y -. a) <= 0.0 && !prev <> y then begin
+        out.(0) <- bisect s a t0 (!prev -. a) t;
+        found_a := true
+      end;
+      if (not !found_b) && (!prev -. b) *. (y -. b) <= 0.0 && !prev <> y then begin
+        out.(1) <- bisect s b t0 (!prev -. b) t;
+        found_b := true
+      end;
+      prev := y;
+      incr k
+    done
   end
 
 let delay_50 ?horizon m =
   let final = Rom.dc_gain m in
-  if final = 0.0 then None else crossing ?horizon m (0.5 *. final)
+  if final = 0.0 then None
+  else begin
+    let out = [| 0.0; 0.0 |] in
+    crossings ?horizon m (0.5 *. final) Float.nan out;
+    if Float.is_nan out.(0) then None else Some out.(0)
+  end
 
 let rise_time ?(lo = 0.1) ?(hi = 0.9) ?horizon m =
   let final = Rom.dc_gain m in
   if final = 0.0 then None
-  else
-    match (crossing ?horizon m (lo *. final), crossing ?horizon m (hi *. final)) with
-    | Some t_lo, Some t_hi -> Some (Float.abs (t_hi -. t_lo))
-    | _, _ -> None
+  else begin
+    let out = [| 0.0; 0.0 |] in
+    crossings ?horizon m (lo *. final) (hi *. final) out;
+    if Float.is_nan out.(0) || Float.is_nan out.(1) then None
+    else Some (Float.abs (out.(1) -. out.(0)))
+  end
 
 let peak_step ?horizon ?(samples = 2000) m =
-  let horizon = match horizon with Some h -> h | None -> default_horizon m in
+  let horizon = horizon_of horizon m in
   let horizon = if Float.is_finite horizon then horizon else 1.0 in
+  let s = Rom.stepper m in
   let dt = horizon /. float_of_int samples in
   let best_t = ref 0.0 and best_y = ref 0.0 in
   for k = 0 to samples do
     let t = dt *. float_of_int k in
-    let y = Rom.step m t in
+    let y = Rom.step_with s t in
     if Float.abs y > Float.abs !best_y then begin
       best_t := t;
       best_y := y

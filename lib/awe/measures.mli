@@ -15,9 +15,13 @@ val unity_gain_frequency : Rom.t -> float option
     log-frequency between the dominant pole and well past the fastest
     pole.  The bisection stops at its floating-point fixed point — the
     first midpoint that rounds onto an end of the bracket, after which no
-    step could move it — or after 100 steps, whichever comes first.
-    [None] when the magnitude never crosses unity (e.g. DC gain below
-    1). *)
+    step could move it — or after 100 steps, whichever comes first.  Each
+    step decides [|H| > 1] from [|H|² = re² + im²] when that lies outside
+    a guard band of 1e-12 around 1, far wider than its rounding, so only
+    the steps near the crossing (and a NaN) pay for the exact
+    [Float.hypot]: the decisions, and so the bits, are those of
+    [gain_at].  [None] when the magnitude never crosses unity (e.g. DC
+    gain below 1). *)
 
 val phase_margin : Rom.t -> float option
 (** [180° + ∠H(j·2π·f_unity)] in degrees; [None] without a unity crossing.
@@ -35,16 +39,21 @@ val gain_at : Rom.t -> float -> float
 val delay_50 : ?horizon:float -> Rom.t -> float option
 (** 50% step-response delay: first time the unit-step response reaches half
     its final value (Elmore-style interconnect delay, computed on the actual
-    ROM waveform by bisection).  [None] if it never crosses within the
-    horizon (default: 30 dominant time constants). *)
+    ROM waveform).  The response is scanned at 4000 samples over the
+    horizon (default: 30 dominant time constants), and the first sample
+    interval that crosses is bisected, at most 60 halvings; the bisection
+    stops at its floating-point fixed point, the first midpoint that
+    rounds onto an end of the interval, which every later halving would
+    return too.  [None] if it never crosses within the horizon. *)
 
 val rise_time : ?lo:float -> ?hi:float -> ?horizon:float -> Rom.t -> float option
-(** 10–90% (by default) rise time of the step response. *)
+(** 10–90% (by default) rise time of the step response: the two
+    crossings, each found as in {!delay_50}, share one scan. *)
 
 val peak_step : ?horizon:float -> ?samples:int -> Rom.t -> float * float
 (** [(t_peak, y_peak)] — maximum |step response| over the horizon; used to
     quantify cross-talk amplitude (Figs. 9–10 study its dependence on the
-    symbols). *)
+    symbols).  Samples with {!Rom.step_with}, as the crossings do. *)
 
 val elmore_delay : float array -> float
 (** First-moment delay estimate [−m₁/m₀] from output moments. *)

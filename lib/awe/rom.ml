@@ -39,15 +39,39 @@ let impulse m t =
     m.poles;
   !acc
 
-let step m t =
-  let acc = ref m.direct in
+(* [| d; Re(k₁/p₁); Im(k₁/p₁); Re p₁; Im p₁; … |]: the ratios are
+   computed once per model instead of once per instant. *)
+type stepper = float array
+
+let stepper m =
+  let s = Array.make (1 + (4 * order m)) 0.0 in
+  s.(0) <- m.direct;
   Array.iteri
-    (fun i p ->
-      let ratio = Cx.div m.residues.(i) p in
-      let term = Cx.mul ratio (Cx.sub (Cx.exp (Cx.scale t p)) Cx.one) in
-      acc := !acc +. term.Cx.re)
+    (fun i (p : Cx.t) ->
+      let k = m.residues.(i) and o = 1 + (4 * i) in
+      s.(o) <- k.Cx.re;
+      s.(o + 1) <- k.Cx.im;
+      s.(o + 2) <- p.Cx.re;
+      s.(o + 3) <- p.Cx.im;
+      Cx.div_into s o s o s (o + 2))
     m.poles;
+  s
+
+(* Re((kᵢ/pᵢ)·(e^{pᵢt} − 1)) as [Cx.scale], [Cx.exp], [Cx.sub] and
+   [Cx.mul] compute it, minus the product's unused imaginary part (and
+   [Cx.sub]'s [e·sin − 0], which is [e·sin] exactly). *)
+let[@inline] step_with s t =
+  let acc = ref s.(0) in
+  for i = 0 to ((Array.length s - 1) / 4) - 1 do
+    let o = 1 + (4 * i) in
+    let xre = t *. s.(o + 2) and xim = t *. s.(o + 3) in
+    let e = Float.exp xre in
+    let wre = (e *. Float.cos xim) -. 1.0 and wim = e *. Float.sin xim in
+    acc := !acc +. ((s.(o) *. wre) -. (s.(o + 1) *. wim))
+  done;
   !acc
+
+let step m t = step_with (stepper m) t
 
 (* y_ramp(t) = (1/T)·∫₀^min(t,T) y_step(t−τ) dτ with
    y_step(t) = d + Σ (kᵢ/pᵢ)(e^{pᵢt} − 1):
@@ -71,14 +95,25 @@ let ramp rom ~rise t =
     !acc /. rise
   end
 
+let moments_of_parts ~direct ~poles ~residues n =
+  let w = [| 0.0; 0.0 |] in
+  let out = Array.make n 0.0 in
+  for k = 0 to n - 1 do
+    (* Re Σ kᵢ/pᵢ^{k+1}, summed from zero as [Cx.add] would. *)
+    let acc = ref 0.0 in
+    for i = 0 to (Array.length poles / 2) - 1 do
+      Cx.pow_int_into w 0 poles (2 * i) (k + 1);
+      Cx.div_into w 0 residues (2 * i) w 0;
+      acc := !acc +. w.(0)
+    done;
+    let base = -. !acc in
+    out.(k) <- (if k = 0 then base +. direct else base)
+  done;
+  out
+
 let moments m n =
-  Array.init n (fun k ->
-      let acc = ref Cx.zero in
-      Array.iteri
-        (fun i p -> acc := Cx.add !acc (Cx.div m.residues.(i) (Cx.pow_int p (k + 1))))
-        m.poles;
-      let base = -. !acc.Cx.re in
-      if k = 0 then base +. m.direct else base)
+  moments_of_parts ~direct:m.direct ~poles:(Cx.interleave m.poles)
+    ~residues:(Cx.interleave m.residues) n
 
 (* N(s) = d·Π(s−pᵢ) + Σᵢ kᵢ·Π_{j≠i}(s−pⱼ), expanded over ℂ then realified
    (imaginary parts cancel for conjugate-symmetric models). *)

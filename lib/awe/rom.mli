@@ -39,6 +39,16 @@ val step : t -> float -> float
 (** Unit-step response [y(t) = d + Σ Re((kᵢ/pᵢ)·(e^{pᵢ·t} − 1))] for
     [t > 0]. *)
 
+type stepper
+(** A model's step response prepared for evaluation at many instants:
+    each [kᵢ/pᵢ] is computed once. *)
+
+val stepper : t -> stepper
+
+val step_with : stepper -> float -> float
+(** [step_with (stepper m) t] is [step m t], bit for bit, evaluated on
+    unboxed floats. *)
+
 val ramp : t -> rise:float -> float -> float
 (** Response to a 0→1 ramp over [rise] seconds (then held), analytic:
     the step response convolved with the ramp's derivative — the input
@@ -47,6 +57,14 @@ val ramp : t -> rise:float -> float -> float
 val moments : t -> int -> float array
 (** The first [n] moments the model reproduces:
     [m₀ = d − Σ kᵢ/pᵢ], [mₖ = −Σ kᵢ/pᵢ^{k+1}] for [k ≥ 1]. *)
+
+val moments_of_parts :
+  direct:float -> poles:float array -> residues:float array -> int ->
+  float array
+(** {!moments} of the model whose poles and residues are interleaved in
+    float arrays (see {!Numeric.Cx.div_into}) — the form the Padé fit
+    works in.  [moments m n] is this on [m]'s parts, so the bits are the
+    same. *)
 
 val numerator : t -> Numeric.Poly.t
 (** Real numerator polynomial of [H] over the common denominator

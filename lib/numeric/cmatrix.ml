@@ -48,54 +48,75 @@ let mul_vec m v =
       done;
       !acc)
 
-let solve m b =
-  let n = m.nrows in
-  if m.ncols <> n then invalid_arg "Cmatrix.solve: matrix not square";
-  if Array.length b <> n then invalid_arg "Cmatrix.solve: size mismatch";
-  let a = Array.copy m.data in
-  let x = Array.copy b in
-  let at i j = a.((i * n) + j) in
-  let put i j v = a.((i * n) + j) <- v in
+(* Gaussian elimination with partial pivoting on interleaved storage
+   (see [Cx.div_into]): entry (i, j) at [a.(2(i·n + j))], real part first.
+   Entries below the diagonal are never read once their column is
+   eliminated, so they are neither updated nor swapped. *)
+let solve_inplace n a x =
+  let re i j = 2 * ((i * n) + j) in
+  let f = [| 0.0; 0.0 |] in
   for k = 0 to n - 1 do
     let pivot_row = ref k in
-    let pivot_mag = ref (Cx.norm (at k k)) in
+    let pivot_mag = ref (Float.hypot a.(re k k) a.(re k k + 1)) in
     for i = k + 1 to n - 1 do
-      let mag = Cx.norm (at i k) in
+      let mag = Float.hypot a.(re i k) a.(re i k + 1) in
       if mag > !pivot_mag then begin
         pivot_mag := mag;
         pivot_row := i
       end
     done;
     if !pivot_mag = 0.0 then raise (Singular k);
-    if !pivot_row <> k then begin
-      for j = 0 to n - 1 do
-        let tmp = at k j in
-        put k j (at !pivot_row j);
-        put !pivot_row j tmp
+    let p = !pivot_row in
+    if p <> k then begin
+      for c = re k k to re k (n - 1) + 1 do
+        let o = c + (2 * n * (p - k)) in
+        let tmp = a.(c) in
+        a.(c) <- a.(o);
+        a.(o) <- tmp
       done;
-      let tmp = x.(k) in
-      x.(k) <- x.(!pivot_row);
-      x.(!pivot_row) <- tmp
+      for c = 2 * k to (2 * k) + 1 do
+        let o = c + (2 * (p - k)) in
+        let tmp = x.(c) in
+        x.(c) <- x.(o);
+        x.(o) <- tmp
+      done
     end;
-    let pivot = at k k in
     for i = k + 1 to n - 1 do
-      let f = Cx.div (at i k) pivot in
-      if f <> Cx.zero then begin
-        for j = k to n - 1 do
-          put i j (Cx.sub (at i j) (Cx.mul f (at k j)))
+      Cx.div_into f 0 a (re i k) a (re k k);
+      let fre = f.(0) and fim = f.(1) in
+      if fre <> 0.0 || fim <> 0.0 then begin
+        for j = k + 1 to n - 1 do
+          let bre = a.(re k j) and bim = a.(re k j + 1) in
+          let e = re i j in
+          a.(e) <- a.(e) -. ((fre *. bre) -. (fim *. bim));
+          a.(e + 1) <- a.(e + 1) -. ((fre *. bim) +. (fim *. bre))
         done;
-        x.(i) <- Cx.sub x.(i) (Cx.mul f x.(k))
+        let bre = x.(2 * k) and bim = x.((2 * k) + 1) in
+        x.(2 * i) <- x.(2 * i) -. ((fre *. bre) -. (fim *. bim));
+        x.((2 * i) + 1) <- x.((2 * i) + 1) -. ((fre *. bim) +. (fim *. bre))
       end
     done
   done;
   for i = n - 1 downto 0 do
-    let acc = ref x.(i) in
+    let acc_re = ref x.(2 * i) and acc_im = ref x.((2 * i) + 1) in
     for j = i + 1 to n - 1 do
-      acc := Cx.sub !acc (Cx.mul (at i j) x.(j))
+      let are = a.(re i j) and aim = a.(re i j + 1) in
+      let xre = x.(2 * j) and xim = x.((2 * j) + 1) in
+      acc_re := !acc_re -. ((are *. xre) -. (aim *. xim));
+      acc_im := !acc_im -. ((are *. xim) +. (aim *. xre))
     done;
-    x.(i) <- Cx.div !acc (at i i)
-  done;
-  x
+    x.(2 * i) <- !acc_re;
+    x.((2 * i) + 1) <- !acc_im;
+    Cx.div_into x (2 * i) x (2 * i) a (re i i)
+  done
+
+let solve m b =
+  let n = m.nrows in
+  if m.ncols <> n then invalid_arg "Cmatrix.solve: matrix not square";
+  if Array.length b <> n then invalid_arg "Cmatrix.solve: size mismatch";
+  let a = Cx.interleave m.data and x = Cx.interleave b in
+  solve_inplace n a x;
+  Cx.deinterleave x
 
 let pp ppf m =
   Format.fprintf ppf "@[<v>";

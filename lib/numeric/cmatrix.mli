@@ -27,4 +27,13 @@ val solve : t -> Cx.t array -> Cx.t array
 (** Gaussian elimination with partial pivoting; raises {!Singular} on
     numerically singular input.  The matrix argument is not modified. *)
 
+val solve_inplace : int -> float array -> float array -> unit
+(** [solve_inplace n a x] is {!solve} on interleaved storage (see
+    {!Cx.div_into}): [a] holds the [n×n] matrix row-major, entry [(i, j)]
+    at [a.(2(i·n + j))] (real) and [a.(2(i·n + j) + 1)] (imaginary), and
+    [x] the right-hand side.  Overwrites [x] with the solution and [a]
+    with its elimination, allocating nothing per entry; the same
+    operations in the same order as {!solve}, so the same bits.  Raises
+    {!Singular}. *)
+
 val pp : Format.formatter -> t -> unit

@@ -32,3 +32,27 @@ val is_real : ?tol:float -> t -> bool
 
 val close : ?tol:float -> t -> t -> bool
 val pp : Format.formatter -> t -> unit
+
+(** {2 Interleaved storage}
+
+    For loops that keep complex vectors in float arrays, real part at
+    index [i] and imaginary part at [i + 1].  Operands and results are
+    addressed by array and index, so a call boxes nothing; each reads all
+    its operands before it writes, so the destination may alias them.
+    Each performs the same floating-point operations in the same order as
+    its boxed counterpart, so the results are the same bits. *)
+
+val interleave : t array -> float array
+(** [[| z₀; z₁; … |]] as [[| re z₀; im z₀; re z₁; im z₁; … |]]. *)
+
+val deinterleave : float array -> t array
+(** The inverse of {!interleave}. *)
+
+val div_into :
+  float array -> int -> float array -> int -> float array -> int -> unit
+(** [div_into dst d x i y j] stores [div x y] at [dst.(d)], where [x] is
+    at [x.(i)] and [y] at [y.(j)]. *)
+
+val pow_int_into : float array -> int -> float array -> int -> int -> unit
+(** [pow_int_into dst d z i n] stores [pow_int z n] ([n ≥ 0]) at
+    [dst.(d)], where [z] is at [z.(i)]. *)

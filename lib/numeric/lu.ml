@@ -16,22 +16,15 @@ type t = { lu : Matrix.t; perm : int array; sign : float; health : health }
 let size f = Array.length f.perm
 let health f = f.health
 
-let factor_raw a =
+(* What [solve_dense] leaves out: a one-shot solve reads no health. *)
+let no_health =
+  { dim = 0; pivot_min = 0.0; pivot_max = 0.0; growth = 1.0; rcond = 0.0 }
+
+(* Gaussian elimination with partial pivoting on a copy of [a]; the
+   factors' health is left to [factor]. *)
+let decompose a =
   let n = Matrix.rows a in
   if Matrix.cols a <> n then invalid_arg "Lu.factor: matrix not square";
-  let max_a = ref 0.0 in
-  (* 1-norm of the input (max absolute column sum), for the condition
-     estimate computed after factorization. *)
-  let anorm = ref 0.0 in
-  for j = 0 to n - 1 do
-    let col_sum = ref 0.0 in
-    for i = 0 to n - 1 do
-      let mag = Float.abs (Matrix.get a i j) in
-      max_a := Float.max !max_a mag;
-      col_sum := !col_sum +. mag
-    done;
-    anorm := Float.max !anorm !col_sum
-  done;
   let lu = Matrix.copy a in
   let perm = Array.init n (fun i -> i) in
   let sign = ref 1.0 in
@@ -68,35 +61,11 @@ let factor_raw a =
         done
     done
   done;
-  (* Pivot statistics drive the numeric-health reporting upstream: the
-     min/max pivot ratio is a cheap condition estimate, and element growth
-     relative to the input flags unstable eliminations. *)
-  let pivot_min = ref Float.infinity in
-  let pivot_max = ref 0.0 in
-  let max_u = ref 0.0 in
-  for i = 0 to n - 1 do
-    let d = Float.abs (Matrix.get lu i i) in
-    pivot_min := Float.min !pivot_min d;
-    pivot_max := Float.max !pivot_max d;
-    for j = i to n - 1 do
-      max_u := Float.max !max_u (Float.abs (Matrix.get lu i j))
-    done
-  done;
-  let health =
-    {
-      dim = n;
-      pivot_min = (if n = 0 then 0.0 else !pivot_min);
-      pivot_max = !pivot_max;
-      growth = (if !max_a > 0.0 then !max_u /. !max_a else 1.0);
-      rcond = 0.0;
-      (* placeholder; [factor] fills in the Hager estimate *)
-    }
-  in
   if !Obs.enabled then begin
     Obs.Metrics.incr "lu.factor.count";
     Obs.Metrics.observe "lu.factor.dim" (float_of_int n)
   end;
-  ({ lu; perm; sign = !sign; health }, !anorm)
+  { lu; perm; sign = !sign; health = no_health }
 
 let solve f b =
   let n = size f in
@@ -200,9 +169,44 @@ let estimate_rcond ~anorm f =
   end
 
 let factor a =
-  let f, anorm = factor_raw a in
-  let rcond = estimate_rcond ~anorm f in
-  { f with health = { f.health with rcond } }
+  let n = Matrix.rows a in
+  if Matrix.cols a <> n then invalid_arg "Lu.factor: matrix not square";
+  (* Pivot statistics drive the numeric-health reporting upstream: the
+     min/max pivot ratio is a cheap condition estimate, element growth
+     relative to the input flags unstable eliminations, and the 1-norm of
+     the input (max absolute column sum) scales the condition estimate. *)
+  let max_a = ref 0.0 and anorm = ref 0.0 in
+  for j = 0 to n - 1 do
+    let col_sum = ref 0.0 in
+    for i = 0 to n - 1 do
+      let mag = Float.abs (Matrix.get a i j) in
+      max_a := Float.max !max_a mag;
+      col_sum := !col_sum +. mag
+    done;
+    anorm := Float.max !anorm !col_sum
+  done;
+  let f = decompose a in
+  let pivot_min = ref Float.infinity in
+  let pivot_max = ref 0.0 in
+  let max_u = ref 0.0 in
+  for i = 0 to n - 1 do
+    let d = Float.abs (Matrix.get f.lu i i) in
+    pivot_min := Float.min !pivot_min d;
+    pivot_max := Float.max !pivot_max d;
+    for j = i to n - 1 do
+      max_u := Float.max !max_u (Float.abs (Matrix.get f.lu i j))
+    done
+  done;
+  let health =
+    {
+      dim = n;
+      pivot_min = (if n = 0 then 0.0 else !pivot_min);
+      pivot_max = !pivot_max;
+      growth = (if !max_a > 0.0 then !max_u /. !max_a else 1.0);
+      rcond = estimate_rcond ~anorm:!anorm f;
+    }
+  in
+  { f with health }
 
 let solve_matrix f b =
   let n = size f in
@@ -226,7 +230,7 @@ let det f =
 
 let inverse f = solve_matrix f (Matrix.identity (size f))
 
-let solve_dense a b = solve (factor a) b
+let solve_dense a b = solve (decompose a) b
 
 (* Taxonomy bridge: existing callers (and tests) match [Singular]
    directly, so the exception stays; the classifier lets policy layers

@@ -51,4 +51,8 @@ val inverse : t -> Matrix.t
 val size : t -> int
 
 val solve_dense : Matrix.t -> float array -> float array
-(** One-shot convenience: factor then solve. *)
+(** One-shot convenience: factor then solve.  Computes no {!health}
+    record — no pivot statistics and no condition estimate, whose solves
+    would cost more than the system's own — so the solution bits and the
+    {!Singular} column are those of [solve (factor a) b] at a fraction of
+    the cost. *)

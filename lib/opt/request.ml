@@ -11,23 +11,17 @@ let schema = "awesymbolic-opt/1"
 
 type t = Size of Sizing.config | Yield of Recenter.config
 
-(* ---- hex-bit floats (same convention as the sweep checkpoints and
-   the serve protocol: JSON null-ifies non-finite numbers, bit patterns
-   don't) ---- *)
-
-let hexbits v = Printf.sprintf "%016Lx" (Int64.bits_of_float v)
-
-let is_hex c =
-  (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
+(* ---- hex-bit floats, the sweep checkpoints' codec (JSON null-ifies
+   non-finite numbers, bit patterns don't) ---- *)
 
 let float_of_hexbits ~where s =
-  if String.length s = 16 && String.for_all is_hex s then
-    Int64.float_of_bits (Int64.of_string ("0x" ^ s))
-  else Err.errorf Artifact_corrupt ~where "bad hex float %S" s
+  match Engine.float_of_hexbits s with
+  | Some v -> v
+  | None -> Err.errorf Artifact_corrupt ~where "bad hex float %S" s
 
-let float_fields name v = [ (name, J.Num v); (name ^ "_hex", J.Str (hexbits v)) ]
+let float_fields name v = [ (name, J.Num v); (name ^ "_hex", J.Str (Engine.hexbits v)) ]
 
-let hex_list vs = J.List (List.map (fun v -> J.Str (hexbits v)) (Array.to_list vs))
+let hex_list vs = J.List (List.map (fun v -> J.Str (Engine.hexbits v)) (Array.to_list vs))
 
 (* ---- request codec ---- *)
 
@@ -169,7 +163,7 @@ let key model t =
              string_of_int (Model.num_operations model);
            ]
           @ Array.to_list symbols
-          @ List.map hexbits (Array.to_list nominals))))
+          @ List.map Engine.hexbits (Array.to_list nominals))))
 
 (* ---- checkpoint unit codecs: sizing restarts and yield iterations
    round-trip through the same hex-float JSON the report embeds ---- *)

@@ -278,11 +278,12 @@ let prepare ?(seed = 42) ?block ?jobs ?(measures = default_measures)
   in
   let order = Model.order model in
   let nm = 2 * order in
-  (* Union the spec measures in so every spec has a summary to report. *)
+  (* Each measure once, at its first request, with the spec measures
+     unioned in so every spec has a summary to report. *)
   let measures =
     List.fold_left
-      (fun acc s -> if List.mem s.measure acc then acc else acc @ [ s.measure ])
-      measures specs
+      (fun acc m -> if List.mem m acc then acc else acc @ [ m ])
+      [] (measures @ List.map (fun s -> s.measure) specs)
   in
   List.iter
     (function

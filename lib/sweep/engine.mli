@@ -180,8 +180,8 @@ val prep_block : prep -> int
     carry so the worker rebuilds the very same layout. *)
 
 val prep_measures : prep -> measure list
-(** The summarized measure set (requested measures with spec measures
-    unioned in, in report order). *)
+(** The summarized measure set (requested measures, each once at its
+    first occurrence, with spec measures unioned in, in report order). *)
 
 val prep_specs : prep -> spec list
 (** The spec list the prep was built with, in request order. *)
@@ -226,6 +226,15 @@ val eval_chunk : prep -> int -> chunk_result
 val chunk_result_to_json : chunk_result -> Obs.Json.t
 (** The checkpoint record shape [{lo; len; vals; failed}], floats as
     IEEE-754 hex bit patterns — byte-exact across the wire. *)
+
+val hexbits : float -> string
+(** A float's IEEE-754 bit pattern as 16 lowercase hex digits — how
+    checkpoints and chunk records carry floats, since the JSON layer
+    renders non-finite numbers as null. *)
+
+val float_of_hexbits : string -> float option
+(** The inverse of {!hexbits} on exactly what it writes: [None] unless
+    the string is 16 lowercase hex digits. *)
 
 val chunk_result_of_json : ?file:string -> prep -> Obs.Json.t -> chunk_result
 (** Parse and validate a chunk record against the prep's layout
@@ -286,8 +295,9 @@ val run :
     evaluation, and the per-point measure finish across that many
     domains; the determinism contract guarantees the result — and its
     {!to_json} serialization — is bit-identical for every jobs count,
-    fault policy decisions included.  Spec measures are automatically
-    added to the summarized set.
+    fault policy decisions included.  A measure requested twice is
+    summarized once, and spec measures are automatically added to the
+    summarized set.
 
     [policy] (default {!Skip}) governs fault handling; see the module
     docs for what counts as a fault.  Fault-injection sites crossed per

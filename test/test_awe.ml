@@ -719,6 +719,471 @@ let prop_measures_bit_identical =
         (Option.map (Awe.Measures.phase_margin_at m) unity);
       true)
 
+(* The boxed Padé fit and step-response measures the unboxed ones must
+   reproduce bit for bit: the LU elimination and complex solve they
+   called, [Rom.moments] and [Rom.step] included.  (The old one-shot LU
+   also ran a condition estimate, which never touched the solution.) *)
+module Reference_finish = struct
+  module Matrix = Numeric.Matrix
+
+  let lu_solve_dense a b =
+    let n = Matrix.rows a in
+    let lu = Matrix.copy a in
+    let perm = Array.init n (fun i -> i) in
+    for k = 0 to n - 1 do
+      let pivot_row = ref k in
+      let pivot_mag = ref (Float.abs (Matrix.get lu k k)) in
+      for i = k + 1 to n - 1 do
+        let mag = Float.abs (Matrix.get lu i k) in
+        if mag > !pivot_mag then begin
+          pivot_mag := mag;
+          pivot_row := i
+        end
+      done;
+      if !pivot_mag = 0.0 then raise (Numeric.Lu.Singular k);
+      if !pivot_row <> k then begin
+        for j = 0 to n - 1 do
+          let tmp = Matrix.get lu k j in
+          Matrix.set lu k j (Matrix.get lu !pivot_row j);
+          Matrix.set lu !pivot_row j tmp
+        done;
+        let tmp = perm.(k) in
+        perm.(k) <- perm.(!pivot_row);
+        perm.(!pivot_row) <- tmp
+      end;
+      let pivot = Matrix.get lu k k in
+      for i = k + 1 to n - 1 do
+        let factor = Matrix.get lu i k /. pivot in
+        Matrix.set lu i k factor;
+        if factor <> 0.0 then
+          for j = k + 1 to n - 1 do
+            Matrix.set lu i j (Matrix.get lu i j -. (factor *. Matrix.get lu k j))
+          done
+      done
+    done;
+    let x = Array.init n (fun i -> b.(perm.(i))) in
+    for i = 1 to n - 1 do
+      let acc = ref x.(i) in
+      for j = 0 to i - 1 do
+        acc := !acc -. (Matrix.get lu i j *. x.(j))
+      done;
+      x.(i) <- !acc
+    done;
+    for i = n - 1 downto 0 do
+      let acc = ref x.(i) in
+      for j = i + 1 to n - 1 do
+        acc := !acc -. (Matrix.get lu i j *. x.(j))
+      done;
+      x.(i) <- !acc /. Matrix.get lu i i
+    done;
+    x
+
+  let cmatrix_solve n (a : Cx.t array) (b : Cx.t array) =
+    let a = Array.copy a and x = Array.copy b in
+    let at i j = a.((i * n) + j) in
+    let put i j v = a.((i * n) + j) <- v in
+    for k = 0 to n - 1 do
+      let pivot_row = ref k in
+      let pivot_mag = ref (Cx.norm (at k k)) in
+      for i = k + 1 to n - 1 do
+        let mag = Cx.norm (at i k) in
+        if mag > !pivot_mag then begin
+          pivot_mag := mag;
+          pivot_row := i
+        end
+      done;
+      if !pivot_mag = 0.0 then raise (Numeric.Cmatrix.Singular k);
+      if !pivot_row <> k then begin
+        for j = 0 to n - 1 do
+          let tmp = at k j in
+          put k j (at !pivot_row j);
+          put !pivot_row j tmp
+        done;
+        let tmp = x.(k) in
+        x.(k) <- x.(!pivot_row);
+        x.(!pivot_row) <- tmp
+      end;
+      let pivot = at k k in
+      for i = k + 1 to n - 1 do
+        let f = Cx.div (at i k) pivot in
+        if f <> Cx.zero then begin
+          for j = k to n - 1 do
+            put i j (Cx.sub (at i j) (Cx.mul f (at k j)))
+          done;
+          x.(i) <- Cx.sub x.(i) (Cx.mul f x.(k))
+        end
+      done
+    done;
+    for i = n - 1 downto 0 do
+      let acc = ref x.(i) in
+      for j = i + 1 to n - 1 do
+        acc := Cx.sub !acc (Cx.mul (at i j) x.(j))
+      done;
+      x.(i) <- Cx.div !acc (at i i)
+    done;
+    x
+
+  let pow_int z n =
+    let rec go acc base n =
+      if n = 0 then acc
+      else if n land 1 = 1 then go (Cx.mul acc base) (Cx.mul base base) (n asr 1)
+      else go acc (Cx.mul base base) (n asr 1)
+    in
+    go Cx.one z n
+
+  let rom_moments (m : Rom.t) n =
+    Array.init n (fun k ->
+        let acc = ref Cx.zero in
+        Array.iteri
+          (fun i p ->
+            acc := Cx.add !acc (Cx.div m.Rom.residues.(i) (pow_int p (k + 1))))
+          m.Rom.poles;
+        let base = -. !acc.Cx.re in
+        if k = 0 then base +. m.Rom.direct else base)
+
+  let moment_scale m =
+    let n = Array.length m in
+    let rec first k =
+      if k >= n then None else if m.(k) <> 0.0 then Some k else first (k + 1)
+    in
+    match first 0 with
+    | None -> 1.0
+    | Some j ->
+      if j + 1 >= n || m.(j + 1) = 0.0 then 1.0 else Float.abs (m.(j) /. m.(j + 1))
+
+  let scaled_moments alpha m =
+    let factor = ref 1.0 in
+    Array.map
+      (fun v ->
+        let out = v *. !factor in
+        factor := !factor *. alpha;
+        out)
+      m
+
+  let char_poly ~offset ~order m =
+    let q = order in
+    let h = Matrix.init q q (fun k j -> m.(offset + k + j)) in
+    let rhs = Array.init q (fun k -> -.m.(offset + k + q)) in
+    Numeric.Poly.of_coeffs (Array.append (lu_solve_dense h rhs) [| 1.0 |])
+
+  let residues ~offset ~poles m =
+    let q = Array.length poles in
+    if q = 0 then [||]
+    else begin
+      let x = Array.map Cx.inv poles in
+      let v =
+        Array.init (q * q) (fun e ->
+            let k = e / q and i = e mod q in
+            Cx.neg (pow_int x.(i) (offset + k + 1)))
+      in
+      cmatrix_solve q v (Array.init q (fun k -> Cx.of_float m.(offset + k)))
+    end
+
+  let poles_of_char char =
+    Numeric.Roots.of_poly char
+    |> Array.to_list
+    |> List.filter_map (fun x -> if Cx.norm x < 1e-30 then None else Some (Cx.inv x))
+    |> Array.of_list
+
+  let direct_for poles res m0 =
+    let acc = ref Cx.zero in
+    Array.iteri (fun i p -> acc := Cx.add !acc (Cx.div res.(i) p)) poles;
+    m0 +. !acc.Cx.re
+
+  let roundtrip_ok ~offset rom m =
+    let n = Int.min (Array.length m) (offset + (2 * Rom.order rom)) in
+    let back = rom_moments rom n in
+    let ok = ref true in
+    for k = 0 to n - 1 do
+      if Float.abs (back.(k) -. m.(k)) > 1e-6 *. Float.max 1.0 (Float.abs m.(k))
+      then ok := false
+    done;
+    !ok
+
+  let visible_poles ~offset poles res m =
+    let n = Array.length m in
+    List.filter
+      (fun i ->
+        let k = res.(i) and p = poles.(i) in
+        let rec any j =
+          offset + j < n
+          && (Cx.norm k /. (Cx.norm p ** float_of_int (j + 1))
+              > 1e-9 *. Float.max 1e-30 (Float.abs m.(offset + j))
+             || any (j + 1))
+        in
+        any 0)
+      (List.init (Array.length poles) Fun.id)
+    |> List.map (fun i -> poles.(i))
+    |> Array.of_list
+
+  let rec fit_scaled ~offset ~order m =
+    if order < 1 then
+      raise (Awe.Pade.Degenerate "no nonsingular Hankel system at any order");
+    let lower () = fit_scaled ~offset ~order:(order - 1) m in
+    match char_poly ~offset ~order m with
+    | exception Numeric.Lu.Singular _ -> lower ()
+    | char -> (
+      let poles = poles_of_char char in
+      if Array.length poles = 0 then lower ()
+      else
+        match residues ~offset ~poles m with
+        | exception Numeric.Cmatrix.Singular _ -> lower ()
+        | res -> (
+          let kept = visible_poles ~offset poles res m in
+          if Array.length kept = 0 then lower ()
+          else
+            match residues ~offset ~poles:kept m with
+            | exception Numeric.Cmatrix.Singular _ -> lower ()
+            | res ->
+              let direct = if offset = 0 then 0.0 else direct_for kept res m.(0) in
+              let rom = Rom.make ~direct ~poles:kept ~residues:res () in
+              if roundtrip_ok ~offset rom m then rom else lower ()))
+
+  let stabilize ~offset rom m =
+    if Rom.is_stable rom then rom
+    else begin
+      let keep =
+        Array.of_list
+          (List.filter (fun (p : Cx.t) -> p.Cx.re < 0.0) (Array.to_list rom.Rom.poles))
+      in
+      if Array.length keep = 0 then
+        raise (Awe.Pade.Degenerate "all poles unstable; cannot stabilize");
+      let res = residues ~offset ~poles:keep m in
+      let direct = if offset = 0 then 0.0 else direct_for keep res m.(0) in
+      Rom.make ~direct ~poles:keep ~residues:res ()
+    end
+
+  let fit ~enforce_stability ~with_direct ~order m =
+    let offset = if with_direct then 1 else 0 in
+    if Array.for_all (fun v -> v = 0.0) m then
+      raise (Awe.Pade.Degenerate "all moments are zero");
+    let alpha = moment_scale m in
+    let m_hat = scaled_moments alpha m in
+    let rom = fit_scaled ~offset ~order m_hat in
+    let rom = if enforce_stability then stabilize ~offset rom m_hat else rom in
+    Rom.make ~direct:rom.Rom.direct
+      ~poles:(Array.map (Cx.scale alpha) rom.Rom.poles)
+      ~residues:(Array.map (Cx.scale alpha) rom.Rom.residues)
+      ()
+
+  let step (m : Rom.t) t =
+    let acc = ref m.Rom.direct in
+    Array.iteri
+      (fun i p ->
+        let ratio = Cx.div m.Rom.residues.(i) p in
+        let term = Cx.mul ratio (Cx.sub (Cx.exp (Cx.scale t p)) Cx.one) in
+        acc := !acc +. term.Cx.re)
+      m.Rom.poles;
+    !acc
+
+  let default_horizon m = 30.0 *. Rom.time_constant m
+
+  let crossing ?horizon m target =
+    let horizon = match horizon with Some h -> h | None -> default_horizon m in
+    if not (Float.is_finite horizon) then None
+    else begin
+      let samples = 4000 in
+      let dt = horizon /. float_of_int samples in
+      let rec go lo hi n =
+        if n = 0 then 0.5 *. (lo +. hi)
+        else begin
+          let mid = 0.5 *. (lo +. hi) in
+          if (step m mid -. target) *. (step m lo -. target) <= 0.0 then
+            go lo mid (n - 1)
+          else go mid hi (n - 1)
+        end
+      in
+      let rec scan k prev =
+        if k > samples then None
+        else begin
+          let t = dt *. float_of_int k in
+          let y = step m t in
+          if (prev -. target) *. (y -. target) <= 0.0 && prev <> y then
+            Some (go (dt *. float_of_int (k - 1)) t 60)
+          else scan (k + 1) y
+        end
+      in
+      scan 1 (step m 0.0)
+    end
+
+  let delay_50 ?horizon m =
+    let final = Rom.dc_gain m in
+    if final = 0.0 then None else crossing ?horizon m (0.5 *. final)
+
+  let rise_time ?(lo = 0.1) ?(hi = 0.9) ?horizon m =
+    let final = Rom.dc_gain m in
+    if final = 0.0 then None
+    else
+      match (crossing ?horizon m (lo *. final), crossing ?horizon m (hi *. final)) with
+      | Some t_lo, Some t_hi -> Some (Float.abs (t_hi -. t_lo))
+      | _, _ -> None
+
+  let peak_step ?horizon m =
+    let samples = 2000 in
+    let horizon = match horizon with Some h -> h | None -> default_horizon m in
+    let horizon = if Float.is_finite horizon then horizon else 1.0 in
+    let dt = horizon /. float_of_int samples in
+    let best_t = ref 0.0 and best_y = ref 0.0 in
+    for k = 0 to samples do
+      let t = dt *. float_of_int k in
+      let y = step m t in
+      if Float.abs y > Float.abs !best_y then begin
+        best_t := t;
+        best_y := y
+      end
+    done;
+    (!best_t, !best_y)
+end
+
+let same_bits a b = Int64.bits_of_float a = Int64.bits_of_float b
+
+let same_rom (a : Rom.t) (b : Rom.t) =
+  let same_cx (x : Cx.t) (y : Cx.t) = same_bits x.Cx.re y.Cx.re && same_bits x.Cx.im y.Cx.im in
+  same_bits a.Rom.direct b.Rom.direct
+  && Array.length a.Rom.poles = Array.length b.Rom.poles
+  && Array.for_all2 same_cx a.Rom.poles b.Rom.poles
+  && Array.for_all2 same_cx a.Rom.residues b.Rom.residues
+
+(* Every fit of the moments of a random model — orders 1–4 whatever the
+   model's own order, so singular Hankel systems, invisible and unstable
+   poles and order reduction all occur — matches the boxed fit bit for
+   bit, or raises the same exception. *)
+let prop_pade_fit_bit_identical =
+  QCheck2.Test.make ~name:"unboxed Padé fit ≡ boxed reference" ~count:500
+    ~print:print_rom rom_gen (fun m ->
+      let moments = Rom.moments m 9 in
+      let want = Reference_finish.rom_moments m 9 in
+      Array.iteri
+        (fun k v ->
+          if not (same_bits v want.(k)) then
+            Alcotest.failf "Rom.moments m%d: reference %h, got %h" k want.(k) v)
+        moments;
+      let outcome f =
+        match f () with
+        | rom -> Ok rom
+        | exception e -> Error (Printexc.to_string e)
+      in
+      List.iter
+        (fun (order, with_direct, enforce_stability) ->
+          let want =
+            outcome (fun () ->
+                Reference_finish.fit ~enforce_stability ~with_direct ~order moments)
+          and got =
+            outcome (fun () ->
+                Awe.Pade.fit ~enforce_stability ~with_direct ~order moments)
+          in
+          match (want, got) with
+          | Ok a, Ok b when same_rom a b -> ()
+          | Error a, Error b when a = b -> ()
+          | _ ->
+            let show = function
+              | Ok r -> print_rom r
+              | Error e -> "exception " ^ e
+            in
+            Alcotest.failf "fit order %d direct %b stable %b: reference %s, got %s"
+              order with_direct enforce_stability (show want) (show got))
+        (List.concat_map
+           (fun order ->
+             [ (order, false, true); (order, true, true); (order, false, false);
+               (order, true, false) ])
+           [ 1; 2; 3; 4 ]);
+      true)
+
+(* The public one-shot pieces share the fit's cores. *)
+let prop_pade_pieces_bit_identical =
+  QCheck2.Test.make ~name:"char_poly, residues, Cmatrix.solve ≡ boxed reference"
+    ~count:300 ~print:print_rom rom_gen (fun m ->
+      let moments = Rom.moments m 10 in
+      let q = Rom.order m in
+      let show = function Ok v -> v | Error e -> "exception " ^ e in
+      let outcome f = match f () with v -> Ok v | exception e -> Error (Printexc.to_string e) in
+      let cxs zs =
+        String.concat " "
+          (List.map (fun (z : Cx.t) -> Printf.sprintf "%h,%h" z.Cx.re z.Cx.im)
+             (Array.to_list zs))
+      in
+      let check what want got =
+        if want <> got then
+          Alcotest.failf "%s: reference %s, got %s" what (show want) (show got)
+      in
+      List.iter
+        (fun offset ->
+          check "char_poly"
+            (outcome (fun () ->
+                 String.concat " "
+                   (List.map (Printf.sprintf "%h")
+                      (Array.to_list
+                         (Numeric.Poly.coeffs
+                            (Reference_finish.char_poly ~offset ~order:q moments))))))
+            (outcome (fun () ->
+                 String.concat " "
+                   (List.map (Printf.sprintf "%h")
+                      (Array.to_list
+                         (Numeric.Poly.coeffs (Awe.Pade.char_poly ~offset ~order:q moments))))));
+          check "residues"
+            (outcome (fun () ->
+                 cxs (Reference_finish.residues ~offset ~poles:m.Rom.poles moments)))
+            (outcome (fun () -> cxs (Awe.Pade.residues ~offset ~poles:m.Rom.poles moments))))
+        [ 0; 1; 2 ];
+      (* A Vandermonde system with a repeated pole is singular. *)
+      let twice = Array.append m.Rom.poles [| m.Rom.poles.(0) |] in
+      check "singular residues"
+        (outcome (fun () -> cxs (Reference_finish.residues ~offset:0 ~poles:twice moments)))
+        (outcome (fun () -> cxs (Awe.Pade.residues ~offset:0 ~poles:twice moments)));
+      (* A general complex system built from the model's numbers. *)
+      let n = q + 1 in
+      let entry e =
+        let p = m.Rom.poles.(e mod q) and k = m.Rom.residues.((e / q) mod q) in
+        if e mod 3 = 0 then Cx.mul p k else Cx.add p (Cx.of_float (float_of_int e))
+      in
+      let a = Array.init (n * n) entry and b = Array.init n (fun i -> m.Rom.residues.(i mod q)) in
+      check "Cmatrix.solve"
+        (outcome (fun () -> cxs (Reference_finish.cmatrix_solve n a b)))
+        (outcome (fun () -> cxs (Numeric.Cmatrix.solve (Numeric.Cmatrix.init n n (fun i j -> a.((i * n) + j))) b)));
+      true)
+
+(* The step-response measures, over the default horizon and explicit
+   ones (a negative horizon scans backwards from t = 0). *)
+let prop_step_measures_bit_identical =
+  QCheck2.Test.make ~name:"step crossings and peak ≡ boxed reference" ~count:500
+    ~print:print_rom rom_gen (fun m ->
+      let same_opt what want got =
+        match (want, got) with
+        | None, None -> ()
+        | Some x, Some y when same_bits x y -> ()
+        | _ ->
+          let show = function None -> "None" | Some v -> Printf.sprintf "%h" v in
+          Alcotest.failf "%s: reference %s, got %s" what (show want) (show got)
+      in
+      let tau = Rom.time_constant m in
+      List.iter
+        (fun t ->
+          let want = Reference_finish.step m t and got = Rom.step m t in
+          if not (same_bits want got) then
+            Alcotest.failf "step %h: reference %h, got %h" t want got)
+        [ 0.0; -0.0; 0.1 *. tau; tau; 10.0 *. tau; -.tau ];
+      List.iter
+        (fun horizon ->
+          let h = match horizon with None -> "default" | Some v -> Printf.sprintf "%h" v in
+          same_opt ("delay_50 " ^ h)
+            (Reference_finish.delay_50 ?horizon m)
+            (Awe.Measures.delay_50 ?horizon m);
+          same_opt ("rise_time " ^ h)
+            (Reference_finish.rise_time ?horizon m)
+            (Awe.Measures.rise_time ?horizon m);
+          same_opt ("rise_time 0.5-0.5 " ^ h)
+            (Reference_finish.rise_time ~lo:0.5 ~hi:0.5 ?horizon m)
+            (Awe.Measures.rise_time ~lo:0.5 ~hi:0.5 ?horizon m);
+          same_opt ("rise_time 0.9-0.1 " ^ h)
+            (Reference_finish.rise_time ~lo:0.9 ~hi:0.1 ?horizon m)
+            (Awe.Measures.rise_time ~lo:0.9 ~hi:0.1 ?horizon m);
+          let wt, wy = Reference_finish.peak_step ?horizon m
+          and gt, gy = Awe.Measures.peak_step ?horizon m in
+          if not (same_bits wt gt && same_bits wy gy) then
+            Alcotest.failf "peak_step %s: reference (%h, %h), got (%h, %h)" h wt wy gt gy)
+        [ None; Some (3.0 *. tau); Some (200.0 *. tau); Some (-.tau); Some Float.infinity ];
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* Sensitivity *)
 
@@ -986,6 +1451,8 @@ let () =
           quick "degenerate moments rejected" test_pade_degenerate;
           quick "automatic order reduction" test_pade_order_reduction;
           quick "stability enforced" test_rom_stability_enforced;
+          QCheck_alcotest.to_alcotest prop_pade_fit_bit_identical;
+          QCheck_alcotest.to_alcotest prop_pade_pieces_bit_identical;
         ] );
       ( "responses",
         [
@@ -1048,6 +1515,7 @@ let () =
           quick "no unity crossing" test_measures_no_unity_crossing;
           quick "elmore delay" test_elmore;
           QCheck_alcotest.to_alcotest prop_measures_bit_identical;
+          QCheck_alcotest.to_alcotest prop_step_measures_bit_identical;
         ] );
       ( "sensitivity",
         [

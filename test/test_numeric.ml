@@ -166,6 +166,40 @@ let prop_lu_transpose_consistent =
       let x2 = Lu.solve_dense (Matrix.transpose a) rhs in
       Array.for_all2 (fun u v -> Float.abs (u -. v) <= 1e-8 *. Float.max 1.0 (Float.abs u)) x1 x2)
 
+(* The one-shot solve skips the health record but not a bit of the
+   solution: random systems, and rank-deficient ones (a repeated row, a
+   zero column) whose elimination runs out of pivots part-way. *)
+let prop_lu_solve_dense_matches_factor =
+  let gen =
+    QCheck2.Gen.(
+      let* n = int_range 1 7 in
+      let* entries = array_size (return (n * n)) (float_range (-1.0) 1.0) in
+      let* rhs = array_size (return n) (float_range (-5.0) 5.0) in
+      let* kind = int_range 0 2 and* i = int_range 0 (n - 1) and* j = int_range 0 (n - 1) in
+      return (n, entries, rhs, kind, i, j))
+  in
+  let print (n, entries, rhs, kind, i, j) =
+    Printf.sprintf "n=%d kind=%d i=%d j=%d entries=[%s] rhs=[%s]" n kind i j
+      (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") entries)))
+      (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") rhs)))
+  in
+  QCheck2.Test.make ~name:"solve_dense ≡ solve ∘ factor, bits and Singular column"
+    ~count:500 ~print gen (fun (n, entries, rhs, kind, i, j) ->
+      let a =
+        Matrix.init n n (fun r c ->
+            match kind with
+            | 1 when r = j && i <> j -> entries.((i * n) + c)
+            | 2 when c = j -> 0.0
+            | _ -> entries.((r * n) + c))
+      in
+      let outcome f =
+        match f () with
+        | x -> Ok (Array.map Int64.bits_of_float x)
+        | exception Lu.Singular k -> Error k
+      in
+      outcome (fun () -> Lu.solve_dense a rhs)
+      = outcome (fun () -> Lu.solve (Lu.factor a) rhs))
+
 (* ------------------------------------------------------------------ *)
 (* Complex *)
 
@@ -591,6 +625,7 @@ let () =
           quick "transpose solve" test_lu_transpose_solve;
           quick "inverse" test_lu_inverse;
           quick "rcond estimate" test_lu_rcond;
+          QCheck_alcotest.to_alcotest prop_lu_solve_dense_matches_factor;
         ]
         @ props [ prop_lu_residual; prop_lu_transpose_consistent ] );
       ("complex", [ quick "arithmetic" test_cx_arith ]);

@@ -405,6 +405,55 @@ let test_checkpoint_resume () =
   in
   Alcotest.(check string) "resumed report byte-identical" full resumed
 
+(* Checkpoint floats use the sweep checkpoints' codec, which reads only
+   what it writes: a trajectory cell with its hex digits upper-cased is
+   corrupt, not a float to resume from. *)
+let test_checkpoint_rejects_uppercase_hex () =
+  let model = Lazy.force fig1_model in
+  let req = Request.Size (sizing_config ~restarts:1 ~max_iters:10 model) in
+  let path = Filename.temp_file "awesym_opt" ".opt" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  ignore (Request.run ~checkpoint:path model req);
+  truncate_checkpoint path 1;
+  let doc =
+    match Json.of_string (In_channel.with_open_bin path In_channel.input_all) with
+    | Ok j -> j
+    | Error m -> Alcotest.failf "unreadable checkpoint: %s" m
+  in
+  (* Upper-case the first x_hex cell that has a letter to change. *)
+  let changed = ref false in
+  let rec upcase (j : Json.t) : Json.t =
+    match j with
+    | Json.Obj kvs ->
+      Json.Obj
+        (List.map
+           (fun (k, v) ->
+             match (k, v) with
+             | "x_hex", Json.List cells when not !changed ->
+               ( k,
+                 Json.List
+                   (List.map
+                      (function
+                        | Json.Str h
+                          when (not !changed) && String.uppercase_ascii h <> h ->
+                          changed := true;
+                          Json.Str (String.uppercase_ascii h)
+                        | c -> c)
+                      cells) )
+             | _ -> (k, upcase v))
+           kvs)
+    | Json.List l -> Json.List (List.map upcase l)
+    | j -> j
+  in
+  Json.to_file path (upcase doc);
+  if not !changed then Alcotest.fail "no x_hex cell with a hex letter";
+  match Request.run ~checkpoint:path ~resume:true model req with
+  | exception Err.Error e ->
+    Alcotest.(check string) "classified artifact_corrupt" "artifact_corrupt"
+      (Err.kind_name e.Err.kind)
+  | _ -> Alcotest.fail "upper-case hex cell was resumed"
+
 (* ------------------------------------------------------------------ *)
 (* Non-convergence: statuses, error kinds, require-convergence *)
 
@@ -500,6 +549,7 @@ let () =
           quick "request JSON and key round-trip" test_request_round_trip;
           quick "report bytes invariant across jobs" test_report_jobs_invariant;
           quick "checkpoint resume is byte-identical" test_checkpoint_resume;
+          quick "checkpoint rejects upper-case hex" test_checkpoint_rejects_uppercase_hex;
           quick "mid-run interrupt/resume is byte-identical"
             test_checkpoint_resume_midrun;
           quick "resume reconstructs the no-passing-points stop"

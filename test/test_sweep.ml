@@ -622,11 +622,36 @@ let test_chunk_record_canonical_hex () =
       | _ -> Alcotest.failf "chunk cell %S accepted" hex)
     [ "1"; "3ff0_00000000000"; "3FF0000000000000"; "3ff00000000000000" ]
 
-(* The op-amp yield sweep over the paper's Figs. 4–7 measures, frozen as a
-   committed report: any change to the Padé/measure finish or to the
-   statistics that moves a single output bit fails here.  On a mismatch
-   the fresh report is written next to the test binary for inspection
-   (see test/golden/README.md). *)
+(* A measure named twice is summarized once: the report is the one the
+   sweep writes without the repeat, spec measures included. *)
+let test_engine_repeated_measure () =
+  let model = Lazy.force fig1_model in
+  let plan = plan_c1_g2 (Plan.Monte_carlo 300) in
+  let specs = [ { Engine.measure = Engine.Delay_50; bound = Engine.Le 10.0 } ] in
+  let report measures =
+    Obs.Json.to_string
+      (Engine.to_json (Engine.run ~seed:7 ~jobs:1 ~measures ~specs model plan))
+  in
+  Alcotest.(check string) "same bytes as without the repeat"
+    (report Engine.[ Dc_gain; Delay_50; Moment 1 ])
+    (report Engine.[ Dc_gain; Dc_gain; Delay_50; Moment 1; Dc_gain; Moment 1 ])
+
+(* Committed reports compared byte for byte: any change to the
+   Padé/measure finish or to the statistics that moves a single output
+   bit fails here.  On a mismatch the fresh report is written next to the
+   test binary for inspection (see test/golden/README.md). *)
+let check_golden file actual =
+  let golden =
+    In_channel.with_open_bin (Filename.concat "golden" file) In_channel.input_all
+  in
+  if actual <> golden then begin
+    let out = Filename.chop_extension file ^ ".actual.json" in
+    Out_channel.with_open_bin out (fun oc -> output_string oc actual);
+    Alcotest.failf "%s differs from the golden report; got %s" file
+      (Filename.concat (Sys.getcwd ()) out)
+  end
+
+(* The op-amp yield sweep over the paper's Figs. 4–7 measures. *)
 let golden_opamp_report () =
   let g, c = Builders.opamp_symbol_names in
   let mark nl name = Netlist.mark_symbolic nl name (Sym.intern name) in
@@ -649,16 +674,25 @@ let golden_opamp_report () =
     (Engine.to_json (Engine.run ~seed:42 ~jobs:1 ~measures ~specs model plan))
 
 let test_golden_opamp_sweep () =
-  let golden =
-    In_channel.with_open_bin "golden/opamp_sweep_rom.json" In_channel.input_all
+  check_golden "opamp_sweep_rom.json" (golden_opamp_report ())
+
+(* The RLC line at order 4: the degree-4 root finder, order reduction,
+   complex poles and the rise-time crossing, none of which the op-amp
+   report reaches. *)
+let golden_rlc_order4_report () =
+  let decks = if Sys.file_exists "../decks" then "../decks" else "decks" in
+  let nl = Circuit.Parser.parse_file (Filename.concat decks "rlc_line.cir") in
+  let model = Model.build ~order:4 nl in
+  let plan =
+    Plan.make (Plan.Monte_carlo 2000)
+      [ { Plan.name = "g_term"; dist = Dist.uniform ~lo:2e-3 ~hi:50e-3 } ]
   in
-  let actual = golden_opamp_report () in
-  if actual <> golden then begin
-    let out = "opamp_sweep_rom.actual.json" in
-    Out_channel.with_open_bin out (fun oc -> output_string oc actual);
-    Alcotest.failf "op-amp sweep report differs from the golden one; got %s"
-      (Filename.concat (Sys.getcwd ()) out)
-  end
+  let measures = Engine.[ Dc_gain; Dominant_pole_hz; Delay_50; Rise_time ] in
+  Obs.Json.to_string_pretty
+    (Engine.to_json (Engine.run ~seed:42 ~jobs:1 ~measures model plan))
+
+let test_golden_rlc_order4_sweep () =
+  check_golden "rlc_line_order4_sweep.json" (golden_rlc_order4_report ())
 
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
@@ -703,10 +737,13 @@ let () =
           quick "seeded determinism" test_engine_deterministic;
           quick "moment index validated" test_engine_moment_out_of_range;
           quick "JSON report schema" test_engine_json_schema;
+          quick "repeated measure summarized once" test_engine_repeated_measure;
           quick "measures match direct evaluation" test_engine_measures_match_direct;
           quick "eval_batch bit-identical across jobs" test_eval_batch_jobs_invariant;
           quick "10k sweep JSON byte-identical across jobs" test_engine_json_jobs_invariant;
           quick "op-amp ROM sweep matches the golden report" test_golden_opamp_sweep;
+          quick "order-4 RLC sweep matches the golden report"
+            test_golden_rlc_order4_sweep;
           quick "chunk records accept only canonical hex" test_chunk_record_canonical_hex;
         ] );
     ]
