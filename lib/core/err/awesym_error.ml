@@ -97,30 +97,34 @@ let to_string e =
     e.context;
   Buffer.contents b
 
-let to_json e =
-  let open Obs.Json in
-  let base =
-    [
-      ("kind", Str (kind_name e.kind));
-      ("where", Str e.where);
-      ("message", Str e.message);
-    ]
+(* The one wire/disk shape of an error, shared by serve replies, chunk
+   records and sweep reports.  [context] is omitted when empty. *)
+let codec =
+  let module C = Obs.Codec in
+  let kind = C.enum (List.map (fun k -> (kind_name k, k)) all_kinds) in
+  let context =
+    C.refine
+      (function [] -> Error "empty context is omitted" | kvs -> Ok kvs)
+      Fun.id (C.dict C.string)
   in
-  let opt name conv = function
-    | None -> []
-    | Some v -> [ (name, conv v) ]
-  in
-  let ctx =
-    match e.context with
-    | [] -> []
-    | kvs -> [ ("context", Obj (List.map (fun (k, v) -> (k, Str v)) kvs)) ]
-  in
-  Obj
-    (base
-    @ opt "file" (fun f -> Str f) e.file
-    @ opt "line" (fun l -> Num (float_of_int l)) e.line
-    @ opt "condition" (fun c -> Num c) e.condition
-    @ ctx)
+  C.record
+    (fun kind where message file line condition context ->
+      let context = Option.value context ~default:[] in
+      { kind; where; message; file; line; condition; context })
+    [ C.req "kind" kind (fun e -> e.kind);
+      C.req "where" C.string (fun e -> e.where);
+      C.req "message" C.string (fun e -> e.message);
+      C.opt "file" C.string (fun e -> e.file);
+      C.opt "line" C.int (fun e -> e.line);
+      C.opt "condition" C.num (fun e -> e.condition);
+      C.opt "context" context (fun e -> match e.context with [] -> None | c -> Some c) ]
+
+let to_json = Obs.Codec.encode codec
+
+let decode ?file ~kind ~where c j =
+  Result.map_error
+    (fun e -> make ?file kind ~where (Obs.Codec.error_to_string e))
+    (Obs.Codec.decode c j)
 
 (* Classifier chain: libraries that keep typed exceptions (Lu.Singular,
    Pade.Degenerate, Parser.Parse_error, ...) register a mapping here at

@@ -106,10 +106,25 @@ val to_string : t -> string
 (** One-line rendering: ["singular_system at lu.factor: zero pivot at
     column 3 (deck.cir:12) [dim=5]"]. *)
 
+val codec : t Obs.Codec.t
+(** The one JSON shape of an error, on the wire and on disk: ["kind"],
+    ["where"], ["message"], then the optional payload fields when present
+    (["context"] omitted when empty).  An unknown kind does not decode. *)
+
 val to_json : t -> Obs.Json.t
-(** Machine-readable rendering used by sweep reports: an object with
-    ["kind"], ["where"], ["message"] and the optional payload fields
-    when present. *)
+(** [Obs.Codec.encode codec], as sweep reports embed it. *)
+
+val decode :
+  ?file:string ->
+  kind:kind ->
+  where:string ->
+  'a Obs.Codec.t ->
+  Obs.Json.t ->
+  ('a, t) result
+(** Decode at a boundary, classifying a failure with the boundary's
+    [kind] ([Parse] for serve frames, [Artifact_corrupt] for checkpoints,
+    [Invalid_request] for opt requests); the message names the JSON path,
+    e.g. ["$.seed: expected an integer"]. *)
 
 val register : (exn -> t option) -> unit
 (** Install an exception classifier.  Libraries owning typed exceptions

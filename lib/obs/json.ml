@@ -108,15 +108,30 @@ let to_file path v =
     (fun () -> output_string oc (to_string_pretty v))
 
 (* ------------------------------------------------------------------ *)
-(* Recursive-descent parser.  Strict enough to reject the malformed, not a
-   validator of every dark corner of RFC 8259. *)
+(* Paths name a node inside a document, "$.points[0][1]" style. *)
 
-exception Malformed of string * int
+type step = Key of string | Index of int
+
+let path_to_string path =
+  let step = function Key k -> "." ^ k | Index i -> Printf.sprintf "[%d]" i in
+  String.concat "" ("$" :: List.map step path)
+
+(* ------------------------------------------------------------------ *)
+(* Recursive-descent parser for RFC 8259 documents, and only those:
+   numbers in the RFC's grammar and finite, strings free of raw control
+   characters with exactly-four-digit escapes and paired surrogates, no
+   duplicate object keys.  Errors name the path of the node being read
+   and the byte offset.  Nesting is capped so no input exhausts the
+   stack: [of_string] returns on every input. *)
+
+exception Malformed of step list * string * int
+
+let max_depth = 512
 
 let of_string s =
   let n = String.length s in
   let pos = ref 0 in
-  let fail msg = raise (Malformed (msg, !pos)) in
+  let fail rp msg = raise (Malformed (rp, msg, !pos)) in
   let peek () = if !pos < n then Some s.[!pos] else None in
   let advance () = incr pos in
   let rec skip_ws () =
@@ -126,54 +141,38 @@ let of_string s =
       skip_ws ()
     | _ -> ()
   in
-  let expect c =
+  let expect rp c =
     match peek () with
     | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %C" c)
+    | _ -> fail rp (Printf.sprintf "expected %C" c)
   in
-  let literal word value =
+  let literal rp word value =
     if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
     then begin
       pos := !pos + String.length word;
       value
     end
-    else fail (Printf.sprintf "expected %s" word)
+    else fail rp (Printf.sprintf "expected %s" word)
   in
-  let hex4 () =
-    if !pos + 4 > n then fail "truncated \\u escape";
-    let v = int_of_string ("0x" ^ String.sub s !pos 4) in
+  let hex4 rp =
+    let hex = function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false in
+    if !pos + 4 > n then fail rp "truncated \\u escape";
+    let h = String.sub s !pos 4 in
+    if not (String.for_all hex h) then fail rp "bad \\u escape (want four hex digits)";
     pos := !pos + 4;
-    v
+    int_of_string ("0x" ^ h)
   in
-  let add_utf8 buf cp =
-    if cp < 0x80 then Buffer.add_char buf (Char.chr cp)
-    else if cp < 0x800 then begin
-      Buffer.add_char buf (Char.chr (0xC0 lor (cp lsr 6)));
-      Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-    end
-    else if cp < 0x10000 then begin
-      Buffer.add_char buf (Char.chr (0xE0 lor (cp lsr 12)));
-      Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
-      Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-    end
-    else begin
-      Buffer.add_char buf (Char.chr (0xF0 lor (cp lsr 18)));
-      Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 12) land 0x3F)));
-      Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
-      Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-    end
-  in
-  let parse_string () =
-    expect '"';
+  let parse_string rp =
+    expect rp '"';
     let buf = Buffer.create 16 in
     let rec go () =
-      if !pos >= n then fail "unterminated string";
+      if !pos >= n then fail rp "unterminated string";
       let c = s.[!pos] in
       advance ();
       match c with
       | '"' -> Buffer.contents buf
       | '\\' -> (
-        if !pos >= n then fail "unterminated escape";
+        if !pos >= n then fail rp "unterminated escape";
         let e = s.[!pos] in
         advance ();
         (match e with
@@ -186,50 +185,63 @@ let of_string s =
         | 'r' -> Buffer.add_char buf '\r'
         | 't' -> Buffer.add_char buf '\t'
         | 'u' ->
-          let cp = hex4 () in
+          let cp = hex4 rp in
           let cp =
-            (* Combine a surrogate pair when one follows. *)
-            if cp >= 0xD800 && cp <= 0xDBFF && !pos + 1 < n && s.[!pos] = '\\'
-               && s.[!pos + 1] = 'u'
-            then begin
+            if cp >= 0xDC00 && cp <= 0xDFFF then fail rp "unpaired low surrogate"
+            else if cp >= 0xD800 && cp <= 0xDBFF then begin
+              (* A high surrogate is only valid as the first half of a pair. *)
+              if not (!pos + 1 < n && s.[!pos] = '\\' && s.[!pos + 1] = 'u') then
+                fail rp "unpaired high surrogate";
               pos := !pos + 2;
-              let lo = hex4 () in
+              let lo = hex4 rp in
               if lo >= 0xDC00 && lo <= 0xDFFF then
                 0x10000 + (((cp - 0xD800) lsl 10) lor (lo - 0xDC00))
-              else fail "invalid low surrogate"
+              else fail rp "invalid low surrogate"
             end
             else cp
           in
-          add_utf8 buf cp
-        | _ -> fail "bad escape");
+          Buffer.add_utf_8_uchar buf (Uchar.of_int cp)
+        | _ -> fail rp "bad escape");
         go ())
+      | c when Char.code c < 0x20 -> fail rp "raw control character in string"
       | c -> Buffer.add_char buf c; go ()
     in
     go ()
   in
-  let parse_number () =
+  (* RFC 8259: optional minus, then 0 or a digit run not starting with
+     0, an optional fraction and exponent each with at least one digit;
+     and the value must be finite. *)
+  let parse_number rp =
     let start = !pos in
-    let is_num_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+    let digits () =
+      let d0 = !pos in
+      while !pos < n && s.[!pos] >= '0' && s.[!pos] <= '9' do advance () done;
+      if !pos = d0 then fail rp "bad number"
+    in
+    let skip cs =
+      match peek () with
+      | Some c when String.contains cs c -> advance (); true
       | _ -> false
     in
-    while !pos < n && is_num_char s.[!pos] do
-      advance ()
-    done;
+    ignore (skip "-");
+    if not (skip "0") then digits ();
+    if skip "." then digits ();
+    if skip "eE" then (ignore (skip "+-"); digits ());
     let chunk = String.sub s start (!pos - start) in
     match float_of_string_opt chunk with
-    | Some v -> Num v
-    | None -> fail (Printf.sprintf "bad number %S" chunk)
+    | Some v when Float.is_finite v -> Num v
+    | _ -> fail rp (Printf.sprintf "number %s out of range" chunk)
   in
-  let rec parse_value () =
+  let rec parse_value rp depth =
     skip_ws ();
+    if depth > max_depth then fail rp "nesting too deep";
     match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
+    | None -> fail rp "unexpected end of input"
+    | Some '"' -> Str (parse_string rp)
+    | Some 't' -> literal rp "true" (Bool true)
+    | Some 'f' -> literal rp "false" (Bool false)
+    | Some 'n' -> literal rp "null" Null
+    | Some ('-' | '0' .. '9') -> parse_number rp
     | Some '[' ->
       advance ();
       skip_ws ();
@@ -238,18 +250,18 @@ let of_string s =
         List []
       end
       else begin
-        let items = ref [ parse_value () ] in
-        let rec more () =
+        let items = ref [ parse_value (Index 0 :: rp) (depth + 1) ] in
+        let rec more i =
           skip_ws ();
           match peek () with
           | Some ',' ->
             advance ();
-            items := parse_value () :: !items;
-            more ()
+            items := parse_value (Index i :: rp) (depth + 1) :: !items;
+            more (i + 1)
           | Some ']' -> advance ()
-          | _ -> fail "expected ',' or ']'"
+          | _ -> fail rp "expected ',' or ']'"
         in
-        more ();
+        more 1;
         List (List.rev !items)
       end
     | Some '{' ->
@@ -260,12 +272,16 @@ let of_string s =
         Obj []
       end
       else begin
+        let seen = Hashtbl.create 8 in
         let field () =
           skip_ws ();
-          let name = parse_string () in
+          let name = parse_string rp in
+          if Hashtbl.mem seen name then
+            fail rp (Printf.sprintf "duplicate key %S" name);
+          Hashtbl.add seen name ();
           skip_ws ();
-          expect ':';
-          (name, parse_value ())
+          expect rp ':';
+          (name, parse_value (Key name :: rp) (depth + 1))
         in
         let fields = ref [ field () ] in
         let rec more () =
@@ -276,20 +292,21 @@ let of_string s =
             fields := field () :: !fields;
             more ()
           | Some '}' -> advance ()
-          | _ -> fail "expected ',' or '}'"
+          | _ -> fail rp "expected ',' or '}'"
         in
         more ();
         Obj (List.rev !fields)
       end
-    | Some _ -> parse_number ()
+    | Some c -> fail rp (Printf.sprintf "unexpected character %C" c)
   in
-  match parse_value () with
+  match parse_value [] 0 with
   | v ->
     skip_ws ();
     if !pos <> n then Error (Printf.sprintf "trailing garbage at offset %d" !pos)
     else Ok v
-  | exception Malformed (msg, at) ->
-    Error (Printf.sprintf "%s at offset %d" msg at)
+  | exception Malformed (rp, msg, at) ->
+    Error
+      (Printf.sprintf "%s: %s at offset %d" (path_to_string (List.rev rp)) msg at)
 
 let member name = function
   | Obj fields -> List.assoc_opt name fields

@@ -3,6 +3,7 @@
    harness.  Everything is inert until [enabled] is set. *)
 
 module Json = Json
+module Codec = Codec
 module Rng = Rng
 module Span = Span
 module Metrics = Metrics

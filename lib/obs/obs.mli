@@ -16,6 +16,7 @@ val enabled : bool ref
     same ref. *)
 
 module Json : module type of Json
+module Codec : module type of Codec
 module Rng : module type of Rng
 module Span : module type of Span
 module Metrics : module type of Metrics

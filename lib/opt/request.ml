@@ -6,149 +6,95 @@ module Dist = Sweep.Dist
 module Sym = Symbolic.Symbol
 module Err = Awesym_error
 module J = Obs.Json
+module C = Obs.Codec
 
 let schema = "awesymbolic-opt/1"
 
 type t = Size of Sizing.config | Yield of Recenter.config
 
-(* ---- hex-bit floats, the sweep checkpoints' codec (JSON null-ifies
-   non-finite numbers, bit patterns don't) ---- *)
-
-let float_of_hexbits ~where s =
-  match Engine.float_of_hexbits s with
-  | Some v -> v
-  | None -> Err.errorf Artifact_corrupt ~where "bad hex float %S" s
-
-let float_fields name v = [ (name, J.Num v); (name ^ "_hex", J.Str (Engine.hexbits v)) ]
-
-let hex_list vs = J.List (List.map (fun v -> J.Str (Engine.hexbits v)) (Array.to_list vs))
-
 (* ---- request codec ---- *)
 
-let bad fmt =
-  Printf.ksprintf
-    (fun m -> Err.raise_error Invalid_request ~where:"opt.request" m)
-    fmt
+let axes =
+  C.list
+    (C.record (fun name dist -> { Plan.name; dist })
+       [ C.req "name" C.string (fun a -> a.Plan.name);
+         C.req "dist" Dist.codec (fun a -> a.Plan.dist) ])
 
-let axis_json (a : Plan.axis) =
-  J.Obj [ ("name", J.Str a.Plan.name); ("dist", Dist.to_json a.Plan.dist) ]
+(* A string holding [to_string v]: decoding parses it and requires the
+   spelling [to_string] gives back, so "min:dc_gain" is not a goal
+   "minimize:dc_gain" decodes from. *)
+let spelled of_string to_string =
+  C.refine
+    (fun s ->
+      match of_string s with
+      | Ok v when to_string v = s -> Ok v
+      | Ok v -> Error (Printf.sprintf "%S is spelled %S" s (to_string v))
+      | Error _ as e -> e)
+    to_string C.string
 
-let axes_json axes = J.List (List.map axis_json axes)
+let specs = C.list (spelled Engine.spec_of_string Engine.spec_to_string)
 
-let specs_json specs =
-  J.List (List.map (fun s -> J.Str (Engine.spec_to_string s)) specs)
+(* The objective's members are contiguous in a sizing request; decoding
+   revalidates them through [Objective.make]. *)
+let objective =
+  C.refine
+    (fun (specs, goal, area_weight, penalty_weight) ->
+      match Objective.make ?goal ~area_weight ~penalty_weight ~specs () with
+      | o -> Ok o
+      | exception Err.Error e -> Error e.Err.message)
+    (fun (o : Objective.t) -> (o.specs, o.goal, o.area_weight, o.penalty_weight))
+    (C.record (fun s g a p -> (s, g, a, p))
+       [ C.req "specs" specs (fun (s, _, _, _) -> s);
+         C.opt "goal"
+           (spelled Objective.goal_of_string Objective.goal_to_string)
+           (fun (_, g, _, _) -> g);
+         C.req "area_weight" C.num (fun (_, _, a, _) -> a);
+         C.req "penalty_weight" C.num (fun (_, _, _, p) -> p) ])
 
-let to_json = function
-  | Size c ->
-    J.Obj
-      ([
-         ("schema", J.Str schema);
-         ("mode", J.Str "size");
-         ("axes", axes_json c.Sizing.axes);
-         ("specs", specs_json c.Sizing.objective.Objective.specs);
-       ]
-      @ (match c.Sizing.objective.Objective.goal with
-        | None -> []
-        | Some g -> [ ("goal", J.Str (Objective.goal_to_string g)) ])
-      @ [
-          ("area_weight", J.Num c.Sizing.objective.Objective.area_weight);
-          ("penalty_weight", J.Num c.Sizing.objective.Objective.penalty_weight);
-          ("seed", J.Num (float_of_int c.Sizing.seed));
-          ("restarts", J.Num (float_of_int c.Sizing.restarts));
-          ("max_iters", J.Num (float_of_int c.Sizing.max_iters));
-          ("step", J.Num c.Sizing.step0);
-          ("tol", J.Num c.Sizing.tol);
-        ])
-  | Yield c ->
-    J.Obj
-      [
-        ("schema", J.Str schema);
-        ("mode", J.Str "yield");
-        ("axes", axes_json c.Recenter.axes);
-        ("specs", specs_json c.Recenter.specs);
-        ("seed", J.Num (float_of_int c.Recenter.seed));
-        ("points", J.Num (float_of_int c.Recenter.points));
-        ("iters", J.Num (float_of_int c.Recenter.iters));
-        ("shrink", J.Num c.Recenter.shrink);
-      ]
+let codec =
+  let axes =
+    C.refine (function [] -> Error "no axes to optimize" | l -> Ok l) Fun.id axes
+  in
+  let size =
+    C.record
+      (fun axes objective seed restarts max_iters step0 tol ->
+        { Sizing.axes; objective; seed; restarts; max_iters; step0; tol })
+      [ C.req "axes" axes (fun c -> c.Sizing.axes);
+        C.inline objective (fun c -> c.Sizing.objective);
+        C.req "seed" C.int (fun c -> c.Sizing.seed);
+        C.req "restarts" C.int (fun c -> c.Sizing.restarts);
+        C.req "max_iters" C.int (fun c -> c.Sizing.max_iters);
+        C.req "step" C.num (fun c -> c.Sizing.step0);
+        C.req "tol" C.num (fun c -> c.Sizing.tol) ]
+  and yield =
+    C.record
+      (fun axes specs seed points iters shrink ->
+        { Recenter.axes; specs; seed; points; iters; shrink })
+      [ C.req "axes" axes (fun c -> c.Recenter.axes);
+        C.req "specs" specs (fun c -> c.Recenter.specs);
+        C.req "seed" C.int (fun c -> c.Recenter.seed);
+        C.req "points" C.int (fun c -> c.Recenter.points);
+        C.req "iters" C.int (fun c -> c.Recenter.iters);
+        C.req "shrink" C.num (fun c -> c.Recenter.shrink) ]
+  in
+  C.record Fun.id
+    [ C.const "schema" (J.Str schema);
+      C.inline
+        (C.tagged "mode"
+           [ C.case "size" size
+               (fun c -> Size c)
+               (function Size c -> Some c | Yield _ -> None);
+             C.case "yield" yield
+               (fun c -> Yield c)
+               (function Yield c -> Some c | Size _ -> None) ])
+        Fun.id ]
 
-let axis_of_json j =
-  match (J.member "name" j, J.member "dist" j) with
-  | Some (J.Str name), Some dj -> (
-    match Dist.of_json dj with
-    | Ok dist -> { Plan.name; dist }
-    | Error e -> bad "axis %s: %s" name e)
-  | _ -> bad "each axis needs a name and a dist"
+let to_json = C.encode codec
 
 let of_json j =
-  (match J.member "schema" j with
-  | Some (J.Str s) when s = schema -> ()
-  | Some (J.Str s) -> bad "schema mismatch: %s (want %s)" s schema
-  | _ -> bad "missing schema field");
-  let axes =
-    match J.member "axes" j with
-    | Some (J.List (_ :: _ as l)) -> List.map axis_of_json l
-    | _ -> bad "missing or empty axes"
-  in
-  let specs =
-    match J.member "specs" j with
-    | Some (J.List l) ->
-      List.map
-        (function
-          | J.Str s -> (
-            match Engine.spec_of_string s with
-            | Ok s -> s
-            | Error e -> bad "%s" e)
-          | _ -> bad "each spec must be a string")
-        l
-    | None -> []
-    | _ -> bad "specs must be a list"
-  in
-  let num name default =
-    match J.member name j with
-    | Some (J.Num v) -> v
-    | None -> default
-    | _ -> bad "%s must be a number" name
-  in
-  let int name default = int_of_float (num name (float_of_int default)) in
-  match J.member "mode" j with
-  | Some (J.Str "size") ->
-    let goal =
-      match J.member "goal" j with
-      | Some (J.Str g) -> (
-        match Objective.goal_of_string g with
-        | Ok g -> Some g
-        | Error e -> bad "%s" e)
-      | None | Some J.Null -> None
-      | _ -> bad "goal must be a string"
-    in
-    let objective =
-      Objective.make ?goal
-        ~area_weight:(num "area_weight" 0.0)
-        ~penalty_weight:(num "penalty_weight" 1.0)
-        ~specs ()
-    in
-    Size
-      {
-        Sizing.axes;
-        objective;
-        seed = int "seed" 42;
-        restarts = int "restarts" 0;
-        max_iters = int "max_iters" 50;
-        step0 = num "step" 0.25;
-        tol = num "tol" 1e-6;
-      }
-  | Some (J.Str "yield") ->
-    Yield
-      {
-        Recenter.axes;
-        specs;
-        points = int "points" 1000;
-        iters = int "iters" 4;
-        shrink = num "shrink" 1.0;
-        seed = int "seed" 42;
-      }
-  | _ -> bad "mode must be \"size\" or \"yield\""
+  match Err.decode ~kind:Invalid_request ~where:"opt.request" codec j with
+  | Ok t -> t
+  | Error e -> raise (Err.Error e)
 
 let key model t =
   let symbols = Array.map Sym.name (Model.symbols model) in
@@ -163,128 +109,57 @@ let key model t =
              string_of_int (Model.num_operations model);
            ]
           @ Array.to_list symbols
-          @ List.map Engine.hexbits (Array.to_list nominals))))
+          @ List.map C.hex (Array.to_list nominals))))
 
-(* ---- checkpoint unit codecs: sizing restarts and yield iterations
-   round-trip through the same hex-float JSON the report embeds ---- *)
+(* ---- checkpoint unit codecs: sizing restarts and yield iterations,
+   floats as the readable + exact pairs the reports carry ---- *)
 
-let corrupt fmt =
-  Printf.ksprintf
-    (fun m -> Err.raise_error Artifact_corrupt ~where:"opt.checkpoint" m)
-    fmt
+let hexes = C.array C.hexfloat
 
-let jint name j =
-  match J.member name j with
-  | Some (J.Num v) -> int_of_float v
-  | _ -> corrupt "missing integer field %s" name
+let step_codec =
+  C.record (fun it f step x -> { Sizing.it; f; step; x })
+    [ C.req "it" C.int (fun s -> s.Sizing.it);
+      C.float_pair "f" (fun s -> s.Sizing.f);
+      C.float_pair "step" (fun s -> s.Sizing.step);
+      C.req "x_hex" hexes (fun s -> s.Sizing.x) ]
 
-let jhex name j =
-  match J.member name j with
-  | Some (J.Str s) -> float_of_hexbits ~where:"opt.checkpoint" s
-  | _ -> corrupt "missing hex field %s" name
-
-let jhexes name j =
-  match J.member name j with
-  | Some (J.List l) ->
-    Array.of_list
-      (List.map
-         (function
-           | J.Str s -> float_of_hexbits ~where:"opt.checkpoint" s
-           | _ -> corrupt "non-string entry in %s" name)
-         l)
-  | _ -> corrupt "missing hex list %s" name
-
-let step_json (s : Sizing.step_record) =
-  J.Obj
-    ([ ("it", J.Num (float_of_int s.Sizing.it)) ]
-    @ float_fields "f" s.Sizing.f
-    @ float_fields "step" s.Sizing.step
-    @ [ ("x_hex", hex_list s.Sizing.x) ])
-
-let step_of_json j =
-  {
-    Sizing.it = jint "it" j;
-    f = jhex "f_hex" j;
-    step = jhex "step_hex" j;
-    x = jhexes "x_hex" j;
-  }
-
-let restart_json (r : Sizing.restart) =
-  J.Obj
-    ([
-       ("restart", J.Num (float_of_int r.Sizing.index));
-       ("status", J.Str (Sizing.status_name r.Sizing.status));
-       ("iters", J.Num (float_of_int r.Sizing.iters));
-       ("evals", J.Num (float_of_int r.Sizing.evals));
-     ]
-    @ float_fields "final_f" r.Sizing.final_f
-    @ [
-        ("x0_hex", hex_list r.Sizing.x0);
-        ("final_x_hex", hex_list r.Sizing.final_x);
-        ("trajectory", J.List (List.map step_json r.Sizing.steps));
-      ])
-
-let restart_of_json j =
+let restart_codec =
   let status =
-    match J.member "status" j with
-    | Some (J.Str s) -> (
-      match Sizing.status_of_name s with
-      | Some st -> st
-      | None -> corrupt "unknown status %s" s)
-    | _ -> corrupt "missing status"
+    C.enum
+      (List.map
+         (fun s -> (Sizing.status_name s, s))
+         Sizing.[ Converged; Max_iters; No_descent ])
   in
-  let steps =
-    match J.member "trajectory" j with
-    | Some (J.List l) -> List.map step_of_json l
-    | _ -> corrupt "missing trajectory"
-  in
-  {
-    Sizing.index = jint "restart" j;
-    x0 = jhexes "x0_hex" j;
-    steps;
-    status;
-    final_f = jhex "final_f_hex" j;
-    final_x = jhexes "final_x_hex" j;
-    iters = jint "iters" j;
-    evals = jint "evals" j;
-  }
+  C.record
+    (fun index status iters evals final_f x0 final_x steps ->
+      { Sizing.index; x0; steps; status; final_f; final_x; iters; evals })
+    [ C.req "restart" C.int (fun r -> r.Sizing.index);
+      C.req "status" status (fun (r : Sizing.restart) -> r.status);
+      C.req "iters" C.int (fun r -> r.Sizing.iters);
+      C.req "evals" C.int (fun r -> r.Sizing.evals);
+      C.float_pair "final_f" (fun r -> r.Sizing.final_f);
+      C.req "x0_hex" hexes (fun r -> r.Sizing.x0);
+      C.req "final_x_hex" hexes (fun r -> r.Sizing.final_x);
+      C.req "trajectory" (C.list step_codec) (fun r -> r.Sizing.steps) ]
 
-let iteration_json (i : Recenter.iteration) =
-  J.Obj
-    ([ ("it", J.Num (float_of_int i.Recenter.it)) ]
-    @ float_fields "yield" i.Recenter.yield
-    @ [
-        ("survivors", J.Num (float_of_int i.Recenter.survivors));
-        ("passing", J.Num (float_of_int i.Recenter.passing));
-        ("axes", axes_json i.Recenter.axes);
-      ]
-    @
-    match i.Recenter.next_axes with
-    | None -> []
-    | Some a -> [ ("next_axes", axes_json a) ])
-
-let iteration_of_json j =
-  let axes =
-    match J.member "axes" j with
-    | Some (J.List l) -> List.map axis_of_json l
-    | _ -> corrupt "missing axes"
-  in
-  let next_axes =
-    match J.member "next_axes" j with
-    | Some (J.List l) -> Some (List.map axis_of_json l)
-    | None -> None
-    | _ -> corrupt "next_axes must be a list"
-  in
-  {
-    Recenter.it = jint "it" j;
-    axes;
-    yield = jhex "yield_hex" j;
-    survivors = jint "survivors" j;
-    passing = jint "passing" j;
-    next_axes;
-  }
+let iteration_codec =
+  C.record
+    (fun it yield survivors passing axes next_axes ->
+      { Recenter.it; axes; yield; survivors; passing; next_axes })
+    [ C.req "it" C.int (fun i -> i.Recenter.it);
+      C.float_pair "yield" (fun i -> i.Recenter.yield);
+      C.req "survivors" C.int (fun i -> i.Recenter.survivors);
+      C.req "passing" C.int (fun i -> i.Recenter.passing);
+      C.req "axes" axes (fun (i : Recenter.iteration) -> i.axes);
+      C.opt "next_axes" axes (fun i -> i.Recenter.next_axes) ]
 
 (* ---- reports ---- *)
+
+(* One variable or measure of a size report: [{name, value, value_hex}]. *)
+let named_value =
+  C.record
+    (fun name value -> (name, value))
+    [ C.req "name" C.string fst; C.float_pair "value" snd ]
 
 let vfull model axes x =
   let symbols = Array.map Sym.name (Model.symbols model) in
@@ -304,10 +179,7 @@ let size_report model k (cfg : Sizing.config) (res : Sizing.result) =
   let best = List.find (fun r -> r.Sizing.index = res.Sizing.best) res.runs in
   let vars =
     List.mapi
-      (fun j (a : Plan.axis) ->
-        J.Obj
-          ([ ("name", J.Str a.Plan.name) ]
-          @ float_fields "value" best.Sizing.final_x.(j)))
+      (fun j (a : Plan.axis) -> C.encode named_value (a.name, best.Sizing.final_x.(j)))
       cfg.axes
   in
   let measures =
@@ -316,12 +188,7 @@ let size_report model k (cfg : Sizing.config) (res : Sizing.result) =
     match Engine.point_measures model ms v with
     | exception _ -> []
     | vals ->
-      List.map2
-        (fun m x ->
-          J.Obj
-            ([ ("name", J.Str (Engine.measure_name m)) ]
-            @ float_fields "value" x))
-        ms vals
+      List.map2 (fun m x -> C.encode named_value (Engine.measure_name m, x)) ms vals
   in
   J.Obj
     ([
@@ -334,13 +201,13 @@ let size_report model k (cfg : Sizing.config) (res : Sizing.result) =
        ("restarts", J.Num (float_of_int cfg.restarts));
        ("max_iters", J.Num (float_of_int cfg.max_iters));
      ]
-    @ float_fields "step" cfg.step0
-    @ float_fields "tol" cfg.tol
-    @ float_fields "objective" best.Sizing.final_f
+    @ C.write_field (C.float_pair "step" Fun.id) cfg.step0
+    @ C.write_field (C.float_pair "tol" Fun.id) cfg.tol
+    @ C.write_field (C.float_pair "objective" Fun.id) best.Sizing.final_f
     @ [
         ("variables", J.List vars);
         ("measures", J.List measures);
-        ("runs", J.List (List.map restart_json res.runs));
+        ("runs", J.List (List.map (C.encode restart_codec) res.runs));
       ])
 
 let yield_report k (cfg : Recenter.config) (res : Recenter.result) =
@@ -355,67 +222,62 @@ let yield_report k (cfg : Recenter.config) (res : Recenter.result) =
        ("points", J.Num (float_of_int cfg.points));
        ("iters", J.Num (float_of_int cfg.iters));
      ]
-    @ float_fields "shrink" cfg.shrink
-    @ float_fields "initial_yield" initial
-    @ float_fields "final_yield" final
+    @ C.write_field (C.float_pair "shrink" Fun.id) cfg.shrink
+    @ C.write_field (C.float_pair "initial_yield" Fun.id) initial
+    @ C.write_field (C.float_pair "final_yield" Fun.id) final
     @ [
         ("improved", J.Bool (final > initial));
-        ("final_axes", axes_json res.Recenter.final_axes);
-        ("iterations", J.List (List.map iteration_json res.history));
+        ("final_axes", C.encode axes res.Recenter.final_axes);
+        ("iterations", J.List (List.map (C.encode iteration_codec) res.history));
       ])
 
 (* ---- checkpoint files ---- *)
 
-type resume_state = Fresh | Partial of J.t list | Complete of J.t
+type 'u resume_state = Fresh | Partial of 'u list | Complete of J.t
 
-let ckpt_doc ~key:k ~mode ?result units =
-  J.Obj
-    ([
-       ("schema", J.Str schema);
-       ("kind", J.Str "checkpoint");
-       ("key", J.Str k);
-       ("mode", J.Str mode);
-       ("units", J.List units);
-     ]
-    @ match result with None -> [] | Some r -> [ ("result", r) ])
+(* The document, its units through [unit] (stored already encoded, as
+   [C.json], while a run appends to them). *)
+let ckpt_codec unit =
+  C.record
+    (fun key mode units result -> (key, mode, units, result))
+    [
+      C.const "schema" (J.Str schema);
+      C.const "kind" (J.Str "checkpoint");
+      C.req "key" C.string (fun (k, _, _, _) -> k);
+      C.req "mode" C.string (fun (_, m, _, _) -> m);
+      C.req "units" (C.list unit) (fun (_, _, us, _) -> us);
+      C.opt "result" C.json (fun (_, _, _, r) -> r);
+    ]
 
-let load_checkpoint path ~key:k =
+let load_checkpoint path ~key:k unit =
   if not (Sys.file_exists path) then Fresh
   else begin
     let doc =
-      let text =
-        try
-          let ic = open_in_bin path in
-          Fun.protect
-            ~finally:(fun () -> close_in_noerr ic)
-            (fun () -> really_input_string ic (in_channel_length ic))
-        with Sys_error m ->
-          Err.raise_error Artifact_corrupt ~where:"opt.checkpoint" ~file:path m
-      in
-      match J.of_string text with
+      match J.of_string (In_channel.with_open_bin path In_channel.input_all) with
       | Ok d -> d
       | Error m ->
         Err.errorf Artifact_corrupt ~where:"opt.checkpoint" ~file:path
           "malformed JSON: %s" m
+      | exception Sys_error m ->
+        Err.raise_error Artifact_corrupt ~where:"opt.checkpoint" ~file:path m
     in
-    (match J.member "schema" doc with
-    | Some (J.Str s) when s = schema -> ()
-    | _ ->
-      Err.errorf Artifact_corrupt ~where:"opt.checkpoint" ~file:path
-        "not an optimizer checkpoint");
-    (match J.member "key" doc with
-    | Some (J.Str k') when k' = k -> ()
-    | _ ->
+    let decode unit =
+      match
+        Err.decode ~file:path ~kind:Artifact_corrupt ~where:"opt.checkpoint"
+          (ckpt_codec unit) doc
+      with
+      | Ok d -> d
+      | Error e -> raise (Err.Error e)
+    in
+    (* The key first, units opaque: another optimization's checkpoint is
+       a mismatch, not a corrupt unit. *)
+    let k', _, _, _ = decode C.json in
+    if k' <> k then
       Err.errorf Invalid_request ~where:"opt.checkpoint" ~file:path
-        "checkpoint was written by a different optimization (key mismatch)");
-    match J.member "result" doc with
-    | Some r -> Complete r
-    | None -> (
-      match J.member "units" doc with
-      | Some (J.List units) -> Partial units
-      | _ ->
-        Err.errorf Artifact_corrupt ~where:"opt.checkpoint" ~file:path
-          "checkpoint has no units")
+        "checkpoint was written by a different optimization (key mismatch)";
+    match decode unit with
+    | _, _, _, Some report -> Complete report
+    | _, _, units, None -> Partial units
   end
 
 (* ---- the entry point ---- *)
@@ -437,48 +299,45 @@ let run ?jobs ?block ?checkpoint ?(resume = false) ?(require = false) model t =
   Obs.Span.with_ ~name:"opt.run" @@ fun () ->
   Obs.Metrics.incr "opt.requests";
   let k = key model t in
-  let state =
-    match checkpoint with
-    | Some path when resume -> load_checkpoint path ~key:k
-    | _ -> Fresh
-  in
-  match state with
-  | Complete report ->
-    Obs.Metrics.incr "opt.checkpoint.restored";
-    check_require ~require report;
-    report
-  | Fresh | Partial _ ->
-    let units0 = match state with Partial us -> us | _ -> [] in
-    if units0 <> [] then Obs.Metrics.incr "opt.checkpoint.restored";
-    let written = ref units0 in
-    let save ?result () =
+  (* Resume the units of [unit] already done, hand the rest to [compute]
+     with a callback that checkpoints each new one. *)
+  let drive unit compute =
+    let state =
       match checkpoint with
-      | None -> ()
-      | Some path ->
-        Cache.atomic_write path (fun tmp ->
-            J.to_file tmp (ckpt_doc ~key:k ~mode:(mode_name t) ?result !written))
+      | Some path when resume -> load_checkpoint path ~key:k unit
+      | _ -> Fresh
     in
-    let report =
-      match t with
-      | Size cfg ->
-        let completed = List.map restart_of_json units0 in
-        let on_restart rr =
-          written := !written @ [ restart_json rr ];
-          save ()
-        in
-        let res = Sizing.run ~completed ~on_restart model cfg in
-        size_report model k cfg res
-      | Yield cfg ->
-        let history = List.map iteration_of_json units0 in
-        let on_iteration entry =
-          written := !written @ [ iteration_json entry ];
-          save ()
-        in
-        let res =
-          Recenter.run ?jobs ?block ~history ~on_iteration model cfg
-        in
-        yield_report k cfg res
-    in
-    save ~result:report ();
-    check_require ~require report;
-    report
+    match state with
+    | Complete report ->
+      Obs.Metrics.incr "opt.checkpoint.restored";
+      check_require ~require report;
+      report
+    | Fresh | Partial _ ->
+      let units0 = match state with Partial us -> us | _ -> [] in
+      if units0 <> [] then Obs.Metrics.incr "opt.checkpoint.restored";
+      let written = ref (List.map (C.encode unit) units0) in
+      let save ?result () =
+        match checkpoint with
+        | None -> ()
+        | Some path ->
+          Cache.atomic_write path (fun tmp ->
+              J.to_file tmp
+                (C.encode (ckpt_codec C.json) (k, mode_name t, !written, result)))
+      in
+      let on_unit u =
+        written := !written @ [ C.encode unit u ];
+        save ()
+      in
+      let report = compute units0 on_unit in
+      save ~result:report ();
+      check_require ~require report;
+      report
+  in
+  match t with
+  | Size cfg ->
+    drive restart_codec (fun completed on_restart ->
+        size_report model k cfg (Sizing.run ~completed ~on_restart model cfg))
+  | Yield cfg ->
+    drive iteration_codec (fun history on_iteration ->
+        yield_report k cfg
+          (Recenter.run ?jobs ?block ~history ~on_iteration model cfg))

@@ -32,10 +32,16 @@ val schema : string
 val to_json : t -> Obs.Json.t
 
 val of_json : Obs.Json.t -> t
-(** Inverse of {!to_json} (floats round-trip bit-exactly).  Raises
-    [Awesym_error.Error] (kind [Invalid_request]) on schema mismatch or
-    malformed fields — the serve daemon folds that into a classified
-    error reply. *)
+(** Inverse of {!to_json} (floats round-trip bit-exactly), accepting only
+    what it writes: every field present, integers integral, specs and
+    goal in their canonical spelling.  Raises [Awesym_error.Error] (kind
+    [Invalid_request]) naming the JSON path of the first bad node — the
+    serve daemon folds that into a classified error reply. *)
+
+val restart_codec : Sizing.restart Obs.Codec.t
+val iteration_codec : Recenter.iteration Obs.Codec.t
+(** Checkpoint units — a finished sizing restart, a yield iteration —
+    with floats as readable + ["_hex"] pairs ({!Obs.Codec.float_pair}). *)
 
 val key : Awesymbolic.Model.t -> t -> string
 (** Hex digest binding the request (its canonical JSON) and the model's

@@ -159,62 +159,52 @@ let rpc ?trace t req =
         | Ok (_id, Protocol.R_error e) -> Error e
         | Ok (_id, resp) -> Ok resp)))
 
-let ping t =
-  match rpc t Protocol.Ping with
-  | Ok (Protocol.R_pong versions) -> Ok versions
-  | Ok _ -> Error (protocol_error ~where:"serve.client" "unexpected reply to ping")
+(* One round trip whose reply must be the shape [pick] selects. *)
+let call ?trace t ~op req pick =
+  match rpc ?trace t req with
+  | Ok resp -> (
+    match pick resp with
+    | Some v -> Ok v
+    | None -> Error (protocol_error ~where:"serve.client" "unexpected reply to %s" op))
   | Error e -> Error e
+
+let ping t =
+  call t ~op:"ping" Protocol.Ping (function Protocol.R_pong v -> Some v | _ -> None)
 
 let info t model =
-  match rpc t (Protocol.Info model) with
-  | Ok (Protocol.R_info i) -> Ok i
-  | Ok _ -> Error (protocol_error ~where:"serve.client" "unexpected reply to info")
-  | Error e -> Error e
+  call t ~op:"info" (Protocol.Info model) (function
+    | Protocol.R_info i -> Some i
+    | _ -> None)
 
 let eval t ?trace ?deadline_ms ~model points =
-  match rpc ?trace t (Protocol.Eval { Protocol.model; points; deadline_ms }) with
-  | Ok (Protocol.R_eval e) -> Ok e
-  | Ok _ -> Error (protocol_error ~where:"serve.client" "unexpected reply to eval")
-  | Error e -> Error e
+  call ?trace t ~op:"eval"
+    (Protocol.Eval { Protocol.model; points; deadline_ms })
+    (function Protocol.R_eval e -> Some e | _ -> None)
 
 let stats t =
-  match rpc t Protocol.Stats with
-  | Ok (Protocol.R_stats s) -> Ok s
-  | Ok _ ->
-    Error (protocol_error ~where:"serve.client" "unexpected reply to stats")
-  | Error e -> Error e
+  call t ~op:"stats" Protocol.Stats (function Protocol.R_stats s -> Some s | _ -> None)
 
 let metrics t =
-  match rpc t Protocol.Metrics with
-  | Ok (Protocol.R_metrics text) -> Ok text
-  | Ok _ ->
-    Error (protocol_error ~where:"serve.client" "unexpected reply to metrics")
-  | Error e -> Error e
+  call t ~op:"metrics" Protocol.Metrics (function
+    | Protocol.R_metrics m -> Some m
+    | _ -> None)
 
 let traces t ~limit =
-  match rpc t (Protocol.Trace limit) with
-  | Ok (Protocol.R_traces ts) -> Ok ts
-  | Ok _ ->
-    Error (protocol_error ~where:"serve.client" "unexpected reply to trace")
-  | Error e -> Error e
+  call t ~op:"trace" (Protocol.Trace limit) (function
+    | Protocol.R_traces ts -> Some ts
+    | _ -> None)
 
 let sweep_chunk t ?trace req =
-  match rpc ?trace t (Protocol.Sweep_chunk req) with
-  | Ok (Protocol.R_chunk c) -> Ok c
-  | Ok _ ->
-    Error (protocol_error ~where:"serve.client" "unexpected reply to sweep_chunk")
-  | Error e -> Error e
+  call ?trace t ~op:"sweep_chunk" (Protocol.Sweep_chunk req) (function
+    | Protocol.R_chunk c -> Some c
+    | _ -> None)
 
 let optimize t ?trace req =
-  match rpc ?trace t (Protocol.Optimize req) with
-  | Ok (Protocol.R_optimize o) -> Ok o
-  | Ok _ ->
-    Error (protocol_error ~where:"serve.client" "unexpected reply to optimize")
-  | Error e -> Error e
+  call ?trace t ~op:"optimize" (Protocol.Optimize req) (function
+    | Protocol.R_optimize o -> Some o
+    | _ -> None)
 
 let shutdown t =
-  match rpc t Protocol.Shutdown with
-  | Ok Protocol.R_draining -> Ok ()
-  | Ok _ ->
-    Error (protocol_error ~where:"serve.client" "unexpected reply to shutdown")
-  | Error e -> Error e
+  call t ~op:"shutdown" Protocol.Shutdown (function
+    | Protocol.R_draining -> Some ()
+    | _ -> None)

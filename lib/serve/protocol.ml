@@ -11,6 +11,7 @@
 
 module Json = Obs.Json
 module Err = Awesym_error
+module C = Obs.Codec
 
 let schema = "awesymbolic-serve/1"
 
@@ -19,19 +20,6 @@ let schema = "awesymbolic-serve/1"
    sweet spot — while bounding what a garbage length prefix can make the
    server allocate. *)
 let max_frame = 64 * 1024 * 1024
-
-(* ------------------------------------------------------------------ *)
-(* Bit-exact floats *)
-
-let hex_of_float v = Printf.sprintf "%016Lx" (Int64.bits_of_float v)
-
-(* Exactly the 16 lowercase hex digits [hex_of_float] writes: anything
-   else — "_" separators, uppercase — would decode to some other float. *)
-let float_of_hex s =
-  let digit c = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') in
-  if String.length s = 16 && String.for_all digit s then
-    Some (Int64.float_of_bits (Int64.of_string ("0x" ^ s)))
-  else None
 
 (* ------------------------------------------------------------------ *)
 (* Framing *)
@@ -152,230 +140,72 @@ type request =
   | Optimize of optimize
   | Shutdown
 
-let floats_to_json vs =
-  Json.List (Array.to_list (Array.map (fun v -> Json.Str (hex_of_float v)) vs))
+(* A case with no payload, selected by its tag alone. *)
+let nullary name v =
+  C.case name (C.record () []) (fun () -> v) (fun r -> if r = v then Some () else None)
 
-let floats_of_json ~what = function
-  | Json.List items ->
-    let n = List.length items in
-    let out = Array.make n 0.0 in
-    let rec go i = function
-      | [] -> Some out
-      | Json.Str s :: rest -> (
-        match float_of_hex s with
-        | Some v ->
-          out.(i) <- v;
-          go (i + 1) rest
-        | None -> None)
-      | _ -> None
-    in
-    ignore what;
-    go 0 items
-  | _ -> None
+let points = C.array (C.array C.hexfloat)
 
-let request_to_json ?id ?trace req =
-  let base = [ ("schema", Json.Str schema) ] in
-  let base =
-    match id with None -> base | Some id -> base @ [ ("id", id) ]
+let request_codec =
+  C.tagged "op"
+    [
+      nullary "ping" Ping;
+      nullary "stats" Stats;
+      nullary "metrics" Metrics;
+      (* [limit] defaults to 16 when absent (docs/SERVING.md). *)
+      C.case "trace" (C.record Fun.id [ C.opt "limit" C.int Fun.id ])
+        (fun l -> Trace (Option.value l ~default:16))
+        (function Trace n -> Some (Some n) | _ -> None);
+      nullary "shutdown" Shutdown;
+      C.case "info" (C.record Fun.id [ C.req "model" C.string Fun.id ])
+        (fun m -> Info m) (function Info m -> Some m | _ -> None);
+      C.case "eval"
+        (C.record (fun model points deadline_ms -> { model; points; deadline_ms })
+           [ C.req "model" C.string (fun e -> e.model);
+             C.req "points" points (fun e -> e.points);
+             C.opt "deadline_ms" C.num (fun e -> e.deadline_ms) ])
+        (fun e -> Eval e) (function Eval e -> Some e | _ -> None);
+      C.case "sweep_chunk"
+        (C.record
+           (fun sc_model sc_plan sc_seed sc_block sc_measures sc_specs sc_policy
+                sc_chunk sc_key sc_deadline_ms ->
+             { sc_model; sc_plan; sc_seed; sc_block; sc_measures; sc_specs;
+               sc_policy; sc_chunk; sc_key; sc_deadline_ms })
+           [ C.req "model" C.string (fun c -> c.sc_model);
+             C.req "plan" C.json (fun c -> c.sc_plan);
+             C.req "seed" C.int (fun c -> c.sc_seed);
+             C.req "block" C.int (fun c -> c.sc_block);
+             C.req "measures" (C.list C.string) (fun c -> c.sc_measures);
+             C.req "specs" (C.list C.string) (fun c -> c.sc_specs);
+             C.req "policy" C.string (fun c -> c.sc_policy);
+             C.req "chunk" C.int (fun c -> c.sc_chunk);
+             C.req "key" C.string (fun c -> c.sc_key);
+             C.opt "deadline_ms" C.num (fun c -> c.sc_deadline_ms) ])
+        (fun c -> Sweep_chunk c) (function Sweep_chunk c -> Some c | _ -> None);
+      C.case "optimize"
+        (C.record
+           (fun op_model op_request op_deadline_ms ->
+             { op_model; op_request; op_deadline_ms })
+           [ C.req "model" C.string (fun o -> o.op_model);
+             C.req "request" C.json (fun o -> o.op_request);
+             C.opt "deadline_ms" C.num (fun o -> o.op_deadline_ms) ])
+        (fun o -> Optimize o) (function Optimize o -> Some o | _ -> None);
+    ]
+
+let request_envelope =
+  let trace =
+    C.record (fun trace_id parent_span -> { trace_id; parent_span })
+      [ C.req "trace_id" C.string (fun t -> t.trace_id);
+        C.req "parent_span" C.string (fun t -> t.parent_span) ]
   in
-  let base =
-    match trace with
-    | None -> base
-    | Some t ->
-      base
-      @ [
-          ( "trace",
-            Json.Obj
-              [
-                ("trace_id", Json.Str t.trace_id);
-                ("parent_span", Json.Str t.parent_span);
-              ] );
-        ]
-  in
-  let fields =
-    match req with
-    | Ping -> [ ("op", Json.Str "ping") ]
-    | Stats -> [ ("op", Json.Str "stats") ]
-    | Metrics -> [ ("op", Json.Str "metrics") ]
-    | Trace limit ->
-      [ ("op", Json.Str "trace"); ("limit", Json.Num (float_of_int limit)) ]
-    | Shutdown -> [ ("op", Json.Str "shutdown") ]
-    | Info model -> [ ("op", Json.Str "info"); ("model", Json.Str model) ]
-    | Eval e ->
-      [ ("op", Json.Str "eval");
-        ("model", Json.Str e.model);
-        ( "points",
-          Json.List (Array.to_list (Array.map floats_to_json e.points)) );
-      ]
-      @ (match e.deadline_ms with
-        | None -> []
-        | Some ms -> [ ("deadline_ms", Json.Num ms) ])
-    | Sweep_chunk c ->
-      [ ("op", Json.Str "sweep_chunk");
-        ("model", Json.Str c.sc_model);
-        ("plan", c.sc_plan);
-        ("seed", Json.Num (float_of_int c.sc_seed));
-        ("block", Json.Num (float_of_int c.sc_block));
-        ("measures", Json.List (List.map (fun s -> Json.Str s) c.sc_measures));
-        ("specs", Json.List (List.map (fun s -> Json.Str s) c.sc_specs));
-        ("policy", Json.Str c.sc_policy);
-        ("chunk", Json.Num (float_of_int c.sc_chunk));
-        ("key", Json.Str c.sc_key);
-      ]
-      @ (match c.sc_deadline_ms with
-        | None -> []
-        | Some ms -> [ ("deadline_ms", Json.Num ms) ])
-    | Optimize o ->
-      [ ("op", Json.Str "optimize");
-        ("model", Json.Str o.op_model);
-        ("request", o.op_request);
-      ]
-      @ (match o.op_deadline_ms with
-        | None -> []
-        | Some ms -> [ ("deadline_ms", Json.Num ms) ])
-  in
-  Json.Obj (base @ fields)
+  C.record (fun id trace req -> (id, trace, req))
+    [ C.const "schema" (Json.Str schema);
+      C.opt "id" C.json (fun (id, _, _) -> id);
+      C.opt "trace" trace (fun (_, trace, _) -> trace);
+      C.inline request_codec (fun (_, _, req) -> req) ]
 
-let bad ~where fmt = Printf.ksprintf (fun m -> Error (Err.make Parse ~where m)) fmt
-
-let check_schema j =
-  match Json.member "schema" j with
-  | Some (Json.Str s) when s = schema -> Ok ()
-  | Some (Json.Str s) ->
-    bad ~where:"serve.frame" "schema mismatch: peer speaks %S, this end %S" s
-      schema
-  | _ -> bad ~where:"serve.frame" "missing schema field (want %S)" schema
-
-let member_string name j =
-  match Json.member name j with Some (Json.Str s) -> Some s | _ -> None
-
-let member_num name j =
-  match Json.member name j with Some (Json.Num v) -> Some v | _ -> None
-
-let member_strings name j =
-  match Json.member name j with
-  | Some (Json.List items) ->
-    let ss = List.filter_map (function Json.Str s -> Some s | _ -> None) items in
-    if List.length ss = List.length items then Some ss else None
-  | _ -> None
-
-let trace_of_json j =
-  match Json.member "trace" j with
-  | None -> Ok None
-  | Some tj -> (
-    match (member_string "trace_id" tj, member_string "parent_span" tj) with
-    | Some trace_id, Some parent_span -> Ok (Some { trace_id; parent_span })
-    | _ ->
-      bad ~where:"serve.request"
-        "malformed trace context (want trace_id and parent_span strings)")
-
-let request_of_json j =
-  match check_schema j with
-  | Error _ as e -> e
-  | Ok () -> (
-    match trace_of_json j with
-    | Error _ as e -> e
-    | Ok trace -> (
-    let id = Json.member "id" j in
-    let with_id r = Ok (id, trace, r) in
-    match member_string "op" j with
-    | Some "ping" -> with_id Ping
-    | Some "stats" -> with_id Stats
-    | Some "metrics" -> with_id Metrics
-    | Some "trace" -> (
-      match Json.member "limit" j with
-      | Some (Json.Num l) -> with_id (Trace (int_of_float l))
-      | None -> with_id (Trace 16)
-      | Some _ -> bad ~where:"serve.request" "malformed limit (want a number)")
-    | Some "shutdown" -> with_id Shutdown
-    | Some "info" -> (
-      match member_string "model" j with
-      | Some m -> with_id (Info m)
-      | None -> bad ~where:"serve.request" "info without a model field")
-    | Some "eval" -> (
-      match (member_string "model" j, Json.member "points" j) with
-      | None, _ -> bad ~where:"serve.request" "eval without a model field"
-      | _, None -> bad ~where:"serve.request" "eval without a points field"
-      | Some model, Some (Json.List rows) -> (
-        let n = List.length rows in
-        let points = Array.make n [||] in
-        let rec go i = function
-          | [] -> true
-          | row :: rest -> (
-            match floats_of_json ~what:"point" row with
-            | Some vs ->
-              points.(i) <- vs;
-              go (i + 1) rest
-            | None -> false)
-        in
-        if not (go 0 rows) then
-          bad ~where:"serve.request"
-            "malformed point (want arrays of 16-hex-digit float bits)"
-        else
-          match Json.member "deadline_ms" j with
-          | None -> with_id (Eval { model; points; deadline_ms = None })
-          | Some (Json.Num ms) ->
-            with_id (Eval { model; points; deadline_ms = Some ms })
-          | Some _ ->
-            bad ~where:"serve.request" "malformed deadline_ms (want a number)")
-      | _, Some _ ->
-        bad ~where:"serve.request" "malformed points (want a list of points)")
-    | Some "sweep_chunk" -> (
-      match
-        ( member_string "model" j,
-          Json.member "plan" j,
-          member_num "seed" j,
-          member_num "block" j,
-          member_strings "measures" j )
-      with
-      | Some sc_model, Some sc_plan, Some seed, Some block, Some sc_measures
-        -> (
-        match
-          ( member_strings "specs" j,
-            member_string "policy" j,
-            member_num "chunk" j,
-            member_string "key" j )
-        with
-        | Some sc_specs, Some sc_policy, Some chunk, Some sc_key -> (
-          let c =
-            { sc_model;
-              sc_plan;
-              sc_seed = int_of_float seed;
-              sc_block = int_of_float block;
-              sc_measures;
-              sc_specs;
-              sc_policy;
-              sc_chunk = int_of_float chunk;
-              sc_key;
-              sc_deadline_ms = None;
-            }
-          in
-          match Json.member "deadline_ms" j with
-          | None -> with_id (Sweep_chunk c)
-          | Some (Json.Num ms) ->
-            with_id (Sweep_chunk { c with sc_deadline_ms = Some ms })
-          | Some _ ->
-            bad ~where:"serve.request" "malformed deadline_ms (want a number)")
-        | _ ->
-          bad ~where:"serve.request"
-            "malformed sweep_chunk (want specs, policy, chunk, key)")
-      | _ ->
-        bad ~where:"serve.request"
-          "malformed sweep_chunk (want model, plan, seed, block, measures)")
-    | Some "optimize" -> (
-      match (member_string "model" j, Json.member "request" j) with
-      | None, _ -> bad ~where:"serve.request" "optimize without a model field"
-      | _, None -> bad ~where:"serve.request" "optimize without a request field"
-      | Some op_model, Some op_request -> (
-        match Json.member "deadline_ms" j with
-        | None ->
-          with_id (Optimize { op_model; op_request; op_deadline_ms = None })
-        | Some (Json.Num ms) ->
-          with_id (Optimize { op_model; op_request; op_deadline_ms = Some ms })
-        | Some _ ->
-          bad ~where:"serve.request" "malformed deadline_ms (want a number)"))
-    | Some op -> bad ~where:"serve.request" "unknown op %S" op
-    | None -> bad ~where:"serve.request" "missing op field"))
+let request_to_json ?id ?trace req = C.encode request_envelope (id, trace, req)
+let request_of_json = Err.decode ~kind:Parse ~where:"serve.request" request_envelope
 
 (* ------------------------------------------------------------------ *)
 (* Responses *)
@@ -417,160 +247,74 @@ type response =
   | R_draining
   | R_error of Err.t
 
-let response_to_json ?id resp =
-  let base = [ ("schema", Json.Str schema) ] in
-  let base =
-    match id with None -> base | Some id -> base @ [ ("id", id) ]
+(* Responses carry no tag: each shape is recognized by a member only it
+   has.  Every success starts with ["ok": true]. *)
+let response_codec =
+  let flag name = C.const name (Json.Bool true) in
+  let digest get = C.req "digest" C.string get and order get = C.req "order" C.int get in
+  let payload name c =
+    C.case name (C.record Fun.id [ flag "ok"; C.req name c Fun.id ])
   in
-  let ok = [ ("ok", Json.Bool true) ] in
-  let fields =
-    match resp with
-    | R_pong versions ->
-      ok
-      @ [ ("pong", Json.Bool true);
-          ("versions", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) versions));
-        ]
-    | R_info i ->
-      ok
-      @ [ ("digest", Json.Str i.digest);
-          ("order", Json.Num (float_of_int i.order));
-          ( "symbols",
-            Json.List
-              (Array.to_list (Array.map (fun s -> Json.Str s) i.symbols)) );
-          ("nominals", floats_to_json i.nominals);
-        ]
-    | R_eval e ->
-      ok
-      @ [ ("digest", Json.Str e.digest);
-          ("order", Json.Num (float_of_int e.order));
-          ( "moments",
-            Json.List (Array.to_list (Array.map floats_to_json e.moments)) );
-        ]
-    | R_stats s -> ok @ [ ("stats", s) ]
-    | R_metrics text -> ok @ [ ("metrics_text", Json.Str text) ]
-    | R_traces ts -> ok @ [ ("traces", Json.List ts) ]
-    | R_chunk c ->
-      ok
-      @ [ ("digest", Json.Str c.cr_digest);
-          ("key", Json.Str c.cr_key);
-          ("chunk", Json.Num (float_of_int c.cr_chunk));
-          ("chunk_record", c.cr_record);
-        ]
-    | R_optimize o ->
-      ok
-      @ [ ("digest", Json.Str o.or_digest); ("opt_report", o.or_report) ]
-    | R_draining -> ok @ [ ("draining", Json.Bool true) ]
-    | R_error e -> [ ("ok", Json.Bool false); ("error", Err.to_json e) ]
-  in
-  Json.Obj (base @ fields)
+  C.marked
+    [
+      C.case "pong"
+        (C.record Fun.id
+           [ flag "ok"; flag "pong"; C.req "versions" (C.dict C.string) Fun.id ])
+        (fun v -> R_pong v) (function R_pong v -> Some v | _ -> None);
+      C.case "draining" (C.record () [ flag "ok"; flag "draining" ])
+        (fun () -> R_draining) (function R_draining -> Some () | _ -> None);
+      C.case "symbols"
+        (C.record
+           (fun digest order symbols nominals -> { digest; order; symbols; nominals })
+           [ flag "ok";
+             digest (fun (i : info_result) -> i.digest);
+             order (fun (i : info_result) -> i.order);
+             C.req "symbols" (C.array C.string) (fun i -> i.symbols);
+             C.req "nominals" (C.array C.hexfloat) (fun i -> i.nominals) ])
+        (fun i -> R_info i) (function R_info i -> Some i | _ -> None);
+      C.case "moments"
+        (C.record (fun digest order moments -> { digest; order; moments })
+           [ flag "ok";
+             digest (fun (e : eval_result) -> e.digest);
+             order (fun (e : eval_result) -> e.order);
+             C.req "moments" points (fun e -> e.moments) ])
+        (fun e -> R_eval e) (function R_eval e -> Some e | _ -> None);
+      C.case "chunk_record"
+        (C.record
+           (fun cr_digest cr_key cr_chunk cr_record ->
+             { cr_digest; cr_key; cr_chunk; cr_record })
+           [ flag "ok";
+             digest (fun c -> c.cr_digest);
+             C.req "key" C.string (fun c -> c.cr_key);
+             C.req "chunk" C.int (fun c -> c.cr_chunk);
+             C.req "chunk_record" C.json (fun c -> c.cr_record) ])
+        (fun c -> R_chunk c) (function R_chunk c -> Some c | _ -> None);
+      C.case "opt_report"
+        (C.record (fun or_digest or_report -> { or_digest; or_report })
+           [ flag "ok";
+             digest (fun o -> o.or_digest);
+             C.req "opt_report" C.json (fun o -> o.or_report) ])
+        (fun o -> R_optimize o) (function R_optimize o -> Some o | _ -> None);
+      payload "stats" C.json
+        (fun s -> R_stats s)
+        (function R_stats s -> Some s | _ -> None);
+      payload "traces" (C.list C.json)
+        (fun ts -> R_traces ts)
+        (function R_traces ts -> Some ts | _ -> None);
+      payload "metrics_text" C.string
+        (fun t -> R_metrics t)
+        (function R_metrics t -> Some t | _ -> None);
+      C.case "error"
+        (C.record Fun.id
+           [ C.const "ok" (Json.Bool false); C.req "error" Err.codec Fun.id ])
+        (fun e -> R_error e) (function R_error e -> Some e | _ -> None);
+    ]
 
-let error_of_json j =
-  let get name =
-    match Json.member name j with Some (Json.Str s) -> s | _ -> ""
-  in
-  let kind =
-    match Err.kind_of_name (get "kind") with
-    | Some k -> k
-    | None -> Err.Internal
-  in
-  Err.make kind ~where:(get "where") (get "message")
+let response_envelope =
+  C.record (fun id resp -> (id, resp))
+    [ C.const "schema" (Json.Str schema);
+      C.opt "id" C.json fst;
+      C.inline response_codec snd ]
 
-let response_of_json j =
-  match check_schema j with
-  | Error _ as e -> e
-  | Ok () -> (
-    let id = Json.member "id" j in
-    let with_id r = Ok (id, r) in
-    match Json.member "ok" j with
-    | Some (Json.Bool false) -> (
-      match Json.member "error" j with
-      | Some ej -> with_id (R_error (error_of_json ej))
-      | None -> bad ~where:"serve.response" "error response without error")
-    | Some (Json.Bool true) -> (
-      let digest_order () =
-        match (member_string "digest" j, Json.member "order" j) with
-        | Some d, Some (Json.Num o) -> Some (d, int_of_float o)
-        | _ -> None
-      in
-      match Json.member "pong" j with
-      | Some (Json.Bool true) ->
-        let versions =
-          match Json.member "versions" j with
-          | Some (Json.Obj kvs) ->
-            List.filter_map
-              (function k, Json.Str v -> Some (k, v) | _ -> None)
-              kvs
-          | _ -> []
-        in
-        with_id (R_pong versions)
-      | _ -> (
-        match Json.member "draining" j with
-        | Some (Json.Bool true) -> with_id R_draining
-        | _ -> (
-          match Json.member "metrics_text" j with
-          | Some (Json.Str text) -> with_id (R_metrics text)
-          | _ -> (
-          match Json.member "traces" j with
-          | Some (Json.List ts) -> with_id (R_traces ts)
-          | _ -> (
-          match Json.member "chunk_record" j with
-          | Some cr_record -> (
-            match
-              ( member_string "digest" j,
-                member_string "key" j,
-                member_num "chunk" j )
-            with
-            | Some cr_digest, Some cr_key, Some chunk ->
-              with_id
-                (R_chunk
-                   { cr_digest; cr_key; cr_chunk = int_of_float chunk; cr_record })
-            | _ -> bad ~where:"serve.response" "malformed chunk response")
-          | _ -> (
-          match Json.member "opt_report" j with
-          | Some or_report -> (
-            match member_string "digest" j with
-            | Some or_digest -> with_id (R_optimize { or_digest; or_report })
-            | None -> bad ~where:"serve.response" "malformed optimize response")
-          | _ -> (
-          match Json.member "stats" j with
-          | Some s -> with_id (R_stats s)
-          | None -> (
-            match (Json.member "symbols" j, Json.member "nominals" j) with
-            | Some (Json.List syms), Some nj -> (
-              let symbols =
-                List.filter_map
-                  (function Json.Str s -> Some s | _ -> None)
-                  syms
-              in
-              match (digest_order (), floats_of_json ~what:"nominals" nj) with
-              | Some (digest, order), Some nominals
-                when List.length syms = List.length symbols ->
-                with_id
-                  (R_info
-                     { digest;
-                       order;
-                       symbols = Array.of_list symbols;
-                       nominals;
-                     })
-              | _ -> bad ~where:"serve.response" "malformed info response")
-            | _ -> (
-              match Json.member "moments" j with
-              | Some (Json.List rows) -> (
-                let n = List.length rows in
-                let moments = Array.make n [||] in
-                let rec go i = function
-                  | [] -> true
-                  | row :: rest -> (
-                    match floats_of_json ~what:"moments" row with
-                    | Some vs ->
-                      moments.(i) <- vs;
-                      go (i + 1) rest
-                    | None -> false)
-                in
-                match (digest_order (), go 0 rows) with
-                | Some (digest, order), true ->
-                  with_id (R_eval { digest; order; moments })
-                | _ -> bad ~where:"serve.response" "malformed eval response")
-              | _ ->
-                bad ~where:"serve.response" "unrecognized response shape")))))))))
-    | _ -> bad ~where:"serve.response" "missing ok field")
+let response_to_json ?id resp = C.encode response_envelope (id, resp)
+let response_of_json = Err.decode ~kind:Parse ~where:"serve.response" response_envelope

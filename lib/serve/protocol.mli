@@ -18,15 +18,6 @@ val max_frame : int
     is rejected before any allocation and the connection is closed — the
     stream cannot be resynchronized. *)
 
-(** {1 Bit-exact floats} *)
-
-val hex_of_float : float -> string
-(** 16 hex digits of [Int64.bits_of_float]. *)
-
-val float_of_hex : string -> float option
-(** Inverse of {!hex_of_float}; [None] unless exactly 16 lowercase hex
-    digits, the only spelling {!hex_of_float} writes. *)
-
 (** {1 Framing} *)
 
 val frame : string -> string
@@ -114,9 +105,12 @@ val request_to_json :
 val request_of_json :
   Obs.Json.t ->
   (Obs.Json.t option * trace_context option * request, Awesym_error.t) result
-(** Decode a request envelope; the [id] field (any JSON value) is echoed
-    in the response so clients may pipeline, and the optional [trace]
-    context is propagated into the server-side request trace. *)
+(** Decode a request envelope, only in the shape {!request_to_json}
+    writes ([trace]'s [limit] may be omitted and defaults to 16); anything
+    else is a [Parse] error naming the JSON path of the first bad node.
+    The [id] field (any JSON value) is echoed in the response so clients
+    may pipeline, and the optional [trace] context is propagated into the
+    server-side request trace. *)
 
 (** {1 Responses} *)
 
@@ -167,4 +161,6 @@ val response_to_json : ?id:Obs.Json.t -> response -> Obs.Json.t
 val response_of_json :
   Obs.Json.t -> (Obs.Json.t option * response, Awesym_error.t) result
 (** [response_of_json (response_to_json r) = Ok r] up to float bits — the
-    round-trip property test in [test_serve.ml]. *)
+    round-trip property test in [test_serve.ml] — and, like
+    {!request_of_json}, a [Parse] error naming the path on anything
+    [response_to_json] cannot write. *)

@@ -72,12 +72,10 @@ let start ?trace_id ?parent_span ~op ~conn ?req_id ~now () =
 let add_span b ~name ~start ~stop =
   b.rev_spans <- { name; s_start = start; s_stop = stop } :: b.rev_spans
 
-let hexbits v = Printf.sprintf "%016Lx" (Int64.bits_of_float v)
-
 let time_fields ~start ~dur =
   [
-    ("start_s", Json.Str (hexbits start));
-    ("dur_s", Json.Str (hexbits dur));
+    ("start_s", Json.Str (Obs.Codec.hex start));
+    ("dur_s", Json.Str (Obs.Codec.hex dur));
     ("dur_us", Json.Num (dur *. 1e6));
   ]
 

@@ -333,35 +333,25 @@ let worker_body t ~worker ~stop:_ =
     match List.assoc_opt memo_key !preps with
     | Some p -> Ok p
     | None ->
-      let invalid fmt =
-        Printf.ksprintf
-          (fun m -> Error (Err.make Invalid_request ~where:"serve.sweep" m))
-          fmt
+      let parse what f x =
+        Result.map_error
+          (fun m ->
+            Err.make Invalid_request ~where:"serve.sweep"
+              (Printf.sprintf "bad sweep %s: %s" what m))
+          (f x)
       in
-      let rec parse_list f = function
-        | [] -> Ok []
-        | x :: rest -> (
-          match f x with
-          | Error _ as e -> e
-          | Ok v -> Result.map (fun vs -> v :: vs) (parse_list f rest))
-      in
-      let wrap what = function
-        | Ok v -> Ok v
-        | Error m -> invalid "bad sweep %s: %s" what m
+      let all f xs =
+        List.fold_right
+          (fun x acc -> Result.bind (f x) (fun v -> Result.map (List.cons v) acc))
+          xs (Ok [])
       in
       let ( let* ) = Result.bind in
-      let* plan = wrap "plan" (Sweep.Plan.of_json req.Protocol.sc_plan) in
+      let* plan = parse "plan" Sweep.Plan.of_json req.Protocol.sc_plan in
       let* measures =
-        wrap "measure"
-          (parse_list Sweep.Engine.measure_of_string req.Protocol.sc_measures)
+        parse "measure" (all Sweep.Engine.measure_of_string) req.Protocol.sc_measures
       in
-      let* specs =
-        wrap "spec"
-          (parse_list Sweep.Engine.spec_of_string req.Protocol.sc_specs)
-      in
-      let* policy =
-        wrap "policy" (Sweep.Engine.policy_of_string req.Protocol.sc_policy)
-      in
+      let* specs = parse "spec" (all Sweep.Engine.spec_of_string) req.Protocol.sc_specs in
+      let* policy = parse "policy" Sweep.Engine.policy_of_string req.Protocol.sc_policy in
       (* jobs=1: chunk evaluation must not contend for the shared
          Runtime pool (same single-master contract as the batchers) —
          and prep values are jobs-invariant anyway. *)

@@ -99,39 +99,26 @@ let bounds = function
   | Lognormal { mu; sigma } ->
     (exp (mu -. (3.0 *. sigma)), exp (mu +. (3.0 *. sigma)))
 
-let to_json t =
-  let open Obs.Json in
-  match t with
-  | Uniform { lo; hi } ->
-    Obj [ ("kind", Str "uniform"); ("lo", Num lo); ("hi", Num hi) ]
-  | Normal { mean; std } ->
-    Obj [ ("kind", Str "normal"); ("mean", Num mean); ("std", Num std) ]
-  | Lognormal { mu; sigma } ->
-    Obj [ ("kind", Str "lognormal"); ("mu", Num mu); ("sigma", Num sigma) ]
+(* Parameters are re-validated through the smart constructors, so a
+   hostile document cannot smuggle in, say, an empty uniform interval
+   that [sample] would mishandle. *)
+let codec =
+  let module C = Obs.Codec in
+  let case name (ka, kb) make params =
+    let build (a, b) =
+      match make a b with d -> Ok d | exception Invalid_argument m -> Error m
+    in
+    let pair = C.record (fun a b -> (a, b)) [ C.req ka C.num fst; C.req kb C.num snd ] in
+    C.case name (C.refine build (fun d -> Option.get (params d)) pair) Fun.id
+      (fun d -> Option.map (fun _ -> d) (params d))
+  in
+  C.tagged "kind"
+    [ case "uniform" ("lo", "hi") (fun lo hi -> uniform ~lo ~hi)
+        (function Uniform { lo; hi } -> Some (lo, hi) | _ -> None);
+      case "normal" ("mean", "std") (fun mean std -> normal ~mean ~std)
+        (function Normal { mean; std } -> Some (mean, std) | _ -> None);
+      case "lognormal" ("mu", "sigma") (fun mu sigma -> lognormal ~mu ~sigma)
+        (function Lognormal { mu; sigma } -> Some (mu, sigma) | _ -> None) ]
 
-(* Inverse of [to_json].  Parameters are re-validated through the smart
-   constructors so a hostile document cannot smuggle in, say, an empty
-   uniform interval that [sample] would mishandle. *)
-let of_json j =
-  let open Obs.Json in
-  let num k =
-    match member k j with
-    | Some (Num v) -> Ok v
-    | _ -> Error (Printf.sprintf "dist needs a numeric %S field" k)
-  in
-  let build ka kb make =
-    match (num ka, num kb) with
-    | Ok a, Ok b -> (
-      match make a b with
-      | d -> Ok d
-      | exception Invalid_argument m -> Error m)
-    | (Error _ as e), _ | _, (Error _ as e) -> e
-  in
-  match member "kind" j with
-  | Some (Str "uniform") -> build "lo" "hi" (fun lo hi -> uniform ~lo ~hi)
-  | Some (Str "normal") ->
-    build "mean" "std" (fun mean std -> normal ~mean ~std)
-  | Some (Str "lognormal") ->
-    build "mu" "sigma" (fun mu sigma -> lognormal ~mu ~sigma)
-  | Some (Str k) -> Error (Printf.sprintf "unknown dist kind %S" k)
-  | _ -> Error "dist needs a string \"kind\" field"
+let to_json = Obs.Codec.encode codec
+let of_json j = Result.map_error Obs.Codec.error_to_string (Obs.Codec.decode codec j)

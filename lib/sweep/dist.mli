@@ -41,9 +41,10 @@ val bounds : t -> float * float
 (** Corner values: the support for [Uniform], [±3σ] for [Normal] (and its
     image under [exp] for [Lognormal]).  Feeds corner/grid plans. *)
 
-val to_json : t -> Obs.Json.t
+val codec : t Obs.Codec.t
+(** [{"kind": "uniform", "lo", "hi"}], likewise [normal] ([mean], [std])
+    and [lognormal] ([mu], [sigma]); decimals round-trip bit-exactly and
+    decoding revalidates through the smart constructors. *)
 
-val of_json : Obs.Json.t -> (t, string) result
-(** Inverse of {!to_json} (parameters re-validated as in the smart
-    constructors); [to_json] floats round-trip bit-exactly, which is what
-    lets a distributed-sweep worker rebuild the coordinator's plan. *)
+val to_json : t -> Obs.Json.t
+val of_json : Obs.Json.t -> (t, string) result  (** The error names the JSON path. *)

@@ -4,6 +4,7 @@ module Slp = Symbolic.Slp
 module Sym = Symbolic.Symbol
 module Measures = Awe.Measures
 module Err = Awesym_error
+module C = Obs.Codec
 
 type measure =
   | Dc_gain
@@ -180,61 +181,19 @@ let point_measures model ms v =
 (* ------------------------------------------------------------------ *)
 (* Checkpoint format (schema awesymbolic-ckpt/1)
 
-   { schema, key, chunks: [ { lo, len,
-                              vals: [ [hex-f64 ...] per measure ],
-                              failed: [ { point, attempts, error } ] } ] }
+   { schema, key, points, chunks: [ { lo, len,
+                                      vals: [ [hex-f64 ...] per measure ],
+                                      failed: [ { point, attempts, error } ] } ] }
 
    Floats travel as IEEE-754 bit patterns in hex because the JSON layer
    renders non-finite numbers as null; bit patterns also make restore
    trivially bit-exact, which the byte-identical-resume contract needs. *)
 
-let hexbits v = Printf.sprintf "%016Lx" (Int64.bits_of_float v)
-
-(* The inverse of [hexbits] on exactly what it writes, 16 lowercase hex
-   digits: [Int64.of_string] alone would also take "1" or
-   "3ff0_00000000000" and decode them to some other float. *)
-let float_of_hexbits s =
-  let digit c = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') in
-  if String.length s = 16 && String.for_all digit s then
-    Some (Int64.float_of_bits (Int64.of_string ("0x" ^ s)))
-  else None
-
-let failed_point_json fp =
-  let open Obs.Json in
-  Obj
-    [
-      ("point", Num (float_of_int fp.point));
-      ("attempts", Num (float_of_int fp.attempts));
-      ("error", Err.to_json fp.error);
-    ]
-
-let error_of_json j =
-  let str k =
-    match Obs.Json.member k j with Some (Obs.Json.Str s) -> Some s | _ -> None
-  in
-  let num k =
-    match Obs.Json.member k j with Some (Obs.Json.Num v) -> Some v | _ -> None
-  in
-  let kind =
-    match Option.map Err.kind_of_name (str "kind") with
-    | Some (Some k) -> k
-    | _ -> Err.Internal
-  in
-  let context =
-    match Obs.Json.member "context" j with
-    | Some (Obs.Json.Obj kvs) ->
-      List.filter_map
-        (fun (k, v) ->
-          match v with Obs.Json.Str s -> Some (k, s) | _ -> None)
-        kvs
-    | _ -> []
-  in
-  Err.make kind
-    ~where:(Option.value ~default:"?" (str "where"))
-    ?file:(str "file")
-    ?line:(Option.map int_of_float (num "line"))
-    ?condition:(num "condition") ~context
-    (Option.value ~default:"" (str "message"))
+let failed_point_codec =
+  C.record (fun point attempts error -> { point; attempts; error })
+    [ C.req "point" C.int (fun f -> f.point);
+      C.req "attempts" C.int (fun f -> f.attempts);
+      C.req "error" Err.codec (fun f -> f.error) ]
 
 let ckpt_schema = "awesymbolic-ckpt/1"
 
@@ -327,7 +286,7 @@ let prepare ?(seed = 42) ?block ?jobs ?(measures = default_measures)
             @ List.map measure_name measures
             @ List.map spec_to_string specs
             @ Array.to_list symbols
-            @ List.map hexbits (Array.to_list nominals))))
+            @ List.map C.hex (Array.to_list nominals))))
   in
   {
     p_model = model;
@@ -502,38 +461,36 @@ let eval_chunk p idx =
    the prep's layout, so a record from an untrusted peer (or a stale
    file) cannot scribble outside its chunk. *)
 
-let chunk_result_to_json r =
-  let open Obs.Json in
-  let vals_json =
-    List
-      (Array.to_list
-         (Array.map
-            (fun row ->
-              List (List.init r.c_len (fun li -> Str (hexbits row.(li)))))
-            r.c_vals))
-  in
-  Obj
-    [
-      ("lo", Num (float_of_int r.c_lo));
-      ("len", Num (float_of_int r.c_len));
-      ("vals", vals_json);
-      ("failed", List (List.map failed_point_json r.c_failed));
-    ]
+(* [c_index] is not on the wire: it follows from [lo] and the layout,
+   and [decode_chunk] fills it in once the record is checked against
+   it. *)
+let chunk_codec =
+  C.record
+    (fun c_lo c_len c_vals c_failed -> { c_index = -1; c_lo; c_len; c_vals; c_failed })
+    [ C.req "lo" C.int (fun r -> r.c_lo);
+      C.req "len" C.int (fun r -> r.c_len);
+      C.req "vals" (C.array (C.array C.hexfloat)) (fun r -> r.c_vals);
+      C.req "failed" (C.list failed_point_codec) (fun r -> r.c_failed) ]
 
-let chunk_result_of_json ?file p record =
-  let bad fmt =
-    Printf.ksprintf
-      (fun msg ->
-        Err.raise_error Artifact_corrupt ~where:"sweep.checkpoint" ?file msg)
-      fmt
+let chunk_result_to_json = C.encode chunk_codec
+
+(* Decode one record found at path [at] of its document. *)
+let decode_chunk ?file ?(at = []) p record =
+  let bad fmt = Err.errorf ?file Artifact_corrupt ~where:"sweep.checkpoint" fmt in
+  let r =
+    match C.decode chunk_codec record with
+    | Ok r -> r
+    | Error e ->
+      (* A bad value cell also names its global point. *)
+      let point =
+        match (e.C.path, Obs.Json.member "lo" record) with
+        | [ C.Key "vals"; C.Index _; C.Index li ], Some (Obs.Json.Num lo) ->
+          Printf.sprintf " at point %d" (int_of_float lo + li)
+        | _ -> ""
+      in
+      bad "%s%s" (C.error_to_string { e with path = at @ e.C.path }) point
   in
-  let geti k =
-    match Obs.Json.member k record with
-    | Some (Obs.Json.Num v) -> int_of_float v
-    | _ -> bad "chunk record missing %s" k
-  in
-  let lo = geti "lo" in
-  let len = geti "len" in
+  let lo = r.c_lo and len = r.c_len in
   let n = p.p_n and blk = p.p_block in
   let nmeas = Array.length p.p_marr in
   if lo < 0 || len < 1 || lo + len > n || lo mod blk <> 0 then
@@ -541,51 +498,18 @@ let chunk_result_of_json ?file p record =
   let idx = lo / blk in
   if p.p_chunks.(idx).lo <> lo || p.p_chunks.(idx).len <> len then
     bad "chunk [%d, +%d) disagrees with the block-%d layout" lo len blk;
-  let vals = Array.init nmeas (fun _ -> Array.make len nan) in
-  (match Obs.Json.member "vals" record with
-  | Some (Obs.Json.List rows) ->
-    if List.length rows <> nmeas then
-      bad "chunk at %d has %d measure rows, expected %d" lo (List.length rows)
-        nmeas;
-    List.iteri
-      (fun j row ->
-        match row with
-        | Obs.Json.List cells when List.length cells = len ->
-          List.iteri
-            (fun li cell ->
-              match cell with
-              | Obs.Json.Str hex -> (
-                match float_of_hexbits hex with
-                | Some v -> vals.(j).(li) <- v
-                | None -> bad "bad float bits %S at point %d" hex (lo + li))
-              | _ -> bad "non-hex value cell at %d" (lo + li))
-            cells
-        | _ -> bad "malformed measure row %d of chunk at %d" j lo)
-      rows
-  | _ -> bad "chunk at %d has no vals" lo);
-  let failed =
-    match Obs.Json.member "failed" record with
-    | Some (Obs.Json.List fps) ->
-      List.map
-        (fun fj ->
-          let fgeti k =
-            match Obs.Json.member k fj with
-            | Some (Obs.Json.Num v) -> int_of_float v
-            | _ -> bad "failed-point record missing %s in chunk at %d" k lo
-          in
-          let point = fgeti "point" in
-          if point < lo || point >= lo + len then
-            bad "failed point %d outside its chunk [%d, +%d)" point lo len;
-          let error =
-            match Obs.Json.member "error" fj with
-            | Some ej -> error_of_json ej
-            | None -> bad "failed point %d has no error" point
-          in
-          { point; attempts = fgeti "attempts"; error })
-        fps
-    | _ -> bad "chunk at %d has no failed list" lo
-  in
-  { c_index = idx; c_lo = lo; c_len = len; c_vals = vals; c_failed = failed }
+  if
+    Array.length r.c_vals <> nmeas
+    || Array.exists (fun row -> Array.length row <> len) r.c_vals
+  then bad "chunk at %d needs %d measure rows of %d values" lo nmeas len;
+  List.iter
+    (fun fp ->
+      if fp.point < lo || fp.point >= lo + len then
+        bad "failed point %d outside its chunk [%d, +%d)" fp.point lo len)
+    r.c_failed;
+  { r with c_index = idx }
+
+let chunk_result_of_json ?file p record = decode_chunk ?file p record
 
 (* ------------------------------------------------------------------ *)
 (* Checkpointing: one writer per run, shared by however many domains
@@ -593,6 +517,15 @@ let chunk_result_of_json ?file p record =
    whole — records sorted by chunk index — so its bytes are a pure
    function of the completed-chunk set, whatever order completions
    arrived in. *)
+
+(* The document; chunk records stay JSON until [decode_chunk] checks
+   each against the layout. *)
+let ckpt_codec =
+  C.record (fun key points chunks -> (key, points, chunks))
+    [ C.const "schema" (Obs.Json.Str ckpt_schema);
+      C.req "key" C.string (fun (k, _, _) -> k);
+      C.req "points" C.int (fun (_, n, _) -> n);
+      C.req "chunks" (C.list C.json) (fun (_, _, cs) -> cs) ]
 
 module Checkpoint = struct
   type writer = {
@@ -624,15 +557,7 @@ module Checkpoint = struct
       |> List.sort compare
       |> List.map (fun idx -> Hashtbl.find w.w_records idx)
     in
-    let doc =
-      Obs.Json.Obj
-        [
-          ("schema", Obs.Json.Str ckpt_schema);
-          ("key", Obs.Json.Str w.w_key);
-          ("points", Obs.Json.Num (float_of_int w.w_points));
-          ("chunks", Obs.Json.List recs);
-        ]
-    in
+    let doc = C.encode ckpt_codec (w.w_key, w.w_points, recs) in
     let dir = Filename.dirname w.w_path in
     if dir <> "." && not (Sys.file_exists dir) then Cache.ensure_dir dir;
     Cache.atomic_write w.w_path (fun tmp ->
@@ -673,23 +598,23 @@ module Checkpoint = struct
           Err.errorf Artifact_corrupt ~where:"sweep.checkpoint" ~file:path
             "unreadable checkpoint: %s" msg
       in
-      (match Obs.Json.member "schema" doc with
-      | Some (Obs.Json.Str s) when s = ckpt_schema -> ()
-      | _ ->
-        Err.errorf Artifact_corrupt ~where:"sweep.checkpoint" ~file:path
-          "not a %s file" ckpt_schema);
-      (match Obs.Json.member "key" doc with
-      | Some (Obs.Json.Str k) when k = p.p_key -> ()
-      | _ ->
+      let key, points, recs =
+        match C.decode ckpt_codec doc with
+        | Ok d -> d
+        | Error e ->
+          Err.errorf Artifact_corrupt ~where:"sweep.checkpoint" ~file:path
+            "not a %s file: %s" ckpt_schema (C.error_to_string e)
+      in
+      if key <> p.p_key then
         Err.errorf Invalid_request ~where:"sweep.checkpoint" ~file:path
           "checkpoint was written by a different sweep (plan, seed, model, \
-           block, measures, or policy changed); delete it or drop --resume");
-      match Obs.Json.member "chunks" doc with
-      | Some (Obs.Json.List recs) ->
-        List.map (chunk_result_of_json ~file:path p) recs
-      | _ ->
+           block, measures, or policy changed); delete it or drop --resume";
+      if points <> p.p_n then
         Err.errorf Artifact_corrupt ~where:"sweep.checkpoint" ~file:path
-          "checkpoint has no chunks"
+          "$.points: %d, but the sweep has %d points" points p.p_n;
+      List.mapi
+        (fun k r -> decode_chunk ~file:path ~at:[ C.Key "chunks"; C.Index k ] p r)
+        recs
     end
 end
 
@@ -869,5 +794,5 @@ let to_json r =
                  ])
              r.spec_yields) );
       ("yield", match r.yield with Some y -> Num y | None -> Null);
-      ("failed_points", List (List.map failed_point_json r.failed));
+      ("failed_points", List (List.map (C.encode failed_point_codec) r.failed));
     ]

@@ -227,23 +227,16 @@ val chunk_result_to_json : chunk_result -> Obs.Json.t
 (** The checkpoint record shape [{lo; len; vals; failed}], floats as
     IEEE-754 hex bit patterns — byte-exact across the wire. *)
 
-val hexbits : float -> string
-(** A float's IEEE-754 bit pattern as 16 lowercase hex digits — how
-    checkpoints and chunk records carry floats, since the JSON layer
-    renders non-finite numbers as null. *)
-
-val float_of_hexbits : string -> float option
-(** The inverse of {!hexbits} on exactly what it writes: [None] unless
-    the string is 16 lowercase hex digits. *)
-
 val chunk_result_of_json : ?file:string -> prep -> Obs.Json.t -> chunk_result
-(** Parse and validate a chunk record against the prep's layout
-    (bounds, block alignment, measure-row count).  Every value cell must
-    be exactly the 16 lowercase hex digits the encoder writes.  Raises
-    [Artifact_corrupt] on any mismatch, naming the point of a bad cell —
-    a hostile or stale record cannot scribble outside its chunk or
-    decode to a wrong value.  [file] names the source in error
-    messages. *)
+(** Decode a chunk record — only the exact shape {!chunk_result_to_json}
+    writes: integral [lo]/[len], every value cell the 16 lowercase hex
+    digits of [Obs.Codec.hexfloat], error kinds by name, no missing or
+    unknown keys — and validate it against the prep's layout (bounds,
+    block alignment, measure-row count and length, failed points inside
+    the chunk).  Raises [Artifact_corrupt] on any mismatch, naming the
+    JSON path of the bad node and, for a bad value cell, its point — a
+    hostile or stale record cannot scribble outside its chunk or decode
+    to a wrong value.  [file] names the source in error messages. *)
 
 val finish : prep -> chunk_result option array -> result
 (** Merge chunk results (slot [i] = chunk [i]) and compute statistics.

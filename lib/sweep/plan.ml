@@ -179,70 +179,44 @@ let columns ~symbols ~nominals ~rng ?jobs ?(block = 256) t =
       axes);
   cols
 
-let to_json t =
-  let open Obs.Json in
-  let base =
-    [
-      ("kind", Str (kind_name t.kind));
-      ("points", Num (float_of_int (num_points t)));
-      ( "axes",
-        List
-          (List.map
-             (fun a ->
-               Obj [ ("symbol", Str a.name); ("dist", Dist.to_json a.dist) ])
-             t.axes) );
-    ]
+let codec =
+  let module C = Obs.Codec in
+  let axis =
+    C.record (fun name dist -> { name; dist })
+      [ C.req "symbol" C.string (fun a -> a.name);
+        C.req "dist" Dist.codec (fun a -> a.dist) ]
   in
-  match t.kind with
-  | Grid n -> Obj (base @ [ ("per_axis", Num (float_of_int n)) ])
-  | _ -> Obj base
+  let kinds =
+    List.map (fun k -> (k, k)) [ "monte-carlo"; "latin-hypercube"; "corners"; "grid" ]
+  in
+  (* ["points"] is derived for corners and grid, and must agree; the
+     result is revalidated through [make] so a decoded plan obeys every
+     constructor invariant. *)
+  let build (kind, points, axes, per_axis) =
+    let kind =
+      match (kind, per_axis) with
+      | "monte-carlo", None -> Ok (Monte_carlo points)
+      | "latin-hypercube", None -> Ok (Latin_hypercube points)
+      | "corners", None -> Ok Corners
+      | "grid", Some n -> Ok (Grid n)
+      | "grid", None -> Error "a grid plan needs per_axis"
+      | k, _ -> Error (Printf.sprintf "per_axis on a %s plan" k)
+    in
+    match Result.map (fun k -> make k axes) kind with
+    | Ok p when num_points p <> points ->
+      Error (Printf.sprintf "points %d, but the plan has %d" points (num_points p))
+    | r -> r
+    | exception Invalid_argument m -> Error m
+  in
+  C.refine build
+    (fun p ->
+      let per_axis = match p.kind with Grid n -> Some n | _ -> None in
+      (kind_name p.kind, num_points p, p.axes, per_axis))
+    (C.record (fun kind points axes per_axis -> (kind, points, axes, per_axis))
+       [ C.req "kind" (C.enum kinds) (fun (k, _, _, _) -> k);
+         C.req "points" C.int (fun (_, n, _, _) -> n);
+         C.req "axes" (C.list axis) (fun (_, _, axes, _) -> axes);
+         C.opt "per_axis" C.int (fun (_, _, _, per_axis) -> per_axis) ])
 
-(* Inverse of [to_json], revalidated through [make] so a decoded plan
-   obeys every constructor invariant (no duplicate axes, sane point
-   counts, bounded cartesian kinds).  ["points"] is authoritative for the
-   sampled kinds and ignored for corners/grid, where it is derived. *)
-let of_json j =
-  let open Obs.Json in
-  let int_field k =
-    match member k j with
-    | Some (Num v) when Float.is_integer v -> Ok (int_of_float v)
-    | _ -> Error (Printf.sprintf "plan needs an integer %S field" k)
-  in
-  let axis = function
-    | Obj _ as a -> (
-      match (member "symbol" a, member "dist" a) with
-      | Some (Str name), Some dj -> (
-        match Dist.of_json dj with
-        | Ok dist -> Ok { name; dist }
-        | Error m -> Error (Printf.sprintf "axis %s: %s" name m))
-      | _ -> Error "plan axis needs \"symbol\" and \"dist\" fields")
-    | _ -> Error "plan axes must be objects"
-  in
-  let axes =
-    match member "axes" j with
-    | Some (List xs) ->
-      List.fold_left
-        (fun acc x ->
-          match (acc, axis x) with
-          | Ok done_, Ok a -> Ok (a :: done_)
-          | (Error _ as e), _ | _, (Error _ as e) -> e)
-        (Ok []) xs
-      |> Result.map List.rev
-    | _ -> Error "plan needs an \"axes\" list"
-  in
-  let kind =
-    match member "kind" j with
-    | Some (Str "monte-carlo") -> Result.map (fun n -> Monte_carlo n) (int_field "points")
-    | Some (Str "latin-hypercube") ->
-      Result.map (fun n -> Latin_hypercube n) (int_field "points")
-    | Some (Str "corners") -> Ok Corners
-    | Some (Str "grid") -> Result.map (fun n -> Grid n) (int_field "per_axis")
-    | Some (Str k) -> Error (Printf.sprintf "unknown plan kind %S" k)
-    | _ -> Error "plan needs a string \"kind\" field"
-  in
-  match (kind, axes) with
-  | Ok k, Ok axs -> (
-    match make k axs with
-    | p -> Ok p
-    | exception Invalid_argument m -> Error m)
-  | (Error _ as e), _ | _, (Error _ as e) -> e
+let to_json = Obs.Codec.encode codec
+let of_json j = Result.map_error Obs.Codec.error_to_string (Obs.Codec.decode codec j)

@@ -48,11 +48,11 @@ val columns :
     Raises [Awesym_error.Error] (kind [Invalid_request]) naming the
     symbol when an axis is not a model symbol. *)
 
-val to_json : t -> Obs.Json.t
-(** Plan descriptor recorded in sweep results (kind, point count, axes). *)
+val codec : t Obs.Codec.t
+(** [kind], [points] (which must agree), [axes] ([{symbol, dist}]) and,
+    for grids, [per_axis]; decoding revalidates through {!make}.  Floats
+    round-trip bit-exactly, so a plan decoded on a distributed-sweep
+    worker samples the very same points as the coordinator's. *)
 
-val of_json : Obs.Json.t -> (t, string) result
-(** Inverse of {!to_json}, revalidated through {!make}.  Floats
-    round-trip bit-exactly (see [Obs.Json]), so a plan decoded on a
-    distributed-sweep worker samples the very same points as the
-    coordinator's original. *)
+val to_json : t -> Obs.Json.t
+val of_json : Obs.Json.t -> (t, string) result  (** The error names the JSON path. *)

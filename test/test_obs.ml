@@ -209,7 +209,101 @@ let test_json_parse_errors () =
       match J.of_string src with
       | Ok _ -> Alcotest.fail (Printf.sprintf "accepted malformed %S" src)
       | Error _ -> ())
-    [ "{"; "[1,]"; "tru"; "\"unterminated"; "{\"a\":1} trailing"; "" ]
+    [ "{"; "[1,]"; "tru"; "\"unterminated"; "{\"a\":1} trailing"; "";
+      (* \u escapes take exactly four hex digits, surrogates come paired *)
+      {|"\u+041"|}; {|"\u_041"|}; {|"\u0x41"|}; {|"\u12"|}; {|"\ud800"|};
+      {|"\udc00"|}; {|"\ud800\u0041"|};
+      (* RFC 8259 numbers only, and finite ones *)
+      "+1"; ".5"; "01"; "1."; "1e"; "-"; "1e999"; "-1e999";
+      (* no duplicate keys, no raw control characters *)
+      {|{"op":"ping","op":"shutdown"}|}; "\"a\tb\""; "\"a\nb\"";
+      String.make 600 '[' ^ String.make 600 ']' ]
+
+(* What the strict parser still accepts, and the paths its errors name. *)
+let test_json_parse_accepts () =
+  let module J = Obs.Json in
+  let parses src v =
+    Alcotest.(check bool) src true (J.of_string src = Ok v)
+  in
+  parses "-0" (J.Num (-0.0));
+  parses "0.5e-3" (J.Num 0.5e-3);
+  parses "1E+2" (J.Num 100.0);
+  parses {|"\ud83d\ude00\u00e9\/"|} (J.Str "\xf0\x9f\x98\x80\xc3\xa9/");
+  parses {|{"a":{"a":1}}|} (J.Obj [ ("a", J.Obj [ ("a", J.Num 1.0) ]) ]);
+  List.iter
+    (fun (src, prefix) ->
+      match J.of_string src with
+      | Error m when String.starts_with ~prefix m -> ()
+      | Error m -> Alcotest.failf "%s: error %S does not start with %S" src m prefix
+      | Ok _ -> Alcotest.failf "accepted %s" src)
+    [ ({|{"a":[1,{"b":"\u12"}]}|}, "$.a[1].b: ");
+      ({|{"op":"ping","op":"x"}|}, "$: duplicate key \"op\"");
+      ({|[0,01]|}, "$: expected ',' or ']'") ]
+
+(* [Json.of_string] returns on every input: random strings, and every
+   one-byte change to the frames of the codec corpus. *)
+let prop_json_total =
+  let frames =
+    lazy
+      (In_channel.with_open_bin "golden/codec_corpus.txt" In_channel.input_all
+      |> String.split_on_char '\n'
+      |> List.filter_map (fun line ->
+             Option.map (fun i -> String.sub line (i + 1) (String.length line - i - 1))
+               (String.index_opt line ' ')))
+  in
+  QCheck2.Test.make ~name:"of_string never raises" ~count:2000
+    QCheck2.Gen.(
+      oneof
+        [ string;
+          string_printable;
+          (let* k = nat in
+           let frames = Lazy.force frames in
+           let f = List.nth frames (k mod List.length frames) in
+           let* i = int_bound (String.length f - 1) in
+           let* c = char in
+           return (String.mapi (fun k x -> if k = i then c else x) f)) ])
+    (fun src ->
+      match Obs.Json.of_string src with Ok _ | Error _ -> true)
+
+(* The codec's canonical rules on its primitives and records. *)
+let test_codec_canonical () =
+  let module C = Obs.Codec in
+  let module J = Obs.Json in
+  let rejects c j path =
+    match C.decode c j with
+    | Ok _ -> Alcotest.failf "accepted %s" (J.to_string j)
+    | Error e ->
+      Alcotest.(check string) (J.to_string j) path (J.path_to_string e.C.path)
+  in
+  rejects C.int (J.Num 1.5) "$";
+  rejects C.int (J.Num 0x1p60) "$";
+  rejects C.num J.Null "$";
+  rejects C.hexfloat (J.Str "3FF0000000000000") "$";
+  rejects C.hexfloat (J.Str "3ff000000000000") "$";
+  rejects (C.list C.int) (J.List [ J.Num 1.0; J.Str "2" ]) "$[1]";
+  let pt =
+    C.record (fun x y -> (x, y)) [ C.req "x" C.int fst; C.opt "y" C.hexfloat snd ]
+  in
+  let obj kvs = J.Obj kvs in
+  rejects pt (obj [ ("x", J.Num 1.0); ("z", J.Null) ]) "$";
+  rejects pt (obj [ ("y", J.Str (C.hex 1.0)) ]) "$";
+  rejects pt (obj [ ("x", J.Num 1.0); ("y", J.Null) ]) "$.y";
+  Alcotest.(check string) "omitted when None" {|{"x":3}|}
+    (J.to_string (C.encode pt (3, None)));
+  (match C.decode pt (obj [ ("y", J.Str (C.hex Float.nan)); ("x", J.Num (-2.0)) ]) with
+  | Ok (-2, Some v) when Float.is_nan v -> ()
+  | _ -> Alcotest.fail "member order is not checked");
+  let shape =
+    C.tagged "kind"
+      [ C.case "pt" pt (fun p -> `Pt p) (function `Pt p -> Some p | `Unit -> None);
+        C.case "unit" (C.record () [ C.const "ok" (J.Bool true) ]) (fun () -> `Unit)
+          (function `Unit -> Some () | `Pt _ -> None) ]
+  in
+  Alcotest.(check string) "tag first" {|{"kind":"unit","ok":true}|}
+    (J.to_string (C.encode shape `Unit));
+  rejects shape (obj [ ("kind", J.Str "circle") ]) "$.kind";
+  rejects shape (obj [ ("kind", J.Str "unit"); ("ok", J.Bool false) ]) "$.ok";
+  rejects shape (obj [ ("kind", J.Str "unit"); ("ok", J.Bool true); ("x", J.Num 1.0) ]) "$"
 
 let test_chrome_trace () =
   let module J = Obs.Json in
@@ -363,6 +457,10 @@ let () =
         [
           Alcotest.test_case "round trip" `Quick test_json_roundtrip;
           Alcotest.test_case "parse errors" `Quick test_json_parse_errors;
+          Alcotest.test_case "parse accepts RFC 8259, errors name paths" `Quick
+            test_json_parse_accepts;
+          QCheck_alcotest.to_alcotest prop_json_total;
+          Alcotest.test_case "codec canonical rules" `Quick test_codec_canonical;
           Alcotest.test_case "chrome trace" `Quick test_chrome_trace;
           Alcotest.test_case "chrome trace mid-phase truncation" `Quick
             test_chrome_trace_truncated;

@@ -455,6 +455,152 @@ let test_checkpoint_rejects_uppercase_hex () =
   | _ -> Alcotest.fail "upper-case hex cell was resumed"
 
 (* ------------------------------------------------------------------ *)
+(* Codecs: requests and checkpoint units decode what they encode and
+   nothing else *)
+
+let gen_axes =
+  QCheck2.Gen.(
+    let* k = int_range 1 3 in
+    let* dists = list_repeat k Gens.dist in
+    return (List.mapi (fun i dist -> { Plan.name = Printf.sprintf "x%d" i; dist }) dists))
+
+let gen_measure =
+  QCheck2.Gen.(
+    oneof
+      [ oneofl Engine.[ Dc_gain; Dc_gain_db; Dominant_pole_hz; Unity_gain_frequency;
+                        Phase_margin; Delay_50; Rise_time; Elmore_delay ];
+        map (fun k -> Engine.Moment k) (int_range 0 9) ])
+
+(* Specs travel as their "%g" spelling, so the limit is the spelling's. *)
+let gen_spec =
+  QCheck2.Gen.(
+    let* measure = gen_measure in
+    let* limit = Gens.finite_float in
+    let* le = bool in
+    let limit = float_of_string (Printf.sprintf "%g" limit) in
+    return { Engine.measure; bound = (if le then Engine.Le limit else Engine.Ge limit) })
+
+let gen_request =
+  QCheck2.Gen.(
+    let weight = map Float.abs Gens.finite_float in
+    let* axes = gen_axes in
+    let* specs = small_list gen_spec in
+    let* seed = nat in
+    oneof
+      [ (let direction up m = if up then Objective.Maximize m else Objective.Minimize m in
+         let* goal = option (map2 direction bool gen_measure) in
+         let* area_weight = weight in
+         let* penalty_weight = weight in
+         (* Objective.make needs some term. *)
+         let goal =
+           if goal = None && specs = [] && area_weight = 0.0 then
+             Some (Objective.Minimize Engine.Delay_50)
+           else goal
+         in
+         let* restarts = int_range 0 5 in
+         let* max_iters = int_range 1 100 in
+         let* step0 = Gens.finite_float in
+         let* tol = Gens.finite_float in
+         return
+           (Request.Size
+              { Sizing.axes;
+                objective = Objective.make ?goal ~area_weight ~penalty_weight ~specs ();
+                seed; restarts; max_iters; step0; tol }));
+        (let* points = int_range 1 100_000 in
+         let* iters = int_range 0 10 in
+         let* shrink = Gens.finite_float in
+         return (Request.Yield { Recenter.axes; specs; seed; points; iters; shrink })) ])
+
+let request_decode j =
+  match Request.of_json j with
+  | t -> Ok (Request.to_json t)
+  | exception Err.Error { kind = Err.Invalid_request; message; _ } -> Error message
+
+let prop_request_round_trip =
+  QCheck2.Test.make ~name:"request codec round trip" ~count:300 gen_request (fun t ->
+      let j = Request.to_json t in
+      match Request.of_json j with
+      | t' -> t' = t && Json.to_string (Request.to_json t') = Json.to_string j
+      | exception Err.Error e -> QCheck2.Test.fail_report (Err.to_string e))
+
+let prop_request_mutation =
+  Mutate.prop ~name:"mutated requests decode canonically or name the node" ~count:400
+    gen_request Request.to_json request_decode
+
+let floats = QCheck2.Gen.(array_size (int_range 1 3) Gens.weird_float)
+
+let gen_restart =
+  QCheck2.Gen.(
+    let step =
+      let* it = nat in
+      let* f = Gens.weird_float in
+      let* step = Gens.weird_float in
+      let* x = floats in
+      return { Sizing.it; f; step; x }
+    in
+    let* index = nat in
+    let* x0 = floats in
+    let* steps = small_list step in
+    let* status = oneofl Sizing.[ Converged; Max_iters; No_descent ] in
+    let* final_f = Gens.weird_float in
+    let* final_x = floats in
+    let* iters = nat in
+    let* evals = nat in
+    return { Sizing.index; x0; steps; status; final_f; final_x; iters; evals })
+
+let gen_iteration =
+  QCheck2.Gen.(
+    let* it = nat in
+    let* axes = gen_axes in
+    let* yield = Gens.weird_float in
+    let* survivors = nat in
+    let* passing = nat in
+    let* next_axes = option gen_axes in
+    return { Recenter.it; axes; yield; survivors; passing; next_axes })
+
+(* Units are checkpoint contents: a failure is [Artifact_corrupt]. *)
+let unit_decode codec j =
+  match Err.decode ~kind:Artifact_corrupt ~where:"opt.checkpoint" codec j with
+  | Ok u -> Ok (Obs.Codec.encode codec u)
+  | Error e -> Error e.Err.message
+
+let unit_props name gen codec =
+  [ QCheck2.Test.make ~name:(name ^ " codec round trip") ~count:200 gen (fun u ->
+        let j = Obs.Codec.encode codec u in
+        match unit_decode codec j with
+        | Ok j' -> Json.to_string j' = Json.to_string j
+        | Error m -> QCheck2.Test.fail_report m);
+    Mutate.prop ~name:("mutated " ^ name ^ " units decode canonically or name the node")
+      ~count:300 gen (Obs.Codec.encode codec) (unit_decode codec) ]
+
+(* Requests that used to run with a value other than the one written. *)
+let test_noncanonical_requests () =
+  let model = Lazy.force fig1_model in
+  let edit req key value =
+    match Request.to_json req with
+    | Json.Obj kvs ->
+      Json.Obj
+        (List.filter_map
+           (fun (k, v) ->
+             if k = key then Option.map (fun v -> (k, v)) value else Some (k, v))
+           kvs)
+    | _ -> Alcotest.fail "request is not an object"
+  in
+  let named what needle j =
+    match request_decode j with
+    | Error m when Mutate.contains m needle -> ()
+    | Error m -> Alcotest.failf "%s: error does not name %s: %s" what needle m
+    | Ok _ -> Alcotest.failf "%s accepted" what
+  in
+  let size = Request.Size (sizing_config model) and yield = yield_request model in
+  named "seed 1.9" "$.seed:" (edit size "seed" (Some (Json.Num 1.9)));
+  named "points 1e300" "$.points:" (edit yield "points" (Some (Json.Num 1e300)));
+  named "missing restarts" {|$: missing field "restarts"|} (edit size "restarts" None);
+  named "missing shrink" {|$: missing field "shrink"|} (edit yield "shrink" None);
+  named "goal short form" "$.goal:"
+    (edit size "goal" (Some (Json.Str "min:elmore_delay")))
+
+(* ------------------------------------------------------------------ *)
 (* Non-convergence: statuses, error kinds, require-convergence *)
 
 let test_require_convergence () =
@@ -555,6 +701,12 @@ let () =
           quick "resume reconstructs the no-passing-points stop"
             test_checkpoint_resume_stopped;
         ] );
+      ( "codec",
+        quick "non-canonical requests name their path" test_noncanonical_requests
+        :: List.map QCheck_alcotest.to_alcotest
+             ([ prop_request_round_trip; prop_request_mutation ]
+             @ unit_props "restart" gen_restart Request.restart_codec
+             @ unit_props "iteration" gen_iteration Request.iteration_codec) );
       ( "errors", [ quick "optimizer error kinds round-trip" test_error_kinds ] );
       ( "cache", [ quick "gc sweeps orphaned .opt files" test_cache_gc_opt ] );
     ]

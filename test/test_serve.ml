@@ -50,40 +50,32 @@ let fixture3 =
 (* ------------------------------------------------------------------ *)
 (* Protocol: bit-exact floats and codec round-trips *)
 
-let special_floats =
-  [ 0.0; -0.0; 1.0; -1.0; Float.pi; 1e-300; -1e300; Float.epsilon;
-    Float.infinity; Float.neg_infinity; Float.nan; Float.min_float;
-    Float.max_float ]
-
+(* Floats cross the wire through [Obs.Codec.hexfloat]: its own spelling
+   round-trips every bit pattern, and nothing else decodes. *)
 let test_hex_float_round_trip () =
+  let of_hex s = Result.to_option (Obs.Codec.decode Obs.Codec.hexfloat (Json.Str s)) in
   List.iter
     (fun v ->
-      match Protocol.float_of_hex (Protocol.hex_of_float v) with
+      match of_hex (Obs.Codec.hex v) with
       | Some v' ->
         Alcotest.(check int64) "bits preserved" (bits v) (bits v')
       | None -> Alcotest.fail "hex round-trip refused its own encoding")
-    special_floats;
-  Alcotest.(check (option (float 0.0))) "short rejected" None
-    (Protocol.float_of_hex "abc");
+    Gens.special_floats;
+  Alcotest.(check (option (float 0.0))) "short rejected" None (of_hex "abc");
   Alcotest.(check (option (float 0.0))) "non-hex rejected" None
-    (Protocol.float_of_hex "zzzzzzzzzzzzzzzz");
-  (* Only the spelling hex_of_float writes: Int64.of_string would read
-     "1" as 5e-324 and skip the "_". *)
+    (of_hex "zzzzzzzzzzzzzzzz");
+  (* Only the spelling [hex] writes: Int64.of_string would read "1" as
+     5e-324 and skip the "_". *)
   List.iter
     (fun s ->
-      Alcotest.(check (option (float 0.0))) (s ^ " rejected") None
-        (Protocol.float_of_hex s))
+      Alcotest.(check (option (float 0.0))) (s ^ " rejected") None (of_hex s))
     [ "1"; "3ff0_00000000000"; "3FF0000000000000"; "3ff00000000000000" ]
-
-let gen_weird_float =
-  QCheck2.Gen.(
-    oneof [ float; oneofl special_floats; map Int64.float_of_bits int64 ])
 
 let gen_points =
   QCheck2.Gen.(
     let* rows = int_range 0 4 in
     let* cols = int_range 1 3 in
-    array_repeat rows (array_repeat cols gen_weird_float))
+    array_repeat rows (array_repeat cols Gens.weird_float))
 
 let gen_request =
   QCheck2.Gen.(
@@ -131,7 +123,7 @@ let gen_request =
         (let* op_model = string_printable in
          let* op_deadline_ms = option (map Float.abs float) in
          let* seed = nat in
-         let* v = gen_weird_float in
+         let* v = Gens.weird_float in
          return
            (Protocol.Optimize
               {
@@ -142,7 +134,7 @@ let gen_request =
                       ("schema", Json.Str "awesymbolic-opt/1");
                       ("mode", Json.Str "size");
                       ("seed", Json.Num (float_of_int seed));
-                      ("step_hex", Json.Str (Protocol.hex_of_float v));
+                      ("step_hex", Json.Str (Obs.Codec.hex v));
                     ];
                 op_deadline_ms;
               }));
@@ -178,10 +170,6 @@ let prop_request_round_trip =
 
 let gen_response =
   QCheck2.Gen.(
-    let hex16 =
-      map (fun v -> Protocol.hex_of_float v) gen_weird_float
-    in
-    ignore hex16;
     oneof
       [
         return Protocol.R_draining;
@@ -189,7 +177,7 @@ let gen_response =
           (small_list (pair string_printable string_printable));
         (let* digest = string_printable in
          let* order = int_range 1 8 in
-         let* nominals = array_repeat 3 gen_weird_float in
+         let* nominals = array_repeat 3 Gens.weird_float in
          return
            (Protocol.R_info
               { Protocol.digest; order; symbols = [| "a"; "b"; "c" |]; nominals }));
@@ -204,13 +192,11 @@ let gen_response =
             Protocol.R_traces
               (List.map (fun s -> Json.Obj [ ("trace_id", Json.Str s) ]) ss))
           (small_list string_printable);
-        (let* kind = oneofl Err.all_kinds in
-         let* msg = string_printable in
-         return (Protocol.R_error (Err.make kind ~where:"serve.test" msg)));
+        map (fun e -> Protocol.R_error e) Gens.err;
         (let* cr_digest = string_printable in
          let* cr_key = string_printable in
          let* cr_chunk = nat in
-         let* v = gen_weird_float in
+         let* v = Gens.weird_float in
          return
            (Protocol.R_chunk
               {
@@ -224,14 +210,14 @@ let gen_response =
                       ("len", Json.Num 1.0);
                       ( "vals",
                         Json.List
-                          [ Json.List [ Json.Str (Protocol.hex_of_float v) ] ]
+                          [ Json.List [ Json.Str (Obs.Codec.hex v) ] ]
                       );
                       ("failed", Json.List []);
                     ];
               }));
         (let* or_digest = string_printable in
          let* status = oneofl [ "converged"; "max_iters"; "no_descent" ] in
-         let* v = gen_weird_float in
+         let* v = Gens.weird_float in
          return
            (Protocol.R_optimize
               {
@@ -242,7 +228,7 @@ let gen_response =
                       ("schema", Json.Str "awesymbolic-opt/1");
                       ("mode", Json.Str "size");
                       ("status", Json.Str status);
-                      ("objective_hex", Json.Str (Protocol.hex_of_float v));
+                      ("objective_hex", Json.Str (Obs.Codec.hex v));
                     ];
               }));
       ])
@@ -256,6 +242,84 @@ let prop_response_round_trip =
       | Error e -> QCheck2.Test.fail_report (Err.to_string e)
       | Ok (id', resp') ->
         Json.to_string j = Json.to_string (Protocol.response_to_json ?id:id' resp'))
+
+(* The one error codec: decode (encode e) = e, field for field, the
+   condition by its bits. *)
+let prop_error_round_trip =
+  QCheck2.Test.make ~name:"error codec round trip" ~count:300 Gens.err (fun e ->
+      match Obs.Codec.decode Err.codec (Err.to_json e) with
+      | Error m -> QCheck2.Test.fail_report (Obs.Codec.error_to_string m)
+      | Ok e' ->
+        e'.Err.kind = e.Err.kind && e'.where = e.where && e'.message = e.message
+        && e'.file = e.file && e'.line = e.line && e'.context = e.context
+        && Option.map bits e'.condition = Option.map bits e.condition)
+
+(* Members the serve codec carries as opaque documents, decoded by their
+   consumers (the sweep worker, the optimizer, the client). *)
+let opaque = [ "id"; "plan"; "request"; "stats"; "traces"; "chunk_record"; "opt_report" ]
+
+let parse_kind decode reencode j =
+  match decode j with
+  | Ok v -> Ok (reencode v)
+  | Error e when e.Err.kind = Err.Parse -> Error e.Err.message
+  | Error e -> Error ("wrong kind: " ^ Err.kind_name e.Err.kind)
+
+let prop_request_mutation =
+  Mutate.prop ~name:"mutated requests decode canonically or name the node" ~count:400
+    ~opaque ~defaults:[ "limit" ]
+    QCheck2.Gen.(triple gen_id gen_trace gen_request)
+    (fun (id, trace, req) -> Protocol.request_to_json ?id ?trace req)
+    (parse_kind Protocol.request_of_json (fun (id, trace, req) ->
+         Protocol.request_to_json ?id ?trace req))
+
+let prop_response_mutation =
+  Mutate.prop ~name:"mutated responses decode canonically or name the node" ~count:400
+    ~opaque
+    QCheck2.Gen.(pair gen_id gen_response)
+    (fun (id, resp) -> Protocol.response_to_json ?id resp)
+    (parse_kind Protocol.response_of_json (fun (id, resp) ->
+         Protocol.response_to_json ?id resp))
+
+let prop_error_mutation =
+  Mutate.prop ~name:"mutated errors decode canonically or name the node" ~count:300 Gens.err
+    Err.to_json
+    (parse_kind (Err.decode ~kind:Parse ~where:"serve.test" Err.codec) Err.to_json)
+
+(* Non-canonical frames that used to decode to some other request (or
+   kill the daemon): each is now a parse error naming its path. *)
+let test_noncanonical_frames_rejected () =
+  let frame body = {|{"schema":"awesymbolic-serve/1",|} ^ body ^ "}" in
+  let chunk ~seed ~chunk =
+    Printf.sprintf
+      {|"op":"sweep_chunk","model":"m","plan":{},"seed":%s,"block":8,"measures":[],"specs":[],"policy":"skip","chunk":%s,"key":"k"|}
+      seed chunk
+  in
+  let reject ~decode ~path text =
+    let msg =
+      match Json.of_string text with
+      | Error m -> m
+      | Ok j -> (
+        match decode j with
+        | Error e when e.Err.kind = Err.Parse -> e.Err.message
+        | Error e -> Alcotest.failf "%s: wrong kind %s" text (Err.to_string e)
+        | Ok _ -> Alcotest.failf "non-canonical frame accepted: %s" text)
+    in
+    if not (Mutate.contains msg (path ^ ":")) then
+      Alcotest.failf "error for %s does not name %s: %s" text path msg
+  in
+  let request = reject ~decode:Protocol.request_of_json in
+  request ~path:"$" (frame {|"op":"ping","op":"shutdown"|});
+  request ~path:"$.id" (frame {|"op":"ping","id":"\u+041"|});
+  request ~path:"$.seed" (frame (chunk ~seed:"1.7" ~chunk:"0"));
+  request ~path:"$.chunk" (frame (chunk ~seed:"1" ~chunk:"1e300"));
+  request ~path:"$.limit" (frame {|"op":"trace","limit":-3.5|});
+  request ~path:"$.deadline_ms"
+    (frame {|"op":"eval","model":"m","points":[],"deadline_ms":1e999|});
+  request ~path:"$.points[0][1]"
+    (frame {|"op":"eval","model":"m","points":[["3ff0000000000000","3FF0000000000000"]]|});
+  request ~path:"$" (frame {|"op":"ping","extra":1|});
+  reject ~decode:Protocol.response_of_json ~path:"$.versions.serve"
+    (frame {|"ok":true,"pong":true,"versions":{"serve":1}|})
 
 (* ------------------------------------------------------------------ *)
 (* Framing *)
@@ -720,6 +784,31 @@ let test_server_death_mid_request () =
   Domain.join srv;
   Unix.close lfd
 
+(* A frame the JSON parser refuses — here a malformed \u escape, which
+   once raised out of the parser and took the daemon down — answers a
+   parse error naming the node, and the daemon keeps serving. *)
+let test_malformed_escape_survives () =
+  with_server @@ fun ~sock ~stop:_ ->
+  let fd =
+    match Result.bind (Serve.Transport.parse sock) Serve.Transport.connect with
+    | Ok fd -> fd
+    | Error e -> Alcotest.failf "connect: %s" (Err.to_string e)
+  in
+  Protocol.write_frame fd {|{"schema":"awesymbolic-serve/1","op":"ping","id":"\u+041"}|};
+  (match Protocol.read_frame fd with
+  | Error _ -> Alcotest.fail "the daemon must answer the frame"
+  | Ok payload -> (
+    match Result.map Protocol.response_of_json (Json.of_string payload) with
+    | Ok (Ok (_, Protocol.R_error e)) ->
+      Alcotest.(check string) "kind" "parse" (Err.kind_name e.Err.kind);
+      if not (Mutate.contains e.Err.message "$.id") then
+        Alcotest.failf "error does not name $.id: %s" e.Err.message
+    | _ -> Alcotest.failf "expected a parse error, got %s" payload));
+  Unix.close fd;
+  let c = client sock in
+  ignore (ok "ping after the bad frame" (Serve.Client.ping c));
+  Serve.Client.close c
+
 (* TCP delivers no message boundaries: a request dribbled in 3-byte
    chunks must still evaluate, and a peer that abandons a half-sent
    frame must not wedge the daemon for anyone else. *)
@@ -1134,8 +1223,12 @@ let () =
           quick "oversized frame rejected" test_pop_frame_oversized;
           quick "truncated frame reads as closed" test_read_frame_truncated;
           quick "garbage requests rejected" test_garbage_requests_rejected;
+          quick "non-canonical frames rejected with their path"
+            test_noncanonical_frames_rejected;
         ]
-        @ props [ prop_request_round_trip; prop_response_round_trip ] );
+        @ props
+            [ prop_request_round_trip; prop_response_round_trip; prop_error_round_trip;
+              prop_request_mutation; prop_response_mutation; prop_error_mutation ] );
       ( "transport",
         [
           quick "address parsing" test_transport_parse;
@@ -1168,6 +1261,8 @@ let () =
           quick "server death mid-request classified, never hangs"
             test_server_death_mid_request;
           quick "partial frames over tcp" test_partial_frames_over_tcp;
+          quick "malformed escape answered, daemon survives"
+            test_malformed_escape_survives;
           quick "trace context round-trips into the trace log"
             test_trace_context_round_trip;
           quick "metrics exposition names the serving surface"

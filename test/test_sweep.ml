@@ -622,6 +622,141 @@ let test_chunk_record_canonical_hex () =
       | _ -> Alcotest.failf "chunk cell %S accepted" hex)
     [ "1"; "3ff0_00000000000"; "3FF0000000000000"; "3ff00000000000000" ]
 
+(* ------------------------------------------------------------------ *)
+(* Codecs: plans, distributions and chunk records decode what they
+   encode and nothing else *)
+
+let gen_plan =
+  QCheck2.Gen.(
+    let* k = int_range 1 3 in
+    let* dists = list_repeat k Gens.dist in
+    let axis i dist = { Plan.name = Printf.sprintf "a%d" i; dist } in
+    let axes = List.mapi axis dists in
+    let* kind =
+      oneof
+        [ map (fun n -> Plan.Monte_carlo n) (int_range 1 5000);
+          map (fun n -> Plan.Latin_hypercube n) (int_range 1 5000);
+          return Plan.Corners;
+          map (fun n -> Plan.Grid n) (int_range 2 9) ]
+    in
+    return (Plan.make kind axes))
+
+let prop_plan_round_trip =
+  QCheck2.Test.make ~name:"plan and dist codecs round trip" ~count:300 gen_plan (fun p ->
+      let j = Plan.to_json p in
+      match Plan.of_json j with
+      | Error m -> QCheck2.Test.fail_report m
+      | Ok p' -> p' = p && Obs.Json.to_string (Plan.to_json p') = Obs.Json.to_string j)
+
+let prop_plan_mutation =
+  Mutate.prop ~name:"mutated plans decode canonically or name the node" ~count:400 gen_plan
+    Plan.to_json (fun j -> Result.map Plan.to_json (Plan.of_json j))
+
+let prop_dist_mutation =
+  Mutate.prop ~name:"mutated dists decode canonically or name the node" ~count:300 Gens.dist
+    Dist.to_json (fun j -> Result.map Dist.to_json (Dist.of_json j))
+
+(* A 40-point sweep in blocks of 16: chunks of 16, 16 and 8 points. *)
+let record_prep =
+  lazy
+    (Engine.prepare ~seed:1 ~block:16 ~measures:[ Engine.Dc_gain; Engine.Delay_50 ]
+       (Lazy.force fig1_model) (plan_c1_g2 (Plan.Monte_carlo 40)))
+
+(* Canonical chunk records of [record_prep]'s layout: any float bits,
+   failed points an ascending subset of the chunk's. *)
+let gen_record =
+  QCheck2.Gen.(
+    let* c = int_range 0 2 in
+    let lo = 16 * c and len = if c = 2 then 8 else 16 in
+    let* vals = list_repeat 2 (list_repeat len Gens.weird_float) in
+    let* failed = list_repeat len (option (pair (int_range 1 3) Gens.err)) in
+    let open Obs.Json in
+    let num n = Num (float_of_int n) and hex v = Str (Obs.Codec.hex v) in
+    return
+      (Obj
+         [ ("lo", num lo);
+           ("len", num len);
+           ("vals", List (List.map (fun row -> List (List.map hex row)) vals));
+           ( "failed",
+             List
+               (List.concat
+                  (List.mapi
+                     (fun i -> function
+                       | None -> []
+                       | Some (attempts, e) ->
+                         [ Obj [ ("point", num (lo + i)); ("attempts", num attempts);
+                                 ("error", Awesym_error.to_json e) ] ])
+                     failed)) ) ]))
+
+let decode_record j =
+  match Engine.chunk_result_of_json (Lazy.force record_prep) j with
+  | r -> Ok (Engine.chunk_result_to_json r)
+  | exception Awesym_error.Error { kind = Awesym_error.Artifact_corrupt; message; _ } ->
+    Error message
+
+let prop_record_round_trip =
+  QCheck2.Test.make ~name:"chunk record codec round trip" ~count:200 gen_record (fun j ->
+      match decode_record j with
+      | Ok j' -> Obs.Json.to_string j' = Obs.Json.to_string j
+      | Error m -> QCheck2.Test.fail_report m)
+
+let prop_record_mutation =
+  Mutate.prop ~name:"mutated chunk records decode canonically or name the node" ~count:400
+    gen_record Fun.id decode_record
+
+(* Inputs that used to decode to another value: each names its path. *)
+let test_noncanonical_sweep_inputs () =
+  let json s = match Obs.Json.of_string s with Ok j -> j | Error m -> Alcotest.fail m in
+  let named what path = function
+    | Error m when Mutate.contains m path -> ()
+    | Error m -> Alcotest.failf "%s: error does not name %s: %s" what path m
+    | Ok _ -> Alcotest.failf "%s accepted" what
+  in
+  let prep = Lazy.force record_prep in
+  let record r = Engine.chunk_result_to_json (Engine.eval_chunk prep r) in
+  let edit j f = match j with Obs.Json.Obj kvs -> Obs.Json.Obj (f kvs) | _ -> j in
+  let r0 = record 0 in
+  named "lo 0.5" "$.lo:"
+    (decode_record
+       (edit r0 (List.map (function "lo", _ -> ("lo", Obs.Json.Num 0.5) | kv -> kv))));
+  named "unknown key" "$: unknown field"
+    (decode_record (edit r0 (fun kvs -> kvs @ [ ("extra", Obs.Json.Null) ])));
+  let failed kind =
+    edit r0
+      (List.map (function
+        | "failed", _ ->
+          ( "failed",
+            Obs.Json.List
+              [ json (Printf.sprintf
+                  {|{"point":3,"attempts":1,"error":{"kind":%S,"where":"w","message":"m"}}|} kind) ] )
+        | kv -> kv))
+  in
+  (match decode_record (failed "injected_fault") with
+  | Ok _ -> ()
+  | Error m -> Alcotest.failf "a known kind must decode: %s" m);
+  named "unknown error kind" "$.failed[0].error.kind:" (decode_record (failed "meltdown"));
+  named "corners plan with a wrong point count" "$: points 999"
+    (Plan.of_json
+       (json {|{"kind":"corners","points":999,"axes":[{"symbol":"C1","dist":{"kind":"uniform","lo":1,"hi":2}}]}|}));
+  named "stray dist parameter" "$.axes[0].dist: unknown field"
+    (Plan.of_json
+       (json {|{"kind":"monte-carlo","points":3,"axes":[{"symbol":"C1","dist":{"kind":"uniform","lo":1,"hi":2,"mean":1}}]}|}));
+  (* A checkpoint names the chunk inside the document. *)
+  let path = Filename.temp_file "awesym_ckpt" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let w = Engine.Checkpoint.writer prep ~path ~every:1 in
+  Engine.Checkpoint.add w (Engine.eval_chunk prep 1);
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  let rec letter i = if text.[i] >= 'a' && text.[i] <= 'f' then i else letter (i + 1) in
+  let i = letter (Mutate.find text {|"vals":|} + 7) in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (String.mapi (fun k c -> if k = i then 'F' else c) text));
+  named "upper-case checkpoint cell" "$.chunks[0].vals["
+    (match Engine.Checkpoint.load prep ~path with
+    | _ -> Ok ()
+    | exception Awesym_error.Error { kind = Awesym_error.Artifact_corrupt; message; _ } ->
+      Error message)
+
 (* A measure named twice is summarized once: the report is the one the
    sweep writes without the repeat, spec measures included. *)
 let test_engine_repeated_measure () =
@@ -746,4 +881,9 @@ let () =
             test_golden_rlc_order4_sweep;
           quick "chunk records accept only canonical hex" test_chunk_record_canonical_hex;
         ] );
+      ( "codec",
+        [ quick "non-canonical inputs name their path" test_noncanonical_sweep_inputs ]
+        @ List.map QCheck_alcotest.to_alcotest
+            [ prop_plan_round_trip; prop_plan_mutation; prop_dist_mutation;
+              prop_record_round_trip; prop_record_mutation ] );
     ]
