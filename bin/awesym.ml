@@ -125,13 +125,19 @@ let with_backend backend f =
 
 let with_obs (stats, trace) f =
   (* Every command body runs under this wrapper, so classified failures
-     from anywhere in the pipeline exit with one readable line instead of
-     an OCaml backtrace. *)
+     from anywhere in the pipeline, typed exceptions with a registered
+     classifier included, exit with one readable line instead of an OCaml
+     backtrace.  An exception nothing classifies is a bug: it keeps the
+     runtime's report and exit status. *)
   let f () =
     try f ()
-    with Awesym_error.Error e ->
-      prerr_endline ("awesym: error: " ^ Awesym_error.to_string e);
-      exit 1
+    with exn -> (
+      let bt = Printexc.get_raw_backtrace () in
+      match Awesym_error.classify exn with
+      | { kind = Internal; _ } -> Printexc.raise_with_backtrace exn bt
+      | e ->
+        prerr_endline ("awesym: error: " ^ Awesym_error.to_string e);
+        exit 1)
   in
   if not (stats || trace <> None) then f ()
   else begin

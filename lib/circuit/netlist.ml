@@ -1,14 +1,17 @@
 type output = Node of string | Diff of string * string
 
+module Names = Map.Make (String)
+
+(* [by_name] is persistent, so [add] and [replace] share all but a
+   logarithmic path with the netlist they extend. *)
 type t = {
   rev_elements : Element.t list;
-  by_name : (string, Element.t) Hashtbl.t;
+  by_name : Element.t Names.t;
   input_name : string option;
   out : output option;
 }
 
-let empty =
-  { rev_elements = []; by_name = Hashtbl.create 64; input_name = None; out = None }
+let empty = { rev_elements = []; by_name = Names.empty; input_name = None; out = None }
 
 let is_ground n = n = "0" || String.lowercase_ascii n = "gnd"
 
@@ -61,22 +64,23 @@ let compare_nodes a b =
   if a = b then 0 else go 0 0
 
 let add nl (e : Element.t) =
-  if Hashtbl.mem nl.by_name e.Element.name then
+  if Names.mem e.Element.name nl.by_name then
     invalid_arg (Printf.sprintf "Netlist.add: duplicate element %s" e.Element.name);
-  let by_name = Hashtbl.copy nl.by_name in
-  Hashtbl.add by_name e.Element.name e;
-  { nl with rev_elements = e :: nl.rev_elements; by_name }
+  {
+    nl with
+    rev_elements = e :: nl.rev_elements;
+    by_name = Names.add e.Element.name e nl.by_name;
+  }
 
 let add_all nl es = List.fold_left add nl es
 let with_input nl name = { nl with input_name = Some name }
 let with_output nl out = { nl with out = Some out }
 let elements nl = List.rev nl.rev_elements
-let find nl name = Hashtbl.find_opt nl.by_name name
+let find nl name = Names.find_opt name nl.by_name
 
 let replace nl (e : Element.t) =
-  if not (Hashtbl.mem nl.by_name e.Element.name) then raise Not_found;
-  let by_name = Hashtbl.copy nl.by_name in
-  Hashtbl.replace by_name e.Element.name e;
+  if not (Names.mem e.Element.name nl.by_name) then raise Not_found;
+  let by_name = Names.add e.Element.name e nl.by_name in
   {
     nl with
     rev_elements =
@@ -88,14 +92,13 @@ let replace nl (e : Element.t) =
   }
 
 let map_elements f nl =
-  let by_name = Hashtbl.create (Hashtbl.length nl.by_name) in
-  let rev_elements =
-    List.map
-      (fun e ->
-        let e' = f e in
-        Hashtbl.replace by_name e'.Element.name e';
-        e')
-      nl.rev_elements
+  let rev_elements = List.map f nl.rev_elements in
+  (* Newest first, so when [f] makes two names collide the oldest element
+     keeps the name, as it always has. *)
+  let by_name =
+    List.fold_left
+      (fun m (e : Element.t) -> Names.add e.Element.name e m)
+      Names.empty rev_elements
   in
   { nl with rev_elements; by_name }
 

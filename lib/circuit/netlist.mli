@@ -2,7 +2,8 @@
 
     Node names are free-form strings; ["0"] (and the aliases ["gnd"],
     ["GND"]) denote ground.  The netlist is an immutable value; [add] returns
-    an extended netlist. *)
+    an extended netlist.  Names are indexed in a persistent map, so {!add}
+    and {!find} cost O(log n) in the number of elements. *)
 
 type output =
   | Node of string  (** output = v(node) *)
@@ -28,7 +29,8 @@ val elements : t -> Element.t list
 
 val find : t -> string -> Element.t option
 val replace : t -> Element.t -> t
-(** Replace the element with the same name; raises [Not_found] if absent. *)
+(** Replace the element with the same name, keeping its position; raises
+    [Not_found] if absent.  O(n): the element list is rebuilt. *)
 
 val map_elements : (Element.t -> Element.t) -> t -> t
 

@@ -4,6 +4,13 @@
     ["10MEG"] is 1e7, bare scientific notation also parses. *)
 
 val parse : string -> float option
+(** A SPICE number: an optional sign, digits with at most one decimal
+    point, an optional exponent ([e], an optional sign, digits) and an
+    optional suffix.  [None] for anything else, including spellings OCaml
+    would read ([0x10], [0x1p10], [1_000], [inf], [nan]), for a value
+    that overflows ([1e999]) and for a nonzero literal that underflows to
+    zero ([1e-400]). *)
+
 val parse_exn : string -> float
 (** Raises [Failure] with a diagnostic on malformed input. *)
 

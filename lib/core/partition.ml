@@ -26,7 +26,8 @@ let make ?(extra_outputs = []) nl =
   Obs.Span.with_ ~name:"model.partition" @@ fun () ->
   let symbolic = Netlist.symbolic_elements nl in
   if symbolic = [] then
-    failwith "Partition.make: no symbolic elements in the netlist";
+    Awesym_error.raise_error Invalid_request ~where:"partition.make"
+      "no symbolic elements in the netlist (mark one with .symbolic)";
   let input = Netlist.input nl in
   (* Zero-valued extra sources are driveless — a 0-V source is a short, a
      0-A source an open — and show up routinely in linearized netlists
@@ -39,17 +40,14 @@ let make ?(extra_outputs = []) nl =
         && e.Element.name <> input.Element.name
         && e.Element.value <> 0.0
       then
-        failwith
-          (Printf.sprintf
-             "Partition.make: extra driving source %s (only the designated \
-              input is supported)"
-             e.Element.name))
+        Awesym_error.errorf Invalid_request ~where:"partition.make"
+          "extra driving source %s (only the designated input is supported)"
+          e.Element.name)
     (Netlist.elements nl);
   (match List.find_opt (fun ((e : Element.t), _) -> Element.is_source e) symbolic with
   | Some ((e : Element.t), _) ->
-    failwith
-      (Printf.sprintf "Partition.make: source %s cannot be symbolic"
-         e.Element.name)
+    Awesym_error.errorf Invalid_request ~where:"partition.make"
+      "source %s cannot be symbolic" e.Element.name
   | None -> ());
   let symbols =
     List.map snd symbolic

@@ -27,9 +27,11 @@ type t = private {
 }
 
 val make : ?extra_outputs:Circuit.Netlist.output list -> Circuit.Netlist.t -> t
-(** Raises [Failure] when the netlist has no symbolic elements, or contains
-    an independent source other than the designated input (superposition of
-    multiple sources is out of scope for the symbolic path).
+(** Raises [Awesym_error.Error] (kind [Invalid_request]) when the netlist
+    has no symbolic elements, marks a source symbolic, or contains a
+    driving independent source other than the designated input
+    (superposition of multiple sources is out of scope for the symbolic
+    path).
     [extra_outputs] forces additional observation nodes into the port set so
     a single partition can serve several outputs (see [Model.build_many]). *)
 

@@ -8,10 +8,11 @@ type health = {
   rcond : float;
 }
 
-(* Factors are stored packed in a single matrix: the strict lower triangle
-   holds L (unit diagonal implied), the upper triangle holds U.  [perm] maps
+(* Factors are stored packed in one flat row-major array of [n * n]
+   floats: the strict lower triangle holds L (unit diagonal implied), the
+   upper triangle holds U, entry (i, j) at [i * n + j].  [perm] maps
    factored row index -> original row index of the right-hand side. *)
-type t = { lu : Matrix.t; perm : int array; sign : float; health : health }
+type t = { lu : float array; perm : int array; sign : float; health : health }
 
 let size f = Array.length f.perm
 let health f = f.health
@@ -20,20 +21,18 @@ let health f = f.health
 let no_health =
   { dim = 0; pivot_min = 0.0; pivot_max = 0.0; growth = 1.0; rcond = 0.0 }
 
-(* Gaussian elimination with partial pivoting on a copy of [a]; the
-   factors' health is left to [factor]. *)
-let decompose a =
-  let n = Matrix.rows a in
-  if Matrix.cols a <> n then invalid_arg "Lu.factor: matrix not square";
-  let lu = Matrix.copy a in
+(* Gaussian elimination with partial pivoting, in place on [lu], the flat
+   row-major copy of an [n × n] matrix; the factors' health is left to
+   [factor]. *)
+let decompose n lu =
   let perm = Array.init n (fun i -> i) in
   let sign = ref 1.0 in
   for k = 0 to n - 1 do
     (* Partial pivoting: pick the largest magnitude entry in column k. *)
     let pivot_row = ref k in
-    let pivot_mag = ref (Float.abs (Matrix.get lu k k)) in
+    let pivot_mag = ref (Float.abs lu.((k * n) + k)) in
     for i = k + 1 to n - 1 do
-      let mag = Float.abs (Matrix.get lu i k) in
+      let mag = Float.abs lu.((i * n) + k) in
       if mag > !pivot_mag then begin
         pivot_mag := mag;
         pivot_row := i
@@ -41,23 +40,26 @@ let decompose a =
     done;
     if !pivot_mag = 0.0 then raise (Singular k);
     if !pivot_row <> k then begin
+      let rk = k * n and rp = !pivot_row * n in
       for j = 0 to n - 1 do
-        let tmp = Matrix.get lu k j in
-        Matrix.set lu k j (Matrix.get lu !pivot_row j);
-        Matrix.set lu !pivot_row j tmp
+        let tmp = lu.(rk + j) in
+        lu.(rk + j) <- lu.(rp + j);
+        lu.(rp + j) <- tmp
       done;
       let tmp = perm.(k) in
       perm.(k) <- perm.(!pivot_row);
       perm.(!pivot_row) <- tmp;
       sign := -. !sign
     end;
-    let pivot = Matrix.get lu k k in
+    let rk = k * n in
+    let pivot = lu.(rk + k) in
     for i = k + 1 to n - 1 do
-      let factor = Matrix.get lu i k /. pivot in
-      Matrix.set lu i k factor;
+      let ri = i * n in
+      let factor = lu.(ri + k) /. pivot in
+      lu.(ri + k) <- factor;
       if factor <> 0.0 then
         for j = k + 1 to n - 1 do
-          Matrix.set lu i j (Matrix.get lu i j -. (factor *. Matrix.get lu k j))
+          lu.(ri + j) <- lu.(ri + j) -. (factor *. lu.(rk + j))
         done
     done
   done;
@@ -67,26 +69,34 @@ let decompose a =
   end;
   { lu; perm; sign = !sign; health = no_health }
 
+let square_dim a =
+  let n = Matrix.rows a in
+  if Matrix.cols a <> n then invalid_arg "Lu.factor: matrix not square";
+  n
+
 let solve f b =
   let n = size f in
   if Array.length b <> n then invalid_arg "Lu.solve: size mismatch";
   if !Obs.enabled then Obs.Metrics.incr "lu.solve.count";
+  let lu = f.lu in
   let x = Array.init n (fun i -> b.(f.perm.(i))) in
   (* Forward substitution with unit lower triangle. *)
   for i = 1 to n - 1 do
+    let ri = i * n in
     let acc = ref x.(i) in
     for j = 0 to i - 1 do
-      acc := !acc -. (Matrix.get f.lu i j *. x.(j))
+      acc := !acc -. (lu.(ri + j) *. x.(j))
     done;
     x.(i) <- !acc
   done;
   (* Back substitution with upper triangle. *)
   for i = n - 1 downto 0 do
+    let ri = i * n in
     let acc = ref x.(i) in
     for j = i + 1 to n - 1 do
-      acc := !acc -. (Matrix.get f.lu i j *. x.(j))
+      acc := !acc -. (lu.(ri + j) *. x.(j))
     done;
-    x.(i) <- !acc /. Matrix.get f.lu i i
+    x.(i) <- !acc /. lu.(ri + i)
   done;
   x
 
@@ -95,18 +105,19 @@ let solve f b =
 let solve_transpose f b =
   let n = size f in
   if Array.length b <> n then invalid_arg "Lu.solve_transpose: size mismatch";
+  let lu = f.lu in
   let y = Array.copy b in
   for i = 0 to n - 1 do
     let acc = ref y.(i) in
     for j = 0 to i - 1 do
-      acc := !acc -. (Matrix.get f.lu j i *. y.(j))
+      acc := !acc -. (lu.((j * n) + i) *. y.(j))
     done;
-    y.(i) <- !acc /. Matrix.get f.lu i i
+    y.(i) <- !acc /. lu.((i * n) + i)
   done;
   for i = n - 1 downto 0 do
     let acc = ref y.(i) in
     for j = i + 1 to n - 1 do
-      acc := !acc -. (Matrix.get f.lu j i *. y.(j))
+      acc := !acc -. (lu.((j * n) + i) *. y.(j))
     done;
     y.(i) <- !acc
   done;
@@ -169,8 +180,8 @@ let estimate_rcond ~anorm f =
   end
 
 let factor a =
-  let n = Matrix.rows a in
-  if Matrix.cols a <> n then invalid_arg "Lu.factor: matrix not square";
+  let n = square_dim a in
+  let lu = Matrix.to_flat a in
   (* Pivot statistics drive the numeric-health reporting upstream: the
      min/max pivot ratio is a cheap condition estimate, element growth
      relative to the input flags unstable eliminations, and the 1-norm of
@@ -179,22 +190,23 @@ let factor a =
   for j = 0 to n - 1 do
     let col_sum = ref 0.0 in
     for i = 0 to n - 1 do
-      let mag = Float.abs (Matrix.get a i j) in
+      let mag = Float.abs lu.((i * n) + j) in
       max_a := Float.max !max_a mag;
       col_sum := !col_sum +. mag
     done;
     anorm := Float.max !anorm !col_sum
   done;
-  let f = decompose a in
+  let f = decompose n lu in
   let pivot_min = ref Float.infinity in
   let pivot_max = ref 0.0 in
   let max_u = ref 0.0 in
   for i = 0 to n - 1 do
-    let d = Float.abs (Matrix.get f.lu i i) in
+    let ri = i * n in
+    let d = Float.abs lu.(ri + i) in
     pivot_min := Float.min !pivot_min d;
     pivot_max := Float.max !pivot_max d;
     for j = i to n - 1 do
-      max_u := Float.max !max_u (Float.abs (Matrix.get f.lu i j))
+      max_u := Float.max !max_u (Float.abs lu.(ri + j))
     done
   done;
   let health =
@@ -224,13 +236,13 @@ let det f =
   let n = size f in
   let d = ref f.sign in
   for i = 0 to n - 1 do
-    d := !d *. Matrix.get f.lu i i
+    d := !d *. f.lu.((i * n) + i)
   done;
   !d
 
 let inverse f = solve_matrix f (Matrix.identity (size f))
 
-let solve_dense a b = solve (decompose a) b
+let solve_dense a b = solve (decompose (square_dim a) (Matrix.to_flat a)) b
 
 (* Taxonomy bridge: existing callers (and tests) match [Singular]
    directly, so the exception stays; the classifier lets policy layers

@@ -2,7 +2,13 @@
 
     A factorization is computed once and reused for many right-hand sides —
     the access pattern AWE moment generation depends on (one factor of the MNA
-    conductance matrix, one triangular solve per moment). *)
+    conductance matrix, one triangular solve per moment).
+
+    The factors live in one flat row-major [float array] that every
+    routine indexes directly, bounds checks kept, rather than through
+    {!Matrix.get}, whose cross-module call boxes each float it returns.
+    Every entry is computed in the textbook loop order, so the bits are
+    those of the same elimination written over {!Matrix.get}. *)
 
 type t
 

@@ -51,6 +51,7 @@ let to_arrays m =
   Array.init m.nrows (fun i ->
       Array.init m.ncols (fun j -> m.data.((i * m.ncols) + j)))
 
+let to_flat m = Array.copy m.data
 let copy m = { m with data = Array.copy m.data }
 
 let transpose m = init m.ncols m.nrows (fun i j -> get m j i)

@@ -18,6 +18,9 @@ val of_arrays : float array array -> t
 
 val to_arrays : t -> float array array
 
+val to_flat : t -> float array
+(** A row-major copy of the entries: entry [(i, j)] is at [i * cols + j]. *)
+
 val rows : t -> int
 val cols : t -> int
 

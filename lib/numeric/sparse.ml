@@ -76,7 +76,12 @@ let fill_in_count f =
   lu_nnz - f.a_nnz
 
 (* Elimination uses a scattered workspace per pivot row: [work] holds the
-   current values of the active row, [pattern] its non-zero columns. *)
+   current values of the active row, [pattern] its non-zero columns.
+
+   Rows not yet pivoted sit in a bucket keyed by their leading column, so
+   step k's pivot search and elimination visit only the rows that carry
+   column k, not every remaining row.  A row that elimination empties
+   joins no bucket. *)
 let factor (m : t) =
   let n = m.n in
   let a_nnz = nnz m in
@@ -88,8 +93,18 @@ let factor (m : t) =
   in
   (* Mutable row table: rows still to be eliminated, as sorted arrays. *)
   let rows = Array.map Array.copy m.rows in
-  (* Which physical row currently sits at each elimination position. *)
+  (* Which physical row currently sits at each elimination position, and
+     the inverse map. *)
   let row_of_pos = Array.init n (fun i -> i) in
+  let pos_of_row = Array.init n (fun i -> i) in
+  let bucket = Array.make n [] in
+  for ri = n - 1 downto 0 do
+    let row = rows.(ri) in
+    if Array.length row > 0 then begin
+      let j0 = fst row.(0) in
+      bucket.(j0) <- ri :: bucket.(j0)
+    end
+  done;
   (* Multipliers belong to the physical row: later pivot swaps move the
      whole row, multipliers included, so L is keyed physically and only
      reordered into pivot positions at the end. *)
@@ -98,69 +113,79 @@ let factor (m : t) =
   let work = Array.make n 0.0 in
   let touched = Array.make n false in
   for k = 0 to n - 1 do
-    (* Partial pivoting: among remaining rows, the largest |value| in
-       column k. *)
+    let carriers = bucket.(k) in
+    bucket.(k) <- [];
+    (* Partial pivoting: among the rows that carry column k, the largest
+       |value|, ties to the earliest position.  A zero or NaN entry never
+       compares larger than 0, so it never pivots. *)
     let best = ref (-1) in
     let best_mag = ref 0.0 in
-    for pos = k to n - 1 do
-      let row = rows.(row_of_pos.(pos)) in
-      (* Sorted rows: entries below column k were already eliminated. *)
-      if Array.length row > 0 then begin
-        let j0, v0 = row.(0) in
-        if j0 = k && Float.abs v0 > !best_mag then begin
-          best_mag := Float.abs v0;
+    List.iter
+      (fun ri ->
+        let mag = Float.abs (snd rows.(ri).(0)) in
+        let pos = pos_of_row.(ri) in
+        if mag > !best_mag || (!best >= 0 && mag = !best_mag && pos < !best)
+        then begin
+          best_mag := mag;
           best := pos
-        end
-      end
-    done;
+        end)
+      carriers;
     if !best < 0 then raise (Singular k);
     if !best <> k then begin
       let tmp = row_of_pos.(k) in
       row_of_pos.(k) <- row_of_pos.(!best);
-      row_of_pos.(!best) <- tmp
+      row_of_pos.(!best) <- tmp;
+      pos_of_row.(row_of_pos.(k)) <- k;
+      pos_of_row.(tmp) <- !best
     end;
-    let pivot_row = rows.(row_of_pos.(k)) in
+    let pivot_ri = row_of_pos.(k) in
+    let pivot_row = rows.(pivot_ri) in
     u_rows.(k) <- pivot_row;
     let pivot = snd pivot_row.(0) in
-    (* Eliminate column k from every remaining row that carries it. *)
-    for pos = k + 1 to n - 1 do
-      let ri = row_of_pos.(pos) in
-      let row = rows.(ri) in
-      if Array.length row > 0 && fst row.(0) = k then begin
-        let factor = snd row.(0) /. pivot in
-        (* Scatter the row (beyond column k). *)
-        let pattern = ref [] in
-        Array.iter
-          (fun (j, v) ->
-            if j > k then begin
-              work.(j) <- v;
-              touched.(j) <- true;
-              pattern := j :: !pattern
-            end)
-          row;
-        (* Subtract factor × pivot row. *)
-        Array.iter
-          (fun (j, v) ->
-            if j > k then begin
-              if not touched.(j) then begin
+    (* Eliminate column k from every other row that carries it. *)
+    List.iter
+      (fun ri ->
+        if ri <> pivot_ri then begin
+          let row = rows.(ri) in
+          let factor = snd row.(0) /. pivot in
+          (* Scatter the row (beyond column k). *)
+          let pattern = ref [] in
+          Array.iter
+            (fun (j, v) ->
+              if j > k then begin
+                work.(j) <- v;
                 touched.(j) <- true;
-                work.(j) <- 0.0;
                 pattern := j :: !pattern
-              end;
-              work.(j) <- work.(j) -. (factor *. v)
-            end)
-          pivot_row;
-        let cols = List.sort Int.compare !pattern in
-        let out = ref [] in
-        List.iter
-          (fun j ->
-            if work.(j) <> 0.0 then out := (j, work.(j)) :: !out;
-            touched.(j) <- false)
-          cols;
-        rows.(ri) <- Array.of_list (List.rev !out);
-        l_phys.(ri) <- (k, factor) :: l_phys.(ri)
-      end
-    done
+              end)
+            row;
+          (* Subtract factor × pivot row. *)
+          Array.iter
+            (fun (j, v) ->
+              if j > k then begin
+                if not touched.(j) then begin
+                  touched.(j) <- true;
+                  work.(j) <- 0.0;
+                  pattern := j :: !pattern
+                end;
+                work.(j) <- work.(j) -. (factor *. v)
+              end)
+            pivot_row;
+          let cols = List.sort Int.compare !pattern in
+          let out = ref [] in
+          List.iter
+            (fun j ->
+              if work.(j) <> 0.0 then out := (j, work.(j)) :: !out;
+              touched.(j) <- false)
+            cols;
+          let row = Array.of_list (List.rev !out) in
+          rows.(ri) <- row;
+          l_phys.(ri) <- (k, factor) :: l_phys.(ri);
+          if Array.length row > 0 then begin
+            let j0 = fst row.(0) in
+            bucket.(j0) <- ri :: bucket.(j0)
+          end
+        end)
+      carriers
   done;
   let l_rows =
     Array.map (fun ri -> Array.of_list (List.rev l_phys.(ri))) row_of_pos
@@ -232,6 +257,8 @@ let solve f b =
   x
 
 let fill_in = fill_in_count
+let factors f =
+  (Array.copy f.perm, Array.map Array.copy f.l_rows, Array.map Array.copy f.u_rows)
 
 (* Taxonomy bridge (see Lu). *)
 let () =

@@ -566,45 +566,105 @@ let run_block p preload regs inputs outs lo len =
      this eval so firing is schedule-independent. *)
   Runtime.Fault.cut "slp.eval_batch" ~key:lo;
   Array.iter (fun r -> Array.fill regs.(r) 0 len p.init.(r)) preload;
+  (* Every lane loop runs four lanes an iteration, then a scalar tail.
+     Each lane still computes its own scalar operation, so the bits do not
+     change; the unrolled body keeps the loop's speed independent of where
+     the code lands in the binary. *)
+  let quads = len lsr 2 and tail = len land lnot 3 in
   Array.iter
     (fun instr ->
       match instr with
       | Load_input (r, slot) -> Array.blit inputs.(slot) lo regs.(r) 0 len
       | Add (r, a, b) ->
         let d = regs.(r) and x = regs.(a) and y = regs.(b) in
-        for i = 0 to len - 1 do
+        for q = 0 to quads - 1 do
+          let i = q lsl 2 in
+          Array.unsafe_set d i (Array.unsafe_get x i +. Array.unsafe_get y i);
+          Array.unsafe_set d (i + 1)
+            (Array.unsafe_get x (i + 1) +. Array.unsafe_get y (i + 1));
+          Array.unsafe_set d (i + 2)
+            (Array.unsafe_get x (i + 2) +. Array.unsafe_get y (i + 2));
+          Array.unsafe_set d (i + 3)
+            (Array.unsafe_get x (i + 3) +. Array.unsafe_get y (i + 3))
+        done;
+        for i = tail to len - 1 do
           Array.unsafe_set d i (Array.unsafe_get x i +. Array.unsafe_get y i)
         done
       | Mul (r, a, b) ->
         let d = regs.(r) and x = regs.(a) and y = regs.(b) in
-        for i = 0 to len - 1 do
+        for q = 0 to quads - 1 do
+          let i = q lsl 2 in
+          Array.unsafe_set d i (Array.unsafe_get x i *. Array.unsafe_get y i);
+          Array.unsafe_set d (i + 1)
+            (Array.unsafe_get x (i + 1) *. Array.unsafe_get y (i + 1));
+          Array.unsafe_set d (i + 2)
+            (Array.unsafe_get x (i + 2) *. Array.unsafe_get y (i + 2));
+          Array.unsafe_set d (i + 3)
+            (Array.unsafe_get x (i + 3) *. Array.unsafe_get y (i + 3))
+        done;
+        for i = tail to len - 1 do
           Array.unsafe_set d i (Array.unsafe_get x i *. Array.unsafe_get y i)
         done
       | Neg (r, a) ->
         let d = regs.(r) and x = regs.(a) in
-        for i = 0 to len - 1 do
+        for q = 0 to quads - 1 do
+          let i = q lsl 2 in
+          Array.unsafe_set d i (-.(Array.unsafe_get x i));
+          Array.unsafe_set d (i + 1) (-.(Array.unsafe_get x (i + 1)));
+          Array.unsafe_set d (i + 2) (-.(Array.unsafe_get x (i + 2)));
+          Array.unsafe_set d (i + 3) (-.(Array.unsafe_get x (i + 3)))
+        done;
+        for i = tail to len - 1 do
           Array.unsafe_set d i (-.(Array.unsafe_get x i))
         done
       | Inv (r, a) ->
         let d = regs.(r) and x = regs.(a) in
-        for i = 0 to len - 1 do
+        for q = 0 to quads - 1 do
+          let i = q lsl 2 in
+          Array.unsafe_set d i (1.0 /. Array.unsafe_get x i);
+          Array.unsafe_set d (i + 1) (1.0 /. Array.unsafe_get x (i + 1));
+          Array.unsafe_set d (i + 2) (1.0 /. Array.unsafe_get x (i + 2));
+          Array.unsafe_set d (i + 3) (1.0 /. Array.unsafe_get x (i + 3))
+        done;
+        for i = tail to len - 1 do
           Array.unsafe_set d i (1.0 /. Array.unsafe_get x i)
         done
       | Sqrt (r, a) ->
         let d = regs.(r) and x = regs.(a) in
-        for i = 0 to len - 1 do
+        for q = 0 to quads - 1 do
+          let i = q lsl 2 in
+          Array.unsafe_set d i (Float.sqrt (Array.unsafe_get x i));
+          Array.unsafe_set d (i + 1) (Float.sqrt (Array.unsafe_get x (i + 1)));
+          Array.unsafe_set d (i + 2) (Float.sqrt (Array.unsafe_get x (i + 2)));
+          Array.unsafe_set d (i + 3) (Float.sqrt (Array.unsafe_get x (i + 3)))
+        done;
+        for i = tail to len - 1 do
           Array.unsafe_set d i (Float.sqrt (Array.unsafe_get x i))
         done
       | Exp (r, a) ->
         let d = regs.(r) and x = regs.(a) in
-        for i = 0 to len - 1 do
+        for q = 0 to quads - 1 do
+          let i = q lsl 2 in
+          Array.unsafe_set d i (Float.exp (Array.unsafe_get x i));
+          Array.unsafe_set d (i + 1) (Float.exp (Array.unsafe_get x (i + 1)));
+          Array.unsafe_set d (i + 2) (Float.exp (Array.unsafe_get x (i + 2)));
+          Array.unsafe_set d (i + 3) (Float.exp (Array.unsafe_get x (i + 3)))
+        done;
+        for i = tail to len - 1 do
           Array.unsafe_set d i (Float.exp (Array.unsafe_get x i))
         done)
     p.instrs;
   Array.iteri
     (fun k r ->
       let x = regs.(r) and y = outs.(k) in
-      for i = 0 to len - 1 do
+      for q = 0 to quads - 1 do
+        let i = q lsl 2 in
+        Array.unsafe_set y (lo + i) (canonical (Array.unsafe_get x i));
+        Array.unsafe_set y (lo + i + 1) (canonical (Array.unsafe_get x (i + 1)));
+        Array.unsafe_set y (lo + i + 2) (canonical (Array.unsafe_get x (i + 2)));
+        Array.unsafe_set y (lo + i + 3) (canonical (Array.unsafe_get x (i + 3)))
+      done;
+      for i = tail to len - 1 do
         Array.unsafe_set y (lo + i) (canonical (Array.unsafe_get x i))
       done)
     p.outputs

@@ -33,7 +33,11 @@ let test_units_reject () =
     (fun s ->
       if Option.is_some (Units.parse s) then
         Alcotest.failf "should not parse %S" s)
-    [ ""; "abc"; "1.2.3k"; "nan-ish" ]
+    [ ""; "abc"; "1.2.3k"; "nan-ish";
+      (* Spellings OCaml's float_of_string reads but SPICE does not. *)
+      "0x10"; "0x1p10"; "1_000"; "infinity"; "1e";
+      (* Overflow, and a nonzero literal that underflows to zero. *)
+      "1e999"; "1e308t"; "1e-400"; "1e-320f" ]
 
 let test_units_roundtrip () =
   List.iter
@@ -62,6 +66,120 @@ let test_netlist_duplicate () =
   match Netlist.add nl r with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "duplicate name accepted"
+
+(* Model-based check of the netlist's name index: random sequences of
+   [add], [replace], [mark_symbolic] and [map_elements] against a plain
+   list of elements in insertion order, where [find] is the first element
+   with the name.  Renaming maps let names collide, and the oldest element
+   must then keep the name. *)
+type netlist_op =
+  | Op_add of int * float
+  | Op_replace of int * float
+  | Op_mark of int * int
+  | Op_map of int
+
+let prop_netlist_matches_list_model =
+  let names = 6 in
+  let name k = Printf.sprintf "R%d" k in
+  let resistor ?symbol k value =
+    Element.make ?symbol ~name:(name k) ~kind:Element.Resistor ~pos:"a" ~neg:"b" ~value ()
+  in
+  let sym k = Symbolic.Symbol.intern (Printf.sprintf "s%d" k) in
+  (* Map 0 is the identity, 1 doubles every value, 2 halves every index
+     in a name (so R2 and R3 both become R1). *)
+  let map_fn = function
+    | 0 -> Fun.id
+    | 1 -> fun (e : Element.t) -> Element.with_value e (2.0 *. e.Element.value)
+    | _ ->
+      fun (e : Element.t) ->
+        let n = e.Element.name in
+        let k = int_of_string (String.sub n 1 (String.length n - 1)) in
+        Element.make ?symbol:e.Element.symbol ~name:(name (k / 2)) ~kind:e.Element.kind
+          ~pos:e.Element.pos ~neg:e.Element.neg ~value:e.Element.value ()
+  in
+  let gen =
+    QCheck2.Gen.(
+      let idx = int_range 0 (names - 1) and value = float_range 1.0 100.0 in
+      list_size (int_range 0 40)
+        (frequency
+           [
+             (5, map2 (fun k v -> Op_add (k, v)) idx value);
+             (2, map2 (fun k v -> Op_replace (k, v)) idx value);
+             (2, map2 (fun k s -> Op_mark (k, s)) idx (int_range 0 2));
+             (1, map (fun f -> Op_map f) (int_range 0 2));
+           ]))
+  in
+  let print ops =
+    String.concat "; "
+      (List.map
+         (function
+           | Op_add (k, v) -> Printf.sprintf "add R%d %g" k v
+           | Op_replace (k, v) -> Printf.sprintf "replace R%d %g" k v
+           | Op_mark (k, s) -> Printf.sprintf "mark R%d s%d" k s
+           | Op_map f -> Printf.sprintf "map %d" f)
+         ops)
+  in
+  let sig_of (e : Element.t) =
+    (e.Element.name, e.Element.value, Option.map Symbolic.Symbol.name e.Element.symbol)
+  in
+  let find_model model n =
+    List.find_opt (fun (e : Element.t) -> e.Element.name = n) model
+  in
+  let replace_model model (e : Element.t) =
+    List.map
+      (fun (old : Element.t) -> if old.Element.name = e.Element.name then e else old)
+      model
+  in
+  let fail = QCheck2.Test.fail_reportf in
+  QCheck2.Test.make ~name:"netlist index ≡ list model" ~count:500 ~print gen (fun ops ->
+      let step (nl, model) op =
+        match op with
+        | Op_add (k, v) -> (
+          let e = resistor k v in
+          match Netlist.add nl e with
+          | nl' ->
+            if find_model model (name k) <> None then fail "add accepted duplicate R%d" k;
+            (nl', model @ [ e ])
+          | exception Invalid_argument _ ->
+            if find_model model (name k) = None then fail "add rejected fresh R%d" k;
+            (nl, model))
+        | Op_replace (k, v) -> (
+          let e = resistor k v in
+          match Netlist.replace nl e with
+          | nl' ->
+            if find_model model (name k) = None then fail "replace found absent R%d" k;
+            (nl', replace_model model e)
+          | exception Not_found ->
+            if find_model model (name k) <> None then fail "replace missed R%d" k;
+            (nl, model))
+        | Op_mark (k, s) -> (
+          match Netlist.mark_symbolic nl (name k) (sym s) with
+          | nl' -> (
+            match find_model model (name k) with
+            | Some e -> (nl', replace_model model (Element.with_symbol e (sym s)))
+            | None -> fail "mark found absent R%d" k)
+          | exception Not_found ->
+            if find_model model (name k) <> None then fail "mark missed R%d" k;
+            (nl, model))
+        | Op_map f -> (Netlist.map_elements (map_fn f) nl, List.map (map_fn f) model)
+      in
+      let agree (nl, model) =
+        List.map sig_of (Netlist.elements nl) = List.map sig_of model
+        && List.for_all
+             (fun k ->
+               Option.map sig_of (Netlist.find nl (name k))
+               = Option.map sig_of (find_model model (name k)))
+             (List.init names Fun.id)
+      in
+      let _ =
+        List.fold_left
+          (fun state op ->
+            let state = step state op in
+            if not (agree state) then fail "diverged after %s" (print [ op ]);
+            state)
+          (Netlist.empty, []) ops
+      in
+      true)
 
 let test_netlist_nodes () =
   let nl = Builders.fig1 () in
@@ -470,6 +588,7 @@ let () =
         [
           quick "element validation" test_element_validation;
           quick "duplicate names rejected" test_netlist_duplicate;
+          QCheck_alcotest.to_alcotest prop_netlist_matches_list_model;
           quick "node collection" test_netlist_nodes;
           quick "natural node order" test_natural_node_order;
           quick "stats" test_netlist_stats;

@@ -59,8 +59,10 @@ let test_partition_opamp () =
 
 let test_partition_no_symbols () =
   match Partition.make (Builders.fig1 ()) with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "expected failure without symbolic elements"
+  | exception Awesym_error.Error { kind = Invalid_request; where = "partition.make"; _ }
+    ->
+    ()
+  | _ -> Alcotest.fail "expected an invalid_request error without symbolic elements"
 
 let test_partition_shared_symbol () =
   (* Two elements sharing one symbol: one symbol, both elements symbolic. *)

@@ -365,6 +365,475 @@ let prop_sparse_circuit_matrices =
         xs xd)
 
 (* ------------------------------------------------------------------ *)
+(* Reference copies of both factorizations as they stood before their
+   same-bits rewrites: the sparse pivot search scanning every remaining
+   row, and the dense factors read through [Matrix.get].  The library
+   must agree with them bit for bit, Singular column included. *)
+
+let bits = Int64.bits_of_float
+let bits_array = Array.map bits
+let bits_rows = Array.map (Array.map (fun (j, v) -> (j, bits v)))
+
+let health_bits (h : Lu.health) =
+  (h.Lu.dim, bits h.Lu.pivot_min, bits h.Lu.pivot_max, bits h.Lu.growth, bits h.Lu.rcond)
+
+module Ref_sparse = struct
+  (* The rows [Sparse] stores: sorted, exact zeros dropped. *)
+  let rows_of m =
+    let d = Sparse.to_dense m in
+    let n = Matrix.rows d in
+    Array.init n (fun i ->
+        List.init n Fun.id
+        |> List.filter_map (fun j ->
+               let v = Matrix.get d i j in
+               if v <> 0.0 then Some (j, v) else None)
+        |> Array.of_list)
+
+  let factor rows0 =
+    let n = Array.length rows0 in
+    let max_a =
+      Array.fold_left
+        (fun acc row ->
+          Array.fold_left (fun acc (_, v) -> Float.max acc (Float.abs v)) acc row)
+        0.0 rows0
+    in
+    let rows = Array.map Array.copy rows0 in
+    let row_of_pos = Array.init n (fun i -> i) in
+    let l_phys = Array.make n [] in
+    let u_rows = Array.make n [||] in
+    let work = Array.make n 0.0 in
+    let touched = Array.make n false in
+    for k = 0 to n - 1 do
+      let best = ref (-1) in
+      let best_mag = ref 0.0 in
+      for pos = k to n - 1 do
+        let row = rows.(row_of_pos.(pos)) in
+        if Array.length row > 0 then begin
+          let j0, v0 = row.(0) in
+          if j0 = k && Float.abs v0 > !best_mag then begin
+            best_mag := Float.abs v0;
+            best := pos
+          end
+        end
+      done;
+      if !best < 0 then raise (Sparse.Singular k);
+      if !best <> k then begin
+        let tmp = row_of_pos.(k) in
+        row_of_pos.(k) <- row_of_pos.(!best);
+        row_of_pos.(!best) <- tmp
+      end;
+      let pivot_row = rows.(row_of_pos.(k)) in
+      u_rows.(k) <- pivot_row;
+      let pivot = snd pivot_row.(0) in
+      for pos = k + 1 to n - 1 do
+        let ri = row_of_pos.(pos) in
+        let row = rows.(ri) in
+        if Array.length row > 0 && fst row.(0) = k then begin
+          let factor = snd row.(0) /. pivot in
+          let pattern = ref [] in
+          Array.iter
+            (fun (j, v) ->
+              if j > k then begin
+                work.(j) <- v;
+                touched.(j) <- true;
+                pattern := j :: !pattern
+              end)
+            row;
+          Array.iter
+            (fun (j, v) ->
+              if j > k then begin
+                if not touched.(j) then begin
+                  touched.(j) <- true;
+                  work.(j) <- 0.0;
+                  pattern := j :: !pattern
+                end;
+                work.(j) <- work.(j) -. (factor *. v)
+              end)
+            pivot_row;
+          let cols = List.sort Int.compare !pattern in
+          let out = ref [] in
+          List.iter
+            (fun j ->
+              if work.(j) <> 0.0 then out := (j, work.(j)) :: !out;
+              touched.(j) <- false)
+            cols;
+          rows.(ri) <- Array.of_list (List.rev !out);
+          l_phys.(ri) <- (k, factor) :: l_phys.(ri)
+        end
+      done
+    done;
+    let l_rows = Array.map (fun ri -> Array.of_list (List.rev l_phys.(ri))) row_of_pos in
+    let pivot_min = ref Float.infinity in
+    let pivot_max = ref 0.0 in
+    let max_u = ref 0.0 in
+    Array.iteri
+      (fun k row ->
+        Array.iter
+          (fun (j, v) ->
+            let mag = Float.abs v in
+            max_u := Float.max !max_u mag;
+            if j = k then begin
+              pivot_min := Float.min !pivot_min mag;
+              pivot_max := Float.max !pivot_max mag
+            end)
+          row)
+      u_rows;
+    let growth = if max_a > 0.0 then !max_u /. max_a else 1.0 in
+    let pivot_min = if n = 0 then 0.0 else !pivot_min in
+    let health =
+      {
+        Lu.dim = n;
+        pivot_min;
+        pivot_max = !pivot_max;
+        growth;
+        rcond =
+          (if n = 0 then 1.0
+           else if !pivot_max > 0.0 && Float.is_finite growth then
+             pivot_min /. !pivot_max /. Float.max 1.0 growth
+           else 0.0);
+      }
+    in
+    (row_of_pos, l_rows, u_rows, health)
+
+  let solve (perm, l_rows, u_rows) b =
+    let n = Array.length perm in
+    let x = Array.init n (fun pos -> b.(perm.(pos))) in
+    for i = 0 to n - 1 do
+      let acc = ref x.(i) in
+      Array.iter (fun (j, v) -> acc := !acc -. (v *. x.(j))) l_rows.(i);
+      x.(i) <- !acc
+    done;
+    for i = n - 1 downto 0 do
+      let row = u_rows.(i) in
+      let acc = ref x.(i) in
+      let diag = ref 0.0 in
+      Array.iter
+        (fun (j, v) -> if j = i then diag := v else acc := !acc -. (v *. x.(j)))
+        row;
+      x.(i) <- !acc /. !diag
+    done;
+    x
+end
+
+(* Random sparse matrices built to stress the pivot choice: entries drawn
+   mostly from a few equal magnitudes (so pivot ties are common), NaN
+   entries, an optional emptied row and column (structurally singular),
+   and a usually present diagonal so that about a third of the draws
+   factor; the rest must fail at the same column. *)
+let prop_sparse_factor_matches_reference =
+  let gen =
+    QCheck2.Gen.(
+      let* n = int_range 1 12 in
+      let index = int_range 0 (n - 1) in
+      let value =
+        frequency
+          [ (3, oneofl [ 1.0; -1.0; 2.0; -2.0; 0.5; -0.5 ]); (1, float_range (-3.0) 3.0) ]
+      in
+      let* entries = list_size (int_range 0 (4 * n)) (triple index index value) in
+      (* One NaN poisons every row it is eliminated into, so at most one. *)
+      let* nan = option ~ratio:0.3 (map2 (fun i j -> (i, j, Float.nan)) index index) in
+      let* diag =
+        option ~ratio:0.75
+          (array_size (return n) (oneofl [ 1.0; -1.0; 2.0; -2.0; 0.5; -0.5 ]))
+      in
+      let emptied = frequency [ (3, return (-1)); (1, int_range 0 (n - 1)) ] in
+      let* empty_row = emptied and* empty_col = emptied in
+      let* rhs = array_size (return n) (float_range (-5.0) 5.0) in
+      return (n, Option.to_list nan @ entries, diag, empty_row, empty_col, rhs))
+  in
+  let print (n, entries, diag, er, ec, _) =
+    Printf.sprintf "n=%d empty_row=%d empty_col=%d diag=%s entries=[%s]" n er ec
+      (match diag with
+      | None -> "none"
+      | Some d -> String.concat ";" (Array.to_list (Array.map (Printf.sprintf "%h") d)))
+      (String.concat "; "
+         (List.map (fun (i, j, v) -> Printf.sprintf "(%d,%d,%h)" i j v) entries))
+  in
+  QCheck2.Test.make ~name:"bucketed sparse LU ≡ row-scanning reference, bit for bit"
+    ~count:1000 ~print gen (fun (n, entries, diag, er, ec, rhs) ->
+      let diag =
+        match diag with
+        | None -> []
+        | Some d -> List.init n (fun i -> (i, i, d.(i)))
+      in
+      let entries =
+        List.filter (fun (i, j, _) -> i <> er && j <> ec) (diag @ entries)
+      in
+      let m = Sparse.of_entries n entries in
+      let expect =
+        match Ref_sparse.factor (Ref_sparse.rows_of m) with
+        | exception Sparse.Singular k -> Error k
+        | perm, l, u, h ->
+          let lu_nnz rows = Array.fold_left (fun acc r -> acc + Array.length r) 0 rows in
+          Ok
+            ( (perm, bits_rows l, bits_rows u),
+              lu_nnz l + lu_nnz u - Sparse.nnz m,
+              health_bits h,
+              bits_array (Ref_sparse.solve (perm, l, u) rhs) )
+      in
+      let got =
+        match Sparse.factor m with
+        | exception Sparse.Singular k -> Error k
+        | f ->
+          let perm, l, u = Sparse.factors f in
+          Ok
+            ( (perm, bits_rows l, bits_rows u),
+              Sparse.fill_in f,
+              health_bits (Sparse.health f),
+              bits_array (Sparse.solve f rhs) )
+      in
+      got = expect)
+
+module Ref_lu = struct
+  type t = { lu : Matrix.t; perm : int array; sign : float; health : Lu.health }
+
+  let no_health =
+    { Lu.dim = 0; pivot_min = 0.0; pivot_max = 0.0; growth = 1.0; rcond = 0.0 }
+  let size f = Array.length f.perm
+
+  let decompose a =
+    let n = Matrix.rows a in
+    let lu = Matrix.copy a in
+    let perm = Array.init n (fun i -> i) in
+    let sign = ref 1.0 in
+    for k = 0 to n - 1 do
+      let pivot_row = ref k in
+      let pivot_mag = ref (Float.abs (Matrix.get lu k k)) in
+      for i = k + 1 to n - 1 do
+        let mag = Float.abs (Matrix.get lu i k) in
+        if mag > !pivot_mag then begin
+          pivot_mag := mag;
+          pivot_row := i
+        end
+      done;
+      if !pivot_mag = 0.0 then raise (Lu.Singular k);
+      if !pivot_row <> k then begin
+        for j = 0 to n - 1 do
+          let tmp = Matrix.get lu k j in
+          Matrix.set lu k j (Matrix.get lu !pivot_row j);
+          Matrix.set lu !pivot_row j tmp
+        done;
+        let tmp = perm.(k) in
+        perm.(k) <- perm.(!pivot_row);
+        perm.(!pivot_row) <- tmp;
+        sign := -. !sign
+      end;
+      let pivot = Matrix.get lu k k in
+      for i = k + 1 to n - 1 do
+        let factor = Matrix.get lu i k /. pivot in
+        Matrix.set lu i k factor;
+        if factor <> 0.0 then
+          for j = k + 1 to n - 1 do
+            Matrix.set lu i j (Matrix.get lu i j -. (factor *. Matrix.get lu k j))
+          done
+      done
+    done;
+    { lu; perm; sign = !sign; health = no_health }
+
+  let solve f b =
+    let n = size f in
+    let x = Array.init n (fun i -> b.(f.perm.(i))) in
+    for i = 1 to n - 1 do
+      let acc = ref x.(i) in
+      for j = 0 to i - 1 do
+        acc := !acc -. (Matrix.get f.lu i j *. x.(j))
+      done;
+      x.(i) <- !acc
+    done;
+    for i = n - 1 downto 0 do
+      let acc = ref x.(i) in
+      for j = i + 1 to n - 1 do
+        acc := !acc -. (Matrix.get f.lu i j *. x.(j))
+      done;
+      x.(i) <- !acc /. Matrix.get f.lu i i
+    done;
+    x
+
+  let solve_transpose f b =
+    let n = size f in
+    let y = Array.copy b in
+    for i = 0 to n - 1 do
+      let acc = ref y.(i) in
+      for j = 0 to i - 1 do
+        acc := !acc -. (Matrix.get f.lu j i *. y.(j))
+      done;
+      y.(i) <- !acc /. Matrix.get f.lu i i
+    done;
+    for i = n - 1 downto 0 do
+      let acc = ref y.(i) in
+      for j = i + 1 to n - 1 do
+        acc := !acc -. (Matrix.get f.lu j i *. y.(j))
+      done;
+      y.(i) <- !acc
+    done;
+    let x = Array.make n 0.0 in
+    for i = 0 to n - 1 do
+      x.(f.perm.(i)) <- y.(i)
+    done;
+    x
+
+  let estimate_rcond ~anorm f =
+    let n = size f in
+    if n = 0 then 1.0
+    else if anorm <= 0.0 || not (Float.is_finite anorm) then 0.0
+    else begin
+      let x = Array.make n (1.0 /. float_of_int n) in
+      let est = ref 0.0 in
+      let continue = ref true in
+      let iter = ref 0 in
+      while !continue && !iter < 5 do
+        incr iter;
+        let y = solve f x in
+        let e = Array.fold_left (fun acc v -> acc +. Float.abs v) 0.0 y in
+        if not (Float.is_finite e) then begin
+          est := Float.infinity;
+          continue := false
+        end
+        else if !iter > 1 && e <= !est then continue := false
+        else begin
+          est := e;
+          let xi = Array.map (fun v -> if v >= 0.0 then 1.0 else -1.0) y in
+          let z = solve_transpose f xi in
+          let j = ref 0 in
+          let zx = ref 0.0 in
+          Array.iteri
+            (fun i v ->
+              zx := !zx +. (v *. x.(i));
+              if Float.abs v > Float.abs z.(!j) then j := i)
+            z;
+          if (not (Float.is_finite z.(!j))) || Float.abs z.(!j) <= Float.abs !zx then
+            continue := false
+          else begin
+            Array.fill x 0 n 0.0;
+            x.(!j) <- 1.0
+          end
+        end
+      done;
+      if !est = 0.0 then 1.0
+      else
+        let r = 1.0 /. (anorm *. !est) in
+        if Float.is_finite r then Float.min r 1.0 else 0.0
+    end
+
+  let factor a =
+    let n = Matrix.rows a in
+    let max_a = ref 0.0 and anorm = ref 0.0 in
+    for j = 0 to n - 1 do
+      let col_sum = ref 0.0 in
+      for i = 0 to n - 1 do
+        let mag = Float.abs (Matrix.get a i j) in
+        max_a := Float.max !max_a mag;
+        col_sum := !col_sum +. mag
+      done;
+      anorm := Float.max !anorm !col_sum
+    done;
+    let f = decompose a in
+    let pivot_min = ref Float.infinity in
+    let pivot_max = ref 0.0 in
+    let max_u = ref 0.0 in
+    for i = 0 to n - 1 do
+      let d = Float.abs (Matrix.get f.lu i i) in
+      pivot_min := Float.min !pivot_min d;
+      pivot_max := Float.max !pivot_max d;
+      for j = i to n - 1 do
+        max_u := Float.max !max_u (Float.abs (Matrix.get f.lu i j))
+      done
+    done;
+    let health =
+      {
+        Lu.dim = n;
+        pivot_min = (if n = 0 then 0.0 else !pivot_min);
+        pivot_max = !pivot_max;
+        growth = (if !max_a > 0.0 then !max_u /. !max_a else 1.0);
+        rcond = estimate_rcond ~anorm:!anorm f;
+      }
+    in
+    { f with health }
+
+  let det f =
+    let d = ref f.sign in
+    for i = 0 to size f - 1 do
+      d := !d *. Matrix.get f.lu i i
+    done;
+    !d
+
+  let inverse f =
+    let n = size f in
+    let id = Matrix.identity n and out = Matrix.create n n in
+    for j = 0 to n - 1 do
+      let x = solve f (Matrix.column id j) in
+      for i = 0 to n - 1 do
+        Matrix.set out i j x.(i)
+      done
+    done;
+    out
+
+  let solve_dense a b = solve (decompose a) b
+end
+
+(* Random dense systems with frequent equal-magnitude pivot candidates,
+   plus singular shapes: a repeated row, a zero column, a zero row. *)
+let prop_lu_matches_reference =
+  let gen =
+    QCheck2.Gen.(
+      let* n = int_range 1 8 in
+      let value =
+        frequency
+          [
+            (4, oneofl [ 1.0; -1.0; 2.0; -2.0; 0.0 ]);
+            (4, float_range (-1.0) 1.0);
+          ]
+      in
+      let* entries = array_size (return (n * n)) value in
+      let* rhs = array_size (return n) (float_range (-5.0) 5.0) in
+      let* kind = int_range 0 3 and* i = int_range 0 (n - 1) and* j = int_range 0 (n - 1) in
+      return (n, entries, rhs, kind, i, j))
+  in
+  let print (n, entries, _, kind, i, j) =
+    Printf.sprintf "n=%d kind=%d i=%d j=%d entries=[%s]" n kind i j
+      (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") entries)))
+  in
+  QCheck2.Test.make ~name:"flat dense LU ≡ Matrix.get reference, bit for bit" ~count:1000
+    ~print gen (fun (n, entries, rhs, kind, i, j) ->
+      let a =
+        Matrix.init n n (fun r c ->
+            match kind with
+            | 1 when r = j && i <> j -> entries.((i * n) + c)
+            | 2 when c = j -> 0.0
+            | 3 when r = j -> 0.0
+            | _ -> entries.((r * n) + c))
+      in
+      let matrix_bits m = Array.map bits_array (Matrix.to_arrays m) in
+      let expect =
+        match Ref_lu.factor a with
+        | exception Lu.Singular k -> Error k
+        | f ->
+          Ok
+            ( bits_array (Ref_lu.solve f rhs),
+              bits_array (Ref_lu.solve_transpose f rhs),
+              bits (Ref_lu.det f),
+              matrix_bits (Ref_lu.inverse f),
+              health_bits f.Ref_lu.health )
+      in
+      let got =
+        match Lu.factor a with
+        | exception Lu.Singular k -> Error k
+        | f ->
+          Ok
+            ( bits_array (Lu.solve f rhs),
+              bits_array (Lu.solve_transpose f rhs),
+              bits (Lu.det f),
+              matrix_bits (Lu.inverse f),
+              health_bits (Lu.health f) )
+      in
+      let one_shot solve =
+        match solve a rhs with
+        | x -> Ok (bits_array x)
+        | exception Lu.Singular k -> Error k
+      in
+      got = expect && one_shot Lu.solve_dense = one_shot Ref_lu.solve_dense)
+
+(* ------------------------------------------------------------------ *)
 (* Poly *)
 
 let test_poly_arith () =
@@ -627,7 +1096,8 @@ let () =
           quick "rcond estimate" test_lu_rcond;
           QCheck_alcotest.to_alcotest prop_lu_solve_dense_matches_factor;
         ]
-        @ props [ prop_lu_residual; prop_lu_transpose_consistent ] );
+        @ props
+            [ prop_lu_residual; prop_lu_transpose_consistent; prop_lu_matches_reference ] );
       ("complex", [ quick "arithmetic" test_cx_arith ]);
       ( "cmatrix",
         [
@@ -646,7 +1116,12 @@ let () =
           quick "tridiagonal zero fill" test_sparse_tridiagonal_no_fill;
           quick "rcond proxy" test_sparse_rcond_proxy;
         ]
-        @ props [ prop_sparse_matches_dense; prop_sparse_circuit_matrices ] );
+        @ props
+            [
+              prop_sparse_matches_dense;
+              prop_sparse_circuit_matrices;
+              prop_sparse_factor_matches_reference;
+            ] );
       ( "poly",
         [
           quick "arithmetic" test_poly_arith;

@@ -527,6 +527,50 @@ let test_checkpoint_preserves_failed_points () =
         (json_of resumed))
 
 (* ------------------------------------------------------------------ *)
+(* The CLI's error path, run on the built binary: a deck that asks for
+   something impossible, or whose matrix is singular, ends in one
+   classified [awesym: error:] line and exit 1, never in an uncaught
+   exception. *)
+
+(* Tests run in _build/default/test; test/dune depends on the binary. *)
+let awesym = "../bin/awesym.exe"
+
+let run_cli args =
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let out = Filename.temp_file "awesym_cli" ".out" in
+  let err = Filename.temp_file "awesym_cli" ".err" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ out; err ])
+    (fun () ->
+      let cmd = Filename.quote_command awesym ~stdout:out ~stderr:err args in
+      let status = Sys.command cmd in
+      (status, String.split_on_char '\n' (String.trim (read err))))
+
+let check_cli_error ~kind args =
+  let status, lines = run_cli args in
+  Alcotest.(check int) "exit status" 1 status;
+  match lines with
+  | [ line ] ->
+    let want = "awesym: error: " ^ kind ^ " " in
+    if not (String.starts_with ~prefix:want line) then
+      Alcotest.failf "expected a %s error, got %S" kind line
+  | _ -> Alcotest.failf "expected one error line, got %S" (String.concat "\n" lines)
+
+let test_cli_deck_without_symbols () =
+  with_temp_path (fun out ->
+      check_cli_error ~kind:"invalid_request"
+        [ "compile"; "../decks/rc_lowpass.cir"; "-o"; out ];
+      Alcotest.(check bool) "no artifact written" false (Sys.file_exists out))
+
+let test_cli_singular_matrix () =
+  (* Node b reaches ground only through capacitors: G is singular, and
+     numeric AWE's dense factorization raises [Lu.Singular]. *)
+  with_temp_path (fun deck ->
+      Out_channel.with_open_bin deck (fun oc ->
+          output_string oc "V1 in 0 1\nR1 in a 1k\nC1 a b 1p\nC2 b 0 1p\n.output v(b)\n");
+      check_cli_error ~kind:"singular_system" [ "awe"; deck ])
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   let props = List.map QCheck_alcotest.to_alcotest in
@@ -557,6 +601,13 @@ let () =
         [
           Alcotest.test_case "located errors" `Quick
             test_parser_located_errors;
+        ] );
+      ( "cli",
+        [
+          Alcotest.test_case "deck without symbols is one error line" `Quick
+            test_cli_deck_without_symbols;
+          Alcotest.test_case "singular matrix is one error line" `Quick
+            test_cli_singular_matrix;
         ] );
       ( "containment",
         [

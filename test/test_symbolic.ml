@@ -500,12 +500,14 @@ let prop_slp_batch_matches_scalar =
   QCheck2.Test.make ~name:"eval_batch bit-identical to make_evaluator"
     ~count:100
     QCheck2.Gen.(
-      pair expr_gen
+      triple expr_gen (int_range 1 12)
         (list_size (int_range 1 40)
            (pair (float_range (-2.0) 2.0) (float_range (-2.0) 2.0))))
-    (fun (e, points) ->
-      (* Two outputs sharing work, and a small block so multi-block and
-         remainder lanes are both exercised. *)
+    (fun (e, block, points) ->
+      (* Two outputs sharing work, and small blocks so multi-block and
+         remainder lanes are both exercised: blocks under four lanes skip
+         the interpreter's unrolled loop, and every [len mod 4] tail
+         occurs. *)
       let p = Slp.compile ~inputs:[| x; y |] [| e; Expr.mul e e |] in
       let n = List.length points in
       let xs = Array.make n 0.0 and ys = Array.make n 0.0 in
@@ -514,7 +516,7 @@ let prop_slp_batch_matches_scalar =
           xs.(i) <- vx;
           ys.(i) <- vy)
         points;
-      let batch = Slp.eval_batch ~block:7 p [| xs; ys |] in
+      let batch = Slp.eval_batch ~block p [| xs; ys |] in
       let run = Slp.make_evaluator p in
       let ok = ref true in
       for i = 0 to n - 1 do
