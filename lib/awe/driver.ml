@@ -82,6 +82,15 @@ let analyze_mna ?(order = 4) ?(extra_moments = 0) ?(shift = 0.0)
   let moments = Moments.compute ~count ~shift ~sparse mna in
   let health = health_of_lu (Moments.health moments) in
   let m = Moments.output_moments moments in
+  (* A non-finite moment would reach the fit and print a meaningless model;
+     it is an error, as it is for a sweep point. *)
+  Array.iteri
+    (fun k v ->
+      if not (Float.is_finite v) then
+        Awesym_error.errorf Nonfinite_result ~where:"awe.analyze"
+          ~context:[ ("moment", Printf.sprintf "m%d" k) ]
+          "moment m%d is non-finite (%g)" k v)
+    m;
   (* Stability filtering compares against the shifted origin, which is
      meaningless away from DC; shifted expansions are pole-location
      diagnostics and keep every pole they find. *)

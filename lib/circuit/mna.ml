@@ -239,8 +239,9 @@ let output_vector m =
     match node_row m.ix n with
     | r -> if r >= 0 then l.(r) <- l.(r) +. coeff
     | exception Not_found ->
-      failwith
-        (Printf.sprintf "Mna.output_vector: output node %s is not in the circuit" n)
+      Awesym_error.errorf Invalid_request ~where:"mna.output"
+        ~context:[ ("node", n) ]
+        "output node %s is not in the circuit" n
   in
   (match Netlist.output m.ix.nl with
   | Netlist.Node a -> set a 1.0

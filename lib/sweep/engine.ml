@@ -322,6 +322,22 @@ let chunk_len r = r.c_len
 let chunk_values r = r.c_vals
 let chunk_failures r = List.map (fun f -> f.point) r.c_failed
 
+(* One batch evaluator per domain, reused while the program (physically)
+   and the block size stay the same, so a sweep's chunks share one register
+   file instead of allocating one each.  The slot is domain-local and the
+   evaluator runs at jobs 1 without calling back, so its single-owner latch
+   never fires. *)
+let evaluator_slot = Domain.DLS.new_key (fun () -> ref None)
+
+let chunk_evaluator prog blk =
+  let slot = Domain.DLS.get evaluator_slot in
+  match !slot with
+  | Some (p, b, ev) when p == prog && b = blk -> ev
+  | _ ->
+    let ev = Slp.make_batch_evaluator ~block:blk ~jobs:1 prog in
+    slot := Some (prog, blk, ev);
+    ev
+
 let eval_chunk p idx =
   if idx < 0 || idx >= Array.length p.p_chunks then
     Err.errorf Invalid_request ~where:"sweep.chunk"
@@ -343,7 +359,7 @@ let eval_chunk p idx =
     let rec go attempt =
       match
         Runtime.Fault.cut "pool.worker" ~key:c.lo ~attempt;
-        Slp.eval_batch ~block:blk ~jobs:1 prog sub
+        chunk_evaluator prog blk sub
       with
       | m ->
         if attempt > 0 then Obs.Metrics.incr "sweep.fault.recovered";

@@ -3,7 +3,7 @@
     chunk-granular checkpoint/resume.
 
     [run] materializes the plan's points as input columns, evaluates the
-    model's compiled moment program chunk-by-chunk with [Slp.eval_batch]
+    model's compiled moment program chunk-by-chunk with the batch kernel
     (bit-identical to a per-point [Model.eval_moments] loop, but one
     instruction dispatch per block), finishes each point with the
     fixed-order Padé fit, extracts the requested performance measures,
@@ -220,7 +220,9 @@ val eval_chunk : prep -> int -> chunk_result
 (** Evaluate chunk [i]: batched moment evaluation, per-point measure
     finish, fault policy applied exactly as in {!run} (same fault sites,
     same retry/quarantine decisions — they are pure functions of the
-    data).  Raises under [Fail_fast] on the first fault, and
+    data).  The kernel runs on this domain's batch evaluator, made on
+    its first chunk and reused while the program and the block size stay
+    the same.  Raises under [Fail_fast] on the first fault, and
     [Invalid_request] on an out-of-range index. *)
 
 val chunk_result_to_json : chunk_result -> Obs.Json.t

@@ -23,6 +23,29 @@ type native_kernels = {
       (* inputs outs lo len *)
 }
 
+(* The batch interpreter's execution form, lowered from the bytecode once
+   per program (see [lower]).  A [k] operand indexes [consts]; [X_nsub] is
+   [(-a) - b]. *)
+type xop =
+  | X_load of int * int
+  | X_add of int * int * int
+  | X_sub of int * int * int
+  | X_nsub of int * int * int
+  | X_mul of int * int * int
+  | X_addk of int * int * int (* r <- a + k *)
+  | X_mulk of int * int * int (* r <- a * k *)
+  | X_ksub of int * int * int (* r <- k - b *)
+  | X_neg of int * int
+  | X_inv of int * int
+  | X_sqrt of int * int
+  | X_exp of int * int
+
+type lowered = {
+  code : xop array;
+  consts : float array;
+  preload : int array; (* registers the code reads as vectors before writing *)
+}
+
 type t = {
   inputs : Symbol.t array;
   instrs : instr array;
@@ -30,6 +53,8 @@ type t = {
   outputs : int array; (* registers holding the outputs *)
   mutable digest_memo : string option;
       (* canonical program digest, computed on first use *)
+  mutable lowered_memo : lowered option;
+      (* batch execution form, computed on the first batch evaluation *)
   mutable native_memo : native_kernels option option;
       (* None: provider not yet consulted; Some r: the provider's verdict.
          Racy writes are benign — both racers store equivalent immutable
@@ -37,7 +62,15 @@ type t = {
 }
 
 let make ~inputs ~instrs ~init ~outputs =
-  { inputs; instrs; init; outputs; digest_memo = None; native_memo = None }
+  {
+    inputs;
+    instrs;
+    init;
+    outputs;
+    digest_memo = None;
+    lowered_memo = None;
+    native_memo = None;
+  }
 
 let inputs p = p.inputs
 let num_outputs p = Array.length p.outputs
@@ -532,50 +565,158 @@ let make_evaluator p =
    exactly the scalar interpreter's operation sequence, so results are
    bit-identical to [eval] / [make_evaluator] point by point. *)
 
-(* Registers that the program reads before writing (preloaded constants and
-   const outputs) must be refilled at every block boundary — everything else
-   is defined before use and may stay dirty from the previous block. *)
-let preloaded_registers p =
-  let n = Array.length p.init in
-  let written = Array.make n false in
-  let needed = Array.make n false in
-  Array.iter
-    (fun instr ->
-      List.iter (fun s -> if not written.(s) then needed.(s) <- true)
-        (sources instr);
-      written.(dest instr) <- true)
+(* Lowering to the batch execution form.  Two rewrites, neither of which
+   moves a bit:
+
+   - A [Neg] whose every reader is an [Add] is dropped, and each reader
+     subtracts the [Neg]'s source instead: IEEE 754 defines [x - y] as
+     [x + (-y)], addition commutes, and [(-x) + (-y)] is [(-x) - y].  The
+     [Neg] stays when anything else reads its value (another operation,
+     an output), or when its source register is rewritten before a reader
+     runs.  Commuting only moves a NaN's sign or payload, and the outputs
+     fold every NaN to [Float.nan].
+   - A register the block has not written yet holds its preloaded
+     constant in every lane, so binary operations read it as a scalar
+     ([x + k], [x * k], [k - y]).  Only registers still read as vectors
+     before being written are refilled at each block boundary.
+
+   Both passes are linear in the program size. *)
+let lower p =
+  let n = Array.length p.instrs and nregs = Array.length p.init in
+  (* Pass 1: which [Neg]s can go.  [holder.(r)] is the [Neg] whose result
+     register [r] holds, or -1; [last_write.(r)] is where [r] was last
+     written. *)
+  let fuse = Array.make n false in
+  let holder = Array.make nregs (-1) and last_write = Array.make nregs (-1) in
+  let keep r = if holder.(r) >= 0 then fuse.(holder.(r)) <- false in
+  Array.iteri
+    (fun j instr ->
+      (match instr with
+      | Add (_, a, b) ->
+        (* An [Add] may subtract the source while it still holds the
+           value the [Neg] read. *)
+        let read r =
+          match holder.(r) with
+          | -1 -> ()
+          | i -> (
+            match p.instrs.(i) with
+            | Neg (_, s) when last_write.(s) > i -> keep r
+            | _ -> ())
+        in
+        read a;
+        read b
+      | _ -> List.iter keep (sources instr));
+      let d = dest instr in
+      last_write.(d) <- j;
+      holder.(d) <- -1;
+      match instr with
+      | Neg _ ->
+        fuse.(j) <- true;
+        holder.(d) <- j
+      | _ -> ())
     p.instrs;
-  Array.iter (fun r -> if not written.(r) then needed.(r) <- true) p.outputs;
-  let acc = ref [] in
-  for r = n - 1 downto 0 do
-    if needed.(r) then acc := r :: !acc
+  Array.iter keep p.outputs;
+  (* Pass 2: emit.  While [r] stands for the result of a dropped [Neg],
+     [negated.(r)] is that [Neg]'s source; otherwise it is -1. *)
+  let written = Array.make nregs false and needed = Array.make nregs false in
+  let negated = Array.make nregs (-1) in
+  let code = ref [] and consts = ref [] and nconsts = ref 0 in
+  let emit x = code := x :: !code in
+  let k c =
+    consts := c :: !consts;
+    incr nconsts;
+    !nconsts - 1
+  in
+  let cst r = p.init.(r) in
+  let vec r =
+    if not written.(r) then needed.(r) <- true;
+    r
+  in
+  let add d a b =
+    if not written.(b) then emit (X_addk (d, vec a, k (cst b)))
+    else if not written.(a) then emit (X_addk (d, b, k (cst a)))
+    else emit (X_add (d, a, b))
+  and mul d a b =
+    if not written.(b) then emit (X_mulk (d, vec a, k (cst b)))
+    else if not written.(a) then emit (X_mulk (d, b, k (cst a)))
+    else emit (X_mul (d, a, b))
+  and sub d a b =
+    if not written.(b) then emit (X_addk (d, vec a, k (-.cst b)))
+    else if not written.(a) then emit (X_ksub (d, k (cst a), b))
+    else emit (X_sub (d, a, b))
+  and nsub d a b =
+    if not written.(b) then emit (X_ksub (d, k (-.cst b), vec a))
+    else if not written.(a) then emit (X_ksub (d, k (-.cst a), b))
+    else emit (X_nsub (d, a, b))
+  in
+  Array.iteri
+    (fun j instr ->
+      let d = dest instr in
+      match instr with
+      | Neg (_, s) when fuse.(j) -> negated.(d) <- s
+      | _ ->
+        (match instr with
+        | Load_input (_, slot) -> emit (X_load (d, slot))
+        | Add (_, a, b) -> (
+          match (negated.(a), negated.(b)) with
+          | -1, -1 -> add d a b
+          | -1, y -> sub d a y
+          | x, -1 -> sub d b x
+          | x, y -> nsub d x y)
+        | Mul (_, a, b) -> mul d a b
+        | Neg (_, a) -> emit (X_neg (d, vec a))
+        | Inv (_, a) -> emit (X_inv (d, vec a))
+        | Sqrt (_, a) -> emit (X_sqrt (d, vec a))
+        | Exp (_, a) -> emit (X_exp (d, vec a)));
+        written.(d) <- true;
+        negated.(d) <- -1)
+    p.instrs;
+  Array.iter (fun r -> ignore (vec r)) p.outputs;
+  let preload = ref [] in
+  for r = nregs - 1 downto 0 do
+    if needed.(r) then preload := r :: !preload
   done;
-  Array.of_list !acc
+  {
+    code = Array.of_list (List.rev !code);
+    consts = Array.of_list (List.rev !consts);
+    preload = Array.of_list !preload;
+  }
+
+(* Racy writes are benign, as for [digest_memo]: racers store equal
+   immutable values. *)
+let lowered p =
+  match p.lowered_memo with
+  | Some l -> l
+  | None ->
+    let l = lower p in
+    p.lowered_memo <- Some l;
+    l
 
 let default_block = 256
 
-(* One block of the SoA kernel: refill the preloaded registers, interpret
-   the program over [len] lanes starting at point [lo], blit the outputs.
+(* One block of the SoA kernel: refill the preloaded registers, run the
+   lowered code over [len] lanes starting at point [lo], blit the outputs.
    Blocks touch disjoint [lo, lo+len) ranges of [inputs]/[outs] and each
    lane runs the scalar operation sequence, so blocks may execute in any
    order — or on different domains with private [regs] — and the outputs
    stay bit-identical. *)
-let run_block p preload regs inputs outs lo len =
+let run_block p lw regs inputs outs lo len =
   (* Injection site for the resilience harness: a no-op unless armed via
      AWESYM_FAULTS (see Runtime.Fault); keyed by the block's offset within
      this eval so firing is schedule-independent. *)
   Runtime.Fault.cut "slp.eval_batch" ~key:lo;
-  Array.iter (fun r -> Array.fill regs.(r) 0 len p.init.(r)) preload;
+  Array.iter (fun r -> Array.fill regs.(r) 0 len p.init.(r)) lw.preload;
   (* Every lane loop runs four lanes an iteration, then a scalar tail.
      Each lane still computes its own scalar operation, so the bits do not
      change; the unrolled body keeps the loop's speed independent of where
      the code lands in the binary. *)
   let quads = len lsr 2 and tail = len land lnot 3 in
+  let consts = lw.consts in
   Array.iter
-    (fun instr ->
-      match instr with
-      | Load_input (r, slot) -> Array.blit inputs.(slot) lo regs.(r) 0 len
-      | Add (r, a, b) ->
+    (fun xop ->
+      match xop with
+      | X_load (r, slot) -> Array.blit inputs.(slot) lo regs.(r) 0 len
+      | X_add (r, a, b) ->
         let d = regs.(r) and x = regs.(a) and y = regs.(b) in
         for q = 0 to quads - 1 do
           let i = q lsl 2 in
@@ -590,7 +731,37 @@ let run_block p preload regs inputs outs lo len =
         for i = tail to len - 1 do
           Array.unsafe_set d i (Array.unsafe_get x i +. Array.unsafe_get y i)
         done
-      | Mul (r, a, b) ->
+      | X_sub (r, a, b) ->
+        let d = regs.(r) and x = regs.(a) and y = regs.(b) in
+        for q = 0 to quads - 1 do
+          let i = q lsl 2 in
+          Array.unsafe_set d i (Array.unsafe_get x i -. Array.unsafe_get y i);
+          Array.unsafe_set d (i + 1)
+            (Array.unsafe_get x (i + 1) -. Array.unsafe_get y (i + 1));
+          Array.unsafe_set d (i + 2)
+            (Array.unsafe_get x (i + 2) -. Array.unsafe_get y (i + 2));
+          Array.unsafe_set d (i + 3)
+            (Array.unsafe_get x (i + 3) -. Array.unsafe_get y (i + 3))
+        done;
+        for i = tail to len - 1 do
+          Array.unsafe_set d i (Array.unsafe_get x i -. Array.unsafe_get y i)
+        done
+      | X_nsub (r, a, b) ->
+        let d = regs.(r) and x = regs.(a) and y = regs.(b) in
+        for q = 0 to quads - 1 do
+          let i = q lsl 2 in
+          Array.unsafe_set d i (-.(Array.unsafe_get x i) -. Array.unsafe_get y i);
+          Array.unsafe_set d (i + 1)
+            (-.(Array.unsafe_get x (i + 1)) -. Array.unsafe_get y (i + 1));
+          Array.unsafe_set d (i + 2)
+            (-.(Array.unsafe_get x (i + 2)) -. Array.unsafe_get y (i + 2));
+          Array.unsafe_set d (i + 3)
+            (-.(Array.unsafe_get x (i + 3)) -. Array.unsafe_get y (i + 3))
+        done;
+        for i = tail to len - 1 do
+          Array.unsafe_set d i (-.(Array.unsafe_get x i) -. Array.unsafe_get y i)
+        done
+      | X_mul (r, a, b) ->
         let d = regs.(r) and x = regs.(a) and y = regs.(b) in
         for q = 0 to quads - 1 do
           let i = q lsl 2 in
@@ -605,7 +776,43 @@ let run_block p preload regs inputs outs lo len =
         for i = tail to len - 1 do
           Array.unsafe_set d i (Array.unsafe_get x i *. Array.unsafe_get y i)
         done
-      | Neg (r, a) ->
+      | X_addk (r, a, c) ->
+        let d = regs.(r) and x = regs.(a) and k = Array.unsafe_get consts c in
+        for q = 0 to quads - 1 do
+          let i = q lsl 2 in
+          Array.unsafe_set d i (Array.unsafe_get x i +. k);
+          Array.unsafe_set d (i + 1) (Array.unsafe_get x (i + 1) +. k);
+          Array.unsafe_set d (i + 2) (Array.unsafe_get x (i + 2) +. k);
+          Array.unsafe_set d (i + 3) (Array.unsafe_get x (i + 3) +. k)
+        done;
+        for i = tail to len - 1 do
+          Array.unsafe_set d i (Array.unsafe_get x i +. k)
+        done
+      | X_mulk (r, a, c) ->
+        let d = regs.(r) and x = regs.(a) and k = Array.unsafe_get consts c in
+        for q = 0 to quads - 1 do
+          let i = q lsl 2 in
+          Array.unsafe_set d i (Array.unsafe_get x i *. k);
+          Array.unsafe_set d (i + 1) (Array.unsafe_get x (i + 1) *. k);
+          Array.unsafe_set d (i + 2) (Array.unsafe_get x (i + 2) *. k);
+          Array.unsafe_set d (i + 3) (Array.unsafe_get x (i + 3) *. k)
+        done;
+        for i = tail to len - 1 do
+          Array.unsafe_set d i (Array.unsafe_get x i *. k)
+        done
+      | X_ksub (r, c, b) ->
+        let d = regs.(r) and k = Array.unsafe_get consts c and y = regs.(b) in
+        for q = 0 to quads - 1 do
+          let i = q lsl 2 in
+          Array.unsafe_set d i (k -. Array.unsafe_get y i);
+          Array.unsafe_set d (i + 1) (k -. Array.unsafe_get y (i + 1));
+          Array.unsafe_set d (i + 2) (k -. Array.unsafe_get y (i + 2));
+          Array.unsafe_set d (i + 3) (k -. Array.unsafe_get y (i + 3))
+        done;
+        for i = tail to len - 1 do
+          Array.unsafe_set d i (k -. Array.unsafe_get y i)
+        done
+      | X_neg (r, a) ->
         let d = regs.(r) and x = regs.(a) in
         for q = 0 to quads - 1 do
           let i = q lsl 2 in
@@ -617,7 +824,7 @@ let run_block p preload regs inputs outs lo len =
         for i = tail to len - 1 do
           Array.unsafe_set d i (-.(Array.unsafe_get x i))
         done
-      | Inv (r, a) ->
+      | X_inv (r, a) ->
         let d = regs.(r) and x = regs.(a) in
         for q = 0 to quads - 1 do
           let i = q lsl 2 in
@@ -629,7 +836,7 @@ let run_block p preload regs inputs outs lo len =
         for i = tail to len - 1 do
           Array.unsafe_set d i (1.0 /. Array.unsafe_get x i)
         done
-      | Sqrt (r, a) ->
+      | X_sqrt (r, a) ->
         let d = regs.(r) and x = regs.(a) in
         for q = 0 to quads - 1 do
           let i = q lsl 2 in
@@ -641,7 +848,7 @@ let run_block p preload regs inputs outs lo len =
         for i = tail to len - 1 do
           Array.unsafe_set d i (Float.sqrt (Array.unsafe_get x i))
         done
-      | Exp (r, a) ->
+      | X_exp (r, a) ->
         let d = regs.(r) and x = regs.(a) in
         for q = 0 to quads - 1 do
           let i = q lsl 2 in
@@ -653,7 +860,7 @@ let run_block p preload regs inputs outs lo len =
         for i = tail to len - 1 do
           Array.unsafe_set d i (Float.exp (Array.unsafe_get x i))
         done)
-    p.instrs;
+    lw.code;
   Array.iteri
     (fun k r ->
       let x = regs.(r) and y = outs.(k) in
@@ -691,7 +898,6 @@ let make_batch_evaluator ?(block = default_block) ?jobs p =
       (Array.init jobs (fun _ ->
            Array.init nregs (fun _ -> Array.make block 0.0)))
   in
-  let preload = preloaded_registers p in
   let busy = Atomic.make false in
   fun inputs ->
     if not (Atomic.compare_and_set busy false true) then
@@ -740,12 +946,15 @@ let make_batch_evaluator ?(block = default_block) ?jobs p =
             Runtime.Fault.cut "slp.eval_batch" ~key:c.lo;
             k.native_batch inputs outs c.lo c.len)
     | None ->
+      let lw = lowered p in
+      if !Obs.enabled then
+        Obs.Metrics.add "slp.eval_batch.dispatched" (n * Array.length lw.code);
       if jobs = 1 || n <= block then begin
         let regs = (Lazy.force files).(0) in
         let lo = ref 0 in
         while !lo < n do
           let len = Int.min block (n - !lo) in
-          run_block p preload regs inputs outs !lo len;
+          run_block p lw regs inputs outs !lo len;
           lo := !lo + len
         done
       end
@@ -753,7 +962,7 @@ let make_batch_evaluator ?(block = default_block) ?jobs p =
         let files = Lazy.force files in
         Runtime.iter_chunks ~jobs ~n ~block
           (fun ~worker (c : Runtime.Chunk.t) ->
-            run_block p preload files.(worker) inputs outs c.lo c.len)
+            run_block p lw files.(worker) inputs outs c.lo c.len)
       end);
     outs
 

@@ -125,7 +125,9 @@ val digest : t -> string
 val eval : t -> float array -> float array
 (** [eval p values] runs the program with [values.(k)] bound to
     [inputs.(k)].  Allocates the register file; for tight loops use
-    {!make_evaluator}. *)
+    {!make_evaluator}.  [eval] and {!make_evaluator} interpret the
+    instruction stream exactly as serialized, so they are the reference
+    the batch kernel is tested against. *)
 
 val make_evaluator : t -> float array -> float array
 (** [make_evaluator p] returns a closure reusing one preallocated register
@@ -158,6 +160,20 @@ val eval_batch :
     result is bit-identical for every jobs count — and to calling {!eval}
     point by point.  [jobs = 1] (or [n <= block]) takes the sequential path
     with zero domain involvement.
+
+    The interpreter runs a private execution form, lowered from the
+    instruction stream on the first batch evaluation and memoized on the
+    program.  A [Neg] read only by [Add]s is dropped and its readers
+    subtract instead ([x + (-y)] is [x - y] in IEEE 754, and
+    [(-x) + (-y)] is [(-x) - y]); a [Neg] read by anything else, by an
+    output, or whose source register is rewritten before a reader runs
+    stays.  Operands read from preloaded registers become scalar
+    constants, so a block refills only the registers still read as
+    vectors before being written.  Neither rewrite moves a bit of any
+    output.  The serialized form, {!digest}, artifacts and the native
+    emitter never see the lowered form.  The Obs counter
+    [slp.eval_batch.dispatched] counts points × lowered instructions
+    beside [slp.eval_batch.ops] (points × serialized instructions).
 
     The returned arrays are freshly allocated (no aliasing).  Raises
     [Invalid_argument] on column-length mismatch, a wrong column count, or

@@ -589,7 +589,7 @@ let test_missing_output_node_error () =
   let nl = Builders.fig1 () in
   let nl = Netlist.with_output nl (Netlist.Node "nope") in
   match Awe.Driver.analyze ~order:2 nl with
-  | exception Failure _ -> ()
+  | exception Awesym_error.Error { kind = Invalid_request; _ } -> ()
   | _ -> Alcotest.fail "expected a clean failure on an unknown output node"
 
 let () =

@@ -562,13 +562,26 @@ let test_cli_deck_without_symbols () =
         [ "compile"; "../decks/rc_lowpass.cir"; "-o"; out ];
       Alcotest.(check bool) "no artifact written" false (Sys.file_exists out))
 
+(* [awesym awe] on a deck given as text. *)
+let check_deck_error ~kind deck_text =
+  with_temp_path (fun deck ->
+      Out_channel.with_open_bin deck (fun oc -> output_string oc deck_text);
+      check_cli_error ~kind [ "awe"; deck ])
+
 let test_cli_singular_matrix () =
   (* Node b reaches ground only through capacitors: G is singular, and
      numeric AWE's dense factorization raises [Lu.Singular]. *)
-  with_temp_path (fun deck ->
-      Out_channel.with_open_bin deck (fun oc ->
-          output_string oc "V1 in 0 1\nR1 in a 1k\nC1 a b 1p\nC2 b 0 1p\n.output v(b)\n");
-      check_cli_error ~kind:"singular_system" [ "awe"; deck ])
+  check_deck_error ~kind:"singular_system"
+    "V1 in 0 1\nR1 in a 1k\nC1 a b 1p\nC2 b 0 1p\n.output v(b)\n"
+
+let test_cli_unknown_output_node () =
+  check_deck_error ~kind:"invalid_request"
+    "V1 in 0 1\nR1 in out 1k\n.output v(nowhere)\n"
+
+let test_cli_nonfinite_moment () =
+  (* m1 = -1e-296 is finite, m2 overflows: the fit must not run. *)
+  check_deck_error ~kind:"nonfinite_result"
+    "V1 in 0 1\nR1 in out 1e308\nC1 out 0 1p\n.output v(out)\n"
 
 (* ------------------------------------------------------------------ *)
 
@@ -608,6 +621,10 @@ let () =
             test_cli_deck_without_symbols;
           Alcotest.test_case "singular matrix is one error line" `Quick
             test_cli_singular_matrix;
+          Alcotest.test_case "unknown output node is one error line" `Quick
+            test_cli_unknown_output_node;
+          Alcotest.test_case "non-finite moment is one error line" `Quick
+            test_cli_nonfinite_moment;
         ] );
       ( "containment",
         [

@@ -771,6 +771,70 @@ let test_engine_repeated_measure () =
     (report Engine.[ Dc_gain; Delay_50; Moment 1 ])
     (report Engine.[ Dc_gain; Dc_gain; Delay_50; Moment 1; Dc_gain; Moment 1 ])
 
+let decks_dir () = if Sys.file_exists "../decks" then "../decks" else "decks"
+
+(* [eval_chunk] keeps one batch evaluator per domain and replaces it when
+   the program or the block size changes.  Interleave two models with
+   different register counts at two block sizes on this domain, with the
+   kernel fault armed on some chunks under Retry: each faulted chunk is
+   quarantined whole after every attempt raised inside the evaluator, and
+   every other chunk equals a fresh [Slp.eval_batch] of its columns. *)
+let test_chunk_evaluator_reuse () =
+  let rlc =
+    Model.build ~order:4
+      (Circuit.Parser.parse_file (Filename.concat (decks_dir ()) "rlc_line.cir"))
+  in
+  let fig1 = Lazy.force fig1_model in
+  Alcotest.(check bool) "register counts differ" true
+    (Slp.num_registers (Model.program rlc)
+    <> Slp.num_registers (Model.program fig1));
+  let prep model plan block =
+    let last = Slp.num_outputs (Model.program model) - 1 in
+    Engine.prepare ~seed:11 ~block ~jobs:1 ~policy:(Engine.Retry 2)
+      ~measures:Engine.[ Moment 0; Moment 1; Moment last ]
+      model plan
+  in
+  let rlc_plan =
+    Plan.make (Plan.Monte_carlo 300)
+      [ { Plan.name = "g_term"; dist = Dist.uniform ~lo:2e-3 ~hi:50e-3 } ]
+  in
+  let fig1_plan = plan_c1_g2 (Plan.Monte_carlo 300) in
+  let preps =
+    [|
+      (fig1, prep fig1 fig1_plan 64); (rlc, prep rlc rlc_plan 64);
+      (rlc, prep rlc rlc_plan 37); (fig1, prep fig1 fig1_plan 37);
+    |]
+  in
+  Fun.protect ~finally:Runtime.Fault.disarm @@ fun () ->
+  for step = 0 to 39 do
+    let model, prep = preps.(step mod 4) in
+    let idx = step / 4 mod Engine.prep_num_chunks prep in
+    let faulted = step mod 7 = 3 in
+    if faulted then Runtime.Fault.arm "slp.eval_batch:1";
+    let c = Engine.eval_chunk prep idx in
+    Runtime.Fault.disarm ();
+    let lo = Engine.chunk_lo c and len = Engine.chunk_len c in
+    if faulted then
+      Alcotest.(check (list int))
+        (Printf.sprintf "step %d: faulted chunk quarantined" step)
+        (List.init len (fun i -> lo + i))
+        (Engine.chunk_failures c)
+    else begin
+      let prog = Model.program model in
+      let sub = Array.map (fun col -> Array.sub col lo len) (Engine.prep_inputs prep) in
+      let fresh = Slp.eval_batch ~jobs:1 prog sub in
+      let last = Slp.num_outputs prog - 1 in
+      Array.iteri
+        (fun row k ->
+          Array.iteri
+            (fun i v ->
+              if Int64.bits_of_float v <> Int64.bits_of_float fresh.(k).(i) then
+                Alcotest.failf "step %d: moment %d, point %d differs" step k (lo + i))
+            (Engine.chunk_values c).(row))
+        [| 0; 1; last |]
+    end
+  done
+
 (* Committed reports compared byte for byte: any change to the
    Padé/measure finish or to the statistics that moves a single output
    bit fails here.  On a mismatch the fresh report is written next to the
@@ -815,8 +879,9 @@ let test_golden_opamp_sweep () =
    complex poles and the rise-time crossing, none of which the op-amp
    report reaches. *)
 let golden_rlc_order4_report () =
-  let decks = if Sys.file_exists "../decks" then "../decks" else "decks" in
-  let nl = Circuit.Parser.parse_file (Filename.concat decks "rlc_line.cir") in
+  let nl =
+    Circuit.Parser.parse_file (Filename.concat (decks_dir ()) "rlc_line.cir")
+  in
   let model = Model.build ~order:4 nl in
   let plan =
     Plan.make (Plan.Monte_carlo 2000)
@@ -828,6 +893,26 @@ let golden_rlc_order4_report () =
 
 let test_golden_rlc_order4_sweep () =
   check_golden "rlc_line_order4_sweep.json" (golden_rlc_order4_report ())
+
+(* Raw moments of the coupled RLC lines at order 8: 2243 ops, 457 of them
+   [Neg], so every bit the batch kernel's lowered form computes reaches the
+   report; no fit runs. *)
+let golden_coupled_rlc_order8_report () =
+  let nl =
+    Circuit.Parser.parse_file (Filename.concat (decks_dir ()) "coupled_rlc.cir")
+  in
+  let model = Model.build ~order:8 nl in
+  let plan =
+    Plan.make (Plan.Monte_carlo 2000)
+      [ { Plan.name = "M"; dist = Dist.uniform ~lo:0.0 ~hi:8e-9 } ]
+  in
+  let measures = Engine.[ Moment 0; Moment 1; Moment 15 ] in
+  Obs.Json.to_string_pretty
+    (Engine.to_json (Engine.run ~seed:5 ~jobs:1 ~measures model plan))
+
+let test_golden_coupled_rlc_order8_sweep () =
+  check_golden "coupled_rlc_order8_sweep.json"
+    (golden_coupled_rlc_order8_report ())
 
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
@@ -879,6 +964,10 @@ let () =
           quick "op-amp ROM sweep matches the golden report" test_golden_opamp_sweep;
           quick "order-4 RLC sweep matches the golden report"
             test_golden_rlc_order4_sweep;
+          quick "order-8 coupled RLC moment sweep matches the golden report"
+            test_golden_coupled_rlc_order8_sweep;
+          quick "per-domain chunk evaluator leaks no state"
+            test_chunk_evaluator_reuse;
           quick "chunk records accept only canonical hex" test_chunk_record_canonical_hex;
         ] );
       ( "codec",

@@ -616,6 +616,126 @@ let test_batch_evaluator_single_owner () =
      evaluator still works sequentially. *)
   check_float "evaluator usable after contention" 4.5 (run cols).(0).(0)
 
+(* The batch kernel runs a lowered form of the bytecode: a [Neg] that only
+   [Add]s read becomes a subtraction, and preloaded constants become scalar
+   operands.  Scalar [Slp.eval] runs the bytecode as it is, so it is the
+   reference.  The programs here are raw bytecode from [Slp.of_parts], not
+   [compile]'s output: few registers recycled densely, and snippets that
+   build each pattern where a [Neg] has to stay. *)
+
+let special_floats =
+  [| 0.0; -0.0; infinity; neg_infinity; nan; 4.9e-324; -4.9e-324;
+     2.225073858507201e-308; -1e-310; 1.0; -1.5; 3.0; 1e308; -0.5 |]
+
+let float_gen =
+  QCheck2.Gen.(
+    frequency
+      [ (3, oneofa special_floats); (2, float_range (-4.0) 4.0); (1, float) ])
+
+let raw_program_gen =
+  let open QCheck2.Gen in
+  let* nregs = int_range 2 6 in
+  let reg = int_bound (nregs - 1) and slot = int_bound 1 in
+  let* init = array_size (return nregs) float_gen in
+  let r2 f = map2 f reg reg and r3 f = map3 f reg reg reg in
+  let r4 f = map2 (fun (a, b) (c, d) -> f a b c d) (pair reg reg) (pair reg reg) in
+  let snippet =
+    frequency
+      [
+        (3, map2 (fun r s -> [ Slp.Load_input (r, s) ]) reg slot);
+        (2, r3 (fun d a b -> [ Slp.Add (d, a, b) ]));
+        (2, r3 (fun d a b -> [ Slp.Mul (d, a, b) ]));
+        (1, r2 (fun d a -> [ Slp.Inv (d, a) ]));
+        (1, r2 (fun d a -> [ Slp.Sqrt (d, a) ]));
+        (1, r2 (fun d a -> [ Slp.Exp (d, a) ]));
+        (* A Neg left for an output, a later reader or a rewrite. *)
+        (2, r2 (fun t s -> [ Slp.Neg (t, s) ]));
+        (* In place, then read by an Add from either side. *)
+        (2, r3 (fun t d a -> [ Slp.Neg (t, t); Slp.Add (d, a, t) ]));
+        (1, r3 (fun t d a -> [ Slp.Neg (t, t); Slp.Add (d, t, a) ]));
+        (* The source is rewritten before the reading Add. *)
+        ( 2,
+          map2
+            (fun (t, s, d, a) k -> [ Slp.Neg (t, s); Slp.Load_input (s, k); Slp.Add (d, a, t) ])
+            (quad reg reg reg reg) slot );
+        (* (-a) + (-b) and t + t. *)
+        (2, r4 (fun t u a b -> [ Slp.Neg (t, a); Slp.Neg (u, b); Slp.Add (a, t, u) ]));
+        (1, r3 (fun t s d -> [ Slp.Neg (t, s); Slp.Add (d, t, t) ]));
+        (* Read by something other than an Add. *)
+        (1, r3 (fun t d a -> [ Slp.Neg (t, t); Slp.Mul (d, t, a) ]));
+        (1, r2 (fun t d -> [ Slp.Neg (t, t); Slp.Inv (d, t) ]));
+        (* A register read as a constant, then recycled. *)
+        ( 1,
+          map2
+            (fun (d, a, c, e) k -> [ Slp.Add (d, a, c); Slp.Load_input (c, k); Slp.Add (e, c, d) ])
+            (quad reg reg reg reg) slot );
+      ]
+  in
+  let* instrs = map List.concat (list_size (int_range 1 10) snippet) in
+  let* outputs = array_size (int_range 1 3) reg in
+  return
+    (Slp.of_parts ~inputs:[| x; y |] ~instrs:(Array.of_list instrs) ~init ~outputs)
+
+let print_raw_program p = Format.asprintf "%a" Slp.pp p
+
+(* Every output of every point, as IEEE-754 bits, against scalar eval. *)
+let batch_matches_scalar ~block ~jobs p xs ys =
+  let batch = Slp.eval_batch ~block ~jobs p [| xs; ys |] in
+  let ok = ref true in
+  Array.iteri
+    (fun i vx ->
+      let out = Slp.eval p [| vx; ys.(i) |] in
+      Array.iteri (fun j v -> if bits v <> bits batch.(j).(i) then ok := false) out)
+    xs;
+  !ok
+
+let prop_lowered_batch_matches_scalar =
+  QCheck2.Test.make ~name:"lowered batch kernel bit-identical to scalar eval on raw bytecode"
+    ~count:1000 ~print:(fun (p, _, _, _) -> print_raw_program p)
+    QCheck2.Gen.(
+      quad raw_program_gen (int_range 1 12) (int_range 1 2)
+        (list_size (int_range 1 40) (pair float_gen float_gen)))
+    (fun (p, block, jobs, points) ->
+      let xs = Array.of_list (List.map fst points)
+      and ys = Array.of_list (List.map snd points) in
+      batch_matches_scalar ~block ~jobs p xs ys)
+
+(* Which [Neg]s the lowering drops, read off [slp.eval_batch.dispatched]
+   (points × lowered instructions): each program is checked against scalar
+   eval over every pair of special values as well. *)
+let test_lowering_keeps_unsafe_negs () =
+  let cases =
+    Slp.
+      [
+        ("in-place Neg read by an Add", [ Load_input (0, 0); Neg (0, 0); Load_input (1, 1); Add (1, 1, 0) ], [| 1 |], 3);
+        ("(-a) + (-b)", [ Load_input (0, 0); Load_input (1, 1); Neg (0, 0); Neg (1, 1); Add (2, 0, 1) ], [| 2 |], 3);
+        ("t + t", [ Load_input (0, 0); Neg (1, 0); Add (2, 1, 1) ], [| 2 |], 2);
+        ("source rewritten first", [ Load_input (0, 0); Neg (1, 0); Load_input (0, 1); Add (2, 0, 1) ], [| 2 |], 4);
+        ("also an output", [ Load_input (0, 0); Neg (1, 0); Load_input (2, 1); Add (2, 2, 1) ], [| 1; 2 |], 4);
+        ("read by a Mul", [ Load_input (0, 0); Neg (0, 0); Load_input (1, 1); Mul (1, 1, 0) ], [| 1 |], 4);
+        ("negated constant", [ Neg (3, 3); Load_input (0, 0); Add (1, 0, 3) ], [| 1 |], 2);
+      ]
+  in
+  let n = Array.length special_floats in
+  let xs = Array.init (n * n) (fun i -> special_floats.(i / n))
+  and ys = Array.init (n * n) (fun i -> special_floats.(i mod n)) in
+  List.iter
+    (fun (name, instrs, outputs, lowered) ->
+      let p =
+        Slp.of_parts ~inputs:[| x; y |] ~instrs:(Array.of_list instrs)
+          ~init:[| 0.0; 0.0; 0.0; -0.0 |] ~outputs
+      in
+      Obs.Metrics.reset ();
+      Obs.enabled := true;
+      let same =
+        Fun.protect ~finally:(fun () -> Obs.enabled := false) (fun () ->
+            batch_matches_scalar ~block:7 ~jobs:1 p xs ys)
+      in
+      Alcotest.(check bool) (name ^ ": bit-identical") true same;
+      Alcotest.(check int) (name ^ ": lowered instructions") lowered
+        (Obs.Metrics.counter "slp.eval_batch.dispatched" / (n * n)))
+    cases
+
 (* ------------------------------------------------------------------ *)
 (* Interval arithmetic and interval program evaluation *)
 
@@ -733,10 +853,11 @@ let () =
           quick "slp aliasing contract" test_slp_aliasing_contract;
           quick "batch evaluator is single-owner"
             test_batch_evaluator_single_owner;
+          quick "lowering keeps every unsafe Neg" test_lowering_keeps_unsafe_negs;
         ]
         @ props
             [ prop_slp_matches_eval; prop_slp_batch_matches_scalar;
-              prop_slp_optimizer_bit_identical ] );
+              prop_slp_optimizer_bit_identical; prop_lowered_batch_matches_scalar ] );
       ( "misc",
         [
           quick "mpoly printer" test_mpoly_printer;
