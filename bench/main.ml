@@ -788,7 +788,7 @@ let codegen_bench () =
       (try Sys.rmdir cache with Sys_error _ -> ())
     | exception Sys_error _ -> ());
     Unix.putenv "AWESYM_CACHE_DIR" saved_cache;
-    Symbolic.Slp.set_backend Symbolic.Slp.Auto;
+    Symbolic.Slp.set_backend Symbolic.Slp.Interp;
     Codegen.uninstall ()
   in
   Fun.protect ~finally:cleanup @@ fun () ->
@@ -1549,7 +1549,7 @@ let optimize_bench () =
   (* The determinism contract, measured end to end: report bytes across
      jobs counts and evaluation backends. *)
   let report req jobs =
-    Obs.Json.to_string (Opt.Request.run ~jobs model req)
+    Obs.Json.to_string (Opt.Request.report_to_json (Opt.Request.run ~jobs model req))
   in
   let identical =
     List.for_all
@@ -1640,31 +1640,25 @@ let select ids =
       ids
 
 (* Machine-readable mode: each experiment runs with telemetry on, and the
-   report carries its wall time plus every kernel counter it tripped. *)
-let run_json path ids =
-  let module J = Obs.Json in
+   report carries its wall time plus every metric it tripped.  `check`
+   re-runs experiments through the same function. *)
+let run_experiments ids : (string * Obs.experiment) list =
   Obs.enabled := true;
-  let entries =
+  let out =
     List.map
       (fun (id, f) ->
         Obs.reset ();
         let (), wall_s = Obs.Span.timed f in
-        J.Obj
-          [
-            ("id", J.Str id);
-            ("wall_s", J.Num wall_s);
-            ("metrics", Obs.Metrics.snapshot ());
-          ])
+        (id, { Obs.id; wall_s; metrics = Obs.Metrics.snapshot () }))
       (select ids)
   in
   Obs.enabled := false;
-  J.to_file path
-    (J.Obj
-       [
-         ("schema", J.Str "awesymbolic-bench/1");
-         ("machine", Obs.machine_info ());
-         ("experiments", J.List entries);
-       ]);
+  out
+
+let run_json path ids =
+  let experiments = List.map snd (run_experiments ids) in
+  Obs.Json.to_file path
+    (Obs.Codec.encode Obs.bench_codec { machine = Obs.machine_info (); experiments });
   Printf.printf "\nbench stats written to %s\n" path
 
 (* ------------------------------------------------------------------ *)
@@ -1673,73 +1667,25 @@ let run_json path ids =
    readable delta table when a directional metric regresses beyond the
    experiment's tolerance. *)
 
-type bench_run = { wall_s : float; counters : (string * float) list }
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let parse_bench_doc path : (string * bench_run) list =
-  let module J = Obs.Json in
-  let fail fmt =
-    Printf.ksprintf
-      (fun m ->
-        Printf.eprintf "bench check: %s: %s\n" path m;
-        exit 2)
-      fmt
+(* A bench document decodes canonically or ends the check (exit 2) with
+   one classified line naming the JSON path of the first bad node. *)
+let read_bench path : (string * Obs.experiment) list =
+  let fail msg =
+    Printf.eprintf "bench check: %s\n" msg;
+    exit 2
   in
   let doc =
-    match J.of_string (read_file path) with
+    match Obs.Json.of_string (In_channel.with_open_bin path In_channel.input_all) with
     | Ok d -> d
-    | Error msg -> fail "malformed JSON: %s" msg
-    | exception Sys_error msg -> fail "%s" msg
+    | Error msg -> fail (Printf.sprintf "%s: malformed JSON: %s" path msg)
+    | exception Sys_error msg -> fail msg
   in
-  (match J.member "schema" doc with
-  | Some (J.Str "awesymbolic-bench/1") -> ()
-  | Some (J.Str s) -> fail "schema mismatch: %s (want awesymbolic-bench/1)" s
-  | _ -> fail "missing schema field");
-  match J.member "experiments" doc with
-  | Some (J.List entries) ->
-    List.filter_map
-      (fun e ->
-        match (J.member "id" e, J.member "wall_s" e) with
-        | Some (J.Str id), Some (J.Num wall_s) ->
-          let counters =
-            match
-              Option.bind (J.member "metrics" e) (J.member "counters")
-            with
-            | Some (J.Obj fields) ->
-              List.filter_map
-                (function n, J.Num v -> Some (n, v) | _ -> None)
-                fields
-            | _ -> []
-          in
-          Some (id, { wall_s; counters })
-        | _ -> None)
-      entries
-  | _ -> fail "missing experiments list"
-
-(* Re-run experiments in-process and collect the same shape run_json
-   writes, so `check` can either re-measure or diff two files. *)
-let collect_runs ids : (string * bench_run) list =
-  Obs.enabled := true;
-  let out =
-    List.map
-      (fun (id, f) ->
-        Obs.reset ();
-        let (), wall_s = Obs.Span.timed f in
-        let counters =
-          List.map
-            (fun (n, v) -> (n, float_of_int v))
-            (Obs.Metrics.counters_list ())
-        in
-        (id, { wall_s; counters }))
-      (select ids)
-  in
-  Obs.enabled := false;
-  out
+  match
+    Awesym_error.decode ~file:path ~kind:Artifact_corrupt ~where:"bench.check"
+      Obs.bench_codec doc
+  with
+  | Ok b -> List.map (fun (e : Obs.experiment) -> (e.id, e)) b.experiments
+  | Error e -> fail (Awesym_error.to_string e)
 
 type direction = Lower_better | Higher_better | Exact | Info
 
@@ -1839,12 +1785,14 @@ let compare_runs ~tolerance baseline fresh =
                 d_regressed = regressed;
               }
         in
+        let counter (e : Obs.experiment) name =
+          Option.map float_of_int (List.assoc_opt name e.metrics.counters)
+        in
         List.filter_map Fun.id
-          (check "wall_s" base.wall_s (Some fr.wall_s)
+          (check "wall_s" base.Obs.wall_s (Some fr.Obs.wall_s)
           :: List.map
-               (fun (name, bv) ->
-                 check name bv (List.assoc_opt name fr.counters))
-               base.counters))
+               (fun (name, bv) -> check name (float_of_int bv) (counter fr name))
+               base.metrics.counters))
     baseline
 
 let render_deltas out deltas =
@@ -1909,7 +1857,7 @@ let run_check args =
   in
   parse args;
   let ids = List.rev !ids in
-  let baseline = parse_bench_doc !baseline_path in
+  let baseline = read_bench !baseline_path in
   let baseline =
     match ids with
     | [] -> baseline
@@ -1922,11 +1870,11 @@ let run_check args =
   end;
   let fresh =
     match !fresh_path with
-    | Some p -> parse_bench_doc p
+    | Some p -> read_bench p
     | None ->
       Printf.printf "bench check: re-running %d experiments...\n%!"
         (List.length baseline);
-      collect_runs (List.map fst baseline)
+      run_experiments (List.map fst baseline)
   in
   let deltas = compare_runs ~tolerance:!tolerance baseline fresh in
   let skipped =

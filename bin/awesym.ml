@@ -34,6 +34,13 @@ let read_netlist path =
     Error (Printf.sprintf "%s:%d: %s" path line msg)
   | Sys_error msg -> Error msg
 
+(* The transistor-level decks of `linearize` and `distortion`. *)
+let read_nonlinear path =
+  try Ok (Nonlinear.Parser.parse_file path) with
+  | Nonlinear.Parser.Parse_error (line, msg) ->
+    Error (Printf.sprintf "%s:%d: %s" path line msg)
+  | Sys_error msg -> Error msg
+
 let deck_arg =
   let doc = "Input netlist deck." in
   Arg.(required & pos 0 (some file) None & info [] ~docv:"DECK" ~doc)
@@ -42,11 +49,18 @@ let order_arg =
   let doc = "Approximation order (number of poles)." in
   Arg.(value & opt int 2 & info [ "order"; "q" ] ~docv:"ORDER" ~doc)
 
+let sparse_arg =
+  Arg.(value & flag & info [ "sparse" ] ~doc:"Use the sparse factorization.")
+
 let or_die = function
   | Ok v -> v
   | Error msg ->
     prerr_endline msg;
     exit 1
+
+let die msg =
+  prerr_endline ("awesym: " ^ msg);
+  exit 1
 
 (* Shared telemetry flags: every subcommand takes --stats/--trace and runs
    under [with_obs], which turns the Obs subsystem on only when asked so the
@@ -85,43 +99,28 @@ let jobs_arg =
           "Worker domains for parallel stages (default: \\$AWESYM_JOBS, \
            else 1).  Results are bit-identical for every jobs count.")
 
-let with_jobs jobs f =
-  Runtime.set_default_jobs jobs;
-  f ()
-
 (* Shared evaluation-backend flag for the compiled-model commands (see
    docs/CODEGEN.md).  Like --jobs it sets process-wide state: libraries
    dispatch through [Slp]'s backend hooks, so nothing threads the choice
-   through call signatures.  [interp] never even installs the provider;
-   [native] turns on strict warnings so a fallback is visible. *)
+   through call signatures.  [interp] never installs the provider;
+   [native] does, and the provider warns when it falls back. *)
 let backend_arg =
-  let backend_conv =
-    Arg.enum
-      [
-        ("auto", Symbolic.Slp.Auto);
-        ("native", Symbolic.Slp.Native);
-        ("interp", Symbolic.Slp.Interp);
-      ]
-  in
   Arg.(
-    value & opt backend_conv Symbolic.Slp.Auto
+    value
+    & opt (enum [ ("native", Symbolic.Slp.Native); ("interp", Symbolic.Slp.Interp) ])
+        Symbolic.Slp.Interp
     & info [ "backend" ] ~docv:"B"
         ~doc:
-          "SLP evaluation backend: $(b,auto) (default: compiled native \
-           kernels when the OCaml toolchain can deliver them, the bytecode \
-           interpreter otherwise), $(b,native) (same, but warn on stderr \
-           when falling back), or $(b,interp) (interpreter only).  Results \
-           are bit-identical whichever backend runs.")
+          "SLP evaluation backend: $(b,interp) (default: the bytecode \
+           interpreter) or $(b,native) (compiled native kernels when the \
+           OCaml toolchain can deliver them; otherwise a warning on stderr \
+           and the interpreter).  Results are bit-identical whichever \
+           backend runs.")
 
-let with_backend backend f =
+let set_runtime jobs backend =
+  Runtime.set_default_jobs jobs;
   Symbolic.Slp.set_backend backend;
-  (match backend with
-  | Symbolic.Slp.Interp -> ()
-  | Symbolic.Slp.Auto -> Codegen.install ()
-  | Symbolic.Slp.Native ->
-    Codegen.set_strict true;
-    Codegen.install ());
-  f ()
+  if backend = Symbolic.Slp.Native then Codegen.install ()
 
 let with_obs (stats, trace) f =
   (* Every command body runs under this wrapper, so classified failures
@@ -157,6 +156,16 @@ let with_obs (stats, trace) f =
         Obs.enabled := false)
       f
   end
+
+(* --stats/--trace, --jobs and --backend: the runtime of the
+   compiled-model commands. *)
+let runtime_args =
+  Term.(const (fun obs jobs backend -> (obs, jobs, backend)) $ obs_args $ jobs_arg $ backend_arg)
+
+let with_runtime (obs, jobs, backend) f =
+  with_obs obs @@ fun () ->
+  set_runtime jobs backend;
+  f ()
 
 let print_rom rom =
   Format.printf "%a@." Awe.Rom.pp rom;
@@ -201,9 +210,6 @@ let awe_cmd =
       value & flag
       & info [ "krylov" ] ~doc:"Use the Arnoldi-projection baseline instead \
                                 of explicit moment matching.")
-  in
-  let sparse_arg =
-    Arg.(value & flag & info [ "sparse" ] ~doc:"Use the sparse factorization.")
   in
   let realize_arg =
     Arg.(
@@ -391,15 +397,7 @@ let rank_cmd =
 let linearize_cmd =
   let run obs deck out_path analyze =
     with_obs obs @@ fun () ->
-    let nl =
-      try Nonlinear.Parser.parse_file deck with
-      | Nonlinear.Parser.Parse_error (line, msg) ->
-        prerr_endline (Printf.sprintf "%s:%d: %s" deck line msg);
-        exit 1
-      | Sys_error msg ->
-        prerr_endline msg;
-        exit 1
-    in
+    let nl = or_die (read_nonlinear deck) in
     let sol =
       try Nonlinear.Newton.solve nl with
       | Nonlinear.Newton.No_convergence msg ->
@@ -436,15 +434,7 @@ let linearize_cmd =
 let distortion_cmd =
   let run obs deck f amplitude bias harmonics two_tone =
     with_obs obs @@ fun () ->
-    let nl =
-      try Nonlinear.Parser.parse_file deck with
-      | Nonlinear.Parser.Parse_error (line, msg) ->
-        prerr_endline (Printf.sprintf "%s:%d: %s" deck line msg);
-        exit 1
-      | Sys_error msg ->
-        prerr_endline msg;
-        exit 1
-    in
+    let nl = or_die (read_nonlinear deck) in
     try
       match two_tone with
       | Some spec ->
@@ -758,46 +748,40 @@ let noise_cmd =
 (* ------------------------------------------------------------------ *)
 (* Compiled-model artifacts and sweeps *)
 
-let die msg =
-  prerr_endline ("awesym: " ^ msg);
-  exit 1
-
 let load_model path =
   try Awesymbolic.Model.load path with
   | Awesymbolic.Artifact.Format_error msg ->
     die (Printf.sprintf "cannot load %s: %s" path msg)
   | Sys_error msg -> die msg
 
+let cache_arg doc = Arg.(value & flag & info [ "cache" ] ~doc)
+
+let build_model ~order ~sparse ~cache nl =
+  if cache then Awesymbolic.Model.build_cached ~order ~sparse nl
+  else Awesymbolic.Model.build ~order ~sparse nl
+
+let symbol_names model = Array.map Symbolic.Symbol.name (Awesymbolic.Model.symbols model)
+
 let compile_cmd =
-  let run obs jobs backend deck order sparse out cache =
-    with_obs obs @@ fun () ->
-    with_jobs jobs @@ fun () ->
-    with_backend backend @@ fun () ->
-    let nl = or_die (read_netlist deck) in
-    let model =
-      if cache then Awesymbolic.Model.build_cached ~order ~sparse nl
-      else Awesymbolic.Model.build ~order ~sparse nl
-    in
+  let run ((_, _, backend) as rt) deck order sparse out cache =
+    with_runtime rt @@ fun () ->
+    let model = build_model ~order ~sparse ~cache (or_die (read_netlist deck)) in
     let out =
       match out with
       | Some o -> o
       | None -> Filename.remove_extension (Filename.basename deck) ^ ".awm"
     in
     Awesymbolic.Model.save model out;
-    let symbols = Awesymbolic.Model.symbols model in
     Printf.printf "compiled %s -> %s\n" deck out;
     Printf.printf "order %d, symbols: %s\n"
       (Awesymbolic.Model.order model)
-      (String.concat ", "
-         (Array.to_list (Array.map Symbolic.Symbol.name symbols)));
+      (String.concat ", " (Array.to_list (symbol_names model)));
     Printf.printf "%d operations over %d registers\n"
       (Awesymbolic.Model.num_operations model)
       (Symbolic.Slp.num_registers (Awesymbolic.Model.program model));
-    (* Prewarm the kernel cache: later eval/sweep/serve runs on this
-       artifact hit the compiled object instead of paying ocamlopt. *)
-    (match backend with
-    | Symbolic.Slp.Interp -> ()
-    | Symbolic.Slp.Auto | Symbolic.Slp.Native ->
+    (* Prewarm the kernel cache: later native eval/sweep/serve runs on
+       this artifact hit the compiled object instead of paying ocamlopt. *)
+    if backend = Symbolic.Slp.Native then begin
       let p = Awesymbolic.Model.program model in
       if Codegen.available p then
         Printf.printf "native kernel cached: %s\n"
@@ -806,7 +790,8 @@ let compile_cmd =
         Printf.printf "native kernel unavailable (%s); runs will interpret\n"
           (match Codegen.last_error () with
           | Some e -> Awesym_error.kind_name e.Awesym_error.kind
-          | None -> "declined"))
+          | None -> "declined")
+    end
   in
   let out_arg =
     Arg.(
@@ -815,24 +800,18 @@ let compile_cmd =
       & info [ "o"; "out" ] ~docv:"FILE"
           ~doc:"Artifact path (default: the deck's basename with .awm).")
   in
-  let sparse_arg =
-    Arg.(value & flag & info [ "sparse" ] ~doc:"Use the sparse factorization.")
-  in
   let cache_arg =
-    Arg.(
-      value & flag
-      & info [ "cache" ]
-          ~doc:
-            "Consult and populate the content-addressed model cache \
-             (\\$AWESYM_CACHE_DIR or .awesym-cache).")
+    cache_arg
+      "Consult and populate the content-addressed model cache \
+       (\\$AWESYM_CACHE_DIR or .awesym-cache)."
   in
   let doc =
     "Compile the deck's symbolic model and save it as a versioned, \
      checksummed artifact for later `eval` and `sweep` runs."
   in
   Cmd.v (Cmd.info "compile" ~doc)
-    Term.(const run $ obs_args $ jobs_arg $ backend_arg $ deck_arg $ order_arg
-          $ sparse_arg $ out_arg $ cache_arg)
+    Term.(const run $ runtime_args $ deck_arg $ order_arg $ sparse_arg $ out_arg
+          $ cache_arg)
 
 let model_arg =
   let doc = "Load a compiled model artifact instead of building a deck." in
@@ -841,23 +820,45 @@ let model_arg =
     & opt (some file) None
     & info [ "model"; "m" ] ~docv:"FILE" ~doc)
 
+(* DECK or --model FILE, for `sweep` and `optimize`: the artifact path
+   given, and a loader that builds the deck (with --order, --sparse and
+   --cache) or loads the artifact. *)
+let model_source_arg =
+  let deck =
+    let doc = "Input netlist deck (alternative to --model)." in
+    Arg.(value & pos 0 (some file) None & info [] ~docv:"DECK" ~doc)
+  in
+  let cache =
+    cache_arg
+      "Consult and populate the content-addressed model cache when building \
+       from a deck."
+  in
+  let source deck model_path order sparse cache =
+    let load () =
+      match (model_path, deck) with
+      | Some _, Some _ -> die "give either a DECK or --model, not both"
+      | None, None -> die "need a DECK or --model FILE"
+      | Some p, None -> load_model p
+      | None, Some d -> build_model ~order ~sparse ~cache (or_die (read_netlist d))
+    in
+    (model_path, load)
+  in
+  Term.(const source $ deck $ model_arg $ order_arg $ sparse_arg $ cache)
+
+let unknown_symbol names n =
+  die
+    (Printf.sprintf "unknown symbol %s (model has: %s)" n
+       (String.concat ", " (Array.to_list names)))
+
 (* Positional value vector from --set bindings over the model's symbol
    names, defaulting to nominals.  Shared by `eval` and `call` so both
    resolve a point identically. *)
 let point_of_bindings ~names ~nominals bindings =
   let bound = List.map (fun b -> or_die (parse_binding b)) bindings in
-  List.iter
-    (fun (n, _) ->
-      if not (Array.exists (( = ) n) names) then
-        die
-          (Printf.sprintf "unknown symbol %s (model has: %s)" n
-             (String.concat ", " (Array.to_list names))))
-    bound;
+  List.iter (fun (n, _) -> if not (Array.mem n names) then unknown_symbol names n) bound;
   Array.mapi
     (fun k n ->
-      match List.find_opt (fun (b, _) -> b = n) bound with
-      | Some (_, x) -> x
-      | None -> nominals.(k))
+      match List.assoc_opt n bound with Some x -> x | None -> nominals.(k))
     names
 
 (* The one point-evaluation printer.  `eval` (offline) and `call` (served)
@@ -877,37 +878,35 @@ let print_point_eval ~model_path ~order ~names ~values ~moments ~show_moments =
   end;
   print_rom (Awe.Pade.fit ~order moments)
 
+let moments_arg =
+  Arg.(value & flag & info [ "moments" ] ~doc:"Also print the raw moments.")
+
 let eval_cmd =
-  let run obs jobs backend model_path bindings show_moments =
-    with_obs obs @@ fun () ->
-    with_jobs jobs @@ fun () ->
-    with_backend backend @@ fun () ->
+  let run rt model_path bindings show_moments =
+    with_runtime rt @@ fun () ->
     let model_path =
       match model_path with
       | Some p -> p
       | None -> die "need --model FILE (produce one with `awesym compile`)"
     in
     let model = load_model model_path in
-    let symbols = Awesymbolic.Model.symbols model in
-    let names = Array.map Symbolic.Symbol.name symbols in
-    let nominals = Awesymbolic.Model.nominal_values model in
-    let v = point_of_bindings ~names ~nominals bindings in
+    let names = symbol_names model in
+    let v =
+      point_of_bindings ~names ~nominals:(Awesymbolic.Model.nominal_values model)
+        bindings
+    in
     print_point_eval ~model_path
       ~order:(Awesymbolic.Model.order model)
       ~names ~values:v
       ~moments:(Awesymbolic.Model.eval_moments model v)
       ~show_moments
   in
-  let moments_arg =
-    Arg.(value & flag & info [ "moments" ] ~doc:"Also print the raw moments.")
-  in
   let doc =
     "Evaluate a compiled model artifact at symbol values (defaults: the \
      nominal values stored in the artifact)."
   in
   Cmd.v (Cmd.info "eval" ~doc)
-    Term.(const run $ obs_args $ jobs_arg $ backend_arg $ model_arg
-          $ bindings_arg $ moments_arg)
+    Term.(const run $ runtime_args $ model_arg $ bindings_arg $ moments_arg)
 
 let parse_vary s =
   match String.index_opt s '=' with
@@ -946,62 +945,78 @@ let parse_vary s =
             NAME=normal:MEAN:STD, or NAME=lognormal:MU:SIGMA)"
            s))
 
+(* Axes from --vary over the symbols [names] with [nominals] (a local
+   model's or a daemon's): pct:P is relative to the symbol's nominal, and
+   no --vary sweeps every symbol at pct:20. *)
+let axes_of_varies ~names ~nominals varies =
+  let around k pct = Sweep.Dist.around ~nominal:nominals.(k) ~pct in
+  if varies = [] then
+    Array.to_list (Array.mapi (fun k name -> { Sweep.Plan.name; dist = around k 20.0 }) names)
+  else
+    List.map
+      (fun v ->
+        match or_die (parse_vary v) with
+        | name, `Dist dist -> { Sweep.Plan.name; dist }
+        | name, `Pct p -> (
+          match Array.find_index (( = ) name) names with
+          | Some k -> { Sweep.Plan.name; dist = around k p }
+          | None -> unknown_symbol names name))
+      varies
+
 let describe_dist = function
   | Sweep.Dist.Uniform { lo; hi } -> Printf.sprintf "uniform[%g, %g]" lo hi
   | Sweep.Dist.Normal { mean; std } -> Printf.sprintf "normal(%g, %g)" mean std
   | Sweep.Dist.Lognormal { mu; sigma } ->
     Printf.sprintf "lognormal(%g, %g)" mu sigma
 
+let print_axis (a : Sweep.Plan.axis) =
+  Printf.printf "  %s ~ %s\n" a.name (describe_dist a.dist)
+
+let parse_specs = List.map (fun s -> or_die (Sweep.Engine.spec_of_string s))
+
+(* --json FILE, or '-' for stdout after a blank line. *)
+let write_json ~what path j =
+  match path with
+  | None -> ()
+  | Some "-" ->
+    print_newline ();
+    print_endline (Obs.Json.to_string j)
+  | Some path ->
+    Obs.Json.to_file path j;
+    Printf.printf "\n%s written to %s\n" what path
+
+(* The flags `sweep` and `optimize` share; each command words its own
+   help. *)
+let vary_arg doc =
+  Arg.(value & opt_all string [] & info [ "vary" ] ~docv:"NAME=DIST" ~doc)
+
+let spec_arg doc =
+  Arg.(value & opt_all string [] & info [ "spec" ] ~docv:"MEASURE<=LIMIT" ~doc)
+
+let seed_arg doc = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc)
+
+let json_arg doc =
+  Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
+
+let checkpoint_args ~checkpoint ~resume =
+  Term.(
+    const (fun c r -> (c, r))
+    $ Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE" ~doc:checkpoint)
+    $ Arg.(value & flag & info [ "resume" ] ~doc:resume))
+
+let check_resume (checkpoint, resume) =
+  if resume && checkpoint = None then
+    die "--resume needs --checkpoint FILE to resume from"
+
 let sweep_cmd =
-  let run obs jobs backend deck model_path order sparse cache varies mc lhs
-      corners grid measures specs seed block json_path on_fault checkpoint
-      resume worker_addrs chunk_timeout heartbeat dist_retries =
-    with_obs obs @@ fun () ->
-    with_jobs jobs @@ fun () ->
-    with_backend backend @@ fun () ->
-    let model =
-      match (model_path, deck) with
-      | Some _, Some _ -> die "give either a DECK or --model, not both"
-      | None, None -> die "need a DECK or --model FILE"
-      | Some p, None -> load_model p
-      | None, Some d ->
-        let nl = or_die (read_netlist d) in
-        if cache then Awesymbolic.Model.build_cached ~order ~sparse nl
-        else Awesymbolic.Model.build ~order ~sparse nl
-    in
-    let names =
-      Array.map Symbolic.Symbol.name (Awesymbolic.Model.symbols model)
-    in
-    let nominals = Awesymbolic.Model.nominal_values model in
-    let nominal_of name =
-      let rec go k =
-        if k >= Array.length names then
-          die
-            (Printf.sprintf "unknown symbol %s (model has: %s)" name
-               (String.concat ", " (Array.to_list names)))
-        else if names.(k) = name then nominals.(k)
-        else go (k + 1)
-      in
-      go 0
-    in
+  let run rt (model_path, load) varies mc lhs corners grid measures specs seed
+      block json_path on_fault ((checkpoint, resume) as ckpt) worker_addrs
+      chunk_timeout heartbeat dist_retries =
+    with_runtime rt @@ fun () ->
+    let model = load () in
     let axes =
-      if varies = [] then
-        (* Nothing specified: sweep every symbol over a ±20% band. *)
-        Array.to_list
-          (Array.mapi
-             (fun k name ->
-               { Sweep.Plan.name;
-                 dist = Sweep.Dist.around ~nominal:nominals.(k) ~pct:20.0 })
-             names)
-      else
-        List.map
-          (fun v ->
-            match or_die (parse_vary v) with
-            | name, `Dist d -> { Sweep.Plan.name; dist = d }
-            | name, `Pct p ->
-              { Sweep.Plan.name;
-                dist = Sweep.Dist.around ~nominal:(nominal_of name) ~pct:p })
-          varies
+      axes_of_varies ~names:(symbol_names model)
+        ~nominals:(Awesymbolic.Model.nominal_values model) varies
     in
     let kind =
       match (mc, lhs, corners, grid) with
@@ -1017,15 +1032,12 @@ let sweep_cmd =
       | [] -> Sweep.Engine.default_measures
       | ms -> List.map (fun m -> or_die (Sweep.Engine.measure_of_string m)) ms
     in
-    let specs =
-      List.map (fun s -> or_die (Sweep.Engine.spec_of_string s)) specs
-    in
+    let specs = parse_specs specs in
     let plan =
       try Sweep.Plan.make kind axes with Invalid_argument msg -> die msg
     in
     let policy = or_die (Sweep.Engine.policy_of_string on_fault) in
-    if resume && checkpoint = None then
-      die "--resume needs --checkpoint FILE to resume from";
+    check_resume ckpt;
     let result =
       try
         match worker_addrs with
@@ -1082,10 +1094,7 @@ let sweep_cmd =
       if List.length failed > 5 then
         Printf.printf "    ... and %d more (see the JSON report)\n"
           (List.length failed - 5));
-    List.iter
-      (fun (a : Sweep.Plan.axis) ->
-        Printf.printf "  %s ~ %s\n" a.Sweep.Plan.name (describe_dist a.dist))
-      plan.Sweep.Plan.axes;
+    List.iter print_axis plan.Sweep.Plan.axes;
     print_newline ();
     Printf.printf "%-22s %12s %12s %12s %12s %12s %9s\n" "measure" "mean"
       "std" "min" "median" "max" "finite";
@@ -1113,39 +1122,14 @@ let sweep_cmd =
         (fun y -> Printf.printf "overall yield %6.2f%%\n" (100.0 *. y))
         result.Sweep.Engine.yield
     end;
-    match json_path with
-    | None -> ()
-    | Some "-" ->
-      print_newline ();
-      print_endline (Obs.Json.to_string (Sweep.Engine.to_json result))
-    | Some path ->
-      Obs.Json.to_file path (Sweep.Engine.to_json result);
-      Printf.printf "\nsweep report written to %s\n" path
-  in
-  let deck_opt_arg =
-    let doc = "Input netlist deck (alternative to --model)." in
-    Arg.(value & pos 0 (some file) None & info [] ~docv:"DECK" ~doc)
-  in
-  let sparse_arg =
-    Arg.(value & flag & info [ "sparse" ] ~doc:"Use the sparse factorization.")
-  in
-  let cache_arg =
-    Arg.(
-      value & flag
-      & info [ "cache" ]
-          ~doc:
-            "Consult and populate the content-addressed model cache when \
-             building from a deck.")
+    write_json ~what:"sweep report" json_path (Sweep.Engine.to_json result)
   in
   let vary_arg =
-    Arg.(
-      value & opt_all string []
-      & info [ "vary" ] ~docv:"NAME=DIST"
-          ~doc:
-            "Sweep a symbol: NAME=pct:P (uniform ±P% around nominal), \
-             NAME=uniform:LO:HI, NAME=normal:MEAN:STD, or \
-             NAME=lognormal:MU:SIGMA.  Repeatable.  Default: every symbol \
-             at pct:20.")
+    vary_arg
+      "Sweep a symbol: NAME=pct:P (uniform ±P% around nominal), \
+       NAME=uniform:LO:HI, NAME=normal:MEAN:STD, or \
+       NAME=lognormal:MU:SIGMA.  Repeatable.  Default: every symbol at \
+       pct:20."
   in
   let mc_arg =
     Arg.(
@@ -1184,21 +1168,15 @@ let sweep_cmd =
              Repeatable; default dc_gain, dominant_pole_hz, delay_50.")
   in
   let spec_arg =
-    Arg.(
-      value & opt_all string []
-      & info [ "spec" ] ~docv:"MEASURE<=LIMIT"
-          ~doc:
-            "Yield requirement, e.g. 'delay_50<=1e-9' or 'dc_gain>=0.5'.  \
-             Repeatable; the overall yield is the fraction of points \
-             passing every spec.")
+    spec_arg
+      "Yield requirement, e.g. 'delay_50<=1e-9' or 'dc_gain>=0.5'.  \
+       Repeatable; the overall yield is the fraction of points passing \
+       every spec."
   in
   let seed_arg =
-    Arg.(
-      value & opt int 42
-      & info [ "seed" ] ~docv:"N"
-          ~doc:
-            "Obs.Rng seed for the sampling stream; recorded in the JSON \
-             report so runs are reproducible.")
+    seed_arg
+      "Obs.Rng seed for the sampling stream; recorded in the JSON report \
+       so runs are reproducible."
   in
   let block_arg =
     Arg.(
@@ -1207,13 +1185,7 @@ let sweep_cmd =
       & info [ "block" ] ~docv:"N"
           ~doc:"Batch kernel block size (default 256 lanes).")
   in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Write the machine-readable sweep report here ('-' = stdout).")
-  in
+  let json_arg = json_arg "Write the machine-readable sweep report here ('-' = stdout)." in
   let on_fault_arg =
     Arg.(
       value & opt string "skip"
@@ -1224,23 +1196,15 @@ let sweep_cmd =
              keeps going, 'retry' / 'retry:N' re-attempts N times (default \
              2) with Pad\xc3\xa9 order reduction before quarantining.")
   in
-  let checkpoint_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "checkpoint" ] ~docv:"FILE"
-          ~doc:
-            "Record completed chunks in FILE (atomically) so an \
-             interrupted sweep can be resumed with --resume.")
-  in
-  let resume_arg =
-    Arg.(
-      value & flag
-      & info [ "resume" ]
-          ~doc:
-            "Restore completed chunks from --checkpoint FILE and evaluate \
-             only the remainder; the report is byte-identical to an \
-             uninterrupted run.")
+  let checkpoint_args =
+    checkpoint_args
+      ~checkpoint:
+        "Record completed chunks in FILE (atomically) so an interrupted \
+         sweep can be resumed with --resume."
+      ~resume:
+        "Restore completed chunks from --checkpoint FILE and evaluate only \
+         the remainder; the report is byte-identical to an uninterrupted \
+         run."
   in
   let worker_addr_arg =
     Arg.(
@@ -1284,11 +1248,10 @@ let sweep_cmd =
   in
   Cmd.v (Cmd.info "sweep" ~doc)
     Term.(
-      const run $ obs_args $ jobs_arg $ backend_arg $ deck_opt_arg $ model_arg
-      $ order_arg $ sparse_arg $ cache_arg $ vary_arg $ mc_arg $ lhs_arg
+      const run $ runtime_args $ model_source_arg $ vary_arg $ mc_arg $ lhs_arg
       $ corners_arg $ grid_arg $ measure_arg $ spec_arg $ seed_arg $ block_arg
-      $ json_arg $ on_fault_arg $ checkpoint_arg $ resume_arg
-      $ worker_addr_arg $ chunk_timeout_arg $ heartbeat_arg $ dist_retries_arg)
+      $ json_arg $ on_fault_arg $ checkpoint_args $ worker_addr_arg
+      $ chunk_timeout_arg $ heartbeat_arg $ dist_retries_arg)
 
 let moments_cmd =
   let run obs deck count =
@@ -1347,12 +1310,24 @@ let socket_arg =
     & opt string ".awesym.sock"
     & info [ "socket" ] ~docv:"ADDR" ~doc)
 
+let deadline_arg doc =
+  Arg.(value & opt (some float) None & info [ "deadline-ms" ] ~docv:"MS" ~doc)
+
+let or_fail = function Ok v -> v | Error e -> die (Awesym_error.to_string e)
+
+(* Connect to the daemon at [addr] and close the connection after [f].
+   The connect retries with backoff: `call` right after `serve &` races
+   the daemon's bind, and a restarting daemon is a transient, not an
+   error worth surfacing. *)
+let with_daemon addr f =
+  let c = or_fail (Serve.Client.connect_retry addr) in
+  Fun.protect ~finally:(fun () -> Serve.Client.close c) (fun () -> f c)
+
 let serve_cmd =
   let run jobs backend listen workers replicas max_batch linger_ms queue
       worker_queue client_inflight max_models gc_mb trace_log
       trace_log_max_mb =
-    with_jobs jobs @@ fun () ->
-    with_backend backend @@ fun () ->
+    set_runtime jobs backend;
     if max_batch < 1 || queue < 1 || linger_ms < 0.0 then
       die "serve: --max-batch and --queue must be >= 1, --linger-ms >= 0";
     if workers < 1 || replicas < 1 || worker_queue < 1 || client_inflight < 1
@@ -1511,42 +1486,22 @@ let serve_cmd =
 let call_cmd =
   let run socket model_path bindings show_moments deadline_ms ping stats
       metrics traces_n trace_id shutdown =
-    let fail e = die (Awesym_error.to_string e) in
-    let with_client f =
-      (* Retry with backoff: `call` right after `serve &` races the
-         daemon's bind, and a restarting daemon is a transient, not an
-         error worth surfacing. *)
-      match Serve.Client.connect_retry socket with
-      | Error e -> fail e
-      | Ok c -> Fun.protect ~finally:(fun () -> Serve.Client.close c) (fun () -> f c)
-    in
-    if ping then
-      with_client @@ fun c ->
-      match Serve.Client.ping c with
-      | Error e -> fail e
-      | Ok versions ->
-        print_endline "pong";
-        List.iter (fun (k, v) -> Printf.printf "  %s %s\n" k v) versions
-    else if stats then
-      with_client @@ fun c ->
-      match Serve.Client.stats c with
-      | Error e -> fail e
-      | Ok s -> print_endline (Obs.Json.to_string s)
-    else if metrics then
-      with_client @@ fun c ->
-      match Serve.Client.metrics c with
-      | Error e -> fail e
-      | Ok text -> print_string text
+    let daemon f = with_daemon socket (fun c -> or_fail (f c)) in
+    if ping then begin
+      let versions = daemon Serve.Client.ping in
+      print_endline "pong";
+      List.iter (fun (k, v) -> Printf.printf "  %s %s\n" k v) versions
+    end
+    else if stats then print_endline (Obs.Json.to_string (daemon Serve.Client.stats))
+    else if metrics then print_string (daemon Serve.Client.metrics)
     else if traces_n <> None then
-      with_client @@ fun c ->
-      match Serve.Client.traces c ~limit:(Option.get traces_n) with
-      | Error e -> fail e
-      | Ok ts -> List.iter (fun tr -> print_endline (Obs.Json.to_string tr)) ts
-    else if shutdown then
-      with_client @@ fun c ->
-      match Serve.Client.shutdown c with
-      | Error e -> fail e
-      | Ok () -> print_endline "draining"
+      List.iter
+        (fun tr -> print_endline (Obs.Json.to_string tr))
+        (daemon (Serve.Client.traces ~limit:(Option.get traces_n)))
+    else if shutdown then begin
+      daemon Serve.Client.shutdown;
+      print_endline "draining"
+    end
     else begin
       let model_path =
         match model_path with
@@ -1564,43 +1519,30 @@ let call_cmd =
             { Serve.Protocol.trace_id = id; parent_span = "awesym.call" })
           trace_id
       in
-      with_client @@ fun c ->
-      let info =
-        match Serve.Client.info c model_path with
-        | Error e -> fail e
-        | Ok i -> i
-      in
+      with_daemon socket @@ fun c ->
+      let info = or_fail (Serve.Client.info c model_path) in
       let names = info.Serve.Protocol.symbols in
       let v =
         point_of_bindings ~names ~nominals:info.Serve.Protocol.nominals
           bindings
       in
-      match
-        Serve.Client.eval c ?trace ?deadline_ms ~model:model_path [| v |]
-      with
-      | Error e -> fail e
-      | Ok r ->
-        print_point_eval ~model_path ~order:r.Serve.Protocol.order ~names
-          ~values:v
-          ~moments:r.Serve.Protocol.moments.(0)
-          ~show_moments
+      let r =
+        or_fail (Serve.Client.eval c ?trace ?deadline_ms ~model:model_path [| v |])
+      in
+      print_point_eval ~model_path ~order:r.Serve.Protocol.order ~names
+        ~values:v
+        ~moments:r.Serve.Protocol.moments.(0)
+        ~show_moments
     end
-  in
-  let moments_arg =
-    Arg.(value & flag & info [ "moments" ] ~doc:"Also print the raw moments.")
   in
   let server_model_arg =
     let doc = "Artifact path, resolved on the server." in
     Arg.(value & opt (some string) None & info [ "model"; "m" ] ~docv:"PATH" ~doc)
   in
   let deadline_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "deadline-ms" ] ~docv:"MS"
-          ~doc:
-            "Relative deadline; the server answers a `timeout` error \
-             instead of evaluating once it expires.")
+    deadline_arg
+      "Relative deadline; the server answers a `timeout` error instead of \
+       evaluating once it expires."
   in
   let ping_arg =
     Arg.(value & flag
@@ -1693,17 +1635,8 @@ let top_cmd =
     print_newline ()
   in
   let run socket interval count =
-    let fail e = die (Awesym_error.to_string e) in
     let once () =
-      match Serve.Client.connect_retry socket with
-      | Error e -> fail e
-      | Ok c ->
-        Fun.protect
-          ~finally:(fun () -> Serve.Client.close c)
-          (fun () ->
-            match Serve.Client.stats c with
-            | Error e -> fail e
-            | Ok s -> render socket s)
+      with_daemon socket @@ fun c -> render socket (or_fail (Serve.Client.stats c))
     in
     match interval with
     | None -> once ()
@@ -1781,145 +1714,59 @@ let cache_cmd =
 (* Optimization: sizing and yield maximization (see docs/OPTIMIZE.md) *)
 
 let optimize_cmd =
-  let module J = Obs.Json in
-  let jnum j name =
-    match J.member name j with Some (J.Num v) -> Some v | _ -> None
+  (* The human rendering of the typed report: a local run and a --remote
+     one (whose report is decoded from the daemon's reply) print the same
+     bytes. *)
+  let print_values =
+    List.iter (fun (name, x) -> Printf.printf "  %-20s = %g\n" name x)
   in
-  let jstr j name =
-    match J.member name j with Some (J.Str s) -> Some s | _ -> None
-  in
-  let jlist j name =
-    match J.member name j with Some (J.List l) -> l | _ -> []
-  in
-  let jint ?(default = 0) j name =
-    match jnum j name with Some v -> int_of_float v | None -> default
-  in
-  let print_axes indent axes =
-    List.iter
-      (fun a ->
-        match (jstr a "name", J.member "dist" a) with
-        | Some name, Some dj -> (
-          match Sweep.Dist.of_json dj with
-          | Ok d -> Printf.printf "%s%s ~ %s\n" indent name (describe_dist d)
-          | Error _ -> ())
-        | _ -> ())
-      axes
-  in
-  (* Human rendering reads the report JSON (not the typed result), so the
-     offline and remote paths print identically from the same bytes. *)
-  let print_report report =
-    match jstr report "mode" with
-    | Some "size" ->
-      let runs = jlist report "runs" in
-      let best = jint report "best" in
+  let print_report = function
+    | Opt.Request.Size_report r ->
+      let starts = List.length r.runs in
       Printf.printf "optimize size: status %s (best of %d start%s: restart %d)\n"
-        (Option.value ~default:"?" (jstr report "status"))
-        (List.length runs)
-        (if List.length runs = 1 then "" else "s")
-        best;
-      (match List.nth_opt runs best with
-      | Some r ->
-        Printf.printf
-          "objective %.6g after %d accepted steps, %d evaluations\n"
-          (Option.value ~default:nan (jnum report "objective"))
-          (jint r "iters") (jint r "evals")
-      | None -> ());
+        (Opt.Sizing.status_name r.status) starts
+        (if starts = 1 then "" else "s")
+        r.best;
+      Option.iter
+        (fun (b : Opt.Sizing.restart) ->
+          Printf.printf "objective %.6g after %d accepted steps, %d evaluations\n"
+            r.objective b.iters b.evals)
+        (List.nth_opt r.runs r.best);
       print_newline ();
       print_endline "sized variables:";
-      List.iter
-        (fun v ->
-          match (jstr v "name", jnum v "value") with
-          | Some n, Some x -> Printf.printf "  %-20s = %g\n" n x
-          | _ -> ())
-        (jlist report "variables");
-      (match jlist report "measures" with
-      | [] -> ()
-      | ms ->
+      print_values r.variables;
+      if r.measures <> [] then begin
         print_newline ();
         print_endline "measures at the sized point:";
-        List.iter
-          (fun m ->
-            match (jstr m "name", jnum m "value") with
-            | Some n, Some x -> Printf.printf "  %-20s = %g\n" n x
-            | _ -> ())
-          ms)
-    | Some "yield" ->
-      Printf.printf "optimize yield: %d points/iteration, seed %d\n"
-        (jint report "points") (jint report "seed");
+        print_values r.measures
+      end
+    | Opt.Request.Yield_report r ->
+      Printf.printf "optimize yield: %d points/iteration, seed %d\n" r.points r.seed;
       print_newline ();
       Printf.printf "%6s %10s %10s %10s\n" "iter" "yield" "passing" "survivors";
       List.iter
-        (fun it ->
-          Printf.printf "%6d %9.2f%% %10d %10d\n" (jint it "it")
-            (100.0 *. Option.value ~default:nan (jnum it "yield"))
-            (jint it "passing") (jint it "survivors"))
-        (jlist report "iterations");
+        (fun (i : Opt.Recenter.iteration) ->
+          Printf.printf "%6d %9.2f%% %10d %10d\n" i.it (100.0 *. i.yield) i.passing
+            i.survivors)
+        r.iterations;
       print_newline ();
-      Printf.printf "yield %.2f%% -> %.2f%% (%s)\n"
-        (100.0 *. Option.value ~default:nan (jnum report "initial_yield"))
-        (100.0 *. Option.value ~default:nan (jnum report "final_yield"))
-        (match J.member "improved" report with
-        | Some (J.Bool true) -> "improved"
-        | _ -> "not improved");
+      Printf.printf "yield %.2f%% -> %.2f%% (%s)\n" (100.0 *. r.initial_yield)
+        (100.0 *. r.final_yield)
+        (if r.improved then "improved" else "not improved");
       print_endline "re-centered sampling axes:";
-      print_axes "  " (jlist report "final_axes")
-    | _ -> ()
+      List.iter print_axis r.final_axes
   in
-  let emit json_path report =
-    print_report report;
-    match json_path with
-    | None -> ()
-    | Some "-" ->
-      print_newline ();
-      print_endline (J.to_string report)
-    | Some path ->
-      J.to_file path report;
-      Printf.printf "\noptimization report written to %s\n" path
-  in
-  let run obs jobs backend deck model_path order sparse cache mode varies
-      specs goal area_weight penalty_weight seed restarts iters step tol
-      points shrink require json_path checkpoint resume remote deadline_ms =
-    with_obs obs @@ fun () ->
-    with_jobs jobs @@ fun () ->
-    with_backend backend @@ fun () ->
-    let specs =
-      List.map (fun s -> or_die (Sweep.Engine.spec_of_string s)) specs
-    in
+  let run rt (model_path, load) mode varies specs goal area_weight penalty_weight
+      seed restarts iters step tol points shrink require json_path
+      ((checkpoint, resume) as ckpt) remote deadline_ms =
+    with_runtime rt @@ fun () ->
+    let specs = parse_specs specs in
     let goal = Option.map (fun g -> or_die (Opt.Objective.goal_of_string g)) goal in
-    if resume && checkpoint = None then
-      die "--resume needs --checkpoint FILE to resume from";
+    check_resume ckpt;
     (* Axes resolve against symbol names/nominals; pct varies need the
        nominal, which comes from the local model or the daemon's info. *)
-    let axes_of ~names ~nominals =
-      let nominal_of name =
-        let rec go k =
-          if k >= Array.length names then
-            die
-              (Printf.sprintf "unknown symbol %s (model has: %s)" name
-                 (String.concat ", " (Array.to_list names)))
-          else if names.(k) = name then nominals.(k)
-          else go (k + 1)
-        in
-        go 0
-      in
-      if varies = [] then
-        Array.to_list
-          (Array.mapi
-             (fun k name ->
-               { Sweep.Plan.name;
-                 dist = Sweep.Dist.around ~nominal:nominals.(k) ~pct:20.0 })
-             names)
-      else
-        List.map
-          (fun v ->
-            match or_die (parse_vary v) with
-            | name, `Dist d -> { Sweep.Plan.name; dist = d }
-            | name, `Pct p ->
-              { Sweep.Plan.name;
-                dist = Sweep.Dist.around ~nominal:(nominal_of name) ~pct:p })
-          varies
-    in
-    let request_of axes =
+    let request_of ~names ~nominals =
+      let axes = axes_of_varies ~names ~nominals varies in
       match mode with
       | `Size ->
         let objective =
@@ -1946,79 +1793,43 @@ let optimize_cmd =
             seed;
           }
     in
-    match remote with
-    | Some addr ->
-      if checkpoint <> None || resume then
-        die "--checkpoint/--resume run locally; drop them with --remote";
-      let model_path =
-        match model_path with
-        | Some p -> p
-        | None -> die "--remote needs --model PATH (resolved on the server)"
-      in
-      let fail e = die (Awesym_error.to_string e) in
-      (match Serve.Client.connect_retry addr with
-      | Error e -> fail e
-      | Ok c ->
-        Fun.protect
-          ~finally:(fun () -> Serve.Client.close c)
-          (fun () ->
-            let info =
-              match Serve.Client.info c model_path with
-              | Error e -> fail e
-              | Ok i -> i
-            in
-            let axes =
-              axes_of ~names:info.Serve.Protocol.symbols
-                ~nominals:info.Serve.Protocol.nominals
-            in
-            let req = request_of axes in
-            match
-              Serve.Client.optimize c
-                {
-                  Serve.Protocol.op_model = model_path;
-                  op_request = Opt.Request.to_json req;
-                  op_deadline_ms = deadline_ms;
-                }
-            with
-            | Error e -> fail e
-            | Ok o ->
-              let report = o.Serve.Protocol.or_report in
-              emit json_path report;
-              Opt.Request.check_require ~require report))
-    | None ->
-      let model =
-        match (model_path, deck) with
-        | Some _, Some _ -> die "give either a DECK or --model, not both"
-        | None, None -> die "need a DECK or --model FILE"
-        | Some p, None -> load_model p
-        | None, Some d ->
-          let nl = or_die (read_netlist d) in
-          if cache then Awesymbolic.Model.build_cached ~order ~sparse nl
-          else Awesymbolic.Model.build ~order ~sparse nl
-      in
-      let names =
-        Array.map Symbolic.Symbol.name (Awesymbolic.Model.symbols model)
-      in
-      let nominals = Awesymbolic.Model.nominal_values model in
-      let req = request_of (axes_of ~names ~nominals) in
-      let report = Opt.Request.run ?checkpoint ~resume model req in
-      emit json_path report;
-      Opt.Request.check_require ~require report
-  in
-  let deck_opt_arg =
-    let doc = "Input netlist deck (alternative to --model)." in
-    Arg.(value & pos 0 (some file) None & info [] ~docv:"DECK" ~doc)
-  in
-  let sparse_arg =
-    Arg.(value & flag & info [ "sparse" ] ~doc:"Use the sparse factorization.")
-  in
-  let cache_arg =
-    Arg.(
-      value & flag
-      & info [ "cache" ]
-          ~doc:
-            "Consult and populate the content-addressed model cache when \
-             building from a deck.")
+    let report =
+      match remote with
+      | Some addr ->
+        if checkpoint <> None || resume then
+          die "--checkpoint/--resume run locally; drop them with --remote";
+        let model_path =
+          match model_path with
+          | Some p -> p
+          | None -> die "--remote needs --model PATH (resolved on the server)"
+        in
+        with_daemon addr @@ fun c ->
+        let info = or_fail (Serve.Client.info c model_path) in
+        let req =
+          request_of ~names:info.Serve.Protocol.symbols
+            ~nominals:info.Serve.Protocol.nominals
+        in
+        let reply =
+          or_fail
+            (Serve.Client.optimize c
+               {
+                 Serve.Protocol.op_model = model_path;
+                 op_request = Opt.Request.to_json req;
+                 op_deadline_ms = deadline_ms;
+               })
+        in
+        Opt.Request.report_of_json reply.Serve.Protocol.or_report
+      | None ->
+        let model = load () in
+        let req =
+          request_of ~names:(symbol_names model)
+            ~nominals:(Awesymbolic.Model.nominal_values model)
+        in
+        Opt.Request.run ?checkpoint ~resume model req
+    in
+    print_report report;
+    write_json ~what:"optimization report" json_path (Opt.Request.report_to_json report);
+    Opt.Request.check_require ~require report
   in
   let mode_arg =
     Arg.(
@@ -2032,24 +1843,18 @@ let optimize_cmd =
              region to maximize Monte-Carlo yield.")
   in
   let vary_arg =
-    Arg.(
-      value & opt_all string []
-      & info [ "vary" ] ~docv:"NAME=DIST"
-          ~doc:
-            "Design variable and its range: NAME=pct:P, NAME=uniform:LO:HI, \
-             NAME=normal:MEAN:STD, or NAME=lognormal:MU:SIGMA.  In size \
-             mode the distribution's bounds become the box constraints; in \
-             yield mode it is the sampling distribution.  Repeatable; \
-             default: every symbol at pct:20.")
+    vary_arg
+      "Design variable and its range: NAME=pct:P, NAME=uniform:LO:HI, \
+       NAME=normal:MEAN:STD, or NAME=lognormal:MU:SIGMA.  In size mode the \
+       distribution's bounds become the box constraints; in yield mode it \
+       is the sampling distribution.  Repeatable; default: every symbol at \
+       pct:20."
   in
   let spec_arg =
-    Arg.(
-      value & opt_all string []
-      & info [ "spec" ] ~docv:"MEASURE<=LIMIT"
-          ~doc:
-            "Design requirement, e.g. 'phase_margin>=60'.  Repeatable.  \
-             Size mode penalizes violations (squared normalized hinge); \
-             yield mode re-centers toward points passing every spec.")
+    spec_arg
+      "Design requirement, e.g. 'phase_margin>=60'.  Repeatable.  Size mode \
+       penalizes violations (squared normalized hinge); yield mode \
+       re-centers toward points passing every spec."
   in
   let goal_arg =
     Arg.(
@@ -2075,12 +1880,9 @@ let optimize_cmd =
           ~doc:"Size mode: weight of the squared spec-violation hinges.")
   in
   let seed_arg =
-    Arg.(
-      value & opt int 42
-      & info [ "seed" ] ~docv:"N"
-          ~doc:
-            "Obs.Rng seed for restart starting points (size) or sweep \
-             sampling (yield); recorded in the report.")
+    seed_arg
+      "Obs.Rng seed for restart starting points (size) or sweep sampling \
+       (yield); recorded in the report."
   in
   let restarts_arg =
     Arg.(
@@ -2138,34 +1940,22 @@ let optimize_cmd =
              is still written to --checkpoint/--json first).")
   in
   let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:
-            "Write the machine-readable optimization report (schema \
-             awesymbolic-opt/1, floats also as IEEE-754 hex bits) here \
-             ('-' = stdout).  Byte-identical across --jobs counts, \
-             --backend choices, and local vs --remote execution.")
+    json_arg
+      "Write the machine-readable optimization report (schema \
+       awesymbolic-opt/1, floats also as IEEE-754 hex bits) here ('-' = \
+       stdout).  Byte-identical across --jobs counts, --backend choices, \
+       and local vs --remote execution."
   in
-  let checkpoint_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "checkpoint" ] ~docv:"FILE"
-          ~doc:
-            "Record completed restarts/iterations in FILE (atomically, \
-             .opt extension recommended — `cache gc` ages them out) so an \
-             interrupted optimization resumes with --resume.")
-  in
-  let resume_arg =
-    Arg.(
-      value & flag
-      & info [ "resume" ]
-          ~doc:
-            "Restore completed units from --checkpoint FILE and compute \
-             only the remainder; the report is byte-identical to an \
-             uninterrupted run.")
+  let checkpoint_args =
+    checkpoint_args
+      ~checkpoint:
+        "Record completed restarts/iterations in FILE (atomically, .opt \
+         extension recommended — `cache gc` ages them out) so an \
+         interrupted optimization resumes with --resume."
+      ~resume:
+        "Restore completed units from --checkpoint FILE and compute only \
+         the remainder; the report is byte-identical to an uninterrupted \
+         run."
   in
   let remote_arg =
     Arg.(
@@ -2179,13 +1969,9 @@ let optimize_cmd =
              a local run.")
   in
   let deadline_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "deadline-ms" ] ~docv:"MS"
-          ~doc:
-            "With --remote: relative deadline; the server answers a \
-             `timeout` error instead of starting once it expires.")
+    deadline_arg
+      "With --remote: relative deadline; the server answers a `timeout` \
+       error instead of starting once it expires."
   in
   let doc =
     "Closed-loop design on a compiled model: gradient-based sizing \
@@ -2199,12 +1985,11 @@ let optimize_cmd =
   in
   Cmd.v (Cmd.info "optimize" ~doc)
     Term.(
-      const run $ obs_args $ jobs_arg $ backend_arg $ deck_opt_arg $ model_arg
-      $ order_arg $ sparse_arg $ cache_arg $ mode_arg $ vary_arg $ spec_arg
+      const run $ runtime_args $ model_source_arg $ mode_arg $ vary_arg $ spec_arg
       $ goal_arg $ area_weight_arg $ penalty_weight_arg $ seed_arg
       $ restarts_arg $ iters_arg $ step_arg $ tol_arg $ points_arg
-      $ shrink_arg $ require_arg $ json_arg $ checkpoint_arg $ resume_arg
-      $ remote_arg $ deadline_arg)
+      $ shrink_arg $ require_arg $ json_arg $ checkpoint_args $ remote_arg
+      $ deadline_arg)
 
 let () =
   let doc = "compiled symbolic circuit analysis via asymptotic waveform evaluation" in

@@ -20,9 +20,6 @@ external named_value : string -> Obj.t option = "awesym_codegen_named_value"
 let _force_callback = Callback.register
 let _force_int64 = Int64.float_of_bits
 
-let strict = ref false
-let set_strict b = strict := b
-
 let last_error_ref : Err.t option ref = ref None
 let last_error () = !last_error_ref
 
@@ -286,7 +283,7 @@ let provider p =
           let err = Err.classify e in
           last_error_ref := Some err;
           Obs.Metrics.incr "codegen.fallback";
-          if !strict then warn err;
+          warn err;
           None
       in
       Hashtbl.replace table key r;

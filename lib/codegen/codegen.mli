@@ -5,8 +5,8 @@
     (see docs/CODEGEN.md).  {!install} registers a provider that, for
     each program, either delivers {!Symbolic.Slp.native_kernels} that
     are bit-identical to the interpreter or declines — in which case
-    evaluation silently continues on the interpreter.  The pipeline per
-    program digest:
+    evaluation continues on the interpreter.  The pipeline per program
+    digest:
 
     - cache probe: [<key>.cmxs] under {!Awesymbolic.Cache.default_dir},
       where [key] hashes the program digest, the codegen {!schema}, the
@@ -21,12 +21,10 @@
 
     Failure policy: a missing/mismatched toolchain or a compile/link
     error is classified into the {!Awesym_error} taxonomy, memoized,
-    and the provider declines — silently under [Auto], with a one-line
-    classified warning on [stderr] under {!set_strict}[ true] (the
-    CLI's explicit [--backend native]).  A {e cached} object that fails
-    digest/ABI validation always warns, is quarantined by renaming to
-    [.cmxs.bad] (swept by {!Awesymbolic.Cache.gc}), and is recompiled
-    in place.
+    and the provider declines with a one-line classified warning on
+    [stderr].  A {e cached} object that fails digest/ABI validation
+    warns too, is quarantined by renaming to [.cmxs.bad] (swept by
+    {!Awesymbolic.Cache.gc}), and is recompiled in place.
 
     Obs metrics: [codegen.compile_ms] (histogram),
     [codegen.cache_hit]/[codegen.cache_miss]/[codegen.quarantined]/
@@ -49,17 +47,12 @@ val max_ops : int
 
 val install : unit -> unit
 (** Register this module as [Slp]'s native provider.  Idempotent.  The
-    CLI calls it when resolving [--backend]; tests and benches call it
+    CLI calls it for [--backend native]; tests and benches call it
     directly. *)
 
 val uninstall : unit -> unit
 (** Remove the provider (programs resolved earlier keep their memoized
     kernels). *)
-
-val set_strict : bool -> unit
-(** When [true], provider failures (other than quarantines, which always
-    warn) emit a one-line classified warning on [stderr].  The CLI sets
-    it for [--backend native]; default [false] ([auto] stays silent). *)
 
 val available : Symbolic.Slp.t -> bool
 (** Force resolution for [p] (compiling and caching if needed) and

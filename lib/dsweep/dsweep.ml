@@ -68,15 +68,12 @@ type state = {
 }
 
 let run ?(seed = 42) ?block ?measures ?(specs = []) ?(policy = Engine.Skip)
-    ?checkpoint ?(resume = false) ?(checkpoint_every = 1) ?(log = ignore)
+    ?checkpoint ?(resume = false) ?(log = ignore)
     config ~model ~model_path plan =
   Obs.Span.with_ ~name:"dsweep.run" @@ fun () ->
   if config.addrs = [] then invalid_arg "Dsweep.run: no worker addresses";
   if config.worker_retries < 0 then
     invalid_arg "Dsweep.run: negative worker_retries";
-  if checkpoint_every < 1 then
-    Err.errorf Invalid_request ~where:"dsweep"
-      "checkpoint_every must be >= 1, got %d" checkpoint_every;
   let measures =
     match measures with Some m -> m | None -> Engine.default_measures
   in
@@ -120,11 +117,7 @@ let run ?(seed = 42) ?block ?measures ?(specs = []) ?(policy = Engine.Skip)
     }
   in
   Obs.Metrics.incr "dsweep.run.count";
-  let writer =
-    Option.map
-      (fun path -> Engine.Checkpoint.writer prep ~path ~every:checkpoint_every)
-      checkpoint
-  in
+  let writer = Option.map (fun path -> Engine.Checkpoint.writer prep ~path) checkpoint in
   (match (checkpoint, resume) with
   | Some path, true ->
     List.iter

@@ -74,7 +74,6 @@ val run :
   ?policy:Sweep.Engine.policy ->
   ?checkpoint:string ->
   ?resume:bool ->
-  ?checkpoint_every:int ->
   ?log:(string -> unit) ->
   config ->
   model:Awesymbolic.Model.t ->

@@ -52,6 +52,8 @@ let num =
     | Json.Num v when Float.is_finite v -> Some v
     | _ -> None)
 
+let bool = value "a boolean" (fun b -> Json.Bool b) (function Json.Bool b -> Some b | _ -> None)
+
 let refine f g c =
   let check rp a = match f a with Ok b -> b | Error m -> failf rp "%s" m in
   { write = (fun b -> c.write (g b));
@@ -151,9 +153,6 @@ let float_pair name get =
   let mwrite v = [ (name, Json.Num v); (hex_name, Json.Str (hex v)) ] in
   Member (get, { mwrite; mread })
 
-let write_field (type r f g) (f : (r, f, g) field) (r : r) =
-  match f with Member (get, m) -> m.mwrite (get r) | Const (name, v) -> [ (name, v) ]
-
 let of_members m =
   { write = (fun v -> Json.Obj (m.mwrite v));
     read =
@@ -223,7 +222,11 @@ type ('r, 'f) fields =
   | ( :: ) : ('r, 'f, 'g) field * ('r, 'g) fields -> ('r, 'f) fields
 
 let rec write_fields : type r f. (r, f) fields -> r -> (string * Json.t) list =
- fun fs r -> match fs with [] -> [] | f :: rest -> write_field f r @ write_fields rest r
+ fun fs r ->
+  match fs with
+  | [] -> []
+  | Member (get, m) :: rest -> m.mwrite (get r) @ write_fields rest r
+  | Const (name, v) :: rest -> (name, v) :: write_fields rest r
 
 let rec read_fields : type r f. (r, f) fields -> f -> obj -> r =
  fun fs k o ->

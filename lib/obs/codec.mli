@@ -33,6 +33,8 @@ val num : float t
 (** A finite decimal float (non-finite ones are written as [null], which
     is refused).  Decimals round-trip bit-exactly. *)
 
+val bool : bool t
+
 val hexfloat : float t
 (** A float as its IEEE-754 bits in exactly 16 lowercase hex digits — the
     only spelling {!hex} writes — so NaN payloads and signed zeros cross
@@ -90,9 +92,6 @@ val float_pair : string -> ('r -> float) -> ('r, float -> 'g, 'g) field
 (** A float as ["name"] (decimal, [null] when non-finite) and
     ["name_hex"] ({!hexfloat}); decoding takes the bits and requires the
     decimal to agree. *)
-
-val write_field : ('r, 'f, 'g) field -> 'r -> (string * Json.t) list
-(** The members a field writes, for hand-built encode-only reports. *)
 
 val record : 'f -> ('r, 'f) fields -> 'r t
 

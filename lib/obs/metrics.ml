@@ -230,37 +230,6 @@ let quantile s q =
     walk 0.0 s.buckets
   end
 
-let snapshot () =
-  let counter_fields =
-    List.map (fun (n, v) -> (n, Json.Num (float_of_int v))) (counters_list ())
-  in
-  let gauge_fields =
-    List.map (fun (n, v) -> (n, Json.Num v)) (gauges_list ())
-  in
-  let histogram_fields =
-    List.map
-      (fun (n, s) ->
-        ( n,
-          Json.Obj
-            [
-              ("count", Json.Num (float_of_int s.count));
-              ("sum", Json.Num s.sum);
-              ("min", Json.Num s.min);
-              ("max", Json.Num s.max);
-              ("mean", Json.Num (mean s));
-              ("p50", Json.Num (quantile s 0.5));
-              ("p90", Json.Num (quantile s 0.9));
-              ("p99", Json.Num (quantile s 0.99));
-            ] ))
-      (histograms_list ())
-  in
-  Json.Obj
-    [
-      ("counters", Json.Obj counter_fields);
-      ("gauges", Json.Obj gauge_fields);
-      ("histograms", Json.Obj histogram_fields);
-    ]
-
 (* Prometheus text exposition (version 0.0.4).  Metric names keep only
    [a-zA-Z0-9_:]; the dotted internal names map dots to underscores under
    an `awesym_` namespace.  Histograms surface as summaries: quantile
@@ -335,3 +304,52 @@ let pp_table ppf () =
       hs
   end;
   Format.fprintf ppf "@]"
+
+(* Snapshots last: their [summary] record reuses the field names of
+   [stats]. *)
+
+type summary = {
+  count : int;
+  sum : float;
+  min : float;
+  max : float;
+  mean : float;
+  p50 : float;
+  p90 : float;
+  p99 : float;
+}
+
+type snapshot = {
+  counters : (string * int) list;
+  gauges : (string * float) list;
+  histograms : (string * summary) list;
+}
+
+let snapshot () =
+  let summary (s : stats) =
+    { count = s.count; sum = s.sum; min = s.min; max = s.max; mean = mean s;
+      p50 = quantile s 0.5; p90 = quantile s 0.9; p99 = quantile s 0.99 }
+  in
+  { counters = counters_list ();
+    gauges = gauges_list ();
+    histograms = List.map (fun (n, s) -> (n, summary s)) (histograms_list ()) }
+
+let snapshot_codec =
+  let module C = Codec in
+  let summary =
+    C.record
+      (fun count sum min max mean p50 p90 p99 -> { count; sum; min; max; mean; p50; p90; p99 })
+      [ C.req "count" C.int (fun s -> s.count);
+        C.req "sum" C.num (fun s -> s.sum);
+        C.req "min" C.num (fun s -> s.min);
+        C.req "max" C.num (fun s -> s.max);
+        C.req "mean" C.num (fun s -> s.mean);
+        C.req "p50" C.num (fun s -> s.p50);
+        C.req "p90" C.num (fun s -> s.p90);
+        C.req "p99" C.num (fun s -> s.p99) ]
+  in
+  C.record
+    (fun counters gauges histograms -> { counters; gauges; histograms })
+    [ C.req "counters" (C.dict C.int) (fun s -> s.counters);
+      C.req "gauges" (C.dict C.num) (fun s -> s.gauges);
+      C.req "histograms" (C.dict summary) (fun s -> s.histograms) ]

@@ -52,10 +52,6 @@ val quantile : stats -> float -> float
     holds the target rank and clamping to the observed min/max (so [q=0]
     and [q=1] are exact).  [nan] when the series is empty. *)
 
-val snapshot : unit -> Json.t
-(** Counters, gauges and histogram summaries (count/sum/min/max/mean and
-    p50/p90/p99) as one JSON object, all tables sorted by name. *)
-
 val to_prometheus : unit -> string
 (** The whole metric surface in Prometheus text exposition format:
     counters, gauges, and histograms as summaries with
@@ -74,3 +70,32 @@ val with_shard : (unit -> 'a) -> 'a
     other domains do not see the shard until the merge. *)
 
 val reset : unit -> unit
+
+(** {1 Snapshots} *)
+
+type summary = {
+  count : int;
+  sum : float;
+  min : float;
+  max : float;
+  mean : float;
+  p50 : float;
+  p90 : float;
+  p99 : float;
+}
+(** One histogram: {!stats} without its buckets, plus {!mean} and the
+    {!quantile} estimates. *)
+
+type snapshot = {
+  counters : (string * int) list;
+  gauges : (string * float) list;
+  histograms : (string * summary) list;
+}
+
+val snapshot : unit -> snapshot
+(** Every counter, gauge and histogram summary, each table sorted by
+    name. *)
+
+val snapshot_codec : snapshot Codec.t
+(** A snapshot as one JSON object of three tables keyed by metric name,
+    as bench reports and the serve daemon's stats carry it. *)

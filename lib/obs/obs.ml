@@ -37,3 +37,23 @@ let machine_info () =
           | Sys.Bytecode -> "bytecode"
           | Sys.Other s -> s) );
     ]
+
+type experiment = { id : string; wall_s : float; metrics : Metrics.snapshot }
+type bench = { machine : Json.t; experiments : experiment list }
+
+(* The machine block is provenance nothing reads back, so it is carried
+   opaquely. *)
+let bench_codec =
+  let module C = Codec in
+  let experiment =
+    C.record
+      (fun id wall_s metrics -> { id; wall_s; metrics })
+      [ C.req "id" C.string (fun e -> e.id);
+        C.req "wall_s" C.num (fun e -> e.wall_s);
+        C.req "metrics" Metrics.snapshot_codec (fun e -> e.metrics) ]
+  in
+  C.record
+    (fun machine experiments -> { machine; experiments })
+    [ C.const "schema" (Json.Str "awesymbolic-bench/1");
+      C.req "machine" C.json (fun b -> b.machine);
+      C.req "experiments" (C.list experiment) (fun b -> b.experiments) ]

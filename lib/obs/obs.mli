@@ -33,3 +33,14 @@ val write_trace : string -> unit
 
 val machine_info : unit -> Json.t
 (** Hostname / OS / compiler provenance block for bench reports. *)
+
+type experiment = { id : string; wall_s : float; metrics : Metrics.snapshot }
+type bench = {
+  machine : Json.t;  (** {!machine_info}, carried opaquely *)
+  experiments : experiment list;
+}
+
+val bench_codec : bench Codec.t
+(** The ["awesymbolic-bench/1"] document: [bench --json] writes it, and
+    [bench check] decodes both the baseline and a fresh run through it,
+    so a baseline it cannot read fails instead of comparing nothing. *)

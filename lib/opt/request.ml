@@ -51,6 +51,10 @@ let objective =
          C.req "area_weight" C.num (fun (_, _, a, _) -> a);
          C.req "penalty_weight" C.num (fun (_, _, _, p) -> p) ])
 
+(* A document of this schema whose "mode" member selects its body. *)
+let by_mode cases =
+  C.record Fun.id [ C.const "schema" (J.Str schema); C.inline (C.tagged "mode" cases) Fun.id ]
+
 let codec =
   let axes =
     C.refine (function [] -> Error "no axes to optimize" | l -> Ok l) Fun.id axes
@@ -77,24 +81,16 @@ let codec =
         C.req "iters" C.int (fun c -> c.Recenter.iters);
         C.req "shrink" C.num (fun c -> c.Recenter.shrink) ]
   in
-  C.record Fun.id
-    [ C.const "schema" (J.Str schema);
-      C.inline
-        (C.tagged "mode"
-           [ C.case "size" size
-               (fun c -> Size c)
-               (function Size c -> Some c | Yield _ -> None);
-             C.case "yield" yield
-               (fun c -> Yield c)
-               (function Yield c -> Some c | Size _ -> None) ])
-        Fun.id ]
+  by_mode
+    [ C.case "size" size (fun c -> Size c) (function Size c -> Some c | Yield _ -> None);
+      C.case "yield" yield (fun c -> Yield c) (function Yield c -> Some c | Size _ -> None) ]
+
+(* Decode at a boundary of this module, raising its classified error. *)
+let decode ?file kind where c j =
+  match Err.decode ?file ~kind ~where c j with Ok v -> v | Error e -> raise (Err.Error e)
 
 let to_json = C.encode codec
-
-let of_json j =
-  match Err.decode ~kind:Invalid_request ~where:"opt.request" codec j with
-  | Ok t -> t
-  | Error e -> raise (Err.Error e)
+let of_json = decode Invalid_request "opt.request" codec
 
 let key model t =
   let symbols = Array.map Sym.name (Model.symbols model) in
@@ -123,13 +119,11 @@ let step_codec =
       C.float_pair "step" (fun s -> s.Sizing.step);
       C.req "x_hex" hexes (fun s -> s.Sizing.x) ]
 
+let status =
+  C.enum
+    (List.map (fun s -> (Sizing.status_name s, s)) Sizing.[ Converged; Max_iters; No_descent ])
+
 let restart_codec =
-  let status =
-    C.enum
-      (List.map
-         (fun s -> (Sizing.status_name s, s))
-         Sizing.[ Converged; Max_iters; No_descent ])
-  in
   C.record
     (fun index status iters evals final_f x0 final_x steps ->
       { Sizing.index; x0; steps; status; final_f; final_x; iters; evals })
@@ -155,89 +149,147 @@ let iteration_codec =
 
 (* ---- reports ---- *)
 
+type size_report = {
+  key : string;
+  status : Sizing.status;
+  best : int;
+  seed : int;
+  restarts : int;
+  max_iters : int;
+  step : float;
+  tol : float;
+  objective : float;
+  variables : (string * float) list;
+  measures : (string * float) list;
+  runs : Sizing.restart list;
+}
+
+type yield_report = {
+  key : string;
+  seed : int;
+  points : int;
+  iters : int;
+  shrink : float;
+  initial_yield : float;
+  final_yield : float;
+  improved : bool;
+  final_axes : Plan.axis list;
+  iterations : Recenter.iteration list;
+}
+
+type report = Size_report of size_report | Yield_report of yield_report
+
 (* One variable or measure of a size report: [{name, value, value_hex}]. *)
 let named_value =
   C.record
     (fun name value -> (name, value))
     [ C.req "name" C.string fst; C.float_pair "value" snd ]
 
+let report_codec =
+  let size =
+    C.record
+      (fun key status best seed restarts max_iters step tol objective variables measures
+           runs ->
+        { key; status; best; seed; restarts; max_iters; step; tol; objective; variables;
+          measures; runs })
+      [ C.req "key" C.string (fun (r : size_report) -> r.key);
+        C.req "status" status (fun r -> r.status);
+        C.req "best" C.int (fun r -> r.best);
+        C.req "seed" C.int (fun (r : size_report) -> r.seed);
+        C.req "restarts" C.int (fun r -> r.restarts);
+        C.req "max_iters" C.int (fun r -> r.max_iters);
+        C.float_pair "step" (fun r -> r.step);
+        C.float_pair "tol" (fun r -> r.tol);
+        C.float_pair "objective" (fun r -> r.objective);
+        C.req "variables" (C.list named_value) (fun r -> r.variables);
+        C.req "measures" (C.list named_value) (fun r -> r.measures);
+        C.req "runs" (C.list restart_codec) (fun r -> r.runs) ]
+  and yield =
+    C.record
+      (fun key seed points iters shrink initial_yield final_yield improved final_axes
+           iterations ->
+        { key; seed; points; iters; shrink; initial_yield; final_yield; improved;
+          final_axes; iterations })
+      [ C.req "key" C.string (fun r -> r.key);
+        C.req "seed" C.int (fun r -> r.seed);
+        C.req "points" C.int (fun r -> r.points);
+        C.req "iters" C.int (fun r -> r.iters);
+        C.float_pair "shrink" (fun r -> r.shrink);
+        C.float_pair "initial_yield" (fun r -> r.initial_yield);
+        C.float_pair "final_yield" (fun r -> r.final_yield);
+        C.req "improved" C.bool (fun r -> r.improved);
+        C.req "final_axes" axes (fun r -> r.final_axes);
+        C.req "iterations" (C.list iteration_codec) (fun r -> r.iterations) ]
+  in
+  by_mode
+    [ C.case "size" size
+        (fun r -> Size_report r)
+        (function Size_report r -> Some r | Yield_report _ -> None);
+      C.case "yield" yield
+        (fun r -> Yield_report r)
+        (function Yield_report r -> Some r | Size_report _ -> None) ]
+
+let report_to_json = C.encode report_codec
+let report_of_json = decode Parse "opt.report" report_codec
+
+(* The model's input vector with the sized axes at [x], the rest nominal. *)
 let vfull model axes x =
   let symbols = Array.map Sym.name (Model.symbols model) in
   let v = Array.copy (Model.nominal_values model) in
   List.iteri
     (fun j (a : Plan.axis) ->
-      let rec go i =
-        if i >= Array.length symbols then ()
-        else if symbols.(i) = a.Plan.name then v.(i) <- x.(j)
-        else go (i + 1)
-      in
-      go 0)
+      Option.iter (fun i -> v.(i) <- x.(j)) (Array.find_index (( = ) a.name) symbols))
     axes;
   v
 
-let size_report model k (cfg : Sizing.config) (res : Sizing.result) =
+let size_report model key (cfg : Sizing.config) (res : Sizing.result) =
   let best = List.find (fun r -> r.Sizing.index = res.Sizing.best) res.runs in
-  let vars =
-    List.mapi
-      (fun j (a : Plan.axis) -> C.encode named_value (a.name, best.Sizing.final_x.(j)))
-      cfg.axes
-  in
   let measures =
     let ms = Objective.measures cfg.objective in
-    let v = vfull model cfg.axes best.Sizing.final_x in
-    match Engine.point_measures model ms v with
+    match Engine.point_measures model ms (vfull model cfg.axes best.Sizing.final_x) with
     | exception _ -> []
-    | vals ->
-      List.map2 (fun m x -> C.encode named_value (Engine.measure_name m, x)) ms vals
+    | vals -> List.map2 (fun m x -> (Engine.measure_name m, x)) ms vals
   in
-  J.Obj
-    ([
-       ("schema", J.Str schema);
-       ("mode", J.Str "size");
-       ("key", J.Str k);
-       ("status", J.Str (Sizing.status_name res.Sizing.status));
-       ("best", J.Num (float_of_int res.best));
-       ("seed", J.Num (float_of_int cfg.seed));
-       ("restarts", J.Num (float_of_int cfg.restarts));
-       ("max_iters", J.Num (float_of_int cfg.max_iters));
-     ]
-    @ C.write_field (C.float_pair "step" Fun.id) cfg.step0
-    @ C.write_field (C.float_pair "tol" Fun.id) cfg.tol
-    @ C.write_field (C.float_pair "objective" Fun.id) best.Sizing.final_f
-    @ [
-        ("variables", J.List vars);
-        ("measures", J.List measures);
-        ("runs", J.List (List.map (C.encode restart_codec) res.runs));
-      ])
+  Size_report
+    {
+      key;
+      status = res.status;
+      best = res.best;
+      seed = cfg.seed;
+      restarts = cfg.restarts;
+      max_iters = cfg.max_iters;
+      step = cfg.step0;
+      tol = cfg.tol;
+      objective = best.Sizing.final_f;
+      variables = List.mapi (fun j (a : Plan.axis) -> (a.name, best.Sizing.final_x.(j))) cfg.axes;
+      measures;
+      runs = res.runs;
+    }
 
-let yield_report k (cfg : Recenter.config) (res : Recenter.result) =
-  let initial = Recenter.initial_yield res
-  and final = Recenter.final_yield res in
-  J.Obj
-    ([
-       ("schema", J.Str schema);
-       ("mode", J.Str "yield");
-       ("key", J.Str k);
-       ("seed", J.Num (float_of_int cfg.seed));
-       ("points", J.Num (float_of_int cfg.points));
-       ("iters", J.Num (float_of_int cfg.iters));
-     ]
-    @ C.write_field (C.float_pair "shrink" Fun.id) cfg.shrink
-    @ C.write_field (C.float_pair "initial_yield" Fun.id) initial
-    @ C.write_field (C.float_pair "final_yield" Fun.id) final
-    @ [
-        ("improved", J.Bool (final > initial));
-        ("final_axes", C.encode axes res.Recenter.final_axes);
-        ("iterations", J.List (List.map (C.encode iteration_codec) res.history));
-      ])
+let yield_report key (cfg : Recenter.config) (res : Recenter.result) =
+  let initial_yield = Recenter.initial_yield res and final_yield = Recenter.final_yield res in
+  Yield_report
+    {
+      key;
+      seed = cfg.seed;
+      points = cfg.points;
+      iters = cfg.iters;
+      shrink = cfg.shrink;
+      initial_yield;
+      final_yield;
+      improved = final_yield > initial_yield;
+      final_axes = res.final_axes;
+      iterations = res.history;
+    }
 
 (* ---- checkpoint files ---- *)
 
-type 'u resume_state = Fresh | Partial of 'u list | Complete of J.t
+type 'u resume_state = Fresh | Partial of 'u list | Complete of report
 
 (* The document, its units through [unit] (stored already encoded, as
-   [C.json], while a run appends to them). *)
-let ckpt_codec unit =
+   [C.json], while a run appends to them) and its finished report through
+   [result]. *)
+let ckpt_codec unit result =
   C.record
     (fun key mode units result -> (key, mode, units, result))
     [
@@ -246,7 +298,7 @@ let ckpt_codec unit =
       C.req "key" C.string (fun (k, _, _, _) -> k);
       C.req "mode" C.string (fun (_, m, _, _) -> m);
       C.req "units" (C.list unit) (fun (_, _, us, _) -> us);
-      C.opt "result" C.json (fun (_, _, _, r) -> r);
+      C.opt "result" result (fun (_, _, _, r) -> r);
     ]
 
 let load_checkpoint path ~key:k unit =
@@ -261,21 +313,16 @@ let load_checkpoint path ~key:k unit =
       | exception Sys_error m ->
         Err.raise_error Artifact_corrupt ~where:"opt.checkpoint" ~file:path m
     in
-    let decode unit =
-      match
-        Err.decode ~file:path ~kind:Artifact_corrupt ~where:"opt.checkpoint"
-          (ckpt_codec unit) doc
-      with
-      | Ok d -> d
-      | Error e -> raise (Err.Error e)
+    let read unit result =
+      decode ~file:path Artifact_corrupt "opt.checkpoint" (ckpt_codec unit result) doc
     in
-    (* The key first, units opaque: another optimization's checkpoint is
-       a mismatch, not a corrupt unit. *)
-    let k', _, _, _ = decode C.json in
+    (* The key first, units and report opaque: another optimization's
+       checkpoint is a mismatch, not a corrupt unit. *)
+    let k', _, _, _ = read C.json C.json in
     if k' <> k then
       Err.errorf Invalid_request ~where:"opt.checkpoint" ~file:path
         "checkpoint was written by a different optimization (key mismatch)";
-    match decode unit with
+    match read unit report_codec with
     | _, _, _, Some report -> Complete report
     | _, _, units, None -> Partial units
   end
@@ -285,15 +332,14 @@ let load_checkpoint path ~key:k unit =
 let mode_name = function Size _ -> "size" | Yield _ -> "yield"
 
 let check_require ~require report =
-  if require then
-    match J.member "status" report with
-    | Some (J.Str "max_iters") ->
-      Err.raise_error Max_iters ~where:"opt.size"
-        "iteration budget exhausted before convergence (best restart)"
-    | Some (J.Str "no_descent") ->
-      Err.raise_error No_descent ~where:"opt.size"
-        "line search found no descent direction (best restart)"
-    | _ -> ()
+  match report with
+  | Size_report { status = Max_iters; _ } when require ->
+    Err.raise_error Max_iters ~where:"opt.size"
+      "iteration budget exhausted before convergence (best restart)"
+  | Size_report { status = No_descent; _ } when require ->
+    Err.raise_error No_descent ~where:"opt.size"
+      "line search found no descent direction (best restart)"
+  | Size_report _ | Yield_report _ -> ()
 
 let run ?jobs ?block ?checkpoint ?(resume = false) ?(require = false) model t =
   Obs.Span.with_ ~name:"opt.run" @@ fun () ->
@@ -322,7 +368,7 @@ let run ?jobs ?block ?checkpoint ?(resume = false) ?(require = false) model t =
         | Some path ->
           Cache.atomic_write path (fun tmp ->
               J.to_file tmp
-                (C.encode (ckpt_codec C.json) (k, mode_name t, !written, result)))
+                (C.encode (ckpt_codec C.json report_codec) (k, mode_name t, !written, result)))
       in
       let on_unit u =
         written := !written @ [ C.encode unit u ];

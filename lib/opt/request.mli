@@ -1,13 +1,14 @@
-(** The optimizer's wire and artifact layer: one typed request, one JSON
+(** The optimizer's wire and artifact layer: one typed request, one typed
     report, one entry point — shared verbatim by the [awesym optimize]
     CLI and the serve daemon's [optimize] op, which is what makes their
     outputs byte-identical.
 
     Requests and reports carry schema {!schema}
-    (["awesymbolic-opt/1"]).  Report floats appear twice: a readable
-    ["name"] field (JSON renders non-finite as null) and a ["name_hex"]
-    field holding the IEEE-754 bit pattern — the determinism contract is
-    on the whole report string, hex fields included.
+    (["awesymbolic-opt/1"]), each through one codec.  Report floats
+    appear twice: a readable ["name"] field (JSON renders non-finite as
+    null) and a ["name_hex"] field holding the IEEE-754 bit pattern — the
+    determinism contract is on the whole report string, hex fields
+    included.
 
     {2 Checkpointing}
 
@@ -43,15 +44,55 @@ val iteration_codec : Recenter.iteration Obs.Codec.t
 (** Checkpoint units — a finished sizing restart, a yield iteration —
     with floats as readable + ["_hex"] pairs ({!Obs.Codec.float_pair}). *)
 
+type size_report = {
+  key : string;  (** {!key} of the request *)
+  status : Sizing.status;  (** the best restart's *)
+  best : int;  (** index of the best restart *)
+  seed : int;
+  restarts : int;
+  max_iters : int;
+  step : float;
+  tol : float;
+  objective : float;  (** the best restart's final objective *)
+  variables : (string * float) list;  (** axis name, sized value *)
+  measures : (string * float) list;
+      (** the objective's measures at the sized point; empty when the
+          point does not evaluate *)
+  runs : Sizing.restart list;
+}
+
+type yield_report = {
+  key : string;
+  seed : int;
+  points : int;
+  iters : int;
+  shrink : float;
+  initial_yield : float;
+  final_yield : float;
+  improved : bool;  (** [final_yield > initial_yield] *)
+  final_axes : Sweep.Plan.axis list;
+  iterations : Recenter.iteration list;
+}
+
+type report = Size_report of size_report | Yield_report of yield_report
+
+val report_to_json : report -> Obs.Json.t
+
+val report_of_json : Obs.Json.t -> report
+(** Inverse of {!report_to_json}, accepting only what it writes.  Raises
+    [Awesym_error.Error] (kind [Parse], site [opt.report]) naming the
+    JSON path of the first bad node — how [awesym optimize --remote]
+    reads the daemon's report. *)
+
 val key : Awesymbolic.Model.t -> t -> string
 (** Hex digest binding the request (its canonical JSON) and the model's
     shape (order, program size, symbols, nominal bit patterns) — the
     checkpoint handshake, recorded in every report. *)
 
-val check_require : require:bool -> Obs.Json.t -> unit
+val check_require : require:bool -> report -> unit
 (** With [require = true], raise the classified [Max_iters] /
-    [No_descent] error matching the report's [status] field (no-op on a
-    converged report or [require = false]).  The CLI applies this
+    [No_descent] error matching a size report's [status] (no-op on a
+    converged or yield report, or [require = false]).  The CLI applies this
     {e after} emitting the report to [--json], so the trajectory is
     always written before the non-convergence exit — on the local and
     remote paths alike. *)
@@ -64,7 +105,7 @@ val run :
   ?require:bool ->
   Awesymbolic.Model.t ->
   t ->
-  Obs.Json.t
+  report
 (** Execute the request and return the report.  [jobs]/[block] are
     execution knobs only (yield-mode sweep fan-out; sizing evaluates
     single points) — the determinism contract guarantees they never

@@ -251,7 +251,7 @@ let stats_json t =
              (fun (n, v) -> (n, Json.Num v))
              (Obs.Metrics.gauges_list ())) );
       ("traces_completed", Json.Num (float_of_int (Reqtrace.completed t.traces)));
-      ("metrics", Obs.Metrics.snapshot ());
+      ("metrics", Obs.Codec.encode Obs.Metrics.snapshot_codec (Obs.Metrics.snapshot ()));
     ]
 
 let enqueue_response t conn ?id resp =
@@ -486,7 +486,8 @@ let worker_body t ~worker ~stop:_ =
             | exception e -> Protocol.R_error (Err.classify e)
             | report ->
               Protocol.R_optimize
-                { Protocol.or_digest = digest; or_report = report })
+                { Protocol.or_digest = digest;
+                  or_report = Opt.Request.report_to_json report })
       in
       complete [ (conn, id, trace, resp) ]
   in

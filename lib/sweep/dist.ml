@@ -120,5 +120,3 @@ let codec =
       case "lognormal" ("mu", "sigma") (fun mu sigma -> lognormal ~mu ~sigma)
         (function Lognormal { mu; sigma } -> Some (mu, sigma) | _ -> None) ]
 
-let to_json = Obs.Codec.encode codec
-let of_json j = Result.map_error Obs.Codec.error_to_string (Obs.Codec.decode codec j)

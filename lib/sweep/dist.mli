@@ -45,6 +45,3 @@ val codec : t Obs.Codec.t
 (** [{"kind": "uniform", "lo", "hi"}], likewise [normal] ([mean], [std])
     and [lognormal] ([mu], [sigma]); decimals round-trip bit-exactly and
     decoding revalidates through the smart constructors. *)
-
-val to_json : t -> Obs.Json.t
-val of_json : Obs.Json.t -> (t, string) result  (** The error names the JSON path. *)

@@ -354,11 +354,14 @@ let eval_chunk p idx =
   let sub = Array.map (fun col -> Array.sub col c.lo c.len) p.p_cols in
   (* Chunk stage: batched moment evaluation.  A fault here (injected
      worker crash, injected kernel fault) is retried chunk-wise under
-     Retry; a permanent one quarantines the whole chunk under Skip. *)
+     Retry; a permanent one quarantines the whole chunk under Skip.  Both
+     sites are cut here, where the retry happens, keyed by the chunk and
+     the attempt, so a transient fault heals whichever backend runs. *)
   let mcols =
     let rec go attempt =
       match
         Runtime.Fault.cut "pool.worker" ~key:c.lo ~attempt;
+        Runtime.Fault.cut "slp.eval_batch" ~key:c.lo ~attempt;
         chunk_evaluator prog blk sub
       with
       | m ->
@@ -548,22 +551,17 @@ module Checkpoint = struct
     w_path : string;
     w_key : string;
     w_points : int;
-    w_every : int;
     w_mutex : Mutex.t;
     w_records : (int, Obs.Json.t) Hashtbl.t;
-    mutable w_since : int;
   }
 
-  let writer p ~path ~every =
-    if every < 1 then invalid_arg "Sweep.Checkpoint.writer: every must be >= 1";
+  let writer p ~path =
     {
       w_path = path;
       w_key = p.p_key;
       w_points = p.p_n;
-      w_every = every;
       w_mutex = Mutex.create ();
       w_records = Hashtbl.create 64;
-      w_since = 0;
     }
 
   (* Called with [w_mutex] held. *)
@@ -588,20 +586,14 @@ module Checkpoint = struct
         Hashtbl.replace w.w_records r.c_index (chunk_result_to_json r);
         if written then begin
           Obs.Metrics.incr "sweep.checkpoint.chunks_written";
-          w.w_since <- w.w_since + 1;
-          if w.w_since >= w.w_every then begin
-            w.w_since <- 0;
-            write_locked w
-          end
+          write_locked w
         end)
 
   let flush w =
     Mutex.lock w.w_mutex;
     Fun.protect
       ~finally:(fun () -> Mutex.unlock w.w_mutex)
-      (fun () ->
-        w.w_since <- 0;
-        write_locked w)
+      (fun () -> write_locked w)
 
   let load p ~path =
     if not (Sys.file_exists path) then []
@@ -733,13 +725,11 @@ let finish p (results : chunk_result option array) =
 (* ------------------------------------------------------------------ *)
 
 let run ?(seed = 42) ?block ?jobs ?measures ?specs ?policy ?checkpoint
-    ?(resume = false) ?(checkpoint_every = 1) model plan =
+    ?(resume = false) model plan =
   Obs.Span.with_ ~name:"sweep.run" @@ fun () ->
   let jobs =
     match jobs with Some j -> Int.max 1 j | None -> Runtime.default_jobs ()
   in
-  if checkpoint_every < 1 then
-    invalid_arg "Sweep.run: checkpoint_every must be >= 1";
   let p = prepare ~seed ?block ~jobs ?measures ?specs ?policy model plan in
   if !Obs.enabled then begin
     Obs.Metrics.incr "sweep.run.count";
@@ -748,11 +738,7 @@ let run ?(seed = 42) ?block ?jobs ?measures ?specs ?policy ?checkpoint
   let results : chunk_result option array =
     Array.make (Array.length p.p_chunks) None
   in
-  let writer =
-    Option.map
-      (fun path -> Checkpoint.writer p ~path ~every:checkpoint_every)
-      checkpoint
-  in
+  let writer = Option.map (fun path -> Checkpoint.writer p ~path) checkpoint in
   (* ---- resume: restore completed chunks bit-exactly ---- *)
   (match (checkpoint, writer) with
   | Some path, Some w when resume ->
@@ -771,9 +757,6 @@ let run ?(seed = 42) ?block ?jobs ?measures ?specs ?policy ?checkpoint
         results.(c.index) <- Some r;
         match writer with Some w -> Checkpoint.add w r | None -> ()
       end);
-  (* Final checkpoint write: the on-disk state reflects the finished run
-     whatever checkpoint_every was. *)
-  (match writer with Some w -> Checkpoint.flush w | None -> ());
   finish p results
 
 let schema = "awesymbolic-sweep/2"

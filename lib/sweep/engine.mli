@@ -254,17 +254,16 @@ val finish : prep -> chunk_result option array -> result
 module Checkpoint : sig
   type writer
 
-  val writer : prep -> path:string -> every:int -> writer
-  (** A writer flushing after [every] newly completed chunks (>= 1). *)
+  val writer : prep -> path:string -> writer
 
   val add : ?written:bool -> writer -> chunk_result -> unit
   (** Record a completed chunk (thread-safe).  [written] (default true)
-      counts the chunk toward the flush cadence and the
+      rewrites the file and counts the chunk in the
       [sweep.checkpoint.chunks_written] counter; pass [false] for
       restored chunks that are only being re-registered. *)
 
   val flush : writer -> unit
-  (** Write the file now, whatever the cadence. *)
+  (** Write the file now. *)
 
   val load : prep -> path:string -> chunk_result list
   (** Restore completed chunks from [path]; a missing file is an empty
@@ -281,7 +280,6 @@ val run :
   ?policy:policy ->
   ?checkpoint:string ->
   ?resume:bool ->
-  ?checkpoint_every:int ->
   Awesymbolic.Model.t ->
   Plan.t ->
   result
@@ -296,12 +294,12 @@ val run :
 
     [policy] (default {!Skip}) governs fault handling; see the module
     docs for what counts as a fault.  Fault-injection sites crossed per
-    point/chunk: ["sweep.point"] (keyed by point index), ["pool.worker"]
-    (keyed by chunk start), plus ["slp.eval_batch"] inside the kernel.
+    point/chunk: ["sweep.point"] (keyed by point index), then
+    ["pool.worker"] and ["slp.eval_batch"] (both keyed by chunk start and
+    attempt, so a transient fault heals under {!Retry}).
 
-    [checkpoint] names a checkpoint file updated after every
-    [checkpoint_every] (default 1) completed chunks and at the end of
-    the run.  With [resume = true], a compatible existing checkpoint
+    [checkpoint] names a checkpoint file rewritten after every completed
+    chunk.  With [resume = true], a compatible existing checkpoint
     seeds the run: completed chunks are restored bit-exactly and only
     the remainder is evaluated.  A checkpoint written by a different
     (plan, seed, order, block, measures, specs, policy, model) is

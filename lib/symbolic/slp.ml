@@ -431,16 +431,15 @@ let compile ?(optimize = true) ~inputs outputs =
    bit-identical to the interpreter, point for point, or they must not be
    returned at all. *)
 
-type backend = Interp | Native | Auto
+type backend = Interp | Native
 
-let backend_ref = ref Auto
+let backend_ref = ref Interp
 let set_backend b = backend_ref := b
 let current_backend () = !backend_ref
 
 let backend_name = function
   | Interp -> "interp"
   | Native -> "native"
-  | Auto -> "auto"
 
 let provider_ref : (t -> native_kernels option) option ref = ref None
 let set_native_provider p = provider_ref := p
@@ -482,7 +481,7 @@ let digest p =
 let resolve_native p =
   match !backend_ref with
   | Interp -> None
-  | Native | Auto -> (
+  | Native -> (
     match p.native_memo with
     | Some r -> r
     | None -> (
@@ -701,10 +700,6 @@ let default_block = 256
    order — or on different domains with private [regs] — and the outputs
    stay bit-identical. *)
 let run_block p lw regs inputs outs lo len =
-  (* Injection site for the resilience harness: a no-op unless armed via
-     AWESYM_FAULTS (see Runtime.Fault); keyed by the block's offset within
-     this eval so firing is schedule-independent. *)
-  Runtime.Fault.cut "slp.eval_batch" ~key:lo;
   Array.iter (fun r -> Array.fill regs.(r) 0 len p.init.(r)) lw.preload;
   (* Every lane loop runs four lanes an iteration, then a scalar tail.
      Each lane still computes its own scalar operation, so the bits do not
@@ -924,27 +919,21 @@ let make_batch_evaluator ?(block = default_block) ?jobs p =
       Obs.Metrics.add "slp.eval_batch.ops" (n * Array.length p.instrs)
     end;
     let outs = Array.map (fun _ -> Array.make n 0.0) p.outputs in
-    (* Both backends walk the same block grid and hit the same fault-
-       injection sites with the same keys, so fan-out determinism and
-       fault quarantine behave identically whichever kernel runs.  The
-       interpreter keeps its cut inside [run_block]; the native path
-       cuts here, before each kernel call. *)
+    (* Both backends walk the same block grid, so fan-out determinism
+       holds whichever kernel runs. *)
     (match resolve_native p with
     | Some k ->
       if jobs = 1 || n <= block then begin
         let lo = ref 0 in
         while !lo < n do
           let len = Int.min block (n - !lo) in
-          Runtime.Fault.cut "slp.eval_batch" ~key:!lo;
           k.native_batch inputs outs !lo len;
           lo := !lo + len
         done
       end
       else
         Runtime.iter_chunks ~jobs ~n ~block
-          (fun ~worker:_ (c : Runtime.Chunk.t) ->
-            Runtime.Fault.cut "slp.eval_batch" ~key:c.lo;
-            k.native_batch inputs outs c.lo c.len)
+          (fun ~worker:_ (c : Runtime.Chunk.t) -> k.native_batch inputs outs c.lo c.len)
     | None ->
       let lw = lowered p in
       if !Obs.enabled then

@@ -79,24 +79,22 @@ val of_parts :
     identity}: whichever backend runs, every output of every point has
     the same IEEE-754 bit pattern — including [-0.0] and infinities,
     and every NaN output is [Float.nan] — so switching backends can
-    never change a result, only its cost.  Under [Auto] (the default)
-    native kernels are used whenever a provider is installed and can
-    deliver them, silently falling back to the interpreter otherwise. *)
+    never change a result, only its cost.  Native kernels run only when
+    [Native] is selected and a provider delivers them. *)
 
 type backend =
-  | Interp  (** always use the bytecode interpreter *)
-  | Native  (** request native kernels; falls back if unavailable *)
-  | Auto  (** native when a provider delivers, interpreter otherwise *)
+  | Interp  (** the bytecode interpreter (the default) *)
+  | Native  (** native kernels when the provider delivers, else interpret *)
 
 val set_backend : backend -> unit
-(** Select the process-wide backend (default [Auto]).  Programs memoize
+(** Select the process-wide backend (default [Interp]).  Programs memoize
     their native kernels, so flipping the backend between calls is
     cheap; [Interp] bypasses the memo entirely and costs one branch. *)
 
 val current_backend : unit -> backend
 
 val backend_name : backend -> string
-(** ["interp"], ["native"] or ["auto"] — the CLI / serve-stats spelling. *)
+(** ["interp"] or ["native"] — the CLI / serve-stats spelling. *)
 
 type native_kernels = {
   native_eval : float array -> float array -> unit;

@@ -76,7 +76,7 @@ let with_temp suffix f =
 let checkpoint_doc () =
   let p = Lazy.force prep in
   with_temp ".ckpt" @@ fun path ->
-  let w = Engine.Checkpoint.writer p ~path ~every:1 in
+  let w = Engine.Checkpoint.writer p ~path in
   Engine.Checkpoint.add w (Lazy.force chunk0);
   Engine.Checkpoint.add w (Engine.eval_chunk p 1);
   Engine.Checkpoint.flush w;
@@ -127,6 +127,79 @@ let first_unit req =
     | Some (Json.List (u :: _)) -> u
     | _ -> failwith "checkpoint has no units")
   | Error m -> failwith m
+
+(* Optimization reports: a sizing run that stops at its iteration
+   budget, one whose objective is infinite at every point (the passive
+   deck never crosses unity gain), and a yield run that does not
+   improve (no point meets the spec). *)
+let reports () =
+  let model = Lazy.force model in
+  let axes = Lazy.force axes in
+  let unreachable =
+    Request.Size
+      {
+        (Opt.Sizing.default_config ~axes
+           (Opt.Objective.make
+              ~goal:(Opt.Objective.Maximize Engine.Unity_gain_frequency) ()))
+        with
+        Opt.Sizing.max_iters = 2;
+      }
+  and no_gain =
+    Request.Yield
+      {
+        (Opt.Recenter.default_config ~axes
+           ~specs:[ { Engine.measure = Engine.Dc_gain; bound = Engine.Ge 2.0 } ])
+        with
+        Opt.Recenter.points = 24;
+        iters = 1;
+      }
+  in
+  List.map
+    (fun (name, req) ->
+      ("opt.report." ^ name, Request.report_to_json (Request.run ~jobs:1 model req)))
+    [
+      ("size", Lazy.force size_request);
+      ("size.nonfinite", unreachable);
+      ("yield", no_gain);
+    ]
+
+(* A two-experiment bench document as [bench --json] writes it, with a
+   fixed machine block: one experiment that tripped counters, a gauge and
+   two histograms, one that recorded nothing. *)
+let bench_doc () =
+  let experiment id wall_s record =
+    Obs.reset ();
+    record ();
+    { Obs.id; wall_s; metrics = Obs.Metrics.snapshot () }
+  in
+  Obs.enabled := true;
+  let experiments =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.reset ();
+        Obs.enabled := false)
+      (fun () ->
+        [
+          experiment "sweep" 0.12756514549255371 (fun () ->
+              Obs.Metrics.add "bench.sweep.points" 2000;
+              Obs.Metrics.incr "lu.factor.count";
+              Obs.Metrics.set_gauge "serve.queue_depth" 2.5;
+              List.iter (Obs.Metrics.observe "lu.factor.dim") [ 1.0; 2.0; 67.0 ];
+              Obs.Metrics.observe "pade.fit.order" 2.0);
+          experiment "eq5" 0.00039505958557128906 ignore;
+        ])
+  in
+  let machine =
+    Json.Obj
+      [
+        ("hostname", Json.Str "vm");
+        ("os_type", Json.Str "Unix");
+        ("ocaml_version", Json.Str "5.1.1");
+        ("word_size", Json.Num 64.0);
+        ("backend", Json.Str "native");
+      ]
+  in
+  Obs.Codec.encode Obs.bench_codec { machine; experiments }
 
 let trace = { Protocol.trace_id = "t-1f"; parent_span = "client.eval" }
 
@@ -257,6 +330,8 @@ let entries () =
       ("opt.unit.restart", first_unit (Lazy.force size_request));
       ("opt.unit.iteration", first_unit (Lazy.force yield_request));
     ]
+  @ reports ()
+  @ [ ("bench.doc", bench_doc ()) ]
 
 let file = "codec_corpus.txt"
 

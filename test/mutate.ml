@@ -112,3 +112,10 @@ let prop ~name ?count ?opaque ?defaults gen encode decode =
       match check (List.nth ms (k mod List.length ms)) decode with
       | Ok () -> true
       | Error m -> QCheck2.Test.fail_report m)
+
+(* Every mutation of one fixed document, checked as in [prop]: the
+   failures, empty when each behaves. *)
+let failures ?opaque ?defaults doc decode =
+  List.filter_map
+    (fun m -> match check m decode with Ok () -> None | Error e -> Some e)
+    (all ?opaque ?defaults doc)

@@ -1,7 +1,9 @@
 (* The codec corpus: every wire and disk shape, encoded by the encoders
    that wrote test/golden/codec_corpus.txt before the codecs moved onto
-   Obs.Codec.  Each entry must still encode to the same bytes, and decode
-   back through its boundary to a value that re-encodes to them. *)
+   Obs.Codec (the optimize reports and the bench document: before they
+   left their hand-built encoders).  Each entry must still encode to the
+   same bytes, and decode back through its boundary to a value that
+   re-encodes to them. *)
 
 module Json = Obs.Json
 module Protocol = Serve.Protocol
@@ -54,6 +56,7 @@ let round_trip name bytes =
       | Ok p -> p
       | Error m -> Alcotest.failf "%s: %s" name m)
   else if prefix "opt.request." then Request.to_json (Request.of_json j)
+  else if prefix "opt.report." then Request.report_to_json (Request.report_of_json j)
   else
     match name with
     | "sweep.chunk_record" ->
@@ -64,12 +67,13 @@ let round_trip name bytes =
       Corpus.with_temp ".ckpt" @@ fun path ->
       Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
       let chunks = Engine.Checkpoint.load p ~path in
-      let w = Engine.Checkpoint.writer p ~path ~every:1 in
+      let w = Engine.Checkpoint.writer p ~path in
       List.iter (Engine.Checkpoint.add ~written:false w) chunks;
       Engine.Checkpoint.flush w;
       (match Json.of_string (Corpus.read_file path) with Ok j -> j | Error m -> failwith m)
     | "opt.unit.restart" -> codec Request.restart_codec
     | "opt.unit.iteration" -> codec Request.iteration_codec
+    | "bench.doc" -> codec Obs.bench_codec
     | _ -> Alcotest.failf "no decoder for corpus entry %s" name
 
 let test_corpus_decodes () =
@@ -79,6 +83,43 @@ let test_corpus_decodes () =
         (Json.to_string (round_trip name bytes)))
     (golden ())
 
+(* Every one-node mutation of a corpus report or bench document decodes to
+   itself or fails with an error of the boundary's kind naming the node:
+   nothing half-read reaches the renderer or [bench check]. *)
+let test_mutated_documents () =
+  let module Err = Awesym_error in
+  let classified kind f j =
+    match f j with
+    | v -> Ok v
+    | exception Err.Error e when e.Err.kind = kind -> Error (Err.to_string e)
+  in
+  let decoders =
+    [
+      ( "opt.report.",
+        classified Err.Parse (fun j -> Request.report_to_json (Request.report_of_json j)) );
+      ( "bench.doc",
+        classified Err.Artifact_corrupt (fun j ->
+            match
+              Err.decode ~kind:Artifact_corrupt ~where:"bench.check" Obs.bench_codec j
+            with
+            | Ok b -> Obs.Codec.encode Obs.bench_codec b
+            | Error e -> raise (Err.Error e)) );
+    ]
+  in
+  let checked = ref 0 in
+  List.iter
+    (fun (name, bytes) ->
+      match List.find_opt (fun (p, _) -> String.starts_with ~prefix:p name) decoders with
+      | None -> ()
+      | Some (_, decode) ->
+        let doc = match Json.of_string bytes with Ok j -> j | Error m -> failwith m in
+        incr checked;
+        match Mutate.failures ~opaque:[ "machine" ] doc decode with
+        | [] -> ()
+        | e :: _ -> Alcotest.failf "%s: %s" name e)
+    (golden ());
+  Alcotest.(check int) "documents mutated" 4 !checked
+
 let () =
   Alcotest.run "codec"
     [
@@ -86,5 +127,7 @@ let () =
         [
           Alcotest.test_case "encoders write the golden bytes" `Quick test_corpus_bytes;
           Alcotest.test_case "golden bytes decode back" `Quick test_corpus_decodes;
+          Alcotest.test_case "mutated reports and bench documents name their path" `Quick
+            test_mutated_documents;
         ] );
     ]

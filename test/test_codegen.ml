@@ -1,9 +1,10 @@
 (* Native SLP kernels (lib/codegen): the hard contract is bit-for-bit
    identity with the interpreter — every output of every point, including
    -0.0, infinities and NaNs, under any jobs count and under fault
-   injection.  Also covers the failure policy: toolchain masked -> silent
-   interpreter fallback with a classified last_error; corrupted cached
-   object -> one warning, quarantine to .cmxs.bad, recompile. *)
+   injection.  Also covers the failure policy: toolchain masked -> one
+   warning and interpreter fallback with a classified last_error;
+   corrupted cached object -> one warning, quarantine to .cmxs.bad,
+   recompile. *)
 
 module Slp = Symbolic.Slp
 module Expr = Symbolic.Expr
@@ -35,7 +36,7 @@ let with_native f =
   Slp.set_backend Native;
   Fun.protect
     ~finally:(fun () ->
-      Slp.set_backend Auto;
+      Slp.set_backend Interp;
       Codegen.uninstall ())
     f
 
@@ -126,7 +127,7 @@ let check_program_identity ?(what = "") p =
             col)
         got)
     [ (1, Slp.default_block); (4, Slp.default_block); (4, 64); (3, 97) ];
-  Slp.set_backend Auto
+  Slp.set_backend Interp
 
 let test_native_matches_interp_bitwise () =
   with_native @@ fun () ->
@@ -207,50 +208,56 @@ let test_two_nan_add () =
       Slp.set_backend backend;
       Array.iter (check_bits "canonical NaN" Float.nan) (Slp.eval p [| Float.nan |]))
     [ Slp.Interp; Slp.Native ];
-  Slp.set_backend Auto
+  Slp.set_backend Interp
 
 (* ------------------------------------------------------------------ *)
-(* Fault-injection parity: both backends walk the same block grid and
-   cut the same (site, key) pairs, so an armed fault fires identically —
-   native can never "skip past" a fault the interpreter would hit. *)
+(* Fault-injection parity: the kernel fault site is cut in the sweep's
+   chunk loop, keyed by chunk, before either backend runs, so an armed
+   fault quarantines the same chunks whichever kernel evaluates them. *)
 
 let test_fault_parity () =
-  let p = opamp_like () in
-  let n = 1000 in
-  let cols =
-    Array.init 2 (fun k -> Array.init n (fun i -> Float.of_int (i + k) /. 64.))
+  let module Engine = Sweep.Engine in
+  let nl = Circuit.Builders.fig1 () in
+  let nl = Circuit.Netlist.mark_symbolic nl "C1" (Symbol.intern "C1") in
+  let nl = Circuit.Netlist.mark_symbolic nl "G2" (Symbol.intern "G2") in
+  let model = Awesymbolic.Model.build ~order:2 nl in
+  let nom = Awesymbolic.Model.nominal_values model in
+  let plan =
+    Sweep.Plan.make (Sweep.Plan.Monte_carlo 1000)
+      [ { Sweep.Plan.name = "C1"; dist = Sweep.Dist.around ~nominal:nom.(0) ~pct:30.0 };
+        { Sweep.Plan.name = "G2"; dist = Sweep.Dist.around ~nominal:nom.(1) ~pct:30.0 } ]
   in
-  let outcome () =
-    match Slp.eval_batch ~jobs:1 p cols with
-    | _ -> None
-    | exception Err.Error e -> Some (e.Err.kind, e.Err.where)
+  let prep = Engine.prepare ~seed:3 ~block:64 ~jobs:1 ~policy:Engine.Skip model plan in
+  let chunks () = List.init (Engine.prep_num_chunks prep) (Engine.eval_chunk prep) in
+  let records cs =
+    List.map (fun c -> Obs.Json.to_string (Engine.chunk_result_to_json c)) cs
   in
+  let fired = ref false in
   Fun.protect ~finally:Runtime.Fault.disarm @@ fun () ->
   List.iter
     (fun seed ->
       Runtime.Fault.arm ~seed "slp.eval_batch:0.5";
-      Slp.set_backend Interp;
-      let interp = outcome () in
-      let fired = interp <> None in
+      let interp = chunks () in
       let native =
         with_native @@ fun () ->
-        Alcotest.(check bool) "native available" true (Codegen.available p);
-        outcome ()
+        Alcotest.(check bool) "native available" true
+          (Codegen.available (Awesymbolic.Model.program model));
+        chunks ()
       in
-      Alcotest.(check bool)
-        (Printf.sprintf "seed %d: same fault outcome" seed)
-        fired (native <> None);
-      if fired then
-        Alcotest.(check (pair string string))
-          (Printf.sprintf "seed %d: same classification" seed)
-          (match interp with
-          | Some (k, w) -> (Err.kind_name k, w)
-          | None -> assert false)
-          (match native with
-          | Some (k, w) -> (Err.kind_name k, w)
-          | None -> assert false))
+      Alcotest.(check (list string)) (Printf.sprintf "seed %d: same chunk records" seed)
+        (records interp) (records native);
+      List.iter
+        (fun c ->
+          let hit = Runtime.Fault.would_fire ~key:(Engine.chunk_lo c) "slp.eval_batch" in
+          fired := !fired || hit;
+          Alcotest.(check bool)
+            (Printf.sprintf "seed %d: chunk %d quarantined iff its cut fires" seed
+               (Engine.chunk_index c))
+            hit
+            (Engine.chunk_failures c <> []))
+        interp)
     [ 0; 1; 7 ];
-  Slp.set_backend Auto
+  Alcotest.(check bool) "the fault fired" true !fired
 
 (* ------------------------------------------------------------------ *)
 (* The single-owner latch survives the native fast path: two domains
@@ -306,8 +313,8 @@ let test_native_batch_single_owner () =
 (* ------------------------------------------------------------------ *)
 (* Failure policy. *)
 
-(* Masking PATH must turn --backend native into a silent interpreter
-   run with a classified Invalid_request behind [last_error].  Uses a
+(* Masking PATH must turn --backend native into an interpreter run with
+   a classified Invalid_request behind [last_error].  Uses a
    fresh program (fresh digest) so no memoized verdict applies. *)
 let test_fallback_without_toolchain () =
   let x = Symbol.intern "x" in
@@ -326,7 +333,7 @@ let test_fallback_without_toolchain () =
     Alcotest.(check string) "classified as invalid_request" "invalid_request"
       (Err.kind_name e.Err.kind)
   | None -> Alcotest.fail "expected a classified last_error");
-  (* Evaluation silently continues on the interpreter, bit-identical. *)
+  (* Evaluation continues on the interpreter, bit-identical. *)
   let got = Slp.eval p [| 1.0 |] in
   Slp.set_backend Interp;
   let expect = Slp.eval p [| 1.0 |] in

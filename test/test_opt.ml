@@ -21,6 +21,10 @@ module Sizing = Opt.Sizing
 module Recenter = Opt.Recenter
 module Request = Opt.Request
 
+(* A run's report as the JSON it is written as. *)
+let run_report ?jobs ?checkpoint ?resume model req =
+  Request.report_to_json (Request.run ?jobs ?checkpoint ?resume model req)
+
 let fig1_c1_g2 () =
   let nl = Builders.fig1 () in
   let nl = Netlist.mark_symbolic nl "C1" (Sym.intern "C1") in
@@ -270,8 +274,8 @@ let test_request_round_trip () =
 let test_report_jobs_invariant () =
   let model = Lazy.force fig1_model in
   let req = yield_request model in
-  let r1 = Json.to_string (Request.run ~jobs:1 model req) in
-  let r4 = Json.to_string (Request.run ~jobs:4 model req) in
+  let r1 = Json.to_string (run_report ~jobs:1 model req) in
+  let r4 = Json.to_string (run_report ~jobs:4 model req) in
   Alcotest.(check string) "report bytes identical across jobs" r1 r4
 
 (* Rewrite [path] as the checkpoint an interrupted run would have left
@@ -335,7 +339,7 @@ let test_checkpoint_resume_midrun () =
   let path = Filename.temp_file "awesym_opt" ".opt" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
   @@ fun () ->
-  let full = Json.to_string (Request.run ~checkpoint:path model req) in
+  let full = Json.to_string (run_report ~checkpoint:path model req) in
   (* Interrupt after each prefix of completed iterations in turn: the
      resumed run must re-sweep the *persisted re-centered* axes, not the
      interrupted iteration's own, and land on the same bytes. *)
@@ -343,7 +347,7 @@ let test_checkpoint_resume_midrun () =
     (fun keep ->
       truncate_checkpoint path keep;
       let resumed =
-        Json.to_string (Request.run ~checkpoint:path ~resume:true model req)
+        Json.to_string (run_report ~checkpoint:path ~resume:true model req)
       in
       Alcotest.(check string)
         (Printf.sprintf "resume after %d iterations is byte-identical" keep)
@@ -369,14 +373,14 @@ let test_checkpoint_resume_stopped () =
   let path = Filename.temp_file "awesym_opt" ".opt" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
   @@ fun () ->
-  let full = Request.run ~checkpoint:path model req in
+  let full = run_report ~checkpoint:path model req in
   (match Json.member "iterations" full with
   | Some (Json.List l) ->
     Alcotest.(check int) "stopped after the seed sweep" 1 (List.length l)
   | _ -> Alcotest.fail "report has no iterations");
   truncate_checkpoint path 1;
   let resumed =
-    Json.to_string (Request.run ~checkpoint:path ~resume:true model req)
+    Json.to_string (run_report ~checkpoint:path ~resume:true model req)
   in
   Alcotest.(check string) "resumed stopped run is byte-identical"
     (Json.to_string full) resumed
@@ -387,7 +391,7 @@ let test_checkpoint_resume () =
   let path = Filename.temp_file "awesym_opt" ".opt" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
   @@ fun () ->
-  let full = Json.to_string (Request.run ~checkpoint:path model req) in
+  let full = Json.to_string (run_report ~checkpoint:path model req) in
   (* The final checkpoint write embeds the finished report and the key. *)
   let ck =
     match Json.of_string (In_channel.with_open_bin path In_channel.input_all) with
@@ -401,7 +405,7 @@ let test_checkpoint_resume () =
   (* Resuming from the finished checkpoint recomputes nothing and
      reproduces the report byte for byte. *)
   let resumed =
-    Json.to_string (Request.run ~checkpoint:path ~resume:true model req)
+    Json.to_string (run_report ~checkpoint:path ~resume:true model req)
   in
   Alcotest.(check string) "resumed report byte-identical" full resumed
 
@@ -414,7 +418,7 @@ let test_checkpoint_rejects_uppercase_hex () =
   let path = Filename.temp_file "awesym_opt" ".opt" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
   @@ fun () ->
-  ignore (Request.run ~checkpoint:path model req);
+  ignore (run_report ~checkpoint:path model req);
   truncate_checkpoint path 1;
   let doc =
     match Json.of_string (In_channel.with_open_bin path In_channel.input_all) with
@@ -448,7 +452,7 @@ let test_checkpoint_rejects_uppercase_hex () =
   in
   Json.to_file path (upcase doc);
   if not !changed then Alcotest.fail "no x_hex cell with a hex letter";
-  match Request.run ~checkpoint:path ~resume:true model req with
+  match run_report ~checkpoint:path ~resume:true model req with
   | exception Err.Error e ->
     Alcotest.(check string) "classified artifact_corrupt" "artifact_corrupt"
       (Err.kind_name e.Err.kind)
@@ -612,7 +616,7 @@ let test_require_convergence () =
     { (sizing_config ~restarts:0 ~max_iters:1 model) with Sizing.tol = 1e-300 }
   in
   let req = Request.Size cfg in
-  let report = Request.run model req in
+  let report = run_report model req in
   (match Json.member "status" report with
   | Some (Json.Str s) -> Alcotest.(check string) "status" "max_iters" s
   | _ -> Alcotest.fail "report has no status");

@@ -1034,7 +1034,7 @@ let test_optimize_served_matches_local () =
   let c = client sock in
   List.iter
     (fun req ->
-      let local = Json.to_string (Opt.Request.run model req) in
+      let local = Json.to_string (Opt.Request.report_to_json (Opt.Request.run model req)) in
       let reply =
         ok "optimize"
           (Serve.Client.optimize c

@@ -654,7 +654,10 @@ let prop_plan_mutation =
 
 let prop_dist_mutation =
   Mutate.prop ~name:"mutated dists decode canonically or name the node" ~count:300 Gens.dist
-    Dist.to_json (fun j -> Result.map Dist.to_json (Dist.of_json j))
+    (Obs.Codec.encode Dist.codec)
+    (fun j ->
+      Result.map_error Obs.Codec.error_to_string
+        (Result.map (Obs.Codec.encode Dist.codec) (Obs.Codec.decode Dist.codec j)))
 
 (* A 40-point sweep in blocks of 16: chunks of 16, 16 and 8 points. *)
 let record_prep =
@@ -744,7 +747,7 @@ let test_noncanonical_sweep_inputs () =
   (* A checkpoint names the chunk inside the document. *)
   let path = Filename.temp_file "awesym_ckpt" ".json" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  let w = Engine.Checkpoint.writer prep ~path ~every:1 in
+  let w = Engine.Checkpoint.writer prep ~path in
   Engine.Checkpoint.add w (Engine.eval_chunk prep 1);
   let text = In_channel.with_open_bin path In_channel.input_all in
   let rec letter i = if text.[i] >= 'a' && text.[i] <= 'f' then i else letter (i + 1) in
@@ -775,10 +778,27 @@ let decks_dir () = if Sys.file_exists "../decks" then "../decks" else "decks"
 
 (* [eval_chunk] keeps one batch evaluator per domain and replaces it when
    the program or the block size changes.  Interleave two models with
-   different register counts at two block sizes on this domain, with the
-   kernel fault armed on some chunks under Retry: each faulted chunk is
-   quarantined whole after every attempt raised inside the evaluator, and
-   every other chunk equals a fresh [Slp.eval_batch] of its columns. *)
+   different register counts at two block sizes on this domain, with a
+   sticky kernel fault armed on some chunks under Retry: each faulted chunk
+   is quarantined whole after every attempt raised, and every other chunk
+   equals a fresh [Slp.eval_batch] of its columns. *)
+(* A transient kernel fault is cut in the chunk loop keyed by chunk and
+   attempt, so Retry heals it: at every fault seed the report is the
+   clean run's, bytes and all. *)
+let test_kernel_faults_heal () =
+  let model = Lazy.force fig1_model in
+  let report () =
+    Obs.Json.to_string
+      (Engine.to_json
+         (Engine.run ~seed:7 ~policy:(Engine.Retry 2) model (plan_c1_g2 (Plan.Monte_carlo 2000))))
+  in
+  let clean = report () in
+  Fun.protect ~finally:Runtime.Fault.disarm @@ fun () ->
+  for seed = 0 to 5 do
+    Runtime.Fault.arm ~seed "slp.eval_batch:0.5";
+    Alcotest.(check string) (Printf.sprintf "fault seed %d heals" seed) clean (report ())
+  done
+
 let test_chunk_evaluator_reuse () =
   let rlc =
     Model.build ~order:4
@@ -810,7 +830,7 @@ let test_chunk_evaluator_reuse () =
     let model, prep = preps.(step mod 4) in
     let idx = step / 4 mod Engine.prep_num_chunks prep in
     let faulted = step mod 7 = 3 in
-    if faulted then Runtime.Fault.arm "slp.eval_batch:1";
+    if faulted then Runtime.Fault.arm "slp.eval_batch:1:sticky";
     let c = Engine.eval_chunk prep idx in
     Runtime.Fault.disarm ();
     let lo = Engine.chunk_lo c and len = Engine.chunk_len c in
@@ -968,6 +988,7 @@ let () =
             test_golden_coupled_rlc_order8_sweep;
           quick "per-domain chunk evaluator leaks no state"
             test_chunk_evaluator_reuse;
+          quick "transient kernel faults heal under retry" test_kernel_faults_heal;
           quick "chunk records accept only canonical hex" test_chunk_record_canonical_hex;
         ] );
       ( "codec",
