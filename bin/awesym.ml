@@ -259,7 +259,7 @@ let symbolic_cmd =
          Format.printf "%a@?"
            (Awesymbolic.Model.pp_forms ~count:(Int.min 4 (2 * order)))
            nl
-       with Failure _ ->
+       with Failure _ | Awesym_error.Error { kind = Singular_system; _ } ->
          (* The expanded (Cramer-form) display needs fraction-free exact
             division, which float coefficients cannot always support on
             large incidence-heavy systems.  The compiled model above is

@@ -62,13 +62,13 @@ let two_terminal p n =
     { row = p; col = n; coeff = -1.0 };
     { row = n; col = p; coeff = -1.0 } ]
 
-let controlling_aux ix name ctrl =
+(* The branch-current row of [ctrl], which [name] reads as its [what]. *)
+let controlling_aux ix ~what name ctrl =
   match Hashtbl.find_opt ix.aux_tbl ctrl with
   | Some r -> r
   | None ->
-    failwith
-      (Printf.sprintf "Mna: %s references missing controlling V-source %s"
-         name ctrl)
+    Awesym_error.errorf Invalid_request ~where:"mna.stamp"
+      "%s references %s, which is not %s in the circuit" name ctrl what
 
 let stamp_of ix (e : Element.t) =
   let p = node_row ix e.Element.pos and n = node_row ix e.Element.neg in
@@ -132,7 +132,7 @@ let stamp_of ix (e : Element.t) =
             { row = m; col = cn; coeff = 1.0 } ];
     }
   | Element.Cccs ctrl ->
-    let mc = controlling_aux ix e.Element.name ctrl in
+    let mc = controlling_aux ix ~what:"a V-source" e.Element.name ctrl in
     {
       nothing with
       g_value =
@@ -142,8 +142,8 @@ let stamp_of ix (e : Element.t) =
     }
   | Element.Mutual (l1, l2) ->
     (* Coupled inductors: the branch equations gain −s·M·i_other terms. *)
-    let m1 = controlling_aux ix e.Element.name l1 in
-    let m2 = controlling_aux ix e.Element.name l2 in
+    let m1 = controlling_aux ix ~what:"an inductor" e.Element.name l1 in
+    let m2 = controlling_aux ix ~what:"an inductor" e.Element.name l2 in
     {
       nothing with
       c_value =
@@ -152,7 +152,7 @@ let stamp_of ix (e : Element.t) =
     }
   | Element.Ccvs ctrl ->
     let m = aux_row ix e.Element.name in
-    let mc = controlling_aux ix e.Element.name ctrl in
+    let mc = controlling_aux ix ~what:"a V-source" e.Element.name ctrl in
     {
       nothing with
       g_const =

@@ -103,24 +103,26 @@ let map_elements f nl =
   { nl with rev_elements; by_name }
 
 let input nl =
+  let fail fmt = Awesym_error.errorf Invalid_request ~where:"netlist.input" fmt in
   match nl.input_name with
   | Some name -> (
     match find nl name with
     | Some e when Element.is_source e -> e
-    | Some _ ->
-      failwith (Printf.sprintf "Netlist.input: %s is not an independent source" name)
-    | None -> failwith (Printf.sprintf "Netlist.input: no element named %s" name))
+    | Some _ -> fail ".input %s is not an independent source" name
+    | None -> fail ".input names %s, which is not in the circuit" name)
   | None -> (
     match List.find_opt Element.is_source (elements nl) with
     | Some e -> e
-    | None -> failwith "Netlist.input: netlist has no independent source")
+    | None -> fail "the circuit has no independent source to drive it")
 
 let output_opt nl = nl.out
 
 let output nl =
   match nl.out with
   | Some o -> o
-  | None -> failwith "Netlist.output: no output designated"
+  | None ->
+    Awesym_error.raise_error Invalid_request ~where:"netlist.output"
+      "no output designated (add a .output card)"
 
 let nodes nl =
   let tbl = Hashtbl.create 64 in

@@ -36,10 +36,12 @@ val map_elements : (Element.t -> Element.t) -> t -> t
 
 val input : t -> Element.t
 (** The designated input source; defaults to the first independent source.
-    Raises [Failure] when the netlist has no independent source. *)
+    Raises [Awesym_error.Error] (kind [Invalid_request]) when the
+    netlist has no independent source or [.input] names anything else. *)
 
 val output : t -> output
-(** Raises [Failure] when no output was designated. *)
+(** Raises [Awesym_error.Error] (kind [Invalid_request]) when no output
+    was designated. *)
 
 val output_opt : t -> output option
 

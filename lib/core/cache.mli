@@ -48,6 +48,7 @@ val gc : ?dir:string -> max_bytes:int -> unit -> gc_stats
     half-deleted.  Also sweeps stale [.tmp] files left by crashed
     {!atomic_write} runs and [.bad] objects quarantined by codegen's
     load validation.  A missing directory is an empty cache, not an
-    error.  Obs counter: [cache.gc.deleted].  The serve registry runs
-    this at startup; the CLI exposes it as [awesym cache gc].  Raises
+    error.  Obs counter: [cache.gc.deleted].  [Serve.Server.create] runs
+    this once at daemon startup when configured with a GC budget; the
+    CLI exposes it as [awesym cache gc].  Raises
     [Invalid_argument] when [max_bytes < 0]. *)

@@ -19,6 +19,8 @@ type t = {
 
 let size t = t.n
 
+let singular msg = Awesym_error.raise_error Singular_system ~where:"global_system" msg
+
 let selector_for t output =
   let row name =
     match t.row_of name with
@@ -240,9 +242,9 @@ let solve_raw t ~count =
   let p = Array.make count [||] in
   let nums0, det =
     try Exact.Bareiss.solve_cramer y0 t.rhs
-    with Failure _ -> failwith "Global_system: Y0 is singular"
+    with Failure _ -> singular "Y0 is singular"
   in
-  if Mpoly.is_zero det then failwith "Global_system: Y0 is singular";
+  if Mpoly.is_zero det then singular "Y0 is singular";
   p.(0) <- nums0;
   for k = 1 to count - 1 do
     let q = Array.make t.n Mpoly.zero in
@@ -318,8 +320,7 @@ let solve_vectors_expr t ~nominal ~count =
         best := i
       end
     done;
-    if !best < 0 then
-      failwith "Global_system: Y0 numerically singular at the nominal point";
+    if !best < 0 then singular "Y0 is numerically singular at the nominal point";
     if !best <> k then begin
       let tmp = a.(k) in
       a.(k) <- a.(!best);

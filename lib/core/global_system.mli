@@ -43,8 +43,9 @@ type moments = private {
 }
 
 val solve_moments : t -> count:int -> moments
-(** Raises [Failure] when [Y⁰] is singular as a polynomial matrix (the
-    circuit has no DC solution for generic symbol values). *)
+(** Raises [Awesym_error.Error] (kind [Singular_system]) when [Y⁰] is
+    singular as a polynomial matrix (the circuit has no DC solution for
+    generic symbol values). *)
 
 type raw
 (** Unprojected solution: the moment vectors [Pₖ] over all global unknowns
@@ -81,7 +82,8 @@ val moments_expr_by_elimination :
     Cramer polynomials on systems with strong minor cancellation (e.g. the
     op-amp); accuracy degrades gracefully away from the nominal point, which
     is exactly the regime the paper tells users to validate.  Raises
-    [Failure] when [Y⁰] is numerically singular at the nominal point. *)
+    [Awesym_error.Error] (kind [Singular_system]) when [Y⁰] is
+    numerically singular at the nominal point. *)
 
 val solve_vectors_expr :
   t -> nominal:(Symbolic.Symbol.t -> float) -> count:int ->

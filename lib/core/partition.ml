@@ -97,11 +97,18 @@ let make ?(extra_outputs = []) nl =
   List.iter (fun (e, _) -> List.iter note (element_nodes e)) symbolic;
   List.iter (fun e -> List.iter note (element_nodes e)) companions;
   List.iter note (element_nodes input);
+  let in_circuit n = List.exists (fun e -> List.mem n (element_nodes e)) (Netlist.elements nl) in
+  let note_output_node n =
+    if not (Netlist.is_ground n || in_circuit n) then
+      Awesym_error.errorf Invalid_request ~where:"partition.make"
+        ~context:[ ("node", n) ] "output node %s is not in the circuit" n;
+    note n
+  in
   let note_output = function
-    | Netlist.Node a -> note a
+    | Netlist.Node a -> note_output_node a
     | Netlist.Diff (a, b) ->
-      note a;
-      note b
+      note_output_node a;
+      note_output_node b
   in
   note_output (Netlist.output nl);
   List.iter note_output extra_outputs;

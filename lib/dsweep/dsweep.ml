@@ -103,34 +103,21 @@ let run ?(seed = 42) ?block ?measures ?(specs = []) ?(policy = Engine.Skip)
   let plan_json = Sweep.Plan.to_json plan in
   let nw = List.length config.addrs in
   let addrs = Array.of_list config.addrs in
+  let results, record = Engine.restore ?checkpoint ~resume prep in
   let st =
     {
       total = Engine.prep_num_chunks prep;
       labels = Array.mapi (fun i a -> Printf.sprintf "%d:%s" i a) addrs;
       live = Array.make nw true;
       claimed = Array.make (Engine.prep_num_chunks prep) false;
-      results = Array.make (Engine.prep_num_chunks prep) None;
-      completed = 0;
+      results;
+      completed = Array.fold_left (fun n r -> n + Bool.to_int (r <> None)) 0 results;
       abort = None;
       m = Mutex.create ();
       cv = Condition.create ();
     }
   in
   Obs.Metrics.incr "dsweep.run.count";
-  let writer = Option.map (fun path -> Engine.Checkpoint.writer prep ~path) checkpoint in
-  (match (checkpoint, resume) with
-  | Some path, true ->
-    List.iter
-      (fun r ->
-        let i = Engine.chunk_index r in
-        if st.results.(i) = None then begin
-          st.results.(i) <- Some r;
-          st.completed <- st.completed + 1;
-          Option.iter (fun w -> Engine.Checkpoint.add ~written:false w r) writer;
-          Obs.Metrics.incr "sweep.checkpoint.chunks_resumed"
-        end)
-      (Engine.Checkpoint.load prep ~path)
-  | _ -> ());
   let request c =
     {
       Protocol.sc_model = model_path;
@@ -276,8 +263,8 @@ let run ?(seed = 42) ?block ?measures ?(specs = []) ?(policy = Engine.Skip)
           Condition.broadcast st.cv;
           Mutex.unlock st.m;
           if fresh then begin
-            (* The writer has its own lock; keep file IO off [st.m]. *)
-            Option.iter (fun wtr -> Engine.Checkpoint.add wtr r) writer;
+            (* The checkpoint has its own lock; keep file IO off [st.m]. *)
+            record r;
             Obs.Metrics.incr "dsweep.chunks.completed"
           end;
           loop 0
@@ -340,9 +327,6 @@ let run ?(seed = 42) ?block ?measures ?(specs = []) ?(policy = Engine.Skip)
        joins them (and re-raises if a domain somehow died). *)
     Runtime.Service.stop svc
   end;
-  (* Whatever happened, persist the progress we have before deciding
-     how to end — a failed run must leave a resumable checkpoint. *)
-  Option.iter Engine.Checkpoint.flush writer;
   (match st.abort with Some e -> raise (Err.Error e) | None -> ());
   if st.completed < st.total then
     Err.errorf Worker_crash ~where:"dsweep"

@@ -29,8 +29,9 @@
       rendezvous-assigned to it falls to the surviving workers
       ({!assign} is recomputed against the live set).  The sweep
       degrades down to one worker.
-    - If {e all} workers die, [run] flushes the checkpoint (when
-      configured) and raises [worker_crash]; re-running with
+    - If {e all} workers die, [run] raises [worker_crash]; every
+      completed chunk is already a line of the checkpoint (when
+      configured), and re-running with
       [~resume:true] re-evaluates only the missing chunks, exactly like
       a local resume — the checkpoint format and key are shared with
       [Sweep.Engine].

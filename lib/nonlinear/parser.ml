@@ -137,7 +137,7 @@ let parse_string text =
       with Invalid_argument m -> fail lineno "%s" m)
     (List.rev !devices);
   (match
-     try Some (Circuit.Netlist.input linear_nl) with Failure _ -> None
+     try Some (Circuit.Netlist.input linear_nl) with Awesym_error.Error _ -> None
    with
   | Some input ->
     nl := Netlist.with_ac_input !nl input.Circuit.Element.name

@@ -49,22 +49,14 @@ let validate cfg =
     Err.errorf Invalid_request ~where:"opt.yield"
       "shrink must be in (0, 1], got %g" cfg.shrink
 
-let spec_pass (s : Engine.spec) v =
-  Float.is_finite v
-  && match s.Engine.bound with Engine.Le l -> v <= l | Engine.Ge l -> v >= l
-
 (* One full sweep over the current axes through the staged engine API —
-   the same chunks [Engine.run] would evaluate, fanned across [jobs]
-   domains, merged by index. *)
+   the chunks [Engine.run] evaluates, by the same step, merged by
+   index. *)
 let sweep_once ?jobs ?block model ~specs ~seed axes points =
   let plan = Plan.make (Plan.Monte_carlo points) axes in
   let prep = Engine.prepare ~seed ?block ?jobs ~measures:[] ~specs model plan in
-  let results = Array.make (Engine.prep_num_chunks prep) None in
-  Runtime.iter_chunks ?jobs ~n:(Engine.prep_points prep)
-    ~block:(Engine.prep_block prep) (fun ~worker:_ (c : Runtime.Chunk.t) ->
-      results.(c.index) <- Some (Engine.eval_chunk prep c.index));
-  let res = Engine.finish prep results in
-  (prep, results, res)
+  let results = Engine.evaluate ?jobs prep in
+  (prep, results, Engine.finish prep results)
 
 (* The all-spec pass mask over the plan's points, read off the evaluated
    chunks.  Quarantined points never pass. *)
@@ -95,7 +87,9 @@ let pass_mask prep results =
           let i = lo + li in
           if
             (not failed.(li))
-            && List.for_all (fun (s, c) -> spec_pass s vals.(c).(li)) spec_cols
+            && List.for_all
+                 (fun ((s : Engine.spec), c) -> Engine.passes s.bound vals.(c).(li))
+                 spec_cols
           then begin
             pass.(i) <- true;
             incr npass

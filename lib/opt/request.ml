@@ -1,5 +1,5 @@
 module Model = Awesymbolic.Model
-module Cache = Awesymbolic.Cache
+module Checkpoint = Awesymbolic.Checkpoint
 module Engine = Sweep.Engine
 module Plan = Sweep.Plan
 module Dist = Sweep.Dist
@@ -86,8 +86,8 @@ let codec =
       C.case "yield" yield (fun c -> Yield c) (function Yield c -> Some c | Size _ -> None) ]
 
 (* Decode at a boundary of this module, raising its classified error. *)
-let decode ?file kind where c j =
-  match Err.decode ?file ~kind ~where c j with Ok v -> v | Error e -> raise (Err.Error e)
+let decode kind where c j =
+  match Err.decode ~kind ~where c j with Ok v -> v | Error e -> raise (Err.Error e)
 
 let to_json = C.encode codec
 let of_json = decode Invalid_request "opt.request" codec
@@ -282,54 +282,7 @@ let yield_report key (cfg : Recenter.config) (res : Recenter.result) =
       iterations = res.history;
     }
 
-(* ---- checkpoint files ---- *)
-
-type 'u resume_state = Fresh | Partial of 'u list | Complete of report
-
-(* The document, its units through [unit] (stored already encoded, as
-   [C.json], while a run appends to them) and its finished report through
-   [result]. *)
-let ckpt_codec unit result =
-  C.record
-    (fun key mode units result -> (key, mode, units, result))
-    [
-      C.const "schema" (J.Str schema);
-      C.const "kind" (J.Str "checkpoint");
-      C.req "key" C.string (fun (k, _, _, _) -> k);
-      C.req "mode" C.string (fun (_, m, _, _) -> m);
-      C.req "units" (C.list unit) (fun (_, _, us, _) -> us);
-      C.opt "result" result (fun (_, _, _, r) -> r);
-    ]
-
-let load_checkpoint path ~key:k unit =
-  if not (Sys.file_exists path) then Fresh
-  else begin
-    let doc =
-      match J.of_string (In_channel.with_open_bin path In_channel.input_all) with
-      | Ok d -> d
-      | Error m ->
-        Err.errorf Artifact_corrupt ~where:"opt.checkpoint" ~file:path
-          "malformed JSON: %s" m
-      | exception Sys_error m ->
-        Err.raise_error Artifact_corrupt ~where:"opt.checkpoint" ~file:path m
-    in
-    let read unit result =
-      decode ~file:path Artifact_corrupt "opt.checkpoint" (ckpt_codec unit result) doc
-    in
-    (* The key first, units and report opaque: another optimization's
-       checkpoint is a mismatch, not a corrupt unit. *)
-    let k', _, _, _ = read C.json C.json in
-    if k' <> k then
-      Err.errorf Invalid_request ~where:"opt.checkpoint" ~file:path
-        "checkpoint was written by a different optimization (key mismatch)";
-    match read unit report_codec with
-    | _, _, _, Some report -> Complete report
-    | _, _, units, None -> Partial units
-  end
-
 (* ---- the entry point ---- *)
-
-let mode_name = function Size _ -> "size" | Yield _ -> "yield"
 
 let check_require ~require report =
   match report with
@@ -345,45 +298,38 @@ let run ?jobs ?block ?checkpoint ?(resume = false) ?(require = false) model t =
   Obs.Span.with_ ~name:"opt.run" @@ fun () ->
   Obs.Metrics.incr "opt.requests";
   let k = key model t in
-  (* Resume the units of [unit] already done, hand the rest to [compute]
-     with a callback that checkpoints each new one. *)
-  let drive unit compute =
-    let state =
+  (* Restore the [count] units of [unit] already done, in the order the
+     run writes them (unit [i] has [index] [i]), and hand them to
+     [compute] with the append of each new one.  With every unit
+     restored, [compute] rebuilds the report as an uninterrupted run
+     does. *)
+  let drive unit index count compute =
+    let restored = ref [] in
+    let record =
       match checkpoint with
-      | Some path when resume -> load_checkpoint path ~key:k unit
-      | _ -> Fresh
+      | None -> ignore
+      | Some path ->
+        let ck =
+          Checkpoint.open_ ~where:"opt.checkpoint" ~key:k ~resume path (fun i j ->
+              let u = decode Artifact_corrupt "opt.checkpoint" unit j in
+              if index u <> i || i >= count then
+                Err.errorf Artifact_corrupt ~where:"opt.checkpoint"
+                  "unit %d out of sequence: the run writes units 0..%d in order" (index u)
+                  (count - 1);
+              restored := u :: !restored)
+        in
+        fun u -> Checkpoint.record ck (C.encode unit u)
     in
-    match state with
-    | Complete report ->
-      Obs.Metrics.incr "opt.checkpoint.restored";
-      check_require ~require report;
-      report
-    | Fresh | Partial _ ->
-      let units0 = match state with Partial us -> us | _ -> [] in
-      if units0 <> [] then Obs.Metrics.incr "opt.checkpoint.restored";
-      let written = ref (List.map (C.encode unit) units0) in
-      let save ?result () =
-        match checkpoint with
-        | None -> ()
-        | Some path ->
-          Cache.atomic_write path (fun tmp ->
-              J.to_file tmp
-                (C.encode (ckpt_codec C.json report_codec) (k, mode_name t, !written, result)))
-      in
-      let on_unit u =
-        written := !written @ [ C.encode unit u ];
-        save ()
-      in
-      let report = compute units0 on_unit in
-      save ~result:report ();
-      check_require ~require report;
-      report
+    let report = compute (List.rev !restored) record in
+    check_require ~require report;
+    report
   in
   match t with
   | Size cfg ->
-    drive restart_codec (fun completed on_restart ->
+    drive restart_codec (fun r -> r.Sizing.index) (cfg.restarts + 1)
+      (fun completed on_restart ->
         size_report model k cfg (Sizing.run ~completed ~on_restart model cfg))
   | Yield cfg ->
-    drive iteration_codec (fun history on_iteration ->
-        yield_report k cfg
-          (Recenter.run ?jobs ?block ~history ~on_iteration model cfg))
+    drive iteration_codec (fun i -> i.Recenter.it) (cfg.iters + 1)
+      (fun history on_iteration ->
+        yield_report k cfg (Recenter.run ?jobs ?block ~history ~on_iteration model cfg))

@@ -12,16 +12,19 @@
 
     {2 Checkpointing}
 
-    [run ~checkpoint:path] rewrites [path] (atomically, via
-    [Cache.atomic_write]) after every completed sizing restart / yield
-    iteration, and a final time with the finished report embedded.  The
-    file carries {!key} — a digest binding the request JSON and the
-    model's shape — so [~resume:true] restores only a checkpoint written
-    by the {e same} optimization: completed units are restored
-    bit-exactly and only the rest is computed, making a resumed run's
-    report byte-identical to an uninterrupted one.  Park checkpoints in
-    the cache directory with a [.opt] extension and [Cache.gc] ages them
-    out with the other artifacts. *)
+    [run ~checkpoint:path] appends each completed sizing restart / yield
+    iteration to [path] as one line of an {!Awesymbolic.Checkpoint}
+    file; no report is stored.  The header carries {!key} — a digest
+    binding the request JSON and the model's shape — so [~resume:true]
+    restores only a checkpoint written by the {e same} optimization:
+    completed units are restored bit-exactly and only the rest is
+    computed, and with every unit present the report is rebuilt from
+    them as an uninterrupted run builds it — a resumed run's report is
+    byte-identical to an uninterrupted one.  Units must appear in the
+    order the run writes them; a repeated, skipped or surplus unit is
+    [Artifact_corrupt] naming its line.  Park checkpoints in the cache
+    directory with a [.opt] extension and [Cache.gc] ages them out with
+    the other artifacts. *)
 
 type t =
   | Size of Sizing.config
@@ -111,6 +114,6 @@ val run :
     single points) — the determinism contract guarantees they never
     change the report bytes.  With [require = true] a sizing run whose
     best restart did not converge raises [Awesym_error.Error] with kind
-    [Max_iters] or [No_descent] ({e after} the final checkpoint write,
+    [Max_iters] or [No_descent] ({e after} the last unit is checkpointed,
     so the trajectory survives for inspection).  Obs: counter
-    [opt.requests], [opt.checkpoint.restored]; span [opt.run]. *)
+    [opt.requests] and the [checkpoint.*] counters; span [opt.run]. *)

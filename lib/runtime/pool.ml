@@ -25,6 +25,7 @@ type work = {
   tasks : int;
   next : int Atomic.t; (* claim cursor; monotone, never reset *)
   mutable completed : int;
+  mutable unmerged : int; (* workers whose metrics shard is not merged yet *)
   mutable failure : (exn * Printexc.raw_backtrace) option;
 }
 
@@ -92,8 +93,13 @@ let rec worker_loop s w seen =
   else begin
     let gen = s.generation in
     let wk = Option.get s.current in
+    wk.unmerged <- wk.unmerged + 1;
     Mutex.unlock s.m;
     Obs.Metrics.with_shard (fun () -> drain s w wk);
+    Mutex.lock s.m;
+    wk.unmerged <- wk.unmerged - 1;
+    Condition.broadcast s.finished;
+    Mutex.unlock s.m;
     worker_loop s w gen
   end
 
@@ -129,7 +135,8 @@ let run t ~tasks body =
         if !(Domain.DLS.get in_task_key) || tasks = 1 then run_inline body tasks
         else begin
           let wk =
-            { body; tasks; next = Atomic.make 0; completed = 0; failure = None }
+            { body; tasks; next = Atomic.make 0; completed = 0; unmerged = 0;
+              failure = None }
           in
           Mutex.lock s.m;
           if s.shutdown then begin
@@ -142,7 +149,9 @@ let run t ~tasks body =
           Mutex.unlock s.m;
           drain s 0 wk;
           Mutex.lock s.m;
-          while wk.completed < wk.tasks do
+          (* Counters a task bumped on another domain are in the global
+             tables once its shard is merged. *)
+          while wk.completed < wk.tasks || wk.unmerged > 0 do
             Condition.wait s.finished s.m
           done;
           let failure = wk.failure in

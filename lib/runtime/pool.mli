@@ -8,7 +8,7 @@
 
     Worker generations run inside [Obs.Metrics.with_shard], so counters
     bumped from task bodies accumulate in per-domain shards and merge
-    into the global tables when the generation ends. *)
+    into the global tables before {!run} returns. *)
 
 type t
 

@@ -133,7 +133,7 @@ type chunk_reply = {
   cr_chunk : int;
   cr_record : Obs.Json.t;
       (** checkpoint-format chunk record ([{lo; len; vals; failed}], hex
-          float bits) — exactly what [Sweep.Engine.Checkpoint] stores, so
+          float bits) — exactly a sweep checkpoint's chunk line, so
           the coordinator merges remote chunks through the same
           validation path as a local resume *)
 }

@@ -41,14 +41,8 @@ type t = {
   mutable entries : entry list;  (* unordered; LRU by [last_used] *)
 }
 
-let create ?cache_gc_bytes ?eval_jobs ?(max_models = 8) () =
+let create ?eval_jobs ?(max_models = 8) () =
   if max_models < 1 then invalid_arg "Registry.create: max_models must be >= 1";
-  (match cache_gc_bytes with
-  | None -> ()
-  | Some max_bytes ->
-    let stats = Awesymbolic.Cache.gc ~max_bytes () in
-    if stats.Awesymbolic.Cache.deleted > 0 then
-      Obs.Metrics.add "serve.cache.gc_deleted" stats.Awesymbolic.Cache.deleted);
   { max_models; eval_jobs; clock = 0; entries = [] }
 
 let loaded t = List.length t.entries

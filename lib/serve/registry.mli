@@ -26,15 +26,11 @@ type entry = {
 
 type t
 
-val create :
-  ?cache_gc_bytes:int -> ?eval_jobs:int -> ?max_models:int -> unit -> t
-(** [cache_gc_bytes] runs {!Awesymbolic.Cache.gc} over the default cache
-    directory at startup, bounding what an unattended daemon inherits
-    from past compiles (counter [serve.cache.gc_deleted]).  [eval_jobs]
-    pins each entry's batch-evaluator fan-out; sharded daemons pass [1]
-    because their worker domains are the parallelism and the shared
-    Runtime pool must not be driven from several master domains at
-    once. *)
+val create : ?eval_jobs:int -> ?max_models:int -> unit -> t
+(** [eval_jobs] pins each entry's batch-evaluator fan-out; sharded
+    daemons pass [1] because their worker domains are the parallelism
+    and the shared Runtime pool must not be driven from several master
+    domains at once. *)
 
 val find : ?digest:string -> t -> string -> (entry, Awesym_error.t) result
 (** Resolve an artifact path: digest the file, return the resident entry

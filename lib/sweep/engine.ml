@@ -1,5 +1,5 @@
 module Model = Awesymbolic.Model
-module Cache = Awesymbolic.Cache
+module Checkpoint = Awesymbolic.Checkpoint
 module Slp = Symbolic.Slp
 module Sym = Symbolic.Symbol
 module Measures = Awe.Measures
@@ -179,11 +179,10 @@ let point_measures model ms v =
   moment_measures model ms moments
 
 (* ------------------------------------------------------------------ *)
-(* Checkpoint format (schema awesymbolic-ckpt/1)
+(* Chunk records travel through checkpoints and the wire as
 
-   { schema, key, points, chunks: [ { lo, len,
-                                      vals: [ [hex-f64 ...] per measure ],
-                                      failed: [ { point, attempts, error } ] } ] }
+   { lo, len, vals: [ [hex-f64 ...] per measure ],
+     failed: [ { point, attempts, error } ] }
 
    Floats travel as IEEE-754 bit patterns in hex because the JSON layer
    renders non-finite numbers as null; bit patterns also make restore
@@ -194,8 +193,6 @@ let failed_point_codec =
     [ C.req "point" C.int (fun f -> f.point);
       C.req "attempts" C.int (fun f -> f.attempts);
       C.req "error" Err.codec (fun f -> f.error) ]
-
-let ckpt_schema = "awesymbolic-ckpt/1"
 
 (* ------------------------------------------------------------------ *)
 (* Preparation: everything the evaluation of any single chunk depends
@@ -274,7 +271,9 @@ let prepare ?(seed = 42) ?block ?jobs ?(measures = default_measures)
       (Digest.string
          (String.concat "\x00"
             ([
-               ckpt_schema;
+               (* the layout the key was first made for; kept so keys
+                  and the distributed handshake keep their bytes *)
+               "awesymbolic-ckpt/1";
                Obs.Json.to_string (Plan.to_json plan);
                string_of_int seed;
                string_of_int order;
@@ -481,8 +480,8 @@ let eval_chunk p idx =
    file) cannot scribble outside its chunk. *)
 
 (* [c_index] is not on the wire: it follows from [lo] and the layout,
-   and [decode_chunk] fills it in once the record is checked against
-   it. *)
+   and [chunk_result_of_json] fills it in once the record is checked
+   against it. *)
 let chunk_codec =
   C.record
     (fun c_lo c_len c_vals c_failed -> { c_index = -1; c_lo; c_len; c_vals; c_failed })
@@ -493,8 +492,7 @@ let chunk_codec =
 
 let chunk_result_to_json = C.encode chunk_codec
 
-(* Decode one record found at path [at] of its document. *)
-let decode_chunk ?file ?(at = []) p record =
+let chunk_result_of_json ?file p record =
   let bad fmt = Err.errorf ?file Artifact_corrupt ~where:"sweep.checkpoint" fmt in
   let r =
     match C.decode chunk_codec record with
@@ -507,7 +505,7 @@ let decode_chunk ?file ?(at = []) p record =
           Printf.sprintf " at point %d" (int_of_float lo + li)
         | _ -> ""
       in
-      bad "%s%s" (C.error_to_string { e with path = at @ e.C.path }) point
+      bad "%s%s" (C.error_to_string e) point
   in
   let lo = r.c_lo and len = r.c_len in
   let n = p.p_n and blk = p.p_block in
@@ -527,104 +525,6 @@ let decode_chunk ?file ?(at = []) p record =
         bad "failed point %d outside its chunk [%d, +%d)" fp.point lo len)
     r.c_failed;
   { r with c_index = idx }
-
-let chunk_result_of_json ?file p record = decode_chunk ?file p record
-
-(* ------------------------------------------------------------------ *)
-(* Checkpointing: one writer per run, shared by however many domains
-   (or remote-result merges) complete chunks.  The file is rewritten
-   whole — records sorted by chunk index — so its bytes are a pure
-   function of the completed-chunk set, whatever order completions
-   arrived in. *)
-
-(* The document; chunk records stay JSON until [decode_chunk] checks
-   each against the layout. *)
-let ckpt_codec =
-  C.record (fun key points chunks -> (key, points, chunks))
-    [ C.const "schema" (Obs.Json.Str ckpt_schema);
-      C.req "key" C.string (fun (k, _, _) -> k);
-      C.req "points" C.int (fun (_, n, _) -> n);
-      C.req "chunks" (C.list C.json) (fun (_, _, cs) -> cs) ]
-
-module Checkpoint = struct
-  type writer = {
-    w_path : string;
-    w_key : string;
-    w_points : int;
-    w_mutex : Mutex.t;
-    w_records : (int, Obs.Json.t) Hashtbl.t;
-  }
-
-  let writer p ~path =
-    {
-      w_path = path;
-      w_key = p.p_key;
-      w_points = p.p_n;
-      w_mutex = Mutex.create ();
-      w_records = Hashtbl.create 64;
-    }
-
-  (* Called with [w_mutex] held. *)
-  let write_locked w =
-    let recs =
-      Hashtbl.fold (fun idx _ acc -> idx :: acc) w.w_records []
-      |> List.sort compare
-      |> List.map (fun idx -> Hashtbl.find w.w_records idx)
-    in
-    let doc = C.encode ckpt_codec (w.w_key, w.w_points, recs) in
-    let dir = Filename.dirname w.w_path in
-    if dir <> "." && not (Sys.file_exists dir) then Cache.ensure_dir dir;
-    Cache.atomic_write w.w_path (fun tmp ->
-        Out_channel.with_open_bin tmp (fun oc ->
-            Out_channel.output_string oc (Obs.Json.to_string doc)))
-
-  let add ?(written = true) w r =
-    Mutex.lock w.w_mutex;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock w.w_mutex)
-      (fun () ->
-        Hashtbl.replace w.w_records r.c_index (chunk_result_to_json r);
-        if written then begin
-          Obs.Metrics.incr "sweep.checkpoint.chunks_written";
-          write_locked w
-        end)
-
-  let flush w =
-    Mutex.lock w.w_mutex;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock w.w_mutex)
-      (fun () -> write_locked w)
-
-  let load p ~path =
-    if not (Sys.file_exists path) then []
-    else begin
-      let data = In_channel.with_open_bin path In_channel.input_all in
-      let doc =
-        match Obs.Json.of_string data with
-        | Ok d -> d
-        | Error msg ->
-          Err.errorf Artifact_corrupt ~where:"sweep.checkpoint" ~file:path
-            "unreadable checkpoint: %s" msg
-      in
-      let key, points, recs =
-        match C.decode ckpt_codec doc with
-        | Ok d -> d
-        | Error e ->
-          Err.errorf Artifact_corrupt ~where:"sweep.checkpoint" ~file:path
-            "not a %s file: %s" ckpt_schema (C.error_to_string e)
-      in
-      if key <> p.p_key then
-        Err.errorf Invalid_request ~where:"sweep.checkpoint" ~file:path
-          "checkpoint was written by a different sweep (plan, seed, model, \
-           block, measures, or policy changed); delete it or drop --resume";
-      if points <> p.p_n then
-        Err.errorf Artifact_corrupt ~where:"sweep.checkpoint" ~file:path
-          "$.points: %d, but the sweep has %d points" points p.p_n;
-      List.mapi
-        (fun k r -> decode_chunk ~file:path ~at:[ C.Key "chunks"; C.Index k ] p r)
-        recs
-    end
-end
 
 (* ------------------------------------------------------------------ *)
 (* Merge + statistics: deterministic in the chunk-index order of the
@@ -724,8 +624,42 @@ let finish p (results : chunk_result option array) =
 
 (* ------------------------------------------------------------------ *)
 
-let run ?(seed = 42) ?block ?jobs ?measures ?specs ?policy ?checkpoint
-    ?(resume = false) model plan =
+(* The checkpoint step of [run] and the distributed coordinator: the
+   chunk slots, restored chunks filled in, and the append of each newly
+   completed chunk.  The writer never records a chunk twice, so a second
+   record for one is corrupt. *)
+let restore ?checkpoint ?(resume = false) p =
+  let results = Array.make (Array.length p.p_chunks) None in
+  let record =
+    match checkpoint with
+    | None -> ignore
+    | Some path ->
+      let ck =
+        Checkpoint.open_ ~where:"sweep.checkpoint" ~key:p.p_key ~resume path
+          (fun _ j ->
+            let r = chunk_result_of_json p j in
+            if results.(r.c_index) <> None then
+              Err.errorf Artifact_corrupt ~where:"sweep.checkpoint"
+                "second record for chunk %d" r.c_index;
+            results.(r.c_index) <- Some r)
+      in
+      fun r -> Checkpoint.record ck (chunk_result_to_json r)
+  in
+  (results, record)
+
+let evaluate ?jobs ?checkpoint ?resume p =
+  let results, record = restore ?checkpoint ?resume p in
+  Runtime.iter_chunks ?jobs ~n:p.p_n ~block:p.p_block
+    (fun ~worker:_ (c : Runtime.Chunk.t) ->
+      if results.(c.index) = None then begin
+        let r = eval_chunk p c.index in
+        results.(c.index) <- Some r;
+        record r
+      end);
+  results
+
+let run ?(seed = 42) ?block ?jobs ?measures ?specs ?policy ?checkpoint ?resume
+    model plan =
   Obs.Span.with_ ~name:"sweep.run" @@ fun () ->
   let jobs =
     match jobs with Some j -> Int.max 1 j | None -> Runtime.default_jobs ()
@@ -735,29 +669,7 @@ let run ?(seed = 42) ?block ?jobs ?measures ?specs ?policy ?checkpoint
     Obs.Metrics.incr "sweep.run.count";
     Obs.Metrics.add "sweep.run.points" p.p_n
   end;
-  let results : chunk_result option array =
-    Array.make (Array.length p.p_chunks) None
-  in
-  let writer = Option.map (fun path -> Checkpoint.writer p ~path) checkpoint in
-  (* ---- resume: restore completed chunks bit-exactly ---- *)
-  (match (checkpoint, writer) with
-  | Some path, Some w when resume ->
-    List.iter
-      (fun r ->
-        results.(r.c_index) <- Some r;
-        Checkpoint.add ~written:false w r;
-        Obs.Metrics.incr "sweep.checkpoint.chunks_resumed")
-      (Checkpoint.load p ~path)
-  | _ -> ());
-  (* ---- evaluate the remaining chunks ---- *)
-  Runtime.iter_chunks ~jobs ~n:p.p_n ~block:p.p_block
-    (fun ~worker:_ (c : Runtime.Chunk.t) ->
-      if results.(c.index) = None then begin
-        let r = eval_chunk p c.index in
-        results.(c.index) <- Some r;
-        match writer with Some w -> Checkpoint.add w r | None -> ()
-      end);
-  finish p results
+  finish p (evaluate ~jobs ?checkpoint ?resume p)
 
 let schema = "awesymbolic-sweep/2"
 

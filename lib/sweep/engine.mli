@@ -31,13 +31,12 @@
 
     {2 Checkpoint/resume}
 
-    With [?checkpoint], completed chunks are appended to an on-disk
-    checkpoint through [Cache.atomic_write] (readers never observe a
-    torn file, so a SIGKILL at any instant leaves either the previous
-    checkpoint or the new one).  Re-running with [~resume:true] restores
-    completed chunks bit-exactly — float values travel as IEEE-754 bit
-    patterns — and recomputes only the rest, so a resumed run's report
-    is byte-identical to an uninterrupted one. *)
+    With [?checkpoint], each completed chunk appends its record as one
+    line of an {!Awesymbolic.Checkpoint} file, so a checkpointed sweep
+    writes each chunk's bytes once.  Re-running with [~resume:true]
+    restores completed chunks bit-exactly — float values travel as
+    IEEE-754 bit patterns — and recomputes only the rest, so a resumed
+    run's report is byte-identical to an uninterrupted one. *)
 
 type measure =
   | Dc_gain
@@ -65,6 +64,9 @@ val spec_of_string : string -> (spec, string) result
 (** Parses ["delay_50<=1e-9"] / ["dc_gain>=0.5"] style strings. *)
 
 val spec_to_string : spec -> string
+
+val passes : bound -> float -> bool
+(** Whether a measure value meets a bound; non-finite values never do. *)
 
 type policy =
   | Fail_fast  (** first fault aborts the sweep ([Awesym_error.Error]) *)
@@ -247,29 +249,28 @@ val finish : prep -> chunk_result option array -> result
     is [None], and (kind of the first failure) when every point was
     quarantined. *)
 
-(** Checkpoint files (schema ["awesymbolic-ckpt/1"]) shared by {!run}
-    and the distributed coordinator: one writer per run, rewritten
-    atomically so the bytes are a pure function of the completed-chunk
-    set. *)
-module Checkpoint : sig
-  type writer
+val restore :
+  ?checkpoint:string ->
+  ?resume:bool ->
+  prep ->
+  chunk_result option array * (chunk_result -> unit)
+(** The checkpoint step of {!run} and the distributed coordinator: one
+    slot per chunk, filled for the chunks restored from [checkpoint]
+    when [resume] (default false) is set, and the function that appends
+    each newly completed chunk to it (thread-safe; [ignore] without
+    [checkpoint]).  Raises as {!Awesymbolic.Checkpoint.open_} does, and
+    [Artifact_corrupt] naming the line on a record {!chunk_result_of_json}
+    rejects or a second record for one chunk. *)
 
-  val writer : prep -> path:string -> writer
-
-  val add : ?written:bool -> writer -> chunk_result -> unit
-  (** Record a completed chunk (thread-safe).  [written] (default true)
-      rewrites the file and counts the chunk in the
-      [sweep.checkpoint.chunks_written] counter; pass [false] for
-      restored chunks that are only being re-registered. *)
-
-  val flush : writer -> unit
-  (** Write the file now. *)
-
-  val load : prep -> path:string -> chunk_result list
-  (** Restore completed chunks from [path]; a missing file is an empty
-      list.  Raises [Artifact_corrupt] on unreadable/malformed files and
-      [Invalid_request] when the key was written by a different sweep. *)
-end
+val evaluate :
+  ?jobs:int ->
+  ?checkpoint:string ->
+  ?resume:bool ->
+  prep ->
+  chunk_result option array
+(** {!restore}, then evaluate every chunk not restored across [jobs]
+    domains, recording each as it completes: the chunk slots {!finish}
+    merges. *)
 
 val run :
   ?seed:int ->
@@ -298,14 +299,14 @@ val run :
     ["pool.worker"] and ["slp.eval_batch"] (both keyed by chunk start and
     attempt, so a transient fault heals under {!Retry}).
 
-    [checkpoint] names a checkpoint file rewritten after every completed
+    [checkpoint] names a checkpoint file that gains a line per completed
     chunk.  With [resume = true], a compatible existing checkpoint
     seeds the run: completed chunks are restored bit-exactly and only
     the remainder is evaluated.  A checkpoint written by a different
     (plan, seed, order, block, measures, specs, policy, model) is
-    rejected with [Awesym_error.Error] (kind [Invalid_request]); an
-    unreadable one with kind [Artifact_corrupt]; a missing file is
-    simply a fresh start.
+    rejected with [Awesym_error.Error] (kind [Invalid_request]); a
+    malformed complete line with kind [Artifact_corrupt] naming the
+    line; a missing file is simply a fresh start.
 
     Raises [Awesym_error.Error] (kind [Invalid_request]) on a [Moment k]
     beyond the model's [2·order] moments or when the plan sweeps a
@@ -313,8 +314,8 @@ val run :
     of the sweep was quarantined.  Obs counters: [sweep.run.count],
     [sweep.run.points], [sweep.fault.seen], [sweep.fault.retried],
     [sweep.fault.recovered], [sweep.fault.order_reduced],
-    [sweep.fault.quarantined], [sweep.checkpoint.chunks_written],
-    [sweep.checkpoint.chunks_resumed]; span [sweep.run]. *)
+    [sweep.fault.quarantined], and the [checkpoint.*] counters of
+    {!Awesymbolic.Checkpoint}; span [sweep.run]. *)
 
 val schema : string
 (** Report schema identifier (["awesymbolic-sweep/2"]), exported so

@@ -2,8 +2,8 @@
    every wire and disk shape — each serve request and response variant
    (with and without id, trace context and deadline, special floats, an
    error carrying every optional field), a chunk record with quarantined
-   points, a sweep checkpoint document, every plan kind, and both opt
-   request modes with one checkpoint unit of each kind.
+   points, a sweep checkpoint's header line, every plan kind, and both
+   opt request modes with one checkpoint unit of each kind.
 
    Built only through the encoders, so the corpus pins the bytes they
    write.  See test/golden/README.md for how the file was made. *)
@@ -73,16 +73,24 @@ let with_temp suffix f =
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () -> f path)
 
+(* The lines of a checkpoint file: the header, then one unit per line. *)
+let checkpoint_lines path =
+  match String.split_on_char '\n' (read_file path) |> List.rev with
+  | "" :: rev ->
+    List.rev_map (fun l -> match Json.of_string l with Ok j -> j | Error m -> failwith m) rev
+  | _ -> failwith "checkpoint does not end in a newline"
+
+(* The header line of a checkpoint holding chunks 0 and 1, whose lines
+   must be the chunk records themselves. *)
 let checkpoint_doc () =
   let p = Lazy.force prep in
   with_temp ".ckpt" @@ fun path ->
-  let w = Engine.Checkpoint.writer p ~path in
-  Engine.Checkpoint.add w (Lazy.force chunk0);
-  Engine.Checkpoint.add w (Engine.eval_chunk p 1);
-  Engine.Checkpoint.flush w;
-  match Json.of_string (read_file path) with
-  | Ok j -> j
-  | Error m -> failwith m
+  let _, record = Engine.restore ~checkpoint:path p in
+  let chunks = [ Lazy.force chunk0; Engine.eval_chunk p 1 ] in
+  List.iter record chunks;
+  match checkpoint_lines path with
+  | header :: units when units = List.map Engine.chunk_result_to_json chunks -> header
+  | _ -> failwith "checkpoint lines are not the chunk records"
 
 let size_request =
   lazy
@@ -117,16 +125,19 @@ let yield_request =
          shrink = 0.5;
        })
 
-(* The first checkpoint unit a run of [req] writes. *)
+(* The first checkpoint unit a run of [req] writes, after a header
+   holding the request's key. *)
 let first_unit req =
   with_temp ".opt" @@ fun path ->
-  ignore (Request.run ~jobs:1 ~checkpoint:path (Lazy.force model) req);
-  match Json.of_string (read_file path) with
-  | Ok doc -> (
-    match Json.member "units" doc with
-    | Some (Json.List (u :: _)) -> u
-    | _ -> failwith "checkpoint has no units")
-  | Error m -> failwith m
+  let model = Lazy.force model in
+  ignore (Request.run ~jobs:1 ~checkpoint:path model req);
+  match checkpoint_lines path with
+  | header :: u :: _
+    when Json.to_string header
+         = Printf.sprintf {|{"schema":%S,"key":%S}|} Awesymbolic.Checkpoint.schema
+             (Request.key model req) ->
+    u
+  | _ -> failwith "checkpoint has no header and unit"
 
 (* Optimization reports: a sizing run that stops at its iteration
    budget, one whose objective is infinite at every point (the passive

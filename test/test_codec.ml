@@ -62,15 +62,23 @@ let round_trip name bytes =
     | "sweep.chunk_record" ->
       Engine.chunk_result_to_json (Engine.chunk_result_of_json (Lazy.force Corpus.prep) j)
     | "sweep.checkpoint" ->
-      (* Load the golden document, then write the loaded chunks back. *)
+      (* Resume from the golden header and chunk record, append chunk 1,
+         and read the header back. *)
       let p = Lazy.force Corpus.prep in
+      let chunk0 =
+        Json.to_string (Engine.chunk_result_to_json (Lazy.force Corpus.chunk0))
+      in
       Corpus.with_temp ".ckpt" @@ fun path ->
-      Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
-      let chunks = Engine.Checkpoint.load p ~path in
-      let w = Engine.Checkpoint.writer p ~path in
-      List.iter (Engine.Checkpoint.add ~written:false w) chunks;
-      Engine.Checkpoint.flush w;
-      (match Json.of_string (Corpus.read_file path) with Ok j -> j | Error m -> failwith m)
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc (bytes ^ "\n" ^ chunk0 ^ "\n"));
+      let results, record = Engine.restore ~checkpoint:path ~resume:true p in
+      (match results with
+      | [| Some r; None |] when Json.to_string (Engine.chunk_result_to_json r) = chunk0 -> ()
+      | _ -> Alcotest.fail "sweep.checkpoint: chunk 0 not restored");
+      record (Engine.eval_chunk p 1);
+      (match Corpus.checkpoint_lines path with
+      | [ header; _; _ ] -> header
+      | _ -> Alcotest.fail "sweep.checkpoint: expected three lines")
     | "opt.unit.restart" -> codec Request.restart_codec
     | "opt.unit.iteration" -> codec Request.iteration_codec
     | "bench.doc" -> codec Obs.bench_codec

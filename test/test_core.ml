@@ -651,7 +651,7 @@ let test_build_many_unknown_node () =
   match
     Model.build_many (fig1_c1_g2 ()) ~outputs:[ Circuit.Netlist.Node "nope" ]
   with
-  | exception Failure _ -> ()
+  | exception Awesym_error.Error { kind = Invalid_request; _ } -> ()
   | _ -> Alcotest.fail "expected failure on unknown output node"
 
 let test_elmore_program () =

@@ -278,31 +278,25 @@ let test_report_jobs_invariant () =
   let r4 = Json.to_string (run_report ~jobs:4 model req) in
   Alcotest.(check string) "report bytes identical across jobs" r1 r4
 
-(* Rewrite [path] as the checkpoint an interrupted run would have left
-   behind after its first [keep] completed units: same schema / key /
-   mode, the unit list truncated, no embedded result. *)
+(* The lines of the checkpoint at [path], each without its newline. *)
+let checkpoint_lines path =
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  match List.rev (String.split_on_char '\n' text) with
+  | "" :: rev -> List.rev rev
+  | _ -> Alcotest.fail "checkpoint does not end in a newline"
+
+let write_lines path lines =
+  Out_channel.with_open_bin path (fun oc ->
+      List.iter (fun l -> output_string oc (l ^ "\n")) lines)
+
+(* Cut [path] back to the checkpoint an interrupted run would have left
+   behind after its first [keep] completed units: the header line and
+   the first [keep] unit lines. *)
 let truncate_checkpoint path keep =
-  let doc =
-    match Json.of_string (In_channel.with_open_bin path In_channel.input_all) with
-    | Ok j -> j
-    | Error m -> Alcotest.failf "unreadable checkpoint: %s" m
-  in
-  let units =
-    match Json.member "units" doc with
-    | Some (Json.List l) -> l
-    | _ -> Alcotest.fail "checkpoint has no units"
-  in
-  if List.length units < keep then
-    Alcotest.failf "checkpoint has %d units, cannot keep %d"
-      (List.length units) keep;
-  let head =
-    List.filter_map
-      (fun f -> Option.map (fun v -> (f, v)) (Json.member f doc))
-      [ "schema"; "kind"; "key"; "mode" ]
-  in
-  Json.to_file path
-    (Json.Obj
-       (head @ [ ("units", Json.List (List.filteri (fun i _ -> i < keep) units)) ]))
+  let lines = checkpoint_lines path in
+  if List.length lines < keep + 1 then
+    Alcotest.failf "checkpoint has %d units, cannot keep %d" (List.length lines - 1) keep;
+  write_lines path (List.filteri (fun i _ -> i <= keep) lines)
 
 (* A yield request whose re-centering actually moves the axes (normal
    dists + shrink), so a resume that forgot the persisted re-centering
@@ -392,18 +386,14 @@ let test_checkpoint_resume () =
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
   @@ fun () ->
   let full = Json.to_string (run_report ~checkpoint:path model req) in
-  (* The final checkpoint write embeds the finished report and the key. *)
-  let ck =
-    match Json.of_string (In_channel.with_open_bin path In_channel.input_all) with
-    | Ok j -> j
-    | Error m -> Alcotest.failf "unreadable checkpoint: %s" m
-  in
-  (match Json.member "key" ck with
-  | Some (Json.Str k) ->
-    Alcotest.(check string) "checkpoint key matches" (Request.key model req) k
-  | _ -> Alcotest.fail "checkpoint carries no key");
-  (* Resuming from the finished checkpoint recomputes nothing and
-     reproduces the report byte for byte. *)
+  (* The header line carries the key; no report is stored. *)
+  let lines = checkpoint_lines path in
+  Alcotest.(check string) "checkpoint header"
+    (Printf.sprintf {|{"schema":"awesymbolic-ckpt/2","key":%S}|} (Request.key model req))
+    (List.hd lines);
+  Alcotest.(check int) "one line per restart" 3 (List.length lines);
+  (* Resuming from the complete checkpoint recomputes nothing and
+     rebuilds the report byte for byte. *)
   let resumed =
     Json.to_string (run_report ~checkpoint:path ~resume:true model req)
   in
@@ -420,10 +410,13 @@ let test_checkpoint_rejects_uppercase_hex () =
   @@ fun () ->
   ignore (run_report ~checkpoint:path model req);
   truncate_checkpoint path 1;
-  let doc =
-    match Json.of_string (In_channel.with_open_bin path In_channel.input_all) with
-    | Ok j -> j
-    | Error m -> Alcotest.failf "unreadable checkpoint: %s" m
+  let header, doc =
+    match checkpoint_lines path with
+    | [ header; unit ] -> (
+      match Json.of_string unit with
+      | Ok j -> (header, j)
+      | Error m -> Alcotest.failf "unreadable checkpoint unit: %s" m)
+    | _ -> Alcotest.fail "expected a header and one unit"
   in
   (* Upper-case the first x_hex cell that has a letter to change. *)
   let changed = ref false in
@@ -450,7 +443,7 @@ let test_checkpoint_rejects_uppercase_hex () =
     | Json.List l -> Json.List (List.map upcase l)
     | j -> j
   in
-  Json.to_file path (upcase doc);
+  write_lines path [ header; Json.to_string (upcase doc) ];
   if not !changed then Alcotest.fail "no x_hex cell with a hex letter";
   match run_report ~checkpoint:path ~resume:true model req with
   | exception Err.Error e ->
@@ -551,6 +544,39 @@ let gen_restart =
     let* iters = nat in
     let* evals = nat in
     return { Sizing.index; x0; steps; status; final_f; final_x; iters; evals })
+
+(* Units resume only in the order the run writes them: a repeated,
+   skipped or surplus unit is corrupt at its line. *)
+let test_checkpoint_unit_sequence () =
+  let model = Lazy.force fig1_model in
+  let req = Request.Size (sizing_config ~restarts:2 ~max_iters:10 model) in
+  let path = Filename.temp_file "awesym_opt" ".opt" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  ignore (run_report ~checkpoint:path model req);
+  let header, u0, u1, u2 =
+    match checkpoint_lines path with
+    | [ h; a; b; c ] -> (h, a, b, c)
+    | _ -> Alcotest.fail "expected a header and three units"
+  in
+  (* Restart 3 of a request with restarts 0..2. *)
+  let u3 =
+    match Json.of_string u2 with
+    | Ok (Json.Obj (("restart", _) :: rest)) ->
+      Json.to_string (Json.Obj (("restart", Json.Num 3.0) :: rest))
+    | _ -> Alcotest.fail "a restart unit starts with its index"
+  in
+  List.iter
+    (fun (what, lines, bad) ->
+      write_lines path (header :: lines);
+      match run_report ~checkpoint:path ~resume:true model req with
+      | _ -> Alcotest.failf "%s was resumed" what
+      | exception Err.Error e ->
+        Alcotest.(check string) what "artifact_corrupt" (Err.kind_name e.Err.kind);
+        Alcotest.(check (option int)) (what ^ ": line") (Some bad) e.Err.line)
+    [ ("a repeated unit", [ u0; u0 ], 3);
+      ("a skipped unit", [ u0; u2 ], 3);
+      ("a surplus unit", [ u0; u1; u2; u3 ], 5) ]
 
 let gen_iteration =
   QCheck2.Gen.(
@@ -700,6 +726,7 @@ let () =
           quick "report bytes invariant across jobs" test_report_jobs_invariant;
           quick "checkpoint resume is byte-identical" test_checkpoint_resume;
           quick "checkpoint rejects upper-case hex" test_checkpoint_rejects_uppercase_hex;
+          quick "checkpoint units resume only in sequence" test_checkpoint_unit_sequence;
           quick "mid-run interrupt/resume is byte-identical"
             test_checkpoint_resume_midrun;
           quick "resume reconstructs the no-passing-points stop"

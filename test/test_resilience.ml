@@ -526,6 +526,77 @@ let test_checkpoint_preserves_failed_points () =
       Alcotest.(check string) "quarantine survives resume" reference
         (json_of resumed))
 
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let file_size path = (Unix.stat path).Unix.st_size
+
+(* Run [f] with counters on; return its value and how far each of
+   [names] moved. *)
+let counting names f =
+  let was = !Obs.enabled in
+  Obs.enabled := true;
+  let before = List.map Obs.Metrics.counter names in
+  Fun.protect
+    ~finally:(fun () -> Obs.enabled := was)
+    (fun () ->
+      let v = f () in
+      (v, List.map2 (fun n b -> Obs.Metrics.counter n - b) names before))
+
+(* A kill mid-append leaves a last line without its newline: resume
+   drops it, appends from the line before, and lands on the clean report
+   at jobs 1 and 4.  A fresh run writes exactly its file; a resume
+   writes exactly what it adds. *)
+let test_checkpoint_torn_line () =
+  let model = Lazy.force fig1_model in
+  let plan = plan_c1_g2 (Plan.Monte_carlo 1500) in
+  let reference = json_of (Engine.run ~seed:7 model plan) in
+  let counters = [ "checkpoint.bytes_written"; "checkpoint.lines_dropped" ] in
+  List.iter
+    (fun jobs ->
+      with_temp_path (fun path ->
+          let r, written =
+            counting counters (fun () ->
+                Engine.run ~seed:7 ~jobs ~checkpoint:path model plan)
+          in
+          Alcotest.(check string) "checkpointed ≡ plain" reference (json_of r);
+          Alcotest.(check (list int)) "a fresh run writes its file once"
+            [ file_size path; 0 ] written;
+          let data = read_file path in
+          let cut = String.length data - 100 in
+          if String.rindex_from data (String.length data - 2) '\n' >= cut then
+            Alcotest.fail "the last line is shorter than the cut";
+          Out_channel.with_open_bin path (fun oc ->
+              output_string oc (String.sub data 0 cut));
+          let kept = String.rindex_from data (cut - 1) '\n' + 1 in
+          let r, counts =
+            counting counters (fun () ->
+                Engine.run ~seed:7 ~jobs ~checkpoint:path ~resume:true model plan)
+          in
+          Alcotest.(check string)
+            (Printf.sprintf "torn resume ≡ uninterrupted at jobs %d" jobs)
+            reference (json_of r);
+          Alcotest.(check (list int)) "one line dropped, the rest appended"
+            [ file_size path - kept; 1 ] counts))
+    [ 1; 4 ]
+
+(* The writer records each chunk once; a file that holds a chunk twice
+   is corrupt at the second record's line, not resumed. *)
+let test_checkpoint_repeated_chunk () =
+  let model = Lazy.force fig1_model in
+  let plan = plan_c1_g2 (Plan.Monte_carlo 600) in
+  with_temp_path (fun path ->
+      ignore (Engine.run ~seed:7 ~jobs:1 ~checkpoint:path model plan);
+      let data = read_file path in
+      let lines = String.split_on_char '\n' data in
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc (data ^ List.nth lines 1 ^ "\n"));
+      match Engine.run ~seed:7 ~checkpoint:path ~resume:true model plan with
+      | _ -> Alcotest.fail "a repeated chunk record was resumed"
+      | exception Err.Error e ->
+        Alcotest.(check string) "kind" "artifact_corrupt" (Err.kind_name e.Err.kind);
+        Alcotest.(check (option int)) "names the repeat's line"
+          (Some (List.length lines)) e.Err.line)
+
 (* ------------------------------------------------------------------ *)
 (* The CLI's error path, run on the built binary: a deck that asks for
    something impossible, or whose matrix is singular, ends in one
@@ -562,17 +633,41 @@ let test_cli_deck_without_symbols () =
         [ "compile"; "../decks/rc_lowpass.cir"; "-o"; out ];
       Alcotest.(check bool) "no artifact written" false (Sys.file_exists out))
 
-(* [awesym awe] on a deck given as text. *)
-let check_deck_error ~kind deck_text =
+(* [awesym awe] (or [cmd]) on a deck given as text. *)
+let check_deck_error ?(cmd = [ "awe" ]) ~kind deck_text =
   with_temp_path (fun deck ->
       Out_channel.with_open_bin deck (fun oc -> output_string oc deck_text);
-      check_cli_error ~kind [ "awe"; deck ])
+      check_cli_error ~kind (cmd @ [ deck ]))
+
+(* Node b reaches ground only through capacitors: G is singular. *)
+let singular_deck = "V1 in 0 1\nR1 in a 1k\nC1 a b 1p\nC2 b 0 1p\n.output v(b)\n"
 
 let test_cli_singular_matrix () =
-  (* Node b reaches ground only through capacitors: G is singular, and
-     numeric AWE's dense factorization raises [Lu.Singular]. *)
-  check_deck_error ~kind:"singular_system"
-    "V1 in 0 1\nR1 in a 1k\nC1 a b 1p\nC2 b 0 1p\n.output v(b)\n"
+  (* Numeric AWE's dense factorization raises [Lu.Singular]. *)
+  check_deck_error ~kind:"singular_system" singular_deck;
+  (* The symbolic build pivots the same matrix at the nominal point. *)
+  with_temp_path (fun out ->
+      check_deck_error ~cmd:[ "compile"; "-o"; out ] ~kind:"singular_system"
+        (singular_deck ^ ".symbolic C2\n"))
+
+(* A deck that lacks what a card or the analysis needs. *)
+let test_cli_missing_references () =
+  List.iter
+    (check_deck_error ~kind:"invalid_request")
+    [
+      (* no .output card *)
+      "V1 in 0 1\nR1 in out 1k\nC1 out 0 1p\n";
+      (* no independent source *)
+      "R1 in out 1k\nC1 out 0 1p\n.output v(out)\n";
+      (* .input names a resistor *)
+      "V1 in 0 1\nR1 in out 1k\nC1 out 0 1p\n.input R1\n.output v(out)\n";
+      (* couplings of a non-inductor and of a missing inductor *)
+      "V1 in 0 1\nR1 in out 1k\nC1 out 0 1p\nK1 R1 C1 0.5\n.output v(out)\n";
+      "V1 in 0 1\nR1 in out 1k\nL1 out 0 1u\nK1 L1 L9 0.5\n.output v(out)\n";
+      (* controlled sources sensing a missing V-source *)
+      "V1 in 0 1\nR1 in n2 1k\nH1 n2 0 VX 2\nC1 n2 0 1p\n.output v(n2)\n";
+      "V1 in 0 1\nR1 in n3 1k\nF1 n3 0 VX 2\nC1 n3 0 1p\n.output v(n3)\n";
+    ]
 
 let test_cli_unknown_output_node () =
   check_deck_error ~kind:"invalid_request"
@@ -625,6 +720,8 @@ let () =
             test_cli_unknown_output_node;
           Alcotest.test_case "non-finite moment is one error line" `Quick
             test_cli_nonfinite_moment;
+          Alcotest.test_case "missing deck references are one error line each" `Quick
+            test_cli_missing_references;
         ] );
       ( "containment",
         [
@@ -657,5 +754,9 @@ let () =
             test_resume_missing_is_fresh;
           Alcotest.test_case "failed points survive resume" `Quick
             test_checkpoint_preserves_failed_points;
+          Alcotest.test_case "torn last line resumes, writes stay linear" `Quick
+            test_checkpoint_torn_line;
+          Alcotest.test_case "repeated chunk record is corrupt" `Quick
+            test_checkpoint_repeated_chunk;
         ] );
     ]

@@ -252,23 +252,25 @@ let test_metrics_shard_merge () =
         Alcotest.(check int) "histogram count" 2 h.Obs.Metrics.count;
         Alcotest.(check (float 1e-12)) "histogram sum" 10.0 h.Obs.Metrics.sum)
 
-(* Pool-driven counters land in the global tables after the run, no
-   matter which domain bumped them. *)
+(* Pool-driven counters land in the global tables by the time the run
+   returns, no matter which domain bumped them. *)
 let test_metrics_counted_across_domains () =
   let was = !Obs.enabled in
   Obs.enabled := true;
   Obs.reset ();
+  let p = Pool.create ~jobs:4 in
   Fun.protect
     ~finally:(fun () ->
+      Pool.shutdown p;
       Obs.reset ();
       Obs.enabled := was)
     (fun () ->
-      let p = Pool.create ~jobs:4 in
-      Pool.run p ~tasks:200 (fun ~worker:_ _ ->
-          Obs.Metrics.with_shard (fun () -> Obs.Metrics.incr "shard.pool"));
-      Pool.shutdown p;
-      Alcotest.(check int) "every task counted" 200
-        (Obs.Metrics.counter "shard.pool"))
+      for run = 1 to 50 do
+        Pool.run p ~tasks:200 (fun ~worker:_ _ ->
+            Obs.Metrics.with_shard (fun () -> Obs.Metrics.incr "shard.pool"));
+        Alcotest.(check int) "every task counted when the run returns" (200 * run)
+          (Obs.Metrics.counter "shard.pool")
+      done)
 
 let () =
   let quick name f = Alcotest.test_case name `Quick f in

@@ -744,21 +744,23 @@ let test_noncanonical_sweep_inputs () =
   named "stray dist parameter" "$.axes[0].dist: unknown field"
     (Plan.of_json
        (json {|{"kind":"monte-carlo","points":3,"axes":[{"symbol":"C1","dist":{"kind":"uniform","lo":1,"hi":2,"mean":1}}]}|}));
-  (* A checkpoint names the chunk inside the document. *)
+  (* A checkpoint names the line of the bad record. *)
   let path = Filename.temp_file "awesym_ckpt" ".json" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  let w = Engine.Checkpoint.writer prep ~path in
-  Engine.Checkpoint.add w (Engine.eval_chunk prep 1);
+  let _, record = Engine.restore ~checkpoint:path prep in
+  record (Engine.eval_chunk prep 1);
   let text = In_channel.with_open_bin path In_channel.input_all in
   let rec letter i = if text.[i] >= 'a' && text.[i] <= 'f' then i else letter (i + 1) in
   let i = letter (Mutate.find text {|"vals":|} + 7) in
   Out_channel.with_open_bin path (fun oc ->
       output_string oc (String.mapi (fun k c -> if k = i then 'F' else c) text));
-  named "upper-case checkpoint cell" "$.chunks[0].vals["
-    (match Engine.Checkpoint.load prep ~path with
+  named "upper-case checkpoint cell" "line 2: $.vals["
+    (match Engine.restore ~checkpoint:path ~resume:true prep with
     | _ -> Ok ()
-    | exception Awesym_error.Error { kind = Awesym_error.Artifact_corrupt; message; _ } ->
-      Error message)
+    | exception
+        Awesym_error.Error
+          { kind = Awesym_error.Artifact_corrupt; message; line = Some n; _ } ->
+      Error (Printf.sprintf "line %d: %s" n message))
 
 (* A measure named twice is summarized once: the report is the one the
    sweep writes without the repeat, spec measures included. *)
