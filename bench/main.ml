@@ -1015,8 +1015,8 @@ let sweep_dist () =
   ignore (Sweep.Engine.run ~seed:42 ~block model plan);
   let t_single = time_single () in
   (* Three real daemons (own domains, real unix sockets) — the full wire
-     path: plan JSON out, hex-float chunk records back, rendezvous
-     placement, deterministic merge. *)
+     path: plan JSON out, hex-float chunk records back, claimed
+     chunks, deterministic merge. *)
   let daemons =
     List.init 3 (fun i ->
         let sock = Filename.concat dir (Printf.sprintf "w%d.sock" i) in

@@ -62,6 +62,12 @@ let die msg =
   prerr_endline ("awesym: " ^ msg);
   exit 1
 
+(* Every file a command writes goes through here, so an unwritable path
+   is one classified error line naming the file. *)
+let write_file path contents =
+  Awesym_error.writing ~where:"cli.output" path (fun () ->
+      Out_channel.with_open_text path (fun oc -> output_string oc contents))
+
 (* Shared telemetry flags: every subcommand takes --stats/--trace and runs
    under [with_obs], which turns the Obs subsystem on only when asked so the
    default path keeps its zero-overhead guarantee. *)
@@ -199,10 +205,7 @@ let awe_cmd =
     match realize_path with
     | None -> ()
     | Some path ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc (Awe.Realize.to_deck result.Awe.Driver.rom));
+      write_file path (Awe.Realize.to_deck result.Awe.Driver.rom);
       Printf.printf "\nreduced-order model synthesized to %s\n" path
   in
   let krylov_arg =
@@ -408,7 +411,7 @@ let linearize_cmd =
     let lin = Nonlinear.Linearize.netlist nl sol in
     (match out_path with
     | Some path ->
-      Circuit.Export.to_file lin path;
+      write_file path (Circuit.Export.to_deck lin);
       Printf.printf "linearized netlist written to %s\n" path
     | None -> print_string (Circuit.Export.to_deck lin));
     if analyze then begin
@@ -645,7 +648,8 @@ let macromodel_cmd =
     (match out_path with
     | None -> ()
     | Some path ->
-      Circuit.Export.to_file (Awesymbolic.Macromodel.to_netlist mm) path;
+      write_file path
+        (Circuit.Export.to_deck (Awesymbolic.Macromodel.to_netlist mm));
       Printf.printf "synthesized N-port block written to %s\n" path);
     (match ts_path with
     | None -> ()
@@ -653,12 +657,7 @@ let macromodel_cmd =
       let frequencies =
         Array.init 40 (fun k -> 1e3 *. (10.0 ** (float_of_int k /. 5.0)))
       in
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
-          output_string oc
-            (Awesymbolic.Macromodel.touchstone mm ~z0:50.0 ~frequencies));
+      write_file path (Awesymbolic.Macromodel.touchstone mm ~z0:50.0 ~frequencies);
       Printf.printf "touchstone S-parameters written to %s\n" path);
     match f_probe with
     | None -> ()
@@ -982,7 +981,7 @@ let write_json ~what path j =
     print_newline ();
     print_endline (Obs.Json.to_string j)
   | Some path ->
-    Obs.Json.to_file path j;
+    write_file path (Obs.Json.to_string_pretty j);
     Printf.printf "\n%s written to %s\n" what path
 
 (* The flags `sweep` and `optimize` share; each command words its own
@@ -1011,7 +1010,7 @@ let check_resume (checkpoint, resume) =
 let sweep_cmd =
   let run rt (model_path, load) varies mc lhs corners grid measures specs seed
       block json_path on_fault ((checkpoint, resume) as ckpt) worker_addrs
-      chunk_timeout heartbeat dist_retries =
+      chunk_timeout dist_retries =
     with_runtime rt @@ fun () ->
     let model = load () in
     let axes =
@@ -1060,7 +1059,6 @@ let sweep_cmd =
             {
               (Dsweep.default_config ~addrs) with
               chunk_timeout_s = chunk_timeout;
-              heartbeat_s = heartbeat;
               worker_retries = dist_retries;
             }
           in
@@ -1223,13 +1221,7 @@ let sweep_cmd =
       & info [ "chunk-timeout" ] ~docv:"SECONDS"
           ~doc:
             "Distributed mode: deadline per chunk RPC; an expired chunk \
-             is retried or reassigned.")
-  in
-  let heartbeat_arg =
-    Arg.(
-      value & opt float 1.0
-      & info [ "heartbeat" ] ~docv:"SECONDS"
-          ~doc:"Distributed mode: idle worker liveness-ping cadence.")
+             is released and retried.")
   in
   let dist_retries_arg =
     Arg.(
@@ -1237,7 +1229,8 @@ let sweep_cmd =
       & info [ "dist-retries" ] ~docv:"N"
           ~doc:
             "Distributed mode: consecutive transient failures before a \
-             worker is declared dead and its chunks are reassigned.")
+             worker is declared dead; the survivors take the remaining \
+             chunks.")
   in
   let doc =
     "Statistical sweep of a compiled model: Monte-Carlo, Latin-hypercube, \
@@ -1251,7 +1244,7 @@ let sweep_cmd =
       const run $ runtime_args $ model_source_arg $ vary_arg $ mc_arg $ lhs_arg
       $ corners_arg $ grid_arg $ measure_arg $ spec_arg $ seed_arg $ block_arg
       $ json_arg $ on_fault_arg $ checkpoint_args $ worker_addr_arg
-      $ chunk_timeout_arg $ heartbeat_arg $ dist_retries_arg)
+      $ chunk_timeout_arg $ dist_retries_arg)
 
 let moments_cmd =
   let run obs deck count =
@@ -1324,12 +1317,12 @@ let with_daemon addr f =
   Fun.protect ~finally:(fun () -> Serve.Client.close c) (fun () -> f c)
 
 let serve_cmd =
-  let run jobs backend listen workers replicas max_batch linger_ms queue
+  let run jobs backend listen workers replicas max_batch linger_ms
       worker_queue client_inflight max_models gc_mb trace_log
       trace_log_max_mb =
     set_runtime jobs backend;
-    if max_batch < 1 || queue < 1 || linger_ms < 0.0 then
-      die "serve: --max-batch and --queue must be >= 1, --linger-ms >= 0";
+    if max_batch < 1 || linger_ms < 0.0 then
+      die "serve: --max-batch must be >= 1, --linger-ms >= 0";
     if workers < 1 || replicas < 1 || worker_queue < 1 || client_inflight < 1
     then
       die
@@ -1346,12 +1339,7 @@ let serve_cmd =
         Serve.Server.listen = listen_addr;
         workers;
         replicas;
-        batch =
-          {
-            Serve.Batcher.max_batch;
-            linger_s = linger_ms /. 1e3;
-            max_queue = queue;
-          };
+        batch = { Serve.Batcher.max_batch; linger_s = linger_ms /. 1e3 };
         admission = { Serve.Admission.per_client_inflight = client_inflight };
         worker_queue;
         max_models;
@@ -1403,8 +1391,9 @@ let serve_cmd =
       value & opt int 1024
       & info [ "worker-queue" ] ~docv:"N"
           ~doc:
-            "Per-worker hand-off mailbox depth; when every replica's \
-             mailbox is full, requests shed with an `overloaded` error.")
+            "Per-worker backlog bound: requests admitted to a worker and \
+             not yet answered.  When every replica of a model is at the \
+             bound, requests shed with an `overloaded` error.")
   in
   let client_inflight_arg =
     Arg.(
@@ -1429,14 +1418,6 @@ let serve_cmd =
           ~doc:
             "How long the oldest queued request waits for company before \
              its batch flushes.")
-  in
-  let queue_arg =
-    Arg.(
-      value & opt int Serve.Batcher.default_config.Serve.Batcher.max_queue
-      & info [ "queue" ] ~docv:"N"
-          ~doc:
-            "Admission-queue depth; beyond it requests are rejected with \
-             an `overloaded` error (backpressure).")
   in
   let max_models_arg =
     Arg.(
@@ -1479,9 +1460,9 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
       const run $ jobs_arg $ backend_arg $ listen_arg $ workers_arg
-      $ replicas_arg $ max_batch_arg $ linger_arg $ queue_arg
-      $ worker_queue_arg $ client_inflight_arg $ max_models_arg $ gc_arg
-      $ trace_log_arg $ trace_log_max_arg)
+      $ replicas_arg $ max_batch_arg $ linger_arg $ worker_queue_arg
+      $ client_inflight_arg $ max_models_arg $ gc_arg $ trace_log_arg
+      $ trace_log_max_arg)
 
 let call_cmd =
   let run socket model_path bindings show_moments deadline_ms ping stats

@@ -62,13 +62,25 @@ let two_terminal p n =
     { row = p; col = n; coeff = -1.0 };
     { row = n; col = p; coeff = -1.0 } ]
 
-(* The branch-current row of [ctrl], which [name] reads as its [what]. *)
-let controlling_aux ix ~what name ctrl =
-  match Hashtbl.find_opt ix.aux_tbl ctrl with
-  | Some r -> r
-  | None ->
+(* The branch-current row of [ctrl], which [name] reads as its [what]:
+   [ctrl] must be an element of a kind [ok] accepts, not merely one
+   with a branch-current row. *)
+let controlling_aux ix ~what ~ok name ctrl =
+  match (Netlist.find ix.nl ctrl, Hashtbl.find_opt ix.aux_tbl ctrl) with
+  | Some c, Some r when ok c.Element.kind -> r
+  | _ ->
     Awesym_error.errorf Invalid_request ~where:"mna.stamp"
       "%s references %s, which is not %s in the circuit" name ctrl what
+
+(* A CCCS/CCVS senses the current through a voltage source, controlled
+   ones included (macromodel synthesis senses a VCVS). *)
+let sensed_source ix name ctrl =
+  controlling_aux ix ~what:"a V-source" name ctrl ~ok:(function
+    | Element.Vsource | Element.Vcvs _ | Element.Ccvs _ -> true
+    | _ -> false)
+
+let coupled_inductor ix name l =
+  controlling_aux ix ~what:"an inductor" name l ~ok:(( = ) Element.Inductor)
 
 let stamp_of ix (e : Element.t) =
   let p = node_row ix e.Element.pos and n = node_row ix e.Element.neg in
@@ -132,7 +144,7 @@ let stamp_of ix (e : Element.t) =
             { row = m; col = cn; coeff = 1.0 } ];
     }
   | Element.Cccs ctrl ->
-    let mc = controlling_aux ix ~what:"a V-source" e.Element.name ctrl in
+    let mc = sensed_source ix e.Element.name ctrl in
     {
       nothing with
       g_value =
@@ -142,8 +154,8 @@ let stamp_of ix (e : Element.t) =
     }
   | Element.Mutual (l1, l2) ->
     (* Coupled inductors: the branch equations gain −s·M·i_other terms. *)
-    let m1 = controlling_aux ix ~what:"an inductor" e.Element.name l1 in
-    let m2 = controlling_aux ix ~what:"an inductor" e.Element.name l2 in
+    let m1 = coupled_inductor ix e.Element.name l1 in
+    let m2 = coupled_inductor ix e.Element.name l2 in
     {
       nothing with
       c_value =
@@ -152,7 +164,7 @@ let stamp_of ix (e : Element.t) =
     }
   | Element.Ccvs ctrl ->
     let m = aux_row ix e.Element.name in
-    let mc = controlling_aux ix ~what:"a V-source" e.Element.name ctrl in
+    let mc = sensed_source ix e.Element.name ctrl in
     {
       nothing with
       g_const =

@@ -46,8 +46,11 @@ type stamp = {
 }
 
 val stamp_of : index -> Element.t -> stamp
-(** The element's full MNA stamp.  Raises [Failure] when a controlled source
-    references a missing controlling V-source. *)
+(** The element's full MNA stamp.  Raises [Awesym_error.Error] (kind
+    [Invalid_request], site [mna.stamp]) when an [F]/[H] card senses an
+    element that is not a voltage source (independent or controlled), or
+    a [K] card couples an element that is not an inductor, in the
+    indexed netlist. *)
 
 type t
 

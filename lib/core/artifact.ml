@@ -273,10 +273,8 @@ let of_string data =
 let save path p =
   Obs.Span.with_ ~name:"model.save" @@ fun () ->
   let data = to_string p in
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc data);
+  Awesym_error.writing ~where:"artifact.save" path (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc data));
   if !Obs.enabled then begin
     Obs.Metrics.incr "model.save.count";
     Obs.Metrics.add "model.save.bytes" (String.length data)

@@ -40,7 +40,9 @@ val of_string : string -> payload
 (** Inverse of {!to_string}. Raises {!Format_error} on malformed input. *)
 
 val save : string -> payload -> unit
-(** [save path p] writes the artifact to [path] (binary mode). *)
+(** [save path p] writes the artifact to [path] (binary mode).  Raises
+    [Awesym_error.Error] (kind [Invalid_request], site [artifact.save])
+    naming [path] when it cannot be written. *)
 
 val load : string -> payload
 (** [load path] reads and validates an artifact. Raises {!Format_error} on

@@ -24,6 +24,7 @@ let line j = J.to_string j ^ "\n"
 let record t unit =
   let bytes = line unit in
   Mutex.protect t.mutex @@ fun () ->
+  Err.writing ~where:"checkpoint.write" t.path @@ fun () ->
   let bytes =
     if t.started then begin
       Out_channel.with_open_gen [ Open_wronly; Open_append; Open_binary ] 0o644 t.path

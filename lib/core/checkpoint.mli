@@ -46,4 +46,6 @@ val record : t -> Obs.Json.t -> unit
     of a fresh run writes the header too.  Counters
     [checkpoint.units_written] and [checkpoint.bytes_written]; the
     latter equals the file size after a fresh run, and the bytes added
-    after a resumed one. *)
+    after a resumed one.  Raises [Awesym_error.Error] (kind
+    [Invalid_request], site [checkpoint.write]) naming the file when it
+    cannot be written. *)

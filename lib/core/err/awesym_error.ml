@@ -77,6 +77,18 @@ let errorf ?file ?line ?condition ?context kind ~where fmt =
       raise_error ?file ?line ?condition ?context kind ~where message)
     fmt
 
+let writing ~where file f =
+  try f ()
+  with Sys_error msg ->
+    (* The message leads with whatever path failed (a temp file, say);
+       keep the reason and name the file the caller was asked for. *)
+    let reason =
+      match String.rindex_opt msg ':' with
+      | Some i -> String.trim (String.sub msg (i + 1) (String.length msg - i - 1))
+      | None -> msg
+    in
+    raise_error Invalid_request ~where ~file ("cannot write: " ^ reason)
+
 let to_string e =
   let b = Buffer.create 96 in
   Buffer.add_string b (kind_name e.kind);

@@ -102,6 +102,12 @@ val errorf :
   'a
 (** Formatted variant of {!raise_error}. *)
 
+val writing : where:string -> string -> (unit -> 'a) -> 'a
+(** [writing ~where file f] runs [f], which writes [file].  A
+    [Sys_error] it raises (a missing or non-directory parent, a
+    read-only file system, a full disk) becomes [Invalid_request] at
+    [where], naming [file] and the system's reason. *)
+
 val to_string : t -> string
 (** One-line rendering: ["singular_system at lu.factor: zero pivot at
     column 3 (deck.cir:12) [dim=5]"]. *)

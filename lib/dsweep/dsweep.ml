@@ -1,13 +1,14 @@
 (* Distributed-sweep coordinator.
 
    One domain per configured daemon address, all sharing a single
-   mutex-guarded scoreboard (results / claims / liveness / abort).
-   Chunk placement is rendezvous hashing over the *live* worker set, so
-   it needs no coordination state and losing a worker moves only that
-   worker's chunks; the merge is by chunk index through
-   [Sweep.Engine.finish], which is what makes the result byte-identical
-   to a single-node run no matter which worker computed what, in which
-   order, after how many retries. *)
+   mutex-guarded scoreboard (results / claims / live count / abort).
+   A domain that holds a connection claims the lowest chunk that is
+   neither done nor claimed, and waits on the scoreboard's condition
+   while none is free, so a faster daemon simply takes more chunks and a
+   released claim is free for whoever asks next.  The merge is by chunk
+   index through [Sweep.Engine.finish], which is what makes the result
+   byte-identical to a single-node run no matter which worker computed
+   what, in which order, after how many retries. *)
 
 module Err = Awesym_error
 module Engine = Sweep.Engine
@@ -17,7 +18,6 @@ module Protocol = Serve.Protocol
 type config = {
   addrs : string list;
   chunk_timeout_s : float;
-  heartbeat_s : float;
   worker_retries : int;
   backoff : Client.Backoff.t;
 }
@@ -26,42 +26,21 @@ let default_config ~addrs =
   {
     addrs;
     chunk_timeout_s = 30.0;
-    heartbeat_s = 1.0;
     worker_retries = 3;
     backoff = Client.Backoff.default;
   }
 
-(* Highest-random-weight placement, same construction as the server's
-   Shard module: first 8 bytes of MD5, xor-flipped so the signed
-   compare behaves as unsigned.  Ties (MD5 collisions) break toward
-   the earlier worker in the list — still deterministic. *)
-let score ~key ~chunk worker =
-  let h = Digest.string (Printf.sprintf "%s#%d#%s" key chunk worker) in
-  Int64.logxor (String.get_int64_be h 0) Int64.min_int
-
-let assign ~key ~chunk ~live =
-  match live with
-  | [] -> invalid_arg "Dsweep.assign: empty live set"
-  | w0 :: rest ->
-    fst
-      (List.fold_left
-         (fun (bw, bs) w ->
-           let s = score ~key ~chunk w in
-           if Int64.compare s bs > 0 then (w, s) else (bw, bs))
-         (w0, score ~key ~chunk w0)
-         rest)
-
-(* The shared scoreboard.  [claimed] marks chunks some live worker is
+(* The shared scoreboard.  [claimed] marks chunks some worker is
    evaluating right now; a failed attempt releases the claim before
    deciding the worker's fate, so no chunk is ever stranded with a dead
-   owner. *)
+   owner.  Every change a waiting domain could care about — a
+   completion, a released claim, an abort, a death — broadcasts [cv]. *)
 type state = {
   total : int;
-  labels : string array;  (* "<index>:<addr>" — worker identities *)
-  live : bool array;
   claimed : bool array;
   results : Engine.chunk_result option array;
   mutable completed : int;
+  mutable live : int;  (* workers not yet declared dead *)
   mutable abort : Err.t option;  (* first non-retryable failure *)
   m : Mutex.t;
   cv : Condition.t;
@@ -107,16 +86,17 @@ let run ?(seed = 42) ?block ?measures ?(specs = []) ?(policy = Engine.Skip)
   let st =
     {
       total = Engine.prep_num_chunks prep;
-      labels = Array.mapi (fun i a -> Printf.sprintf "%d:%s" i a) addrs;
-      live = Array.make nw true;
       claimed = Array.make (Engine.prep_num_chunks prep) false;
       results;
       completed = Array.fold_left (fun n r -> n + Bool.to_int (r <> None)) 0 results;
+      live = nw;
       abort = None;
       m = Mutex.create ();
       cv = Condition.create ();
     }
   in
+  let update f = Mutex.protect st.m (fun () -> f (); Condition.broadcast st.cv) in
+  let abort e = update (fun () -> if st.abort = None then st.abort <- Some e) in
   Obs.Metrics.incr "dsweep.run.count";
   let request c =
     {
@@ -132,9 +112,32 @@ let run ?(seed = 42) ?block ?measures ?(specs = []) ?(policy = Engine.Skip)
       sc_deadline_ms = Some (config.chunk_timeout_s *. 1e3);
     }
   in
+  (* The lowest chunk neither done nor claimed, claimed for the caller;
+     while every remaining chunk is claimed, wait for one to come free.
+     [None] once nothing is left to take or the run aborted. *)
+  let claim () =
+    Mutex.protect st.m @@ fun () ->
+    let rec free c =
+      if c >= st.total then None
+      else if st.results.(c) = None && not st.claimed.(c) then Some c
+      else free (c + 1)
+    in
+    let rec take () =
+      if st.abort <> None || st.completed = st.total then None
+      else
+        match free 0 with
+        | Some c ->
+          st.claimed.(c) <- true;
+          Some c
+        | None ->
+          Condition.wait st.cv st.m;
+          take ()
+    in
+    take ()
+  in
   (* ---- one worker domain per address ---- *)
   let worker_loop w =
-    let label = st.labels.(w) in
+    let label = Printf.sprintf "%d:%s" w addrs.(w) in
     let conn = ref None in
     let drop () =
       Option.iter Client.close !conn;
@@ -157,146 +160,77 @@ let run ?(seed = 42) ?block ?measures ?(specs = []) ?(policy = Engine.Skip)
        boundary: a reply is merged only if it echoes our key (skew
        check) and parses against our own layout ([chunk_result_of_json]
        re-validates bounds and shape). *)
-    let eval_remote ~failures c =
+    let eval_remote ~failures cl c =
       try
+        Runtime.Fault.cut "dsweep.worker" ~key:w ~attempt:failures;
         Runtime.Fault.cut "dsweep.dispatch" ~key:c ~attempt:failures;
-        match connect () with
+        match Client.sweep_chunk cl (request c) with
         | Error _ as e -> e
-        | Ok cl -> (
-          match Client.sweep_chunk cl (request c) with
-          | Error _ as e -> e
-          | Ok reply ->
-            Runtime.Fault.cut "dsweep.recv" ~key:c ~attempt:failures;
-            if reply.Protocol.cr_key <> key then
+        | Ok reply ->
+          Runtime.Fault.cut "dsweep.recv" ~key:c ~attempt:failures;
+          if reply.Protocol.cr_key <> key then
+            Error
+              (Err.make Invalid_request ~where:"dsweep.recv"
+                 (Printf.sprintf
+                    "worker %s computed sweep key %s where the \
+                     coordinator has %s: model or version skew"
+                    label reply.Protocol.cr_key key))
+          else
+            let r =
+              Engine.chunk_result_of_json ~file:("worker " ^ label) prep
+                reply.Protocol.cr_record
+            in
+            if Engine.chunk_index r <> c then
               Error
-                (Err.make Invalid_request ~where:"dsweep.recv"
-                   (Printf.sprintf
-                      "worker %s computed sweep key %s where the \
-                       coordinator has %s: model or version skew"
-                      label reply.Protocol.cr_key key))
-            else
-              let r =
-                Engine.chunk_result_of_json ~file:("worker " ^ label) prep
-                  reply.Protocol.cr_record
-              in
-              if Engine.chunk_index r <> c then
-                Error
-                  (Err.make Internal ~where:"dsweep.recv"
-                     (Printf.sprintf "worker %s answered chunk %d to a \
-                                      request for chunk %d"
-                        label (Engine.chunk_index r) c))
-              else Ok r)
+                (Err.make Internal ~where:"dsweep.recv"
+                   (Printf.sprintf "worker %s answered chunk %d to a \
+                                    request for chunk %d"
+                      label (Engine.chunk_index r) c))
+            else Ok r
       with Err.Error e -> Error e
     in
-    let last_beat = ref (Unix.gettimeofday ()) in
+    (* Connect first, claim second: an address that never answers is
+       declared dead without ever holding a chunk, and an idle
+       connection needs no ping — a daemon that died meanwhile fails the
+       first chunk its connection takes, which is then released. *)
     let rec loop failures =
-      let decision =
-        Mutex.lock st.m;
-        let d =
-          if st.abort <> None || not st.live.(w) || st.completed = st.total
-          then `Exit
-          else begin
-            let live =
-              Array.to_list st.labels
-              |> List.filteri (fun i _ -> st.live.(i))
-            in
-            let rec find c =
-              if c >= st.total then None
-              else if
-                st.results.(c) = None
-                && (not st.claimed.(c))
-                && assign ~key ~chunk:c ~live = label
-              then Some c
-              else find (c + 1)
-            in
-            match find 0 with
-            | Some c ->
-              st.claimed.(c) <- true;
-              `Chunk c
-            | None -> `Idle
-          end
-        in
-        Mutex.unlock st.m;
-        d
-      in
-      match decision with
-      | `Exit -> drop ()
-      | `Idle ->
-        (* Nothing assigned to us right now; keep the peer's liveness
-           fresh so a daemon that died between chunks is noticed. *)
-        let now = Unix.gettimeofday () in
-        if now -. !last_beat >= config.heartbeat_s then begin
-          last_beat := now;
-          let beat =
-            try
-              match connect () with
-              | Error _ as e -> e
-              | Ok cl -> Result.map ignore (Client.ping cl)
-            with Err.Error e -> Error e
-          in
-          match beat with
-          | Ok () ->
-            Obs.Metrics.incr "dsweep.heartbeats";
-            loop 0
-          | Error e -> fail ~claim:None failures e
-        end
-        else begin
-          Unix.sleepf 0.01;
-          loop failures
-        end
-      | `Chunk c -> (
-        let outcome =
-          try
-            Runtime.Fault.cut "dsweep.worker" ~key:w ~attempt:failures;
-            eval_remote ~failures c
-          with Err.Error e -> Error e
-        in
-        match outcome with
-        | Ok r ->
-          Mutex.lock st.m;
-          let fresh = st.results.(c) = None in
-          if fresh then begin
-            st.results.(c) <- Some r;
-            st.completed <- st.completed + 1
-          end;
-          st.claimed.(c) <- false;
-          Condition.broadcast st.cv;
-          Mutex.unlock st.m;
-          if fresh then begin
-            (* The checkpoint has its own lock; keep file IO off [st.m]. *)
-            record r;
-            Obs.Metrics.incr "dsweep.chunks.completed"
-          end;
-          loop 0
-        | Error e -> fail ~claim:(Some c) failures e)
+      if not (Mutex.protect st.m (fun () -> st.abort <> None)) then
+        match connect () with
+        | Error e -> fail ~claim:None failures e
+        | Ok cl -> (
+          match claim () with
+          | None -> ()
+          | Some c -> (
+            match eval_remote ~failures cl c with
+            | Error e -> fail ~claim:(Some c) failures e
+            | Ok r ->
+              (* The claim made this domain the chunk's only writer. *)
+              update (fun () ->
+                  st.results.(c) <- Some r;
+                  st.completed <- st.completed + 1;
+                  st.claimed.(c) <- false);
+              (* The checkpoint has its own lock; keep file IO off [st.m]. *)
+              record r;
+              Obs.Metrics.incr "dsweep.chunks.completed";
+              loop 0))
     and fail ~claim failures e =
       Option.iter
         (fun c ->
-          Mutex.lock st.m;
-          st.claimed.(c) <- false;
-          Condition.broadcast st.cv;
-          Mutex.unlock st.m;
+          update (fun () -> st.claimed.(c) <- false);
           Obs.Metrics.incr "dsweep.chunks.reassigned")
         claim;
       drop ();
-      if not (Client.Backoff.retryable e) then begin
+      if not (Client.Backoff.retryable e) then
         (* A wrong answer, skew, or corrupt record: retrying cannot fix
            it and must not paper over it. *)
-        Mutex.lock st.m;
-        if st.abort = None then st.abort <- Some e;
-        Condition.broadcast st.cv;
-        Mutex.unlock st.m
-      end
+        abort e
       else if failures + 1 > config.worker_retries then begin
-        Mutex.lock st.m;
-        st.live.(w) <- false;
-        Condition.broadcast st.cv;
-        Mutex.unlock st.m;
+        update (fun () -> st.live <- st.live - 1);
         Obs.Metrics.incr "dsweep.workers.lost";
         log
           (Printf.sprintf
              "dsweep: worker %s declared dead after %d consecutive \
-              failures (last: %s); its chunks fall to the survivors"
+              failures (last: %s); the survivors take the remaining chunks"
              label (failures + 1) (Err.to_string e))
       end
       else begin
@@ -307,24 +241,22 @@ let run ?(seed = 42) ?block ?measures ?(specs = []) ?(policy = Engine.Skip)
         loop (failures + 1)
       end
     in
-    loop 0
+    Fun.protect ~finally:drop (fun () -> loop 0)
   in
   if st.completed < st.total then begin
+    (* A domain that raises (a checkpoint append that cannot be written,
+       say) aborts the run rather than leaving the others waiting on a
+       chunk nobody will finish. *)
     let svc =
       Runtime.Service.start ~workers:nw (fun ~worker ~stop:_ ->
-          worker_loop worker)
+          try worker_loop worker with e -> abort (Err.classify e))
     in
-    Mutex.lock st.m;
-    while
-      st.completed < st.total
-      && st.abort = None
-      && Array.exists Fun.id st.live
-    do
-      Condition.wait st.cv st.m
-    done;
-    Mutex.unlock st.m;
+    Mutex.protect st.m (fun () ->
+        while st.completed < st.total && st.abort = None && st.live > 0 do
+          Condition.wait st.cv st.m
+        done);
     (* Workers observe the same terminal conditions and return; this
-       joins them (and re-raises if a domain somehow died). *)
+       joins them. *)
     Runtime.Service.stop svc
   end;
   (match st.abort with Some e -> raise (Err.Error e) | None -> ());

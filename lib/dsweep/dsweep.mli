@@ -10,7 +10,16 @@
     copies of one seeded stream — and the coordinator merges strictly
     by chunk index, the merged result is {b byte-identical to a
     single-node run} at any worker count, in the face of retries,
-    worker loss, and chunk reassignment.
+    worker loss, and released claims.
+
+    {2 Scheduling}
+
+    One domain per address holds a connection to its daemon and, once
+    connected, claims the lowest chunk that is neither done nor
+    claimed; while every remaining chunk is claimed elsewhere it waits
+    on the shared scoreboard.  A faster daemon therefore takes more
+    chunks, and a chunk whose attempt failed is free again for the next
+    domain that asks.
 
     {2 Fault model}
 
@@ -22,13 +31,15 @@
       jitter ({!Serve.Client.Backoff}).
     - Each RPC is bounded by [chunk_timeout_s] (socket deadline plus a
       server-side [deadline_ms], so a queued-but-hopeless chunk is shed
-      server-side too).  Idle workers ping their daemon every
-      [heartbeat_s] so a silently dead peer is noticed between chunks.
+      server-side too).
+    - A domain connects before it claims, so an address that never
+      answers is declared dead without ever holding a chunk.  An idle
+      connection is not pinged: a daemon that died meanwhile fails the
+      first chunk that connection takes, and with nothing left to take
+      it does not matter.
     - After [worker_retries] {e consecutive} failures a worker is
-      declared dead: its claimed chunk is released and every chunk
-      rendezvous-assigned to it falls to the surviving workers
-      ({!assign} is recomputed against the live set).  The sweep
-      degrades down to one worker.
+      declared dead; a chunk it held was released on the failure, and
+      the survivors take it.  The sweep degrades down to one worker.
     - If {e all} workers die, [run] raises [worker_crash]; every
       completed chunk is already a line of the checkpoint (when
       configured), and re-running with
@@ -36,36 +47,30 @@
       a local resume — the checkpoint format and key are shared with
       [Sweep.Engine].
     - Non-retryable failures (key mismatch = model/version skew,
-      corrupt records, invalid requests) abort the run immediately:
-      wrong answers must not be retried into existence.
+      corrupt records, invalid requests, a checkpoint append that
+      cannot be written) abort the run immediately: wrong answers must
+      not be retried into existence.
 
     Injection sites for the kill-a-worker suite: ["dsweep.dispatch"]
     (keyed by chunk, before send), ["dsweep.recv"] (keyed by chunk,
-    after receive), ["dsweep.worker"] (keyed by worker index).
+    after receive), ["dsweep.worker"] (keyed by worker index, after a
+    claim).
 
     Obs counters: [dsweep.run.count], [dsweep.chunks.completed],
-    [dsweep.chunks.reassigned], [dsweep.retries], [dsweep.heartbeats],
-    [dsweep.workers.lost].  See docs/PARALLELISM.md for the topology
-    and docs/ROBUSTNESS.md for the failure drill. *)
+    [dsweep.chunks.reassigned] (claims released by a failed attempt),
+    [dsweep.retries], [dsweep.workers.lost].  See docs/PARALLELISM.md
+    for the topology and docs/ROBUSTNESS.md for the failure drill. *)
 
 type config = {
   addrs : string list;  (** daemon addresses ([unix:PATH] / [tcp:H:P]) *)
   chunk_timeout_s : float;  (** per-RPC deadline, client and server side *)
-  heartbeat_s : float;  (** idle liveness-ping cadence *)
   worker_retries : int;
       (** consecutive failures before a worker is declared dead *)
   backoff : Serve.Client.Backoff.t;  (** connect/RPC retry schedule *)
 }
 
 val default_config : addrs:string list -> config
-(** 30 s chunk timeout, 1 s heartbeat, 3 retries, default backoff. *)
-
-val assign : key:string -> chunk:int -> live:string list -> string
-(** Rendezvous (highest-random-weight) chunk placement: a pure function
-    of the sweep key, the chunk index, and the live worker set — every
-    coordinator computes the same assignment with no coordination
-    state, and a worker's death moves {e only} that worker's chunks.
-    Raises [Invalid_argument] on an empty live set. *)
+(** 30 s chunk timeout, 3 retries, default backoff. *)
 
 val run :
   ?seed:int ->

@@ -1,6 +1,6 @@
 (* Tiered admission control between the acceptor and the worker shards.
 
-   Every eval request passes three gates before it may queue:
+   Every model-bound request passes three gates before it may queue:
 
      1. per-client inflight cap — one greedy pipelining connection must
         not monopolize the shards; past the cap it sheds [Overloaded]
@@ -8,11 +8,15 @@
      2. dead-on-arrival deadline — a request whose deadline has already
         passed answers [Timeout] immediately instead of wasting a queue
         slot on work nobody will read.
-     3. replica routing + bounded hand-off — among the digest's replica
-        set the least-loaded worker is chosen; if even that mailbox is
-        full the request sheds [Overloaded] (the fourth tier, the
-        batcher's own [max_queue], is downstream and per-worker).
+     3. replica routing under one backlog bound — among the digest's
+        replica set the least-loaded worker is chosen, its load being
+        the requests admitted to it and not yet answered; if even that
+        worker is at the bound, the request sheds [Overloaded].  This is
+        the only bound on a worker's backlog: neither its mailbox nor
+        its batcher holds another.
 
+   Gates 1 and 2 need nothing but the connection and the clock, so they
+   run before the acceptor reads the artifact to place the request.
    Shedding at admission costs one JSON error frame; shedding after
    queueing costs queue occupancy everyone else pays for.  The existing
    [timeout]/[overloaded] error kinds are reused so clients cannot tell
@@ -28,53 +32,36 @@ type config = {
 
 let default_config = { per_client_inflight = 64 }
 
-type decision =
-  | Admit of int  (* worker index to hand the request to *)
-  | Shed of Err.t
-
-let overloaded ~where fmt =
-  Printf.ksprintf (fun m -> Shed (Err.make Overloaded ~where m)) fmt
-
-(* Gate 1+2: cheap per-request checks, no routing needed. *)
+(* Gates 1+2: cheap per-request checks, no artifact read needed. *)
 let precheck config ~client_inflight ~deadline ~now =
   if client_inflight >= config.per_client_inflight then begin
     Obs.Metrics.incr "serve.rejected.overloaded";
     Some
-      (Shed
-         (Err.make Overloaded ~where:"serve.admission.client"
-            (Printf.sprintf
-               "client already has %d requests in flight (cap %d)"
-               client_inflight config.per_client_inflight)))
+      (Err.make Overloaded ~where:"serve.admission.client"
+         (Printf.sprintf "client already has %d requests in flight (cap %d)"
+            client_inflight config.per_client_inflight))
   end
   else
     match deadline with
     | Some d when now > d ->
       Obs.Metrics.incr "serve.rejected.timeout";
       Some
-        (Shed
-           (Err.make Timeout ~where:"serve.admission.deadline"
-              (Printf.sprintf "deadline expired %.3f ms before admission"
-                 ((now -. d) *. 1e3))))
+        (Err.make Timeout ~where:"serve.admission.deadline"
+           (Printf.sprintf "deadline expired %.3f ms before admission"
+              ((now -. d) *. 1e3)))
     | _ -> None
 
-(* Gate 3: route to the least-loaded replica with mailbox room.  [depth]
-   reports a worker's current queue occupancy; ties break toward the
-   lower worker index so routing is stable under equal load. *)
-let route ~owners ~depth ~try_push =
-  let ranked =
-    List.sort
-      (fun a b ->
-        match Int.compare (depth a) (depth b) with
-        | 0 -> Int.compare a b
-        | c -> c)
-      owners
-  in
-  let rec go = function
-    | [] ->
-      Obs.Metrics.incr "serve.rejected.overloaded";
-      overloaded ~where:"serve.admission.queue"
-        "every replica's admission queue is full (%d replicas)"
-        (List.length owners)
-    | w :: rest -> if try_push w then Admit w else go rest
-  in
-  go ranked
+(* Gate 3: the least-loaded replica, if it is under the bound.  Ties
+   break toward the lower worker index so routing is stable under equal
+   load; each replica's load is read once. *)
+let route ~owners ~depth ~capacity =
+  match List.sort compare (List.map (fun w -> (depth w, w)) owners) with
+  | (d, w) :: _ when d < capacity -> Ok w
+  | _ ->
+    Obs.Metrics.incr "serve.rejected.overloaded";
+    Error
+      (Err.make Overloaded ~where:"serve.admission.queue"
+         (Printf.sprintf
+            "every replica has %d requests admitted and not yet answered \
+             (%d replicas)"
+            capacity (List.length owners)))

@@ -1,7 +1,7 @@
 (** Tiered admission control: per-client caps, dead-on-arrival deadline
-    shedding, and least-loaded replica routing, reusing the existing
-    [timeout]/[overloaded] error kinds (the [where] field names the tier
-    that shed). *)
+    shedding, and least-loaded replica routing under the one per-worker
+    backlog bound, reusing the existing [timeout]/[overloaded] error
+    kinds (the [where] field names the tier that shed). *)
 
 type config = {
   per_client_inflight : int;
@@ -10,24 +10,25 @@ type config = {
 
 val default_config : config
 
-type decision =
-  | Admit of int  (** worker index the request was handed to *)
-  | Shed of Awesym_error.t
-
 val precheck :
   config ->
   client_inflight:int ->
   deadline:float option ->
   now:float ->
-  decision option
-(** Gates 1–2: [Some (Shed _)] when the connection is over its inflight
-    cap or the deadline already passed; [None] means proceed to routing. *)
+  Awesym_error.t option
+(** Gates 1–2, run before the artifact is read: [Some] error (kind
+    [Overloaded] at [serve.admission.client], or [Timeout] at
+    [serve.admission.deadline]) when the connection is over its inflight
+    cap or the deadline already passed; [None] means proceed to
+    routing. *)
 
 val route :
   owners:int list ->
   depth:(int -> int) ->
-  try_push:(int -> bool) ->
-  decision
-(** Gate 3: try the digest's replica set in least-[depth] order (ties to
-    the lower index); the first successful [try_push] wins.  All-full
-    sheds [Overloaded]. *)
+  capacity:int ->
+  (int, Awesym_error.t) result
+(** Gate 3: the digest's replica with the least [depth] (requests
+    admitted to it and not yet answered; ties to the lower index), if
+    that depth is below [capacity].  Otherwise every replica is at the
+    bound and the request sheds [Overloaded] at
+    [serve.admission.queue]. *)

@@ -1,13 +1,13 @@
 (* Micro-batching scheduler: coalesce concurrent point-evaluation
    requests into as few Slp.eval_batch calls as possible.
 
-   Admission puts requests in a bounded FIFO (backpressure: a full queue
-   rejects with [Overloaded] instead of buffering without bound).  A
-   flush becomes due when the oldest request has lingered [linger_s],
-   when [max_batch] points have accumulated, or when any pending
-   deadline is about to pass — whichever is first; the serving loop uses
-   {!due} as its select timeout so an idle daemon sleeps and a loaded
-   one batches greedily.
+   The worker puts admitted requests in a FIFO with no bound of its
+   own: admission caps each worker's backlog of requests admitted and
+   not yet answered, so this queue cannot outgrow it.  A flush becomes
+   due when the oldest request has lingered [linger_s], when [max_batch]
+   points have accumulated, or when any pending deadline is about to
+   pass — whichever is first; the serving loop uses {!due} as its select
+   timeout so an idle daemon sleeps and a loaded one batches greedily.
 
    A flush drains the whole queue: expired requests answer [Timeout],
    the rest group by model digest (FIFO order preserved within a group)
@@ -25,10 +25,9 @@ module Err = Awesym_error
 type config = {
   max_batch : int;  (* points that force an immediate flush *)
   linger_s : float;  (* max seconds the oldest request waits *)
-  max_queue : int;  (* pending-request cap; beyond it, reject *)
 }
 
-let default_config = { max_batch = 4096; linger_s = 0.002; max_queue = 1024 }
+let default_config = { max_batch = 4096; linger_s = 0.002 }
 
 type pending = {
   key : int;  (* connection slot, opaque to the batcher *)
@@ -51,28 +50,16 @@ type t = {
 
 let create config =
   if config.max_batch < 1 then invalid_arg "Batcher: max_batch must be >= 1";
-  if config.max_queue < 1 then invalid_arg "Batcher: max_queue must be >= 1";
   if config.linger_s < 0.0 then invalid_arg "Batcher: linger must be >= 0";
   { config; rev_queue = []; count = 0; points_pending = 0 }
 
 let length t = t.count
-let points_pending t = t.points_pending
 
 let submit t p =
-  if t.count >= t.config.max_queue then begin
-    Obs.Metrics.incr "serve.rejected.overloaded";
-    Error
-      (Err.make Overloaded ~where:"serve.queue"
-         (Printf.sprintf "admission queue full (%d requests pending)" t.count)
-         ~context:[ ("max_queue", string_of_int t.config.max_queue) ])
-  end
-  else begin
-    t.rev_queue <- p :: t.rev_queue;
-    t.count <- t.count + 1;
-    t.points_pending <- t.points_pending + Array.length p.points;
-    Obs.Metrics.observe "serve.queue.depth" (float_of_int t.count);
-    Ok ()
-  end
+  t.rev_queue <- p :: t.rev_queue;
+  t.count <- t.count + 1;
+  t.points_pending <- t.points_pending + Array.length p.points;
+  Obs.Metrics.observe "serve.queue.depth" (float_of_int t.count)
 
 (* Earliest instant at which a flush must run: the oldest request's
    linger expiry, tightened by any pending deadline (flushing before a

@@ -1,7 +1,8 @@
 (** Micro-batching scheduler: coalesces concurrent point-evaluation
     requests for the same model into single batch-kernel calls.
 
-    Requests are admitted into a bounded FIFO ({!submit}); a flush is due
+    Admitted requests wait in a FIFO ({!submit}), whose bound is the
+    acceptor's per-worker admission bound; a flush is due
     ({!ready}) once the oldest request has lingered [linger_s], once
     [max_batch] points are pending, or once any pending deadline is about
     to pass.  {!flush} drains the whole queue: expired requests answer
@@ -12,18 +13,17 @@
     offline [awesym eval] at any batch/jobs setting.
 
     Obs: counters [serve.batch.count], [serve.points],
-    [serve.rejected.timeout], [serve.rejected.overloaded]; histograms
+    [serve.rejected.timeout]; histograms
     [serve.batch.points] (occupancy), [serve.queue.depth],
     [serve.latency_us]. *)
 
 type config = {
   max_batch : int;  (** pending points that force an immediate flush *)
   linger_s : float;  (** max seconds the oldest request waits for company *)
-  max_queue : int;  (** pending-request cap; beyond it {!submit} rejects *)
 }
 
 val default_config : config
-(** 4096-point batches, 2 ms linger, 1024-request queue. *)
+(** 4096-point batches, 2 ms linger. *)
 
 type pending = {
   key : int;  (** connection slot, opaque to the batcher *)
@@ -41,15 +41,13 @@ type pending = {
 type t
 
 val create : config -> t
-(** Raises [Invalid_argument] on non-positive capacities or a negative
-    linger. *)
+(** Raises [Invalid_argument] on a non-positive [max_batch] or a
+    negative linger. *)
 
 val length : t -> int
-val points_pending : t -> int
 
-val submit : t -> pending -> (unit, Awesym_error.t) result
-(** Admit a request; [Error] (kind [Overloaded]) when the queue is full —
-    the daemon's backpressure signal. *)
+val submit : t -> pending -> unit
+(** Queue an admitted request (histogram [serve.queue.depth]). *)
 
 val due : t -> now:float -> float option
 (** Seconds until the next flush must run ([Some 0.] = overdue), [None]

@@ -1,78 +1,48 @@
-(* Bounded multi-producer/single-consumer mailbox between the acceptor
-   and a worker shard.
+(* Multi-producer/single-consumer mailbox between the acceptor and a
+   worker shard.
 
-   Producers never block: a full mailbox answers [false] and the caller
-   sheds the request (admission control's job, not the queue's).  The
-   consumer drains FIFO; {!pop_block} parks on the condition variable so
-   an idle worker costs nothing and wakes the instant a job (or a
-   {!wake} poke — how drain reaches a parked worker) arrives.
-   [pop_all]/[pop_block] hand back everything pending in one lock
-   acquisition, which is what lets a worker turn a burst into one
-   micro-batch. *)
+   Producers never block, and the mailbox holds no bound of its own: the
+   acceptor bounds each worker's backlog once, at admission, against the
+   requests it has admitted and not yet seen answered.  The consumer
+   drains FIFO; {!pop_block} parks on the condition variable so an idle
+   worker costs nothing and wakes the instant a job (or a {!wake} poke —
+   how drain reaches a parked worker) arrives.  [pop_all]/[pop_block]
+   hand back everything pending in one lock acquisition, which is what
+   lets a worker turn a burst into one micro-batch. *)
 
 type 'a t = {
-  capacity : int;
   q : 'a Queue.t;
   m : Mutex.t;
   nonempty : Condition.t;
-  mutable len : int;  (* mirrors [Queue.length q] under [m] *)
   mutable poked : bool;  (* a {!wake} arrived while nobody was waiting *)
 }
 
-let create ~capacity =
-  if capacity < 1 then invalid_arg "Mailbox.create: capacity must be >= 1";
-  {
-    capacity;
-    q = Queue.create ();
-    m = Mutex.create ();
-    nonempty = Condition.create ();
-    len = 0;
-    poked = false;
-  }
+let create () =
+  { q = Queue.create (); m = Mutex.create (); nonempty = Condition.create (); poked = false }
 
-let length t =
-  Mutex.lock t.m;
-  let n = t.len in
-  Mutex.unlock t.m;
-  n
+let length t = Mutex.protect t.m (fun () -> Queue.length t.q)
 
-let try_push t v =
-  Mutex.lock t.m;
-  let ok = t.len < t.capacity in
-  if ok then begin
-    Queue.add v t.q;
-    t.len <- t.len + 1;
-    Condition.signal t.nonempty
-  end;
-  Mutex.unlock t.m;
-  ok
+let push t v =
+  Mutex.protect t.m (fun () ->
+      Queue.add v t.q;
+      Condition.signal t.nonempty)
 
 let wake t =
-  Mutex.lock t.m;
-  t.poked <- true;
-  Condition.broadcast t.nonempty;
-  Mutex.unlock t.m
+  Mutex.protect t.m (fun () ->
+      t.poked <- true;
+      Condition.broadcast t.nonempty)
 
 let drain_locked t =
-  let out = ref [] in
-  while t.len > 0 do
-    out := Queue.pop t.q :: !out;
-    t.len <- t.len - 1
-  done;
-  List.rev !out
-
-let pop_all t =
-  Mutex.lock t.m;
-  let out = drain_locked t in
-  Mutex.unlock t.m;
+  let out = List.of_seq (Queue.to_seq t.q) in
+  Queue.clear t.q;
   out
+
+let pop_all t = Mutex.protect t.m (fun () -> drain_locked t)
 
 let pop_block t =
-  Mutex.lock t.m;
-  while t.len = 0 && not t.poked do
-    Condition.wait t.nonempty t.m
-  done;
-  t.poked <- false;
-  let out = drain_locked t in
-  Mutex.unlock t.m;
-  out
+  Mutex.protect t.m (fun () ->
+      while Queue.is_empty t.q && not t.poked do
+        Condition.wait t.nonempty t.m
+      done;
+      t.poked <- false;
+      drain_locked t)

@@ -1,16 +1,15 @@
-(** Bounded MPSC mailbox: acceptor-to-worker job hand-off.
+(** MPSC mailbox: acceptor-to-worker job hand-off.
 
-    Producers never block ({!try_push} answers [false] when full — shed,
-    don't buffer); the single consumer drains FIFO, everything pending
-    in one lock acquisition. *)
+    Producers never block and the mailbox has no capacity: the acceptor
+    bounds each worker's backlog at admission.  The single consumer
+    drains FIFO, everything pending in one lock acquisition. *)
 
 type 'a t
 
-val create : capacity:int -> 'a t
-(** Raises [Invalid_argument] when [capacity < 1]. *)
+val create : unit -> 'a t
 
-val try_push : 'a t -> 'a -> bool
-(** Enqueue unless full.  [false] means the caller must shed. *)
+val push : 'a t -> 'a -> unit
+(** Enqueue and wake a parked consumer. *)
 
 val pop_all : 'a t -> 'a list
 (** Everything currently pending, FIFO; never blocks. *)
@@ -24,4 +23,5 @@ val wake : 'a t -> unit
 (** Unblock a {!pop_block}er even with nothing queued. *)
 
 val length : 'a t -> int
-(** Current queue length (racy by nature; for gauges and routing). *)
+(** Current queue length (racy by nature; for the worker's exit
+    check). *)

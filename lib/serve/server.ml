@@ -3,9 +3,10 @@
 
    The acceptor owns the listener (Unix socket or TCP — see Transport),
    all connection state, framing, and the trace ring.  Model-bound
-   requests (eval/info) are digested for placement, pass tiered
-   admission (Admission), and are handed to a worker shard through a
-   bounded mailbox; everything else (ping/stats/metrics/trace/shutdown)
+   requests (eval/info) pass tiered admission (Admission) — the cheap
+   gates before the artifact is digested for placement, and then the one
+   bound on each worker's backlog — and are handed to a worker shard
+   through its mailbox; everything else (ping/stats/metrics/trace/shutdown)
    answers inline, which keeps `ping` a zero-cost readiness probe even
    when every shard is saturated.
 
@@ -37,7 +38,7 @@ type config = {
   replicas : int;  (* workers per digest (capped at [workers]) *)
   batch : Batcher.config;  (* per-worker batcher knobs *)
   admission : Admission.config;
-  worker_queue : int;  (* per-worker mailbox capacity *)
+  worker_queue : int;  (* per-worker bound on admitted, unanswered requests *)
   max_models : int;  (* per-worker registry LRU capacity *)
   cache_gc_bytes : int option;
   versions : (string * string) list;
@@ -398,17 +399,13 @@ let worker_body t ~worker ~stop:_ =
             ]
         else
           let t0 = now () in
-          let pending =
-            { Batcher.key = conn; id; entry; points; arrived; deadline; trace }
-          in
-          match Batcher.submit batcher pending with
-          | Ok () ->
-            Option.iter
-              (fun tb ->
-                Reqtrace.add_span tb ~name:"serve.batch.enqueue" ~start:t0
-                  ~stop:(now ()))
-              trace
-          | Error e -> complete [ (conn, id, trace, Protocol.R_error e) ]))
+          Batcher.submit batcher
+            { Batcher.key = conn; id; entry; points; arrived; deadline; trace };
+          Option.iter
+            (fun tb ->
+              Reqtrace.add_span tb ~name:"serve.batch.enqueue" ~start:t0
+                ~stop:(now ()))
+            trace))
     | J_sweep { conn; id; req; digest; deadline; trace } ->
       let resp =
         match lookup ~digest ~path:req.Protocol.sc_model ~trace with
@@ -547,45 +544,44 @@ let respond_traced t conn ?id tb resp =
   Reqtrace.add_span tb ~name:"serve.respond" ~start:t0 ~stop:t1;
   Reqtrace.finish t.traces tb ~now:t1 ~status:(status_of_response resp)
 
-(* Route a model-bound request to a worker shard: digest the artifact
-   for placement (the worker reuses it and skips the re-read), run the
-   admission tiers, then push into the chosen replica's mailbox.  The
-   queued count is raised before the push and rolled back on a full
-   mailbox so it never under-reports outstanding work. *)
+(* Route a model-bound request to a worker shard: the cheap admission
+   gates first, so a request shed for its client cap or its deadline
+   costs no file read; then digest the artifact for placement (the
+   worker reuses it and skips the re-read) and push into the
+   least-loaded replica's mailbox, if that replica is under
+   [worker_queue].  The queued count is raised before the push, so it
+   never under-reports the backlog the bound applies to. *)
 let admit_model t conn ?id tb ~path ~deadline make_job =
   let t0 = now () in
-  match Digest.file path with
-  | exception Sys_error msg ->
-    respond_traced t conn ?id tb
-      (Protocol.R_error
-         (Err.make Invalid_request ~where:"serve.registry" msg ~file:path))
-  | raw -> (
-    let digest = Digest.to_hex raw in
-    let decision =
-      match
-        Admission.precheck t.config.admission ~client_inflight:conn.inflight
-          ~deadline ~now:t0
-      with
-      | Some d -> d
-      | None ->
+  let admitted =
+    match
+      Admission.precheck t.config.admission ~client_inflight:conn.inflight
+        ~deadline ~now:t0
+    with
+    | Some e -> Error e
+    | None -> (
+      match Digest.file path with
+      | exception Sys_error msg ->
+        Error (Err.make Invalid_request ~where:"serve.registry" msg ~file:path)
+      | raw ->
+        let digest = Digest.to_hex raw in
         let owners =
           Shard.owners ~workers:(Array.length t.shards) ~replicas:t.replicas
             digest
         in
         Admission.route ~owners
           ~depth:(fun w -> Atomic.get t.shards.(w).queued)
-          ~try_push:(fun w ->
-            let s = t.shards.(w) in
-            ignore (Atomic.fetch_and_add s.queued 1);
-            let ok = Mailbox.try_push s.mailbox (make_job ~digest) in
-            if not ok then ignore (Atomic.fetch_and_add s.queued (-1));
-            ok)
-    in
-    match decision with
-    | Admission.Shed e -> respond_traced t conn ?id tb (Protocol.R_error e)
-    | Admission.Admit _ ->
-      conn.inflight <- conn.inflight + 1;
-      Reqtrace.add_span tb ~name:"serve.admit" ~start:t0 ~stop:(now ()))
+          ~capacity:t.config.worker_queue
+        |> Result.map (fun w ->
+               let s = t.shards.(w) in
+               Atomic.incr s.queued;
+               Mailbox.push s.mailbox (make_job ~digest)))
+  in
+  match admitted with
+  | Error e -> respond_traced t conn ?id tb (Protocol.R_error e)
+  | Ok () ->
+    conn.inflight <- conn.inflight + 1;
+    Reqtrace.add_span tb ~name:"serve.admit" ~start:t0 ~stop:(now ())
 
 let dispatch t conn ?id ~trace:tb req =
   Obs.Metrics.incr "serve.requests";
@@ -810,7 +806,7 @@ let create config =
   let shards =
     Array.init config.workers (fun _ ->
         {
-          mailbox = Mailbox.create ~capacity:config.worker_queue;
+          mailbox = Mailbox.create ();
           queued = Atomic.make 0;
           resident = Atomic.make 0;
         })

@@ -5,9 +5,11 @@
     all connection state, framing, and the trace ring; [ping], [stats],
     [metrics], [trace], and [shutdown] answer inline so readiness probes
     cost nothing even under full load.  Model-bound requests (eval/info)
-    are digested for shard placement ({!Shard} rendezvous hashing,
-    replicated [replicas] ways), pass tiered admission ({!Admission}),
-    and hand off to a worker domain that owns its private {!Registry}
+    pass tiered admission ({!Admission}): the client cap and the
+    dead-on-arrival deadline first, then digesting for shard placement
+    ({!Shard} rendezvous hashing, replicated [replicas] ways) under the
+    one per-worker backlog bound [worker_queue]; then they hand off to a
+    worker domain that owns its private {!Registry}
     and {!Batcher} — so a digest always lands on a warm kernel and the
     single-owner evaluator contract holds per worker.
 
@@ -31,7 +33,11 @@ type config = {
           resident kernels *)
   batch : Batcher.config;  (** per-worker batching knobs *)
   admission : Admission.config;  (** per-client caps, deadline shedding *)
-  worker_queue : int;  (** per-worker mailbox capacity *)
+  worker_queue : int;
+      (** per-worker backlog bound: requests admitted to the worker and
+          not yet answered.  With every replica at the bound, admission
+          sheds [overloaded] at [serve.admission.queue]; neither the
+          mailbox nor the batcher holds another bound *)
   max_models : int;  (** per-worker registry LRU capacity *)
   cache_gc_bytes : int option;
       (** run [Cache.gc] at startup with this budget; [None] skips *)
@@ -55,7 +61,7 @@ val default_versions : (string * string) list
 
 val default_config : listen:Transport.addr -> config
 (** One worker, two replicas, default batching and admission knobs,
-    1024-deep mailboxes, 8 resident models per worker, 256 MiB cache
+    a 1024-request backlog bound per worker, 8 resident models per worker, 256 MiB cache
     budget, no trace log, 256-trace ring, 16 MiB rotation threshold. *)
 
 type t

@@ -44,7 +44,7 @@ let specs () =
   [ Result.get_ok (Engine.spec_of_string "dc_gain>=0.4") ]
 
 (* Small block so the 200-point sweep has several chunks to spread,
-   lose, and reassign. *)
+   lose, and release. *)
 let block = 32
 
 let report r = Json.to_string (Engine.to_json r)
@@ -61,7 +61,6 @@ let config addrs =
   {
     (Dsweep.default_config ~addrs) with
     Dsweep.chunk_timeout_s = 30.0;
-    heartbeat_s = 60.0;
     worker_retries = 1;
     backoff = test_backoff;
   }
@@ -167,46 +166,6 @@ let test_connect_retry_dead_addr () =
       (Obs.Metrics.counter "serve.client.retries" >= before + 1)
 
 (* ------------------------------------------------------------------ *)
-(* Rendezvous assignment *)
-
-let test_assign_pure_and_total () =
-  let live = [ "0:a"; "1:b"; "2:c" ] in
-  for c = 0 to 40 do
-    let w = Dsweep.assign ~key:"k" ~chunk:c ~live in
-    Alcotest.(check bool) "assigns into the live set" true (List.mem w live);
-    Alcotest.(check string) "pure function" w
-      (Dsweep.assign ~key:"k" ~chunk:c ~live)
-  done;
-  (* Placement depends on the sweep key, so distinct sweeps spread
-     differently. *)
-  let differs =
-    List.exists
-      (fun c ->
-        Dsweep.assign ~key:"k1" ~chunk:c ~live
-        <> Dsweep.assign ~key:"k2" ~chunk:c ~live)
-      (List.init 40 Fun.id)
-  in
-  Alcotest.(check bool) "key-dependent" true differs;
-  Alcotest.check_raises "empty live set refused"
-    (Invalid_argument "Dsweep.assign: empty live set") (fun () ->
-      ignore (Dsweep.assign ~key:"k" ~chunk:0 ~live:[]))
-
-let test_assign_minimal_disruption () =
-  (* Removing one worker moves only that worker's chunks — the HRW
-     property that makes reassignment-on-death cheap and deterministic. *)
-  let live = [ "0:a"; "1:b"; "2:c" ] in
-  let survivors = [ "0:a"; "2:c" ] in
-  let moved = ref 0 in
-  for c = 0 to 60 do
-    let before = Dsweep.assign ~key:"k" ~chunk:c ~live in
-    let after = Dsweep.assign ~key:"k" ~chunk:c ~live:survivors in
-    if before <> "1:b" then
-      Alcotest.(check string) "survivor chunks stay put" before after
-    else incr moved
-  done;
-  Alcotest.(check bool) "dead worker owned some chunks" true (!moved > 0)
-
-(* ------------------------------------------------------------------ *)
 (* Remote chunk op against a real daemon *)
 
 let test_sweep_chunk_rpc_bit_exact () =
@@ -267,16 +226,20 @@ let test_dist_identical_1_and_3 () =
 
 let test_dist_degrades_past_dead_address () =
   (* One address never answers: the coordinator declares that worker
-     dead, reassigns its chunks, and still reproduces the local bytes. *)
+     dead without it ever holding a chunk (it connects before it
+     claims), and the survivors still reproduce the local bytes. *)
   let local = local_report () in
   with_daemons 2 @@ fun ds ->
   let socks = List.map (fun d -> d.sock) ds in
   let lost = Obs.Metrics.counter "dsweep.workers.lost" in
+  let released = Obs.Metrics.counter "dsweep.chunks.reassigned" in
   let addrs = [ List.nth socks 0; "unix:/nonexistent/dead.sock"; List.nth socks 1 ] in
   let r = report (run_dist (config addrs)) in
   Alcotest.(check string) "degraded ≡ local" local r;
   Alcotest.(check int) "one worker declared dead" (lost + 1)
-    (Obs.Metrics.counter "dsweep.workers.lost")
+    (Obs.Metrics.counter "dsweep.workers.lost");
+  Alcotest.(check int) "the dead address never held a chunk" released
+    (Obs.Metrics.counter "dsweep.chunks.reassigned")
 
 let test_dist_transient_faults_identical () =
   (* Transient injected faults at both coordinator sites: every chunk's
@@ -295,8 +258,8 @@ let test_dist_transient_faults_identical () =
 
 let test_dist_kill_worker_mid_run () =
   (* The acceptance drill: kill a live daemon mid-sweep; its in-flight
-     chunk and all its future chunks are reassigned to the survivor and
-     the merged output is still byte-identical. *)
+     chunk is released, the survivor takes it and every chunk after it,
+     and the merged output is still byte-identical. *)
   let local = local_report () in
   with_daemons 2 @@ fun ds ->
   let d0 = List.nth ds 0 and d1 = List.nth ds 1 in
@@ -367,12 +330,6 @@ let () =
           quick "retryable error classification" test_retryable_classification;
           quick "connect_retry classifies a dead address"
             test_connect_retry_dead_addr;
-        ] );
-      ( "assign",
-        [
-          quick "pure, total, key-dependent" test_assign_pure_and_total;
-          quick "worker loss moves only its chunks"
-            test_assign_minimal_disruption;
         ] );
       ( "daemon",
         [ quick "sweep_chunk RPC is bit-exact + skew-checked"

@@ -617,14 +617,20 @@ let run_cli args =
       let status = Sys.command cmd in
       (status, String.split_on_char '\n' (String.trim (read err))))
 
-let check_cli_error ~kind args =
+(* [file], when given, is the file the error line must name. *)
+let check_cli_error ?file ~kind args =
   let status, lines = run_cli args in
   Alcotest.(check int) "exit status" 1 status;
   match lines with
   | [ line ] ->
     let want = "awesym: error: " ^ kind ^ " " in
     if not (String.starts_with ~prefix:want line) then
-      Alcotest.failf "expected a %s error, got %S" kind line
+      Alcotest.failf "expected a %s error, got %S" kind line;
+    Option.iter
+      (fun f ->
+        if not (String.ends_with ~suffix:("(" ^ f ^ ")") line) then
+          Alcotest.failf "expected an error naming %s, got %S" f line)
+      file
   | _ -> Alcotest.failf "expected one error line, got %S" (String.concat "\n" lines)
 
 let test_cli_deck_without_symbols () =
@@ -667,7 +673,26 @@ let test_cli_missing_references () =
       (* controlled sources sensing a missing V-source *)
       "V1 in 0 1\nR1 in n2 1k\nH1 n2 0 VX 2\nC1 n2 0 1p\n.output v(n2)\n";
       "V1 in 0 1\nR1 in n3 1k\nF1 n3 0 VX 2\nC1 n3 0 1p\n.output v(n3)\n";
+      (* elements of the wrong kind that still have a branch-current row:
+         a coupling naming a V-source, a CCCS sensing an inductor *)
+      "V1 in 0 1\nR1 in out 1k\nL1 out 0 1u\nK1 L1 V1 0.5\n.output v(out)\n";
+      "V1 in 0 1\nR1 in out 1k\nL1 out 0 1u\nF1 out 0 L1 2\n.output v(out)\n";
     ]
+
+(* An output path under a regular file cannot be created: each output a
+   command writes fails as one classified line naming the file. *)
+let test_cli_unwritable_output () =
+  with_temp_path (fun afile ->
+      Out_channel.with_open_bin afile (fun oc -> output_string oc "not a directory");
+      List.iter
+        (fun (args, name) ->
+          let file = Filename.concat afile name in
+          check_cli_error ~file ~kind:"invalid_request" (args @ [ file ]))
+        [
+          ([ "sweep"; "../decks/fig1.cir"; "--mc"; "20"; "--checkpoint" ], "x.ckpt");
+          ([ "compile"; "../decks/fig1.cir"; "-o" ], "x.awm");
+          ([ "sweep"; "../decks/fig1.cir"; "--mc"; "20"; "--json" ], "x.json");
+        ])
 
 let test_cli_unknown_output_node () =
   check_deck_error ~kind:"invalid_request"
@@ -722,6 +747,8 @@ let () =
             test_cli_nonfinite_moment;
           Alcotest.test_case "missing deck references are one error line each" `Quick
             test_cli_missing_references;
+          Alcotest.test_case "unwritable output path is one error line" `Quick
+            test_cli_unwritable_output;
         ] );
       ( "containment",
         [

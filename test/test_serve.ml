@@ -400,7 +400,7 @@ let test_garbage_requests_rejected () =
    transports. *)
 
 let with_server ?batch ?(max_models = 8) ?(workers = 1) ?replicas ?admission
-    ?trace_log ?(tcp = false) f =
+    ?worker_queue ?trace_log ?(tcp = false) f =
   let batch =
     match batch with Some b -> b | None -> Serve.Batcher.default_config
   in
@@ -421,6 +421,8 @@ let with_server ?batch ?(max_models = 8) ?(workers = 1) ?replicas ?admission
         (match admission with
         | Some a -> a
         | None -> base.Serve.Server.admission);
+      worker_queue =
+        Option.value worker_queue ~default:base.Serve.Server.worker_queue;
       cache_gc_bytes = None;
       trace_log;
     }
@@ -530,7 +532,7 @@ let test_deadline_expiry () =
   let _, path = Lazy.force fixture in
   (* A long linger so the deadline, not the linger, triggers the flush. *)
   let batch =
-    { Serve.Batcher.max_batch = 4096; linger_s = 5.0; max_queue = 16 }
+    { Serve.Batcher.max_batch = 4096; linger_s = 5.0 }
   in
   with_server ~batch @@ fun ~sock ~stop:_ ->
   let c = client sock in
@@ -541,6 +543,24 @@ let test_deadline_expiry () =
   | Error e when e.Err.kind = Err.Timeout -> ()
   | Error e -> Alcotest.failf "wrong kind: %s" (Err.to_string e)
   | Ok _ -> Alcotest.fail "an already-expired deadline must answer timeout");
+  Serve.Client.close c
+
+(* The cheap admission gates run before the acceptor reads the artifact:
+   an expired request naming a missing artifact sheds as a timeout, not
+   as the invalid request the file read would report. *)
+let test_expired_sheds_before_read () =
+  let _, path = Lazy.force fixture in
+  with_server @@ fun ~sock ~stop:_ ->
+  let c = client sock in
+  (match
+     Serve.Client.eval c ~deadline_ms:(-1.0) ~model:(path ^ ".missing")
+       [| [| 1.0; 1.0 |] |]
+   with
+  | Error e ->
+    Alcotest.(check string) "shed before the file read"
+      "timeout at serve.admission.deadline"
+      (Err.kind_name e.Err.kind ^ " at " ^ e.Err.where)
+  | Ok _ -> Alcotest.fail "a missing artifact cannot evaluate");
   Serve.Client.close c
 
 let queue_depth c =
@@ -561,9 +581,9 @@ let rec wait_for_depth c want tries =
 let test_backpressure_overload () =
   let model, path = Lazy.force fixture in
   let batch =
-    { Serve.Batcher.max_batch = 4096; linger_s = 10.0; max_queue = 1 }
+    { Serve.Batcher.max_batch = 4096; linger_s = 10.0 }
   in
-  with_server ~batch @@ fun ~sock ~stop ->
+  with_server ~batch ~worker_queue:1 @@ fun ~sock ~stop ->
   let point = [| Model.nominal_values model |] in
   (* First request parks in the queue (10 s linger keeps it there). *)
   let parked =
@@ -575,11 +595,14 @@ let test_backpressure_overload () =
   in
   let c = client sock in
   wait_for_depth c 1 200;
-  (* Queue full: the next admission is load-shed, not buffered. *)
+  (* The worker's one backlog bound is reached: the next admission is
+     load-shed at the admission tier, not buffered. *)
   (match Serve.Client.eval c ~model:path point with
-  | Error e when e.Err.kind = Err.Overloaded -> ()
+  | Error e when e.Err.kind = Err.Overloaded ->
+    Alcotest.(check string) "shed at admission" "serve.admission.queue"
+      e.Err.where
   | Error e -> Alcotest.failf "wrong kind: %s" (Err.to_string e)
-  | Ok _ -> Alcotest.fail "a full queue must shed load");
+  | Ok _ -> Alcotest.fail "a full backlog must shed load");
   Serve.Client.close c;
   (* Drain: the parked request still completes, correctly. *)
   stop := true;
@@ -594,7 +617,7 @@ let test_drain_completes_in_flight () =
   let model, path = Lazy.force fixture in
   let nominals = Model.nominal_values model in
   let batch =
-    { Serve.Batcher.max_batch = 4096; linger_s = 10.0; max_queue = 64 }
+    { Serve.Batcher.max_batch = 4096; linger_s = 10.0 }
   in
   with_server ~batch @@ fun ~sock ~stop ->
   let nclients = 3 in
@@ -639,7 +662,7 @@ let test_multi_worker_drain () =
   let model2, path2 = Lazy.force fixture in
   let model3, path3 = Lazy.force fixture3 in
   let batch =
-    { Serve.Batcher.max_batch = 4096; linger_s = 10.0; max_queue = 64 }
+    { Serve.Batcher.max_batch = 4096; linger_s = 10.0 }
   in
   with_server ~batch ~workers:4 ~replicas:1 @@ fun ~sock ~stop ->
   let jobs =
@@ -704,7 +727,7 @@ let test_stats_shard_topology () =
 let test_client_inflight_cap () =
   let model, path = Lazy.force fixture in
   let batch =
-    { Serve.Batcher.max_batch = 4096; linger_s = 10.0; max_queue = 64 }
+    { Serve.Batcher.max_batch = 4096; linger_s = 10.0 }
   in
   with_server ~batch ~admission:{ Serve.Admission.per_client_inflight = 1 }
   @@ fun ~sock ~stop ->
@@ -1191,17 +1214,16 @@ let test_shard_rendezvous () =
     (!moved < 100)
 
 let test_mailbox () =
-  let m = Serve.Mailbox.create ~capacity:2 in
-  Alcotest.(check bool) "push 1" true (Serve.Mailbox.try_push m 1);
-  Alcotest.(check bool) "push 2" true (Serve.Mailbox.try_push m 2);
-  Alcotest.(check bool) "full sheds" false (Serve.Mailbox.try_push m 3);
+  let m = Serve.Mailbox.create () in
+  Serve.Mailbox.push m 1;
+  Serve.Mailbox.push m 2;
   Alcotest.(check int) "length" 2 (Serve.Mailbox.length m);
   Alcotest.(check (list int)) "FIFO drain" [ 1; 2 ] (Serve.Mailbox.pop_all m);
   Alcotest.(check (list int)) "empty drain" [] (Serve.Mailbox.pop_all m);
   (* pop_block parks until a push arrives... *)
   let consumer = Domain.spawn (fun () -> Serve.Mailbox.pop_block m) in
   Unix.sleepf 0.02;
-  Alcotest.(check bool) "push wakes" true (Serve.Mailbox.try_push m 7);
+  Serve.Mailbox.push m 7;
   Alcotest.(check (list int)) "blocked pop gets it" [ 7 ] (Domain.join consumer);
   (* ...and a wake with nothing queued returns [] — the shutdown path. *)
   let consumer = Domain.spawn (fun () -> Serve.Mailbox.pop_block m) in
@@ -1250,6 +1272,8 @@ let () =
           quick "tcp transport bit-identical to offline"
             test_tcp_bit_identical;
           quick "deadline expiry classified as timeout" test_deadline_expiry;
+          quick "expired request sheds before the artifact is read"
+            test_expired_sheds_before_read;
           quick "full queue sheds load" test_backpressure_overload;
           quick "per-client inflight cap sheds, parked work drains"
             test_client_inflight_cap;
