@@ -147,7 +147,7 @@ let run ?(seed = 42) ?block ?measures ?(specs = []) ?(policy = Engine.Skip)
       match !conn with
       | Some c -> Ok c
       | None -> (
-        match Client.connect_retry ~backoff:config.backoff addrs.(w) with
+        match Client.connect addrs.(w) with
         | Ok c ->
           (* The socket deadline bounds every RPC; after it fires the
              stream is unsynchronized, so error paths always [drop]. *)
@@ -192,9 +192,15 @@ let run ?(seed = 42) ?block ?measures ?(specs = []) ?(policy = Engine.Skip)
     (* Connect first, claim second: an address that never answers is
        declared dead without ever holding a chunk, and an idle
        connection needs no ping — a daemon that died meanwhile fails the
-       first chunk its connection takes, which is then released. *)
+       first chunk its connection takes, which is then released.  One
+       connect per attempt: the attempts and their backoff are this
+       loop's, and it stops once no chunk is left to claim. *)
     let rec loop failures =
-      if not (Mutex.protect st.m (fun () -> st.abort <> None)) then
+      if
+        not
+          (Mutex.protect st.m (fun () ->
+               st.abort <> None || st.completed = st.total))
+      then
         match connect () with
         | Error e -> fail ~claim:None failures e
         | Ok cl -> (

@@ -25,10 +25,11 @@
 
     Workers are expendable; the sweep is not.
 
-    - Every connect and RPC retries transient failures
-      ([unavailable], [timeout], [overloaded], [worker_crash],
-      [injected_fault]) with exponential backoff and deterministic
-      jitter ({!Serve.Client.Backoff}).
+    - A transient failure of a connect or an RPC ([unavailable],
+      [timeout], [overloaded], [worker_crash], [injected_fault]) costs
+      one attempt; the next attempt, after the exponential backoff and
+      deterministic jitter of {!Serve.Client.Backoff.delay}, connects
+      once more.  A domain stops trying once no chunk is left to claim.
     - Each RPC is bounded by [chunk_timeout_s] (socket deadline plus a
       server-side [deadline_ms], so a queued-but-hopeless chunk is shed
       server-side too).
@@ -66,7 +67,9 @@ type config = {
   chunk_timeout_s : float;  (** per-RPC deadline, client and server side *)
   worker_retries : int;
       (** consecutive failures before a worker is declared dead *)
-  backoff : Serve.Client.Backoff.t;  (** connect/RPC retry schedule *)
+  backoff : Serve.Client.Backoff.t;
+      (** delay between a worker's attempts ([worker_retries] bounds
+          them, not [attempts]) *)
 }
 
 val default_config : addrs:string list -> config

@@ -11,15 +11,22 @@ type summary = {
 
 let default_probs = [ 0.05; 0.25; 0.5; 0.75; 0.95 ]
 
+(* Hyndman–Fan type 7 (linear interpolation), the numpy/R default: the
+   quantile at [p] of [n >= 2] values interpolates between ranks [lo] and
+   [lo + 1]. *)
+let quantile_rank n p =
+  let h = p *. float_of_int (n - 1) in
+  let lo = int_of_float (Float.floor h) in
+  if lo >= n - 1 then n - 2 else if lo < 0 then 0 else lo
+
+(* Reads only the ranks [quantile_rank] names, so an array in which just
+   those ranks hold their sorted values will do. *)
 let quantile_sorted sorted p =
-  (* Hyndman–Fan type 7 (linear interpolation), the numpy/R default. *)
   let n = Array.length sorted in
   if n = 1 then sorted.(0)
   else begin
-    let h = p *. float_of_int (n - 1) in
-    let lo = int_of_float (Float.floor h) in
-    let lo = if lo >= n - 1 then n - 2 else if lo < 0 then 0 else lo in
-    let frac = h -. float_of_int lo in
+    let lo = quantile_rank n p in
+    let frac = (p *. float_of_int (n - 1)) -. float_of_int lo in
     sorted.(lo) +. (frac *. (sorted.(lo + 1) -. sorted.(lo)))
   end
 
@@ -87,6 +94,83 @@ let sort_finite (a : float array) =
     a.(0) <- e
   end
 
+(* Puts the value a sort would put at [a.(r)] there, for every rank [r]
+   in [ranks.(rlo) .. ranks.(rhi - 1)] (ascending, inside [lo .. hi]).
+   Quickselect: Hoare's partition around the median of three, recursing
+   only into the parts that hold a wanted rank, and an insertion sort
+   once a part is short.  Values that compare equal must have equal
+   bits.  Raises [Exit] after [depth] levels, so a caller can bound the
+   work at O(n log n). *)
+let rec select seed (a : float array) ranks rlo rhi lo hi depth =
+  if rlo < rhi then
+    if hi - lo < 16 then
+      for i = lo + 1 to hi do
+        let v = a.(i) and j = ref (i - 1) in
+        while !j >= lo && a.(!j) > v do
+          a.(!j + 1) <- a.(!j);
+          decr j
+        done;
+        a.(!j + 1) <- v
+      done
+    else begin
+      if depth = 0 then raise Exit;
+      let swap i j =
+        let t = a.(i) in
+        a.(i) <- a.(j);
+        a.(j) <- t
+      in
+      (* The median of three values at pseudo-random positions goes to
+         [lo]: no order in the input (sorted, reversed, organ pipe) keeps
+         picking a bad pivot. *)
+      let pick k =
+        seed := (!seed * 2862933555777941757) + 3037000493;
+        swap k (lo + ((!seed lsr 17) mod (hi - lo + 1)))
+      in
+      let mid = lo + 1 and top = lo + 2 in
+      pick lo;
+      pick mid;
+      pick top;
+      if a.(mid) < a.(lo) then swap mid lo;
+      if a.(top) < a.(lo) then swap top lo;
+      if a.(top) < a.(mid) then swap top mid;
+      swap lo mid;
+      let pivot = a.(lo) in
+      (* Afterwards [a.(lo .. j)] <= pivot <= [a.(j+1 .. hi)], lo <= j < hi. *)
+      let i = ref (lo - 1) and j = ref (hi + 1) and go = ref true in
+      while !go do
+        decr j;
+        while a.(!j) > pivot do
+          decr j
+        done;
+        incr i;
+        while a.(!i) < pivot do
+          incr i
+        done;
+        if !i < !j then swap !i !j else go := false
+      done;
+      let split = ref rlo in
+      while !split < rhi && ranks.(!split) <= !j do
+        incr split
+      done;
+      select seed a ranks rlo !split lo !j (depth - 1);
+      select seed a ranks !split rhi (!j + 1) hi (depth - 1)
+    end
+
+(* Places the values [quantile_sorted] reads for [probs] at their sorted
+   ranks.  The heap sort takes over when the partitions run deeper than
+   twice log2 n, so the worst case stays O(n log n). *)
+let select_quantiles ~probs a =
+  let n = Array.length a in
+  if n > 1 then begin
+    let ranks =
+      List.concat_map (fun p -> let lo = quantile_rank n p in [ lo; lo + 1 ]) probs
+      |> List.sort_uniq compare |> Array.of_list
+    in
+    let rec log2 k = if k <= 1 then 0 else 1 + log2 (k / 2) in
+    try select (ref 1) a ranks 0 (Array.length ranks) 0 (n - 1) (2 * (log2 n + 1))
+    with Exit -> sort_finite a
+  end
+
 let summarize ?(bins = 20) ?(probs = default_probs) xs =
   let n = Array.length xs in
   if n = 0 then invalid_arg "Stats.summarize: empty sample";
@@ -131,8 +215,30 @@ let summarize ?(bins = 20) ?(probs = default_probs) xs =
         !acc /. float_of_int (nf - 1)
       end
     in
-    sort_finite finite;
-    let mn = finite.(0) and mx = finite.(nf - 1) in
+    (* Order statistics by selection, not a sort.  Finite values that
+       compare equal have equal bits unless they are -0.0 and 0.0, so
+       only a sample holding both needs the sort, to break that tie as
+       [Array.sort compare] does: it shows in [min], [max] and a
+       single-bin histogram.  One scan finds the extremes and the zeros;
+       a sample whose extremes are equal already holds its value at
+       every rank. *)
+    let mn = ref finite.(0) and mx = ref finite.(0) and zeros = ref 0 in
+    for i = 0 to nf - 1 do
+      let x = finite.(i) in
+      if x < !mn then mn := x;
+      if x > !mx then mx := x;
+      if x = 0.0 then zeros := !zeros lor if Float.sign_bit x then 2 else 1
+    done;
+    let mn, mx =
+      if !zeros = 3 then begin
+        sort_finite finite;
+        (finite.(0), finite.(nf - 1))
+      end
+      else begin
+        if !mn < !mx then select_quantiles ~probs finite;
+        (!mn, !mx)
+      end
+    in
     let quantiles = List.map (fun p -> (p, quantile_sorted finite p)) probs in
     let histogram =
       if mn = mx then [| (mn, mx, nf) |]

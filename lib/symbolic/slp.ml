@@ -25,7 +25,7 @@ type native_kernels = {
 
 (* The batch interpreter's execution form, lowered from the bytecode once
    per program (see [lower]).  A [k] operand indexes [consts]; [X_nsub] is
-   [(-a) - b]. *)
+   [(-a) - b].  The last four kinds are fused (see [lower]). *)
 type xop =
   | X_load of int * int
   | X_add of int * int * int
@@ -39,6 +39,11 @@ type xop =
   | X_inv of int * int
   | X_sqrt of int * int
   | X_exp of int * int
+  | X_mkadd of int * int * int * int (* r <- a * k + b *)
+  | X_mksub of int * int * int * int (* r <- a * k - b *)
+  | X_mk2add of int * int * int * int * int * int
+      (* r <- a2 * k2 + (a1 * k1 + b) *)
+  | X_addmk of int * int * int * int (* r <- (a + b) * k *)
 
 type lowered = {
   code : xop array;
@@ -564,7 +569,49 @@ let make_evaluator p =
    exactly the scalar interpreter's operation sequence, so results are
    bit-identical to [eval] / [make_evaluator] point by point. *)
 
-(* Lowering to the batch execution form.  Two rewrites, neither of which
+let xop_dest = function
+  | X_load (r, _)
+  | X_add (r, _, _)
+  | X_sub (r, _, _)
+  | X_nsub (r, _, _)
+  | X_mul (r, _, _)
+  | X_addk (r, _, _)
+  | X_mulk (r, _, _)
+  | X_ksub (r, _, _)
+  | X_neg (r, _)
+  | X_inv (r, _)
+  | X_sqrt (r, _)
+  | X_exp (r, _)
+  | X_mkadd (r, _, _, _)
+  | X_mksub (r, _, _, _)
+  | X_mk2add (r, _, _, _, _, _)
+  | X_addmk (r, _, _, _) -> r
+
+(* The registers an instruction reads as vectors. *)
+let xop_reads f = function
+  | X_load _ -> ()
+  | X_add (_, a, b)
+  | X_sub (_, a, b)
+  | X_nsub (_, a, b)
+  | X_mul (_, a, b)
+  | X_mkadd (_, a, _, b)
+  | X_mksub (_, a, _, b)
+  | X_addmk (_, a, b, _) ->
+    f a;
+    f b
+  | X_addk (_, a, _)
+  | X_mulk (_, a, _)
+  | X_ksub (_, _, a)
+  | X_neg (_, a)
+  | X_inv (_, a)
+  | X_sqrt (_, a)
+  | X_exp (_, a) -> f a
+  | X_mk2add (_, a2, _, a1, _, b) ->
+    f a2;
+    f a1;
+    f b
+
+(* Lowering to the batch execution form.  Three rewrites, none of which
    moves a bit:
 
    - A [Neg] whose every reader is an [Add] is dropped, and each reader
@@ -578,8 +625,21 @@ let make_evaluator p =
      constant in every lane, so binary operations read it as a scalar
      ([x + k], [x * k], [k - y]).  Only registers still read as vectors
      before being written are refilled at each block boundary.
+   - An instruction whose result only the next instruction reads, once,
+     and no output reads, is fused into it: the pair becomes one
+     superinstruction that keeps the intermediate in a CPU register and
+     never stores it ([a*k + b], [a*k - b], [a2*k2 + (a1*k1 + b)],
+     [(a + b)*k]).
+     Each lane still performs every rounding of the pair, in order:
+     ocamlopt never contracts a product and a sum into an FMA.
+     [b - a*k], [(-(a*k)) - b] and [(-b) - a*k] take the negated
+     constant, because round-to-nearest is sign-symmetric, so
+     [(-k) * a] is [-(k * a)] exactly.  The superinstruction reads all
+     its sources before it writes, lane by lane, and the elided store's
+     register is read by nothing else before its next write, so which
+     registers the pair recycles does not matter.
 
-   Both passes are linear in the program size. *)
+   Each pass is linear in the program size. *)
 let lower p =
   let n = Array.length p.instrs and nregs = Array.length p.init in
   (* Pass 1: which [Neg]s can go.  [holder.(r)] is the [Neg] whose result
@@ -675,8 +735,51 @@ let lower p =
   for r = nregs - 1 downto 0 do
     if needed.(r) then preload := r :: !preload
   done;
+  (* Pass 3: fuse.  Walking backwards, [uses.(r)] counts the reads of the
+     value [r] holds, up to its next write, outputs included; [single.(j)]
+     says that instruction [j]'s result is read exactly once. *)
+  let code = Array.of_list (List.rev !code) in
+  let single = Array.make (Array.length code) false in
+  let uses = Array.make nregs 0 in
+  Array.iter (fun r -> uses.(r) <- uses.(r) + 1) p.outputs;
+  for j = Array.length code - 1 downto 0 do
+    let d = xop_dest code.(j) in
+    single.(j) <- uses.(d) = 1;
+    uses.(d) <- 0;
+    xop_reads (fun r -> uses.(r) <- uses.(r) + 1) code.(j)
+  done;
+  let kv = Array.of_list (List.rev !consts) in
+  let neg c = k (-.kv.(c)) in
+  let fuse p x =
+    match (p, x) with
+    | X_mulk (t, a, c), X_add (d, u, v) when u = t -> Some (X_mkadd (d, a, c, v))
+    | X_mulk (t, a, c), X_add (d, u, v) when v = t -> Some (X_mkadd (d, a, c, u))
+    | X_mulk (t, a, c), X_sub (d, u, v) when u = t -> Some (X_mksub (d, a, c, v))
+    | X_mulk (t, a, c), X_sub (d, u, v) when v = t -> Some (X_mkadd (d, a, neg c, u))
+    | X_mulk (t, a, c), X_nsub (d, u, v) when u = t -> Some (X_mksub (d, a, neg c, v))
+    | X_mulk (t, a, c), X_nsub (d, u, v) when v = t -> Some (X_mksub (d, a, neg c, u))
+    | X_mkadd (t, a1, c1, b), X_mkadd (d, a2, c2, v) when v = t ->
+      Some (X_mk2add (d, a2, c2, a1, c1, b))
+    | X_add (t, a, b), X_mulk (d, u, c) when u = t -> Some (X_addmk (d, a, b, c))
+    | _ -> None
+  in
+  (* The emitted code as a stack, each instruction with its [single]
+     flag; a new instruction fuses with the top while it can, so a fused
+     pair may fuse again with the instruction before it. *)
+  let fused = ref [] in
+  Array.iteri
+    (fun j x ->
+      let rec push x =
+        match (match !fused with (p, true) :: _ -> fuse p x | _ -> None) with
+        | Some f ->
+          fused := List.tl !fused;
+          push f
+        | None -> fused := (x, single.(j)) :: !fused
+      in
+      push x)
+    code;
   {
-    code = Array.of_list (List.rev !code);
+    code = Array.of_list (List.rev_map fst !fused);
     consts = Array.of_list (List.rev !consts);
     preload = Array.of_list !preload;
   }
@@ -854,6 +957,77 @@ let run_block p lw regs inputs outs lo len =
         done;
         for i = tail to len - 1 do
           Array.unsafe_set d i (Float.exp (Array.unsafe_get x i))
+        done
+      | X_mkadd (r, a, c, b) ->
+        let d = regs.(r) and x = regs.(a) and k = Array.unsafe_get consts c
+        and y = regs.(b) in
+        for q = 0 to quads - 1 do
+          let i = q lsl 2 in
+          Array.unsafe_set d i ((Array.unsafe_get x i *. k) +. Array.unsafe_get y i);
+          Array.unsafe_set d (i + 1)
+            ((Array.unsafe_get x (i + 1) *. k) +. Array.unsafe_get y (i + 1));
+          Array.unsafe_set d (i + 2)
+            ((Array.unsafe_get x (i + 2) *. k) +. Array.unsafe_get y (i + 2));
+          Array.unsafe_set d (i + 3)
+            ((Array.unsafe_get x (i + 3) *. k) +. Array.unsafe_get y (i + 3))
+        done;
+        for i = tail to len - 1 do
+          Array.unsafe_set d i ((Array.unsafe_get x i *. k) +. Array.unsafe_get y i)
+        done
+      | X_mksub (r, a, c, b) ->
+        let d = regs.(r) and x = regs.(a) and k = Array.unsafe_get consts c
+        and y = regs.(b) in
+        for q = 0 to quads - 1 do
+          let i = q lsl 2 in
+          Array.unsafe_set d i ((Array.unsafe_get x i *. k) -. Array.unsafe_get y i);
+          Array.unsafe_set d (i + 1)
+            ((Array.unsafe_get x (i + 1) *. k) -. Array.unsafe_get y (i + 1));
+          Array.unsafe_set d (i + 2)
+            ((Array.unsafe_get x (i + 2) *. k) -. Array.unsafe_get y (i + 2));
+          Array.unsafe_set d (i + 3)
+            ((Array.unsafe_get x (i + 3) *. k) -. Array.unsafe_get y (i + 3))
+        done;
+        for i = tail to len - 1 do
+          Array.unsafe_set d i ((Array.unsafe_get x i *. k) -. Array.unsafe_get y i)
+        done
+      | X_mk2add (r, a2, c2, a1, c1, b) ->
+        let d = regs.(r) and x2 = regs.(a2) and k2 = Array.unsafe_get consts c2
+        and x1 = regs.(a1) and k1 = Array.unsafe_get consts c1 and y = regs.(b) in
+        for q = 0 to quads - 1 do
+          let i = q lsl 2 in
+          Array.unsafe_set d i
+            ((Array.unsafe_get x2 i *. k2)
+            +. ((Array.unsafe_get x1 i *. k1) +. Array.unsafe_get y i));
+          Array.unsafe_set d (i + 1)
+            ((Array.unsafe_get x2 (i + 1) *. k2)
+            +. ((Array.unsafe_get x1 (i + 1) *. k1) +. Array.unsafe_get y (i + 1)));
+          Array.unsafe_set d (i + 2)
+            ((Array.unsafe_get x2 (i + 2) *. k2)
+            +. ((Array.unsafe_get x1 (i + 2) *. k1) +. Array.unsafe_get y (i + 2)));
+          Array.unsafe_set d (i + 3)
+            ((Array.unsafe_get x2 (i + 3) *. k2)
+            +. ((Array.unsafe_get x1 (i + 3) *. k1) +. Array.unsafe_get y (i + 3)))
+        done;
+        for i = tail to len - 1 do
+          Array.unsafe_set d i
+            ((Array.unsafe_get x2 i *. k2)
+            +. ((Array.unsafe_get x1 i *. k1) +. Array.unsafe_get y i))
+        done
+      | X_addmk (r, a, b, c) ->
+        let d = regs.(r) and x = regs.(a) and y = regs.(b)
+        and k = Array.unsafe_get consts c in
+        for q = 0 to quads - 1 do
+          let i = q lsl 2 in
+          Array.unsafe_set d i ((Array.unsafe_get x i +. Array.unsafe_get y i) *. k);
+          Array.unsafe_set d (i + 1)
+            ((Array.unsafe_get x (i + 1) +. Array.unsafe_get y (i + 1)) *. k);
+          Array.unsafe_set d (i + 2)
+            ((Array.unsafe_get x (i + 2) +. Array.unsafe_get y (i + 2)) *. k);
+          Array.unsafe_set d (i + 3)
+            ((Array.unsafe_get x (i + 3) +. Array.unsafe_get y (i + 3)) *. k)
+        done;
+        for i = tail to len - 1 do
+          Array.unsafe_set d i ((Array.unsafe_get x i +. Array.unsafe_get y i) *. k)
         done)
     lw.code;
   Array.iteri

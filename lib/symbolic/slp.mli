@@ -167,9 +167,15 @@ val eval_batch :
     output, or whose source register is rewritten before a reader runs
     stays.  Operands read from preloaded registers become scalar
     constants, so a block refills only the registers still read as
-    vectors before being written.  Neither rewrite moves a bit of any
-    output.  The serialized form, {!digest}, artifacts and the native
-    emitter never see the lowered form.  The Obs counter
+    vectors before being written.  An instruction whose result is read
+    once, by the next instruction, and by no output is fused into it:
+    [a*k + b], [a*k - b], [a2*k2 + (a1*k1 + b)] and [(a + b)*k] each run
+    as one superinstruction that keeps the intermediate in a CPU
+    register, with every rounding of the pair performed in order (no
+    FMA).  [b - a*k] and the negated forms take the negated constant,
+    which round-to-nearest makes exact.  None of the rewrites moves a bit
+    of any output.  The serialized form, {!digest}, artifacts and the
+    native emitter never see the lowered form.  The Obs counter
     [slp.eval_batch.dispatched] counts points × lowered instructions
     beside [slp.eval_batch.ops] (points × serialized instructions).
 

@@ -227,19 +227,23 @@ let test_dist_identical_1_and_3 () =
 let test_dist_degrades_past_dead_address () =
   (* One address never answers: the coordinator declares that worker
      dead without it ever holding a chunk (it connects before it
-     claims), and the survivors still reproduce the local bytes. *)
+     claims), and the survivors still reproduce the local bytes.  Each
+     attempt connects once: the client's own retry loop never runs. *)
   let local = local_report () in
   with_daemons 2 @@ fun ds ->
   let socks = List.map (fun d -> d.sock) ds in
   let lost = Obs.Metrics.counter "dsweep.workers.lost" in
   let released = Obs.Metrics.counter "dsweep.chunks.reassigned" in
+  let client_retries = Obs.Metrics.counter "serve.client.retries" in
   let addrs = [ List.nth socks 0; "unix:/nonexistent/dead.sock"; List.nth socks 1 ] in
   let r = report (run_dist (config addrs)) in
   Alcotest.(check string) "degraded ≡ local" local r;
   Alcotest.(check int) "one worker declared dead" (lost + 1)
     (Obs.Metrics.counter "dsweep.workers.lost");
   Alcotest.(check int) "the dead address never held a chunk" released
-    (Obs.Metrics.counter "dsweep.chunks.reassigned")
+    (Obs.Metrics.counter "dsweep.chunks.reassigned");
+  Alcotest.(check int) "no connect retried inside an attempt" client_retries
+    (Obs.Metrics.counter "serve.client.retries")
 
 let test_dist_transient_faults_identical () =
   (* Transient injected faults at both coordinator sites: every chunk's

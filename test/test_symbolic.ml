@@ -617,11 +617,13 @@ let test_batch_evaluator_single_owner () =
   check_float "evaluator usable after contention" 4.5 (run cols).(0).(0)
 
 (* The batch kernel runs a lowered form of the bytecode: a [Neg] that only
-   [Add]s read becomes a subtraction, and preloaded constants become scalar
-   operands.  Scalar [Slp.eval] runs the bytecode as it is, so it is the
+   [Add]s read becomes a subtraction, preloaded constants become scalar
+   operands, and a result only the next instruction reads is fused into
+   it.  Scalar [Slp.eval] runs the bytecode as it is, so it is the
    reference.  The programs here are raw bytecode from [Slp.of_parts], not
-   [compile]'s output: few registers recycled densely, and snippets that
-   build each pattern where a [Neg] has to stay. *)
+   [compile]'s output: few registers recycled densely, snippets that build
+   each pattern where a [Neg] has to stay, each fused form, and each
+   reason a pair must not fuse. *)
 
 let special_floats =
   [| 0.0; -0.0; infinity; neg_infinity; nan; 4.9e-324; -4.9e-324;
@@ -636,9 +638,18 @@ let raw_program_gen =
   let open QCheck2.Gen in
   let* nregs = int_range 2 6 in
   let reg = int_bound (nregs - 1) and slot = int_bound 1 in
+  (* Two more registers that no snippet writes: every read of them is a
+     scalar constant, so the special values reach the fused forms and
+     their negated constants. *)
+  let k = oneofl [ nregs; nregs + 1 ] in
   let* init = array_size (return nregs) float_gen in
+  let* consts = array_size (return 2) (oneofa special_floats) in
+  let init = Array.append init consts in
   let r2 f = map2 f reg reg and r3 f = map3 f reg reg reg in
   let r4 f = map2 (fun (a, b) (c, d) -> f a b c d) (pair reg reg) (pair reg reg) in
+  (* [f t a k b d]: a product [t = a * k], another operand [b] and a
+     destination [d]. *)
+  let mk f = map2 (fun (t, a, c) (b, d) -> f t a c b d) (triple reg reg k) (pair reg reg) in
   let snippet =
     frequency
       [
@@ -669,6 +680,28 @@ let raw_program_gen =
           map2
             (fun (d, a, c, e) k -> [ Slp.Add (d, a, c); Slp.Load_input (c, k); Slp.Add (e, c, d) ])
             (quad reg reg reg reg) slot );
+        (* Fused: a*k + b from either side, a*k - b, b - a*k, (-(a*k)) - b
+           and (-b) - a*k. *)
+        (2, mk (fun t a c b d -> Slp.[ Mul (t, a, c); Add (d, t, b) ]));
+        (1, mk (fun t a c b d -> Slp.[ Mul (t, c, a); Add (d, b, t) ]));
+        (1, mk (fun t a c b d -> Slp.[ Mul (t, a, c); Neg (b, b); Add (d, t, b) ]));
+        (1, mk (fun t a c b d -> Slp.[ Mul (t, a, c); Neg (t, t); Add (d, b, t) ]));
+        (1, mk (fun t a c b d -> Slp.[ Mul (t, a, c); Neg (t, t); Neg (b, b); Add (d, t, b) ]));
+        (1, mk (fun t a c b d -> Slp.[ Mul (t, a, c); Neg (t, t); Neg (b, b); Add (d, b, t) ]));
+        (* Fused twice: a2*k2 + (a1*k1 + b), and (a + b)*k. *)
+        ( 1,
+          map2
+            (fun (t, a, c) (u, b, s) -> Slp.[ Mul (t, a, c); Add (u, t, b); Mul (s, b, c); Add (u, s, u) ])
+            (triple reg reg k) (triple reg reg reg) );
+        (1, mk (fun t a c b d -> Slp.[ Add (t, a, b); Mul (d, t, c) ]));
+        (* Must not fuse: the product is read again later, read twice, or
+           also an output (the output list is drawn over the same few
+           registers).  May fuse: the product recycles its source
+           register, or the destination is a source. *)
+        (1, mk (fun t a c b d -> Slp.[ Mul (t, a, c); Add (d, t, b); Add (b, a, t) ]));
+        (1, mk (fun t a c _ d -> Slp.[ Mul (t, a, c); Add (d, t, t) ]));
+        (1, mk (fun _ a c b d -> Slp.[ Mul (a, a, c); Add (d, a, b) ]));
+        (1, mk (fun t a c b _ -> Slp.[ Mul (t, a, c); Add (b, t, b) ]));
       ]
   in
   let* instrs = map List.concat (list_size (int_range 1 10) snippet) in
@@ -700,11 +733,37 @@ let prop_lowered_batch_matches_scalar =
       and ys = Array.of_list (List.map snd points) in
       batch_matches_scalar ~block ~jobs p xs ys)
 
-(* Which [Neg]s the lowering drops, read off [slp.eval_batch.dispatched]
-   (points × lowered instructions): each program is checked against scalar
-   eval over every pair of special values as well. *)
+(* Lowered-instruction counts, read off [slp.eval_batch.dispatched]
+   (points × lowered instructions): each program runs once per initial
+   register file in [inits], and is checked against scalar eval over
+   every pair of special values as well. *)
+let check_lowering ~inits cases =
+  let n = Array.length special_floats in
+  let xs = Array.init (n * n) (fun i -> special_floats.(i / n))
+  and ys = Array.init (n * n) (fun i -> special_floats.(i mod n)) in
+  List.iter
+    (fun (name, instrs, outputs, lowered) ->
+      List.iter
+        (fun init ->
+          let name = Printf.sprintf "%s (k = %h)" name init.(3) in
+          let p =
+            Slp.of_parts ~inputs:[| x; y |] ~instrs:(Array.of_list instrs) ~init ~outputs
+          in
+          Obs.Metrics.reset ();
+          Obs.enabled := true;
+          let same =
+            Fun.protect ~finally:(fun () -> Obs.enabled := false) (fun () ->
+                batch_matches_scalar ~block:7 ~jobs:1 p xs ys)
+          in
+          Alcotest.(check bool) (name ^ ": bit-identical") true same;
+          Alcotest.(check int) (name ^ ": lowered instructions") lowered
+            (Obs.Metrics.counter "slp.eval_batch.dispatched" / (n * n)))
+        inits)
+    cases
+
+(* Which [Neg]s the lowering drops. *)
 let test_lowering_keeps_unsafe_negs () =
-  let cases =
+  check_lowering ~inits:[ [| 0.0; 0.0; 0.0; -0.0 |] ]
     Slp.
       [
         ("in-place Neg read by an Add", [ Load_input (0, 0); Neg (0, 0); Load_input (1, 1); Add (1, 1, 0) ], [| 1 |], 3);
@@ -715,26 +774,39 @@ let test_lowering_keeps_unsafe_negs () =
         ("read by a Mul", [ Load_input (0, 0); Neg (0, 0); Load_input (1, 1); Mul (1, 1, 0) ], [| 1 |], 4);
         ("negated constant", [ Neg (3, 3); Load_input (0, 0); Add (1, 0, 3) ], [| 1 |], 2);
       ]
-  in
+
+(* Which pairs the lowering fuses.  Registers 3 and 4 are constants k and
+   k2, run over every special value, so ±0, ±∞, NaN and subnormals reach
+   each form and its negated constant.  Registers 0 and 1 load x and y
+   first: each fused row lowers to those two loads and one fused
+   instruction; unfused, it would take one more per pair. *)
+let test_lowering_fuses_single_use_pairs () =
   let n = Array.length special_floats in
-  let xs = Array.init (n * n) (fun i -> special_floats.(i / n))
-  and ys = Array.init (n * n) (fun i -> special_floats.(i mod n)) in
-  List.iter
-    (fun (name, instrs, outputs, lowered) ->
-      let p =
-        Slp.of_parts ~inputs:[| x; y |] ~instrs:(Array.of_list instrs)
-          ~init:[| 0.0; 0.0; 0.0; -0.0 |] ~outputs
-      in
-      Obs.Metrics.reset ();
-      Obs.enabled := true;
-      let same =
-        Fun.protect ~finally:(fun () -> Obs.enabled := false) (fun () ->
-            batch_matches_scalar ~block:7 ~jobs:1 p xs ys)
-      in
-      Alcotest.(check bool) (name ^ ": bit-identical") true same;
-      Alcotest.(check int) (name ^ ": lowered instructions") lowered
-        (Obs.Metrics.counter "slp.eval_batch.dispatched" / (n * n)))
-    cases
+  let inits =
+    List.init n (fun i -> [| 0.0; 0.0; 0.0; special_floats.(i); special_floats.((i + 5) mod n) |])
+  in
+  let xy rest = Slp.(Load_input (0, 0) :: Load_input (1, 1) :: rest) in
+  check_lowering ~inits
+    Slp.
+      [
+        ("a*k + b", xy [ Mul (2, 0, 3); Add (2, 2, 1) ], [| 2 |], 3);
+        ("b + a*k", xy [ Mul (2, 0, 3); Add (2, 1, 2) ], [| 2 |], 3);
+        ("a*k - b", xy [ Mul (2, 0, 3); Neg (1, 1); Add (2, 2, 1) ], [| 2 |], 3);
+        ("b - a*k", xy [ Mul (2, 0, 3); Neg (2, 2); Add (2, 1, 2) ], [| 2 |], 3);
+        ("(-(a*k)) - b", xy [ Mul (2, 0, 3); Neg (2, 2); Neg (1, 1); Add (2, 2, 1) ], [| 2 |], 3);
+        ("(-b) - a*k", xy [ Mul (2, 0, 3); Neg (2, 2); Neg (1, 1); Add (2, 1, 2) ], [| 2 |], 3);
+        ("a2*k2 + (a1*k1 + b)", xy [ Mul (2, 0, 3); Add (2, 2, 1); Mul (0, 1, 4); Add (2, 0, 2) ], [| 2 |], 3);
+        ("(a + b)*k", xy [ Add (2, 0, 1); Mul (2, 2, 3) ], [| 2 |], 3);
+        (* The superinstruction reads every source before it writes, so
+           neither of these blocks the pair. *)
+        ("the product recycles its source register", xy [ Mul (0, 0, 3); Add (2, 0, 1) ], [| 2 |], 3);
+        ("the destination is a source", xy [ Mul (2, 0, 3); Add (1, 2, 1) ], [| 1 |], 3);
+        (* Blocked. *)
+        ("the product is read again later", xy [ Mul (2, 0, 3); Add (1, 2, 1); Add (0, 2, 0) ], [| 0; 1 |], 5);
+        ("the product is read twice", xy [ Mul (2, 0, 3); Add (2, 2, 2) ], [| 2 |], 4);
+        ("the product is also an output", xy [ Mul (2, 0, 3); Add (0, 2, 1) ], [| 0; 2 |], 4);
+        ("the reader is not the next instruction", [ Load_input (0, 0); Mul (2, 0, 3); Load_input (1, 1); Add (2, 2, 1) ], [| 2 |], 4);
+      ]
 
 (* ------------------------------------------------------------------ *)
 (* Interval arithmetic and interval program evaluation *)
@@ -854,6 +926,7 @@ let () =
           quick "batch evaluator is single-owner"
             test_batch_evaluator_single_owner;
           quick "lowering keeps every unsafe Neg" test_lowering_keeps_unsafe_negs;
+          quick "lowering fuses single-use pairs" test_lowering_fuses_single_use_pairs;
         ]
         @ props
             [ prop_slp_matches_eval; prop_slp_batch_matches_scalar;
