@@ -1242,7 +1242,6 @@ let serve_scaling () =
       {
         (Serve.Server.default_config ~listen) with
         Serve.Server.workers;
-        replicas = workers;  (* one hot model: replicate it everywhere *)
         batch =
           { Serve.Batcher.default_config with Serve.Batcher.linger_s = 2e-4 };
         max_models = 4;

@@ -1317,17 +1317,14 @@ let with_daemon addr f =
   Fun.protect ~finally:(fun () -> Serve.Client.close c) (fun () -> f c)
 
 let serve_cmd =
-  let run jobs backend listen workers replicas max_batch linger_ms
+  let run jobs backend listen workers max_batch linger_ms
       worker_queue client_inflight max_models gc_mb trace_log
       trace_log_max_mb =
     set_runtime jobs backend;
     if max_batch < 1 || linger_ms < 0.0 then
       die "serve: --max-batch must be >= 1, --linger-ms >= 0";
-    if workers < 1 || replicas < 1 || worker_queue < 1 || client_inflight < 1
-    then
-      die
-        "serve: --workers, --replicas, --worker-queue and --client-inflight \
-         must be >= 1";
+    if workers < 1 || worker_queue < 1 || client_inflight < 1 then
+      die "serve: --workers, --worker-queue and --client-inflight must be >= 1";
     if trace_log_max_mb < 1 then die "serve: --trace-log-max-mb must be >= 1";
     let listen_addr =
       match Serve.Transport.parse listen with
@@ -1338,7 +1335,6 @@ let serve_cmd =
       {
         Serve.Server.listen = listen_addr;
         workers;
-        replicas;
         batch = { Serve.Batcher.max_batch; linger_s = linger_ms /. 1e3 };
         admission = { Serve.Admission.per_client_inflight = client_inflight };
         worker_queue;
@@ -1374,17 +1370,8 @@ let serve_cmd =
       & info [ "workers" ] ~docv:"N"
           ~doc:
             "Worker domains; each owns a private model registry and \
-             micro-batcher, and models shard across them by digest \
-             (rendezvous hashing).")
-  in
-  let replicas_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "replicas" ] ~docv:"N"
-          ~doc:
-            "Workers serving each model digest (capped at --workers); >1 \
-             lets one hot model scale across shards at the cost of \
-             duplicate resident kernels.")
+             micro-batcher, and each model-bound request goes to the \
+             worker with the fewest requests in flight.")
   in
   let worker_queue_arg =
     Arg.(
@@ -1392,8 +1379,8 @@ let serve_cmd =
       & info [ "worker-queue" ] ~docv:"N"
           ~doc:
             "Per-worker backlog bound: requests admitted to a worker and \
-             not yet answered.  When every replica of a model is at the \
-             bound, requests shed with an `overloaded` error.")
+             not yet answered.  When every worker is at the bound, \
+             requests shed with an `overloaded` error.")
   in
   let client_inflight_arg =
     Arg.(
@@ -1460,7 +1447,7 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
       const run $ jobs_arg $ backend_arg $ listen_arg $ workers_arg
-      $ replicas_arg $ max_batch_arg $ linger_arg $ worker_queue_arg
+      $ max_batch_arg $ linger_arg $ worker_queue_arg
       $ client_inflight_arg $ max_models_arg $ gc_arg $ trace_log_arg
       $ trace_log_max_arg)
 

@@ -242,7 +242,8 @@ let solve_raw t ~count =
   let p = Array.make count [||] in
   let nums0, det =
     try Exact.Bareiss.solve_cramer y0 t.rhs
-    with Failure _ -> singular "Y0 is singular"
+    with Failure _ | Awesym_error.Error { kind = Singular_system; _ } ->
+      singular "Y0 is singular"
   in
   if Mpoly.is_zero det then singular "Y0 is singular";
   p.(0) <- nums0;

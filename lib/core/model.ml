@@ -86,8 +86,7 @@ let closed_exprs order moment_exprs =
     | exception Division_by_zero -> None)
   | _ -> None
 
-(* Record assembly from already-compiled programs — the part shared by
-   the sequential and the parallel build paths. *)
+(* Record assembly from already-compiled programs. *)
 let assemble_compiled partition ~output order moment_exprs bounds_program
     ~moment_program ~closed =
   let symbols = partition.Partition.symbols in
@@ -99,49 +98,17 @@ let assemble_compiled partition ~output order moment_exprs bounds_program
     moment_exprs; moment_program; closed; bounds_program; sensitivity;
     pole_sensitivity }
 
-(* Shared tail of [build]/[build_many]: everything downstream of the
-   symbolic moment DAGs. *)
-let assemble partition ~output order moment_exprs bounds_program =
-  let symbols = partition.Partition.symbols in
-  let moment_program = Slp.compile ~inputs:symbols moment_exprs in
-  let closed =
-    Option.map
-      (fun (cf, es) -> (cf, Slp.compile ~inputs:symbols es))
-      (closed_exprs order moment_exprs)
-  in
-  assemble_compiled partition ~output order moment_exprs bounds_program
-    ~moment_program ~closed
-
-let build ?(order = 2) ?(sparse = false) ?jobs nl =
+(* One partition / port reduction / elimination serves every output: only
+   the selector differs, so the marginal cost per extra output is a
+   projection plus a compile.  [outputs = None] builds the netlist's
+   designated output, resolved after the partition so a deck's errors
+   surface in the partition's order. *)
+let build_outputs ?(order = 2) ?(sparse = false) ?jobs nl outputs =
   if order < 1 then invalid_arg "Model.build: order must be >= 1";
   Obs.Span.with_ ~name:"model.compile" @@ fun () ->
   if !Obs.enabled then Obs.Metrics.incr "model.build.count";
-  let partition = Partition.make nl in
-  let count = 2 * order in
-  let reduction = Port_reduction.compute ~sparse ?jobs ~count partition in
-  let system = Global_system.build partition reduction in
-  let nominal sym = Partition.nominal partition sym in
-  let moment_exprs =
-    Global_system.moments_expr_by_elimination system ~nominal ~count
-  in
-  let bounds_program =
-    lazy
-      (let solved = Global_system.solve_moments system ~count in
-       Slp.compile ~inputs:partition.Partition.symbols
-         (Global_system.moments_expr solved))
-  in
-  assemble partition ~output:(Circuit.Netlist.output_opt nl) order
-    moment_exprs bounds_program
-
-let build_many ?(order = 2) ?(sparse = false) ?jobs nl ~outputs =
-  if order < 1 then invalid_arg "Model.build_many: order must be >= 1";
-  if outputs = [] then invalid_arg "Model.build_many: no outputs";
-  Obs.Span.with_ ~name:"model.compile" @@ fun () ->
-  if !Obs.enabled then Obs.Metrics.incr "model.build.count";
-  (* One partition / port reduction / elimination serves every output: only
-     the selector differs, so the marginal cost per extra output is a
-     projection plus a compile. *)
-  let partition = Partition.make ~extra_outputs:outputs nl in
+  let partition = Partition.make ?extra_outputs:outputs nl in
+  let outputs = Option.value outputs ~default:[ Circuit.Netlist.output nl ] in
   let count = 2 * order in
   let reduction = Port_reduction.compute ~sparse ?jobs ~count partition in
   let system = Global_system.build partition reduction in
@@ -185,6 +152,15 @@ let build_many ?(order = 2) ?(sparse = false) ?jobs nl ~outputs =
          assemble_compiled partition ~output:(Some output) order moment_exprs
            bounds_program ~moment_program ~closed)
        prepared)
+
+let build ?order ?sparse ?jobs nl =
+  match build_outputs ?order ?sparse ?jobs nl None with
+  | [ m ] -> m
+  | _ -> assert false
+
+let build_many ?order ?sparse ?jobs nl ~outputs =
+  if outputs = [] then invalid_arg "Model.build_many: no outputs";
+  build_outputs ?order ?sparse ?jobs nl (Some outputs)
 
 let order t = t.order
 let symbols t = Array.copy t.symbols

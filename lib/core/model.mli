@@ -17,7 +17,8 @@ val build : ?order:int -> ?sparse:bool -> ?jobs:int -> Circuit.Netlist.t -> t
     [~sparse:true] routes the numeric port reduction through the sparse
     solver — the right choice for large interconnect.  [jobs] (default
     [Runtime.default_jobs ()]) parallelizes the numeric port reduction
-    across ports; results are identical for every jobs count. *)
+    across ports; results are identical for every jobs count.  It is
+    {!build_many} of the netlist's designated output. *)
 
 val build_many :
   ?order:int ->

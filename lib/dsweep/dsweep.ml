@@ -254,16 +254,15 @@ let run ?(seed = 42) ?block ?measures ?(specs = []) ?(policy = Engine.Skip)
        say) aborts the run rather than leaving the others waiting on a
        chunk nobody will finish. *)
     let svc =
-      Runtime.Service.start ~workers:nw (fun ~worker ~stop:_ ->
+      Runtime.Service.start ~workers:nw (fun ~worker ->
           try worker_loop worker with e -> abort (Err.classify e))
     in
     Mutex.protect st.m (fun () ->
         while st.completed < st.total && st.abort = None && st.live > 0 do
           Condition.wait st.cv st.m
         done);
-    (* Workers observe the same terminal conditions and return; this
-       joins them. *)
-    Runtime.Service.stop svc
+    (* Workers observe the same terminal conditions and return. *)
+    Runtime.Service.join svc
   end;
   (match st.abort with Some e -> raise (Err.Error e) | None -> ());
   if st.completed < st.total then

@@ -61,7 +61,9 @@ let solve_cramer a b =
   let n = Array.length a in
   if Array.length b <> n then invalid_arg "Bareiss.solve_cramer: size mismatch";
   let d = det a in
-  if Mpoly.is_zero d then failwith "Bareiss.solve_cramer: singular system";
+  if Mpoly.is_zero d then
+    Awesym_error.raise_error Singular_system ~where:"bareiss.solve_cramer"
+      "the system matrix has a zero determinant";
   let nums =
     Array.init n (fun i ->
         let ai =

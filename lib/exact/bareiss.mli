@@ -15,5 +15,6 @@ val solve_cramer :
   Symbolic.Mpoly.t array ->
   Symbolic.Mpoly.t array * Symbolic.Mpoly.t
 (** [solve_cramer a b] returns [(nums, den)] with [xᵢ = numsᵢ/den],
-    [den = det a].  Raises [Failure] when the matrix is singular (zero
+    [den = det a].  Raises [Awesym_error.Error] (kind [Singular_system]
+    at [bareiss.solve_cramer]) when the matrix is singular (zero
     determinant). *)

@@ -51,15 +51,20 @@ let device_small_signal sol device acc =
     |> capacitor ("c" ^ name ^ "_mu") base collector model.Models.cmu
 
 let netlist (nl : Netlist.t) sol =
+  (* The same errors the linear path raises for the same omissions. *)
   let ac_input =
     match nl.Netlist.ac_input with
     | Some name -> name
-    | None -> failwith "Linearize.netlist: no AC input designated"
+    | None ->
+      Awesym_error.raise_error Invalid_request ~where:"netlist.input"
+        "the circuit has no independent source to drive it"
   in
   let output =
     match nl.Netlist.output with
     | Some o -> o
-    | None -> failwith "Linearize.netlist: no output designated"
+    | None ->
+      Awesym_error.raise_error Invalid_request ~where:"netlist.output"
+        "no output designated (add a .output card)"
   in
   let linear_small_signal (e : Element.t) acc =
     match e.Element.kind with

@@ -15,8 +15,10 @@
     linearized netlist round-trips through {!Circuit.Export}. *)
 
 val netlist : Netlist.t -> Newton.solution -> Circuit.Netlist.t
-(** Raises [Failure] when the nonlinear netlist has no [ac_input] or no
-    designated output. *)
+(** Raises [Awesym_error.Error] (kind [Invalid_request]) at
+    [netlist.input] when the nonlinear netlist has no [ac_input], and at
+    [netlist.output] when it has no designated output — the errors the
+    linear path raises. *)
 
 val operating_report : Netlist.t -> Newton.solution -> string
 (** Human-readable table of the operating point: node voltages plus each

@@ -336,20 +336,38 @@ let snapshot () =
 
 let snapshot_codec =
   let module C = Codec in
+  (* A gauge or a histogram figure can be non-finite (an infinite
+     objective, one NaN sample), which JSON cannot spell as a number: these
+     tables alone name the three values as strings.  Inputs from outside
+     the program keep [C.num], which refuses them. *)
+  let reading =
+    C.refine
+      (function
+        | Json.Num v when Float.is_finite v -> Ok v
+        | Json.Str "inf" -> Ok Float.infinity
+        | Json.Str "-inf" -> Ok Float.neg_infinity
+        | Json.Str "nan" -> Ok Float.nan
+        | _ -> Error "expected a number, \"inf\", \"-inf\" or \"nan\"")
+      (fun v ->
+        if Float.is_finite v then Json.Num v
+        else if Float.is_nan v then Json.Str "nan"
+        else Json.Str (if v > 0.0 then "inf" else "-inf"))
+      C.json
+  in
   let summary =
     C.record
       (fun count sum min max mean p50 p90 p99 -> { count; sum; min; max; mean; p50; p90; p99 })
       [ C.req "count" C.int (fun s -> s.count);
-        C.req "sum" C.num (fun s -> s.sum);
-        C.req "min" C.num (fun s -> s.min);
-        C.req "max" C.num (fun s -> s.max);
-        C.req "mean" C.num (fun s -> s.mean);
-        C.req "p50" C.num (fun s -> s.p50);
-        C.req "p90" C.num (fun s -> s.p90);
-        C.req "p99" C.num (fun s -> s.p99) ]
+        C.req "sum" reading (fun s -> s.sum);
+        C.req "min" reading (fun s -> s.min);
+        C.req "max" reading (fun s -> s.max);
+        C.req "mean" reading (fun s -> s.mean);
+        C.req "p50" reading (fun s -> s.p50);
+        C.req "p90" reading (fun s -> s.p90);
+        C.req "p99" reading (fun s -> s.p99) ]
   in
   C.record
     (fun counters gauges histograms -> { counters; gauges; histograms })
     [ C.req "counters" (C.dict C.int) (fun s -> s.counters);
-      C.req "gauges" (C.dict C.num) (fun s -> s.gauges);
+      C.req "gauges" (C.dict reading) (fun s -> s.gauges);
       C.req "histograms" (C.dict summary) (fun s -> s.histograms) ]

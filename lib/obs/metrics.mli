@@ -98,4 +98,6 @@ val snapshot : unit -> snapshot
 
 val snapshot_codec : snapshot Codec.t
 (** A snapshot as one JSON object of three tables keyed by metric name,
-    as bench reports and the serve daemon's stats carry it. *)
+    as bench reports and the serve daemon's stats carry it.  A gauge or
+    histogram figure that is not finite is the string ["inf"], ["-inf"] or
+    ["nan"]; every NaN reads back as [Float.nan]. *)

@@ -3,45 +3,39 @@
    Where {!Pool} executes bounded task sets with a claim cursor (and
    parks its domains between generations), a [Service] owns domains that
    run an open-ended loop for the life of a daemon — the serving stack's
-   worker shards are the motivating client.  The body polls [stop] at
-   its own cadence; [stop] flips the flag and joins, so a body that
-   drains its queue before honoring [stop] gives lose-nothing shutdown
-   for free.
+   worker shards are the motivating client.  How a body learns to return
+   is its caller's business (the daemon's halt flag, a sweep's
+   scoreboard); [join] only waits for every body to do so.
 
    A body that raises kills only its own domain; the exception is kept
-   and re-raised from {!stop} (first failure wins), so a daemon's top
+   and re-raised from {!join} (first failure wins), so a daemon's top
    level still sees worker crashes instead of silently serving with a
    dead shard.  [failed] exposes the flag without joining, letting a
    supervising loop detect the crash while still running. *)
 
 type t = {
-  stop_flag : bool Atomic.t;
   failure : (exn * Printexc.raw_backtrace) option Atomic.t;
   domains : unit Domain.t array;
   mutable joined : bool;
   m : Mutex.t;
 }
 
-let size t = Array.length t.domains
-let stopping t = Atomic.get t.stop_flag
 let failed t = Atomic.get t.failure <> None
 
 let start ~workers body =
   if workers < 1 then invalid_arg "Runtime.Service.start: workers must be >= 1";
-  let stop_flag = Atomic.make false in
   let failure = Atomic.make None in
   let domains =
     Array.init workers (fun w ->
         Domain.spawn (fun () ->
-            try body ~worker:w ~stop:(fun () -> Atomic.get stop_flag)
+            try body ~worker:w
             with e ->
               let bt = Printexc.get_raw_backtrace () in
               ignore (Atomic.compare_and_set failure None (Some (e, bt)))))
   in
-  { stop_flag; failure; domains; joined = false; m = Mutex.create () }
+  { failure; domains; joined = false; m = Mutex.create () }
 
-let stop t =
-  Atomic.set t.stop_flag true;
+let join t =
   Mutex.lock t.m;
   let first = not t.joined in
   t.joined <- true;

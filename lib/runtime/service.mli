@@ -1,30 +1,23 @@
-(** Long-running worker domains with a cooperative stop flag.
+(** Long-running worker domains.
 
     {!Pool} is for bounded task sets; a [Service] is for daemon-lifetime
-    loops (serving worker shards).  Each worker runs
-    [body ~worker ~stop] on its own domain until the body returns —
-    typically when [stop ()] turns true {e and} the worker's queue is
-    drained, which is what makes lose-nothing shutdown composable. *)
+    loops (serving worker shards).  Each worker runs [body ~worker] on
+    its own domain until the body returns; the caller decides when that
+    is (the daemon's halt flag once the worker's queue is drained, which
+    is what makes lose-nothing shutdown composable). *)
 
 type t
 
-val start : workers:int -> (worker:int -> stop:(unit -> bool) -> unit) -> t
-(** Spawn [workers] domains, each running [body ~worker ~stop].  [worker]
-    is in [0 .. workers - 1].  The body must poll [stop ()] and return
-    once it turns true (after draining whatever it owes).  Raises
-    [Invalid_argument] when [workers < 1]. *)
+val start : workers:int -> (worker:int -> unit) -> t
+(** Spawn [workers] domains, each running [body ~worker].  [worker] is
+    in [0 .. workers - 1].  Raises [Invalid_argument] when
+    [workers < 1]. *)
 
-val stop : t -> unit
-(** Flip the stop flag and join every worker.  Idempotent — later calls
-    return immediately.  If any body raised, the first exception is
-    re-raised (with its backtrace) from the joining call. *)
-
-val stopping : t -> bool
-(** Whether {!stop} has been requested (bodies see the same flag). *)
+val join : t -> unit
+(** Wait for every body to return.  Idempotent — later calls return
+    immediately.  If any body raised, the first exception is re-raised
+    (with its backtrace) from the joining call. *)
 
 val failed : t -> bool
 (** Whether some worker body raised; readable without joining, so a
     supervising loop can notice a dead shard while still serving. *)
-
-val size : t -> int
-(** The worker count the service was started with. *)

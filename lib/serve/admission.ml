@@ -8,20 +8,19 @@
      2. dead-on-arrival deadline — a request whose deadline has already
         passed answers [Timeout] immediately instead of wasting a queue
         slot on work nobody will read.
-     3. replica routing under one backlog bound — among the digest's
-        replica set the least-loaded worker is chosen, its load being
-        the requests admitted to it and not yet answered; if even that
-        worker is at the bound, the request sheds [Overloaded].  This is
-        the only bound on a worker's backlog: neither its mailbox nor
-        its batcher holds another.
+     3. least-loaded routing under one backlog bound — the worker with
+        the fewest requests admitted and not yet answered is chosen; if
+        even that worker is at the bound, the request sheds
+        [Overloaded].  This is the only bound on a worker's backlog:
+        neither its mailbox nor its batcher holds another.
 
-   Gates 1 and 2 need nothing but the connection and the clock, so they
-   run before the acceptor reads the artifact to place the request.
-   Shedding at admission costs one JSON error frame; shedding after
-   queueing costs queue occupancy everyone else pays for.  The existing
-   [timeout]/[overloaded] error kinds are reused so clients cannot tell
-   the tiers apart except by the [where] field — which names the tier
-   precisely to make load problems diagnosable from the client side. *)
+   No gate reads the artifact: the chosen worker resolves it through its
+   own registry.  Shedding at admission costs one JSON error frame;
+   shedding after queueing costs queue occupancy everyone else pays for.
+   The existing [timeout]/[overloaded] error kinds are reused so clients
+   cannot tell the tiers apart except by the [where] field — which names
+   the tier precisely to make load problems diagnosable from the client
+   side. *)
 
 module Err = Awesym_error
 
@@ -32,7 +31,7 @@ type config = {
 
 let default_config = { per_client_inflight = 64 }
 
-(* Gates 1+2: cheap per-request checks, no artifact read needed. *)
+(* Gates 1+2: cheap per-request checks. *)
 let precheck config ~client_inflight ~deadline ~now =
   if client_inflight >= config.per_client_inflight then begin
     Obs.Metrics.incr "serve.rejected.overloaded";
@@ -51,17 +50,25 @@ let precheck config ~client_inflight ~deadline ~now =
               ((now -. d) *. 1e3)))
     | _ -> None
 
-(* Gate 3: the least-loaded replica, if it is under the bound.  Ties
+(* Gate 3: the least-loaded worker, if it is under the bound.  Ties
    break toward the lower worker index so routing is stable under equal
-   load; each replica's load is read once. *)
-let route ~owners ~depth ~capacity =
-  match List.sort compare (List.map (fun w -> (depth w, w)) owners) with
-  | (d, w) :: _ when d < capacity -> Ok w
-  | _ ->
+   load; each worker's load is read once. *)
+let route ~workers ~depth ~capacity =
+  let best = ref 0 and least = ref (depth 0) in
+  for w = 1 to workers - 1 do
+    let d = depth w in
+    if d < !least then begin
+      best := w;
+      least := d
+    end
+  done;
+  if !least < capacity then Ok !best
+  else begin
     Obs.Metrics.incr "serve.rejected.overloaded";
     Error
       (Err.make Overloaded ~where:"serve.admission.queue"
          (Printf.sprintf
-            "every replica has %d requests admitted and not yet answered \
-             (%d replicas)"
-            capacity (List.length owners)))
+            "every worker has %d requests admitted and not yet answered \
+             (%d workers)"
+            capacity workers))
+  end

@@ -1,7 +1,8 @@
 (** Tiered admission control: per-client caps, dead-on-arrival deadline
-    shedding, and least-loaded replica routing under the one per-worker
-    backlog bound, reusing the existing [timeout]/[overloaded] error
-    kinds (the [where] field names the tier that shed). *)
+    shedding, and least-loaded routing under the one per-worker backlog
+    bound, reusing the existing [timeout]/[overloaded] error kinds (the
+    [where] field names the tier that shed).  No gate reads the
+    artifact. *)
 
 type config = {
   per_client_inflight : int;
@@ -16,19 +17,19 @@ val precheck :
   deadline:float option ->
   now:float ->
   Awesym_error.t option
-(** Gates 1–2, run before the artifact is read: [Some] error (kind
-    [Overloaded] at [serve.admission.client], or [Timeout] at
+(** Gates 1–2: [Some] error (kind [Overloaded] at
+    [serve.admission.client], or [Timeout] at
     [serve.admission.deadline]) when the connection is over its inflight
     cap or the deadline already passed; [None] means proceed to
     routing. *)
 
 val route :
-  owners:int list ->
+  workers:int ->
   depth:(int -> int) ->
   capacity:int ->
   (int, Awesym_error.t) result
-(** Gate 3: the digest's replica with the least [depth] (requests
-    admitted to it and not yet answered; ties to the lower index), if
-    that depth is below [capacity].  Otherwise every replica is at the
-    bound and the request sheds [Overloaded] at
+(** Gate 3: the worker in [0 .. workers - 1] with the least [depth]
+    (requests admitted to it and not yet answered; ties to the lower
+    index), if that depth is below [capacity].  Otherwise every worker
+    is at the bound and the request sheds [Overloaded] at
     [serve.admission.queue]. *)

@@ -68,21 +68,12 @@ let evict_to_cap t =
       Obs.Metrics.incr "serve.registry.evict"
   done
 
-let find ?digest t path =
-  (* A router that already digested the file for shard placement passes
-     the digest along so the worker's hot path skips the second read. *)
-  let digest_result =
-    match digest with
-    | Some d -> Ok d
-    | None -> (
-      match Digest.file path with
-      | exception Sys_error msg ->
-        Error (Err.make Invalid_request ~where:"serve.registry" msg ~file:path)
-      | raw -> Ok (Digest.to_hex raw))
-  in
-  match digest_result with
-  | Error e -> Error e
-  | Ok digest -> (
+let find t path =
+  match Digest.file path with
+  | exception Sys_error msg ->
+    Error (Err.make Invalid_request ~where:"serve.registry" msg ~file:path)
+  | raw -> (
+    let digest = Digest.to_hex raw in
     match List.find_opt (fun e -> e.digest = digest) t.entries with
     | Some e ->
       touch t e;

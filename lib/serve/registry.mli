@@ -32,13 +32,12 @@ val create : ?eval_jobs:int -> ?max_models:int -> unit -> t
     and the shared Runtime pool must not be driven from several master
     domains at once. *)
 
-val find : ?digest:string -> t -> string -> (entry, Awesym_error.t) result
+val find : t -> string -> (entry, Awesym_error.t) result
 (** Resolve an artifact path: digest the file, return the resident entry
-    on a checksum hit, else load it (evicting LRU past the cap).  A
-    caller that already digested the file for routing passes [?digest]
-    to skip the re-read.  Errors: [Invalid_request] for an unreadable
-    path, [Artifact_corrupt] (via the registered classifier) for a
-    malformed artifact. *)
+    on a checksum hit, else load it (evicting LRU past the cap).
+    Errors: [Invalid_request] at [serve.registry], naming the file, for
+    an unreadable path; [Artifact_corrupt] (via the registered
+    classifier) for a malformed artifact. *)
 
 val loaded : t -> int
 (** Resident entry count. *)

@@ -1,24 +1,22 @@
-(* The serving daemon: one acceptor domain fronting N sharded worker
-   domains.
+(* The serving daemon: one acceptor domain fronting N worker domains.
 
    The acceptor owns the listener (Unix socket or TCP — see Transport),
    all connection state, framing, and the trace ring.  Model-bound
-   requests (eval/info) pass tiered admission (Admission) — the cheap
-   gates before the artifact is digested for placement, and then the one
-   bound on each worker's backlog — and are handed to a worker shard
+   requests (eval/info/sweep_chunk/optimize) pass tiered admission
+   (Admission) — the cheap gates, then the least-loaded worker under the
+   one bound on each worker's backlog — and are handed to that worker
    through its mailbox; everything else (ping/stats/metrics/trace/shutdown)
    answers inline, which keeps `ping` a zero-cost readiness probe even
-   when every shard is saturated.
+   when every worker is saturated.  The acceptor never reads an artifact.
 
-   Each worker domain owns a private Registry + Batcher, so a model
-   digest always lands on a warm kernel (rendezvous hashing in Shard,
-   replicated across [replicas] workers for hot models) and the
-   single-owner batch-evaluator contract holds per worker.  With more
-   than one worker, per-entry evaluators run with jobs=1 — the worker
-   domains are the parallelism, and the shared Runtime pool must not be
-   driven from several master domains at once.  Workers push completed
-   responses onto a shared completion queue and poke the acceptor
-   through a self-pipe so its select wakes promptly.
+   Each worker domain owns a private Registry + Batcher: it resolves the
+   artifact path to a resident model itself, and the single-owner
+   batch-evaluator contract holds per worker.  With more than one
+   worker, per-entry evaluators run with jobs=1 — the worker domains are
+   the parallelism, and the shared Runtime pool must not be driven from
+   several master domains at once.  Workers push completed responses
+   onto a shared completion queue and poke the acceptor through a
+   self-pipe so its select wakes promptly.
 
    SIGTERM (or a `shutdown` request) starts a graceful drain: the
    listener closes, the drain flag makes every worker flush immediately
@@ -35,7 +33,6 @@ module Err = Awesym_error
 type config = {
   listen : Transport.addr;
   workers : int;  (* worker domains, each owning a registry + batcher *)
-  replicas : int;  (* workers per digest (capped at [workers]) *)
   batch : Batcher.config;  (* per-worker batcher knobs *)
   admission : Admission.config;
   worker_queue : int;  (* per-worker bound on admitted, unanswered requests *)
@@ -60,7 +57,6 @@ let default_config ~listen =
   {
     listen;
     workers = 1;
-    replicas = 2;
     batch = Batcher.default_config;
     admission = Admission.default_config;
     worker_queue = 1024;
@@ -83,44 +79,24 @@ type conn = {
   mutable close_after_flush : bool;  (* unrecoverable stream; drop once quiet *)
 }
 
-(* A model-bound request in flight to a worker shard.  The trace builder
+(* A model-bound request in flight to a worker.  The trace builder
    travels with it; ownership hands off acceptor -> worker -> acceptor
    (the mailbox and completion-queue mutexes provide the
    happens-before), so only one domain touches it at a time. *)
-type job =
-  | J_eval of {
-      conn : int;
-      id : Json.t option;
-      path : string;
-      digest : string;  (* computed by the acceptor for placement *)
-      points : float array array;
-      arrived : float;
-      deadline : float option;  (* absolute, seconds *)
-      trace : Reqtrace.builder option;
-    }
-  | J_info of {
-      conn : int;
-      id : Json.t option;
-      path : string;
-      digest : string;
-      trace : Reqtrace.builder option;
-    }
-  | J_sweep of {
-      conn : int;
-      id : Json.t option;
-      req : Protocol.sweep_chunk;
-      digest : string;
-      deadline : float option;
-      trace : Reqtrace.builder option;
-    }
-  | J_opt of {
-      conn : int;
-      id : Json.t option;
-      req : Protocol.optimize;
-      digest : string;
-      deadline : float option;
-      trace : Reqtrace.builder option;
-    }
+type op =
+  | Info
+  | Eval of { points : float array array; arrived : float }
+  | Sweep of Protocol.sweep_chunk
+  | Opt of Protocol.optimize
+
+type job = {
+  conn : int;
+  id : Json.t option;
+  path : string;  (* the artifact the worker resolves *)
+  deadline : float option;  (* absolute, seconds *)
+  trace : Reqtrace.builder option;
+  op : op;
+}
 
 type completion = int * Json.t option * Reqtrace.builder option * Protocol.response
 
@@ -132,7 +108,6 @@ type shard = {
 
 type t = {
   config : config;
-  replicas : int;  (* effective: min config.replicas config.workers *)
   traces : Reqtrace.t;
   listen_fd : Unix.file_descr;
   bound : Transport.addr;  (* resolved (ephemeral TCP ports bound) *)
@@ -195,7 +170,6 @@ let stats_json t =
       ("uptime_s", Json.Num uptime);
       ("transport", Json.Str (Transport.to_string t.bound));
       ("workers", Json.Num (float_of_int (Array.length t.shards)));
-      ("replicas", Json.Num (float_of_int t.replicas));
       ("requests", c "serve.requests");
       ("points", c "serve.points");
       ("qps", Json.Num (float_of_int requests /. Float.max uptime 1e-9));
@@ -282,17 +256,10 @@ let push_completions t shard resps =
     (try ignore (Unix.write t.wake_w wake_byte 0 1)
      with Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EPIPE | EBADF), _, _) -> ())
 
-let job_envelope = function
-  | J_eval { conn; id; trace; _ }
-  | J_info { conn; id; trace; _ }
-  | J_sweep { conn; id; trace; _ }
-  | J_opt { conn; id; trace; _ } ->
-    (conn, id, trace)
-
 (* The body each worker domain runs: a private registry + batcher fed by
    the shard mailbox.  Exit condition is [halt] AND both queues empty,
    so a drain always answers everything already admitted. *)
-let worker_body t ~worker ~stop:_ =
+let worker_body t ~worker =
   let shard = t.shards.(worker) in
   (* With several workers, each entry's batch evaluator is pinned to
      jobs=1: the worker domains are the parallelism and the shared
@@ -302,28 +269,17 @@ let worker_body t ~worker ~stop:_ =
   let registry = Registry.create ?eval_jobs ~max_models:t.config.max_models () in
   let batcher = Batcher.create t.config.batch in
   let complete resps = push_completions t shard resps in
-  let lookup ~digest ~path ~trace =
-    let t0 = now () in
-    let found = Registry.find ~digest registry path in
-    Option.iter
-      (fun tb ->
-        Reqtrace.add_span tb ~name:"serve.registry.lookup" ~start:t0
-          ~stop:(now ()))
-      trace;
-    Atomic.set shard.resident (Registry.loaded registry);
-    found
-  in
   (* Distributed-sweep preparation memo.  Building a prep re-samples the
      plan's full input grid, which dwarfs a single chunk's evaluation;
      a coordinator sends this worker many chunks of the same sweep, so
      keep the last few preps keyed by their defining wire inputs.
      Worker-domain private, like the registry. *)
   let preps : (string * Sweep.Engine.prep) list ref = ref [] in
-  let sweep_prep ~digest entry (req : Protocol.sweep_chunk) =
+  let sweep_prep entry (req : Protocol.sweep_chunk) =
     let memo_key =
       String.concat "\x00"
         ([
-           digest;
+           entry.Registry.digest;
            Json.to_string req.Protocol.sc_plan;
            string_of_int req.Protocol.sc_seed;
            string_of_int req.Protocol.sc_block;
@@ -366,135 +322,124 @@ let worker_body t ~worker ~stop:_ =
         preps := (memo_key, prep) :: List.filteri (fun i _ -> i < 3) !preps;
         Ok prep
   in
-  let handle = function
-    | J_info { conn; id; path; digest; trace } ->
-      let resp =
-        match lookup ~digest ~path ~trace with
+  let span trace name t0 =
+    Option.iter
+      (fun tb -> Reqtrace.add_span tb ~name ~start:t0 ~stop:(now ()))
+      trace
+  in
+  let expired job =
+    match job.deadline with Some d -> now () > d | None -> false
+  in
+  let timeout where =
+    Some
+      (Protocol.R_error
+         (Err.make Timeout ~where "deadline expired before the work started"))
+  in
+  (* The op proper, once the model is resident.  [None] means the answer
+     comes later, from a batcher flush. *)
+  let run job entry =
+    match job.op with
+    | Info ->
+      Some
+        (Protocol.R_info
+           {
+             Protocol.digest = entry.Registry.digest;
+             order = entry.Registry.order;
+             symbols = entry.Registry.symbols;
+             nominals = entry.Registry.nominals;
+           })
+    | Eval { points; arrived } ->
+      let nsym = Array.length entry.Registry.symbols in
+      if Array.exists (fun row -> Array.length row <> nsym) points then
+        Some
+          (Protocol.R_error
+             (Err.make Invalid_request ~where:"serve.request"
+                (Printf.sprintf "point width mismatch: model has %d symbols"
+                   nsym)))
+      else begin
+        let t0 = now () in
+        Batcher.submit batcher
+          {
+            Batcher.key = job.conn;
+            id = job.id;
+            entry;
+            points;
+            arrived;
+            deadline = job.deadline;
+            trace = job.trace;
+          };
+        span job.trace "serve.batch.enqueue" t0;
+        None
+      end
+    (* Sweep chunks and optimizations run whole on this domain, so their
+       deadline is checked once, before the work starts; eval deadlines
+       are the batcher's. *)
+    | Sweep _ when expired job -> timeout "serve.sweep"
+    | Opt _ when expired job -> timeout "serve.optimize"
+    | Sweep req ->
+      Some
+        (match sweep_prep entry req with
         | Error e -> Protocol.R_error e
-        | Ok entry ->
-          Protocol.R_info
-            {
-              Protocol.digest = entry.Registry.digest;
-              order = entry.Registry.order;
-              symbols = entry.Registry.symbols;
-              nominals = entry.Registry.nominals;
-            }
-      in
-      complete [ (conn, id, trace, resp) ]
-    | J_eval { conn; id; path; digest; points; arrived; deadline; trace } -> (
-      match lookup ~digest ~path ~trace with
-      | Error e -> complete [ (conn, id, trace, Protocol.R_error e) ]
-      | Ok entry -> (
-        let nsym = Array.length entry.Registry.symbols in
-        if Array.exists (fun row -> Array.length row <> nsym) points then
-          complete
-            [
-              ( conn,
-                id,
-                trace,
-                Protocol.R_error
-                  (Err.make Invalid_request ~where:"serve.request"
-                     (Printf.sprintf
-                        "point width mismatch: model has %d symbols" nsym)) );
-            ]
-        else
-          let t0 = now () in
-          Batcher.submit batcher
-            { Batcher.key = conn; id; entry; points; arrived; deadline; trace };
-          Option.iter
-            (fun tb ->
-              Reqtrace.add_span tb ~name:"serve.batch.enqueue" ~start:t0
-                ~stop:(now ()))
-            trace))
-    | J_sweep { conn; id; req; digest; deadline; trace } ->
-      let resp =
-        match lookup ~digest ~path:req.Protocol.sc_model ~trace with
-        | Error e -> Protocol.R_error e
-        | Ok entry -> (
-          match sweep_prep ~digest entry req with
-          | Error e -> Protocol.R_error e
-          | Ok prep ->
-            let key = Sweep.Engine.prep_key prep in
-            if key <> req.Protocol.sc_key then
-              (* The skew handshake: the worker rebuilt the sweep from
-                 the wire parameterization and got a different key, so
-                 its artifact bytes (or code version) disagree with the
-                 coordinator's — evaluating would silently merge
-                 non-identical chunks. *)
-              Protocol.R_error
-                (Err.make Invalid_request ~where:"serve.sweep"
-                   (Printf.sprintf
-                      "sweep key mismatch (coordinator %s, worker %s): \
-                       model or version skew between nodes"
-                      req.Protocol.sc_key key))
-            else if
-              match deadline with Some d -> now () > d | None -> false
-            then
-              Protocol.R_error
-                (Err.make Timeout ~where:"serve.sweep"
-                   "deadline expired before the chunk was evaluated")
-            else begin
-              let t0 = now () in
-              let r = Sweep.Engine.eval_chunk prep req.Protocol.sc_chunk in
-              Option.iter
-                (fun tb ->
-                  Reqtrace.add_span tb ~name:"serve.sweep.chunk" ~start:t0
-                    ~stop:(now ()))
-                trace;
-              Obs.Metrics.incr "serve.sweep.chunks";
-              Protocol.R_chunk
-                {
-                  Protocol.cr_digest = digest;
-                  cr_key = key;
-                  cr_chunk = req.Protocol.sc_chunk;
-                  cr_record = Sweep.Engine.chunk_result_to_json r;
-                }
-            end)
-      in
-      complete [ (conn, id, trace, resp) ]
-    | J_opt { conn; id; req; digest; deadline; trace } ->
-      let resp =
-        match lookup ~digest ~path:req.Protocol.op_model ~trace with
-        | Error e -> Protocol.R_error e
-        | Ok entry -> (
-          if match deadline with Some d -> now () > d | None -> false then
+        | Ok prep ->
+          let key = Sweep.Engine.prep_key prep in
+          if key <> req.Protocol.sc_key then
+            (* The skew handshake: the worker rebuilt the sweep from the
+               wire parameterization and got a different key, so its
+               artifact bytes (or code version) disagree with the
+               coordinator's — evaluating would silently merge
+               non-identical chunks. *)
             Protocol.R_error
-              (Err.make Timeout ~where:"serve.optimize"
-                 "deadline expired before the optimization started")
-          else
-            (* The same jobs pinning as the batchers and sweep chunks:
-               with several workers the worker domains are the
-               parallelism, and the report bytes are jobs-invariant by
-               the optimizer's determinism contract anyway. *)
-            match
-              let t0 = now () in
-              let opt_req = Opt.Request.of_json req.Protocol.op_request in
-              let report =
-                Opt.Request.run ?jobs:eval_jobs entry.Registry.model opt_req
-              in
-              Option.iter
-                (fun tb ->
-                  Reqtrace.add_span tb ~name:"serve.optimize" ~start:t0
-                    ~stop:(now ()))
-                trace;
-              Obs.Metrics.incr "serve.optimize.requests";
-              report
-            with
-            | exception e -> Protocol.R_error (Err.classify e)
-            | report ->
-              Protocol.R_optimize
-                { Protocol.or_digest = digest;
-                  or_report = Opt.Request.report_to_json report })
+              (Err.make Invalid_request ~where:"serve.sweep"
+                 (Printf.sprintf
+                    "sweep key mismatch (coordinator %s, worker %s): model \
+                     or version skew between nodes"
+                    req.Protocol.sc_key key))
+          else begin
+            let t0 = now () in
+            let r = Sweep.Engine.eval_chunk prep req.Protocol.sc_chunk in
+            span job.trace "serve.sweep.chunk" t0;
+            Obs.Metrics.incr "serve.sweep.chunks";
+            Protocol.R_chunk
+              {
+                Protocol.cr_digest = entry.Registry.digest;
+                cr_key = key;
+                cr_chunk = req.Protocol.sc_chunk;
+                cr_record = Sweep.Engine.chunk_result_to_json r;
+              }
+          end)
+    | Opt req ->
+      (* The same jobs pinning as the batchers and sweep chunks: with
+         several workers the worker domains are the parallelism, and the
+         report bytes are jobs-invariant by the optimizer's determinism
+         contract anyway.  A raise is classified by [safe_handle]. *)
+      let t0 = now () in
+      let report =
+        Opt.Request.run ?jobs:eval_jobs entry.Registry.model
+          (Opt.Request.of_json req.Protocol.op_request)
       in
-      complete [ (conn, id, trace, resp) ]
+      span job.trace "serve.optimize" t0;
+      Obs.Metrics.incr "serve.optimize.requests";
+      Some
+        (Protocol.R_optimize
+           {
+             Protocol.or_digest = entry.Registry.digest;
+             or_report = Opt.Request.report_to_json report;
+           })
+  in
+  let reply job resp = complete [ (job.conn, job.id, job.trace, resp) ] in
+  let handle job =
+    let t0 = now () in
+    let found = Registry.find registry job.path in
+    span job.trace "serve.registry.lookup" t0;
+    Atomic.set shard.resident (Registry.loaded registry);
+    match found with
+    | Error e -> reply job (Protocol.R_error e)
+    | Ok entry -> Option.iter (reply job) (run job entry)
   in
   (* Any unexpected exception still answers the request — a lost job
      would leave its conn.inflight forever nonzero and wedge the drain. *)
   let safe_handle job =
-    try handle job
-    with e ->
-      let conn, id, trace = job_envelope job in
-      complete [ (conn, id, trace, Protocol.R_error (Err.classify e)) ]
+    try handle job with e -> reply job (Protocol.R_error (Err.classify e))
   in
   let rec loop () =
     if
@@ -506,12 +451,14 @@ let worker_body t ~worker ~stop:_ =
       let jobs =
         if Batcher.length batcher = 0 then Mailbox.pop_block shard.mailbox
         else begin
-          (* A parked micro-batch bounds the wait to 5 ms slices so the
-             drain/halt flags are honored promptly even mid-linger. *)
+          (* A parked micro-batch waits in 0.5 ms slices, so a request
+             that arrives meanwhile has its model looked up while the
+             batch lingers, not after it is due, and the drain/halt flags
+             are honored promptly. *)
           let force = Atomic.get t.drain_flag || Atomic.get t.halt in
           (match Batcher.due batcher ~now:(now ()) with
           | Some s when s > 0.0 && not force ->
-            Unix.sleepf (Float.min s 0.005)
+            Unix.sleepf (Float.min s 0.0005)
           | _ -> ());
           Mailbox.pop_all shard.mailbox
         end
@@ -544,14 +491,12 @@ let respond_traced t conn ?id tb resp =
   Reqtrace.add_span tb ~name:"serve.respond" ~start:t0 ~stop:t1;
   Reqtrace.finish t.traces tb ~now:t1 ~status:(status_of_response resp)
 
-(* Route a model-bound request to a worker shard: the cheap admission
-   gates first, so a request shed for its client cap or its deadline
-   costs no file read; then digest the artifact for placement (the
-   worker reuses it and skips the re-read) and push into the
-   least-loaded replica's mailbox, if that replica is under
-   [worker_queue].  The queued count is raised before the push, so it
-   never under-reports the backlog the bound applies to. *)
-let admit_model t conn ?id tb ~path ~deadline make_job =
+(* Route a model-bound request: the cheap admission gates, then the
+   least-loaded worker's mailbox, if that worker is under
+   [worker_queue].  The artifact is the worker's to read.  The queued
+   count is raised before the push, so it never under-reports the
+   backlog the bound applies to. *)
+let admit_model t conn ?id tb ~path ?deadline op =
   let t0 = now () in
   let admitted =
     match
@@ -559,23 +504,15 @@ let admit_model t conn ?id tb ~path ~deadline make_job =
         ~deadline ~now:t0
     with
     | Some e -> Error e
-    | None -> (
-      match Digest.file path with
-      | exception Sys_error msg ->
-        Error (Err.make Invalid_request ~where:"serve.registry" msg ~file:path)
-      | raw ->
-        let digest = Digest.to_hex raw in
-        let owners =
-          Shard.owners ~workers:(Array.length t.shards) ~replicas:t.replicas
-            digest
-        in
-        Admission.route ~owners
-          ~depth:(fun w -> Atomic.get t.shards.(w).queued)
-          ~capacity:t.config.worker_queue
-        |> Result.map (fun w ->
-               let s = t.shards.(w) in
-               Atomic.incr s.queued;
-               Mailbox.push s.mailbox (make_job ~digest)))
+    | None ->
+      Admission.route ~workers:(Array.length t.shards)
+        ~depth:(fun w -> Atomic.get t.shards.(w).queued)
+        ~capacity:t.config.worker_queue
+      |> Result.map (fun w ->
+             let s = t.shards.(w) in
+             Atomic.incr s.queued;
+             Mailbox.push s.mailbox
+               { conn = conn.key; id; path; deadline; trace = Some tb; op })
   in
   match admitted with
   | Error e -> respond_traced t conn ?id tb (Protocol.R_error e)
@@ -585,6 +522,7 @@ let admit_model t conn ?id tb ~path ~deadline make_job =
 
 let dispatch t conn ?id ~trace:tb req =
   Obs.Metrics.incr "serve.requests";
+  let deadline arrived = Option.map (fun ms -> arrived +. (ms /. 1e3)) in
   match req with
   | Protocol.Ping ->
     respond_traced t conn ?id tb (Protocol.R_pong t.config.versions)
@@ -599,42 +537,20 @@ let dispatch t conn ?id ~trace:tb req =
   | Protocol.Shutdown ->
     t.draining <- true;
     respond_traced t conn ?id tb Protocol.R_draining
-  | Protocol.Info path ->
-    admit_model t conn ?id tb ~path ~deadline:None (fun ~digest ->
-        J_info { conn = conn.key; id; path; digest; trace = Some tb })
+  | Protocol.Info path -> admit_model t conn ?id tb ~path Info
   | Protocol.Eval e ->
     let arrived = now () in
-    let deadline =
-      Option.map (fun ms -> arrived +. (ms /. 1e3)) e.Protocol.deadline_ms
-    in
-    admit_model t conn ?id tb ~path:e.Protocol.model ~deadline (fun ~digest ->
-        J_eval
-          {
-            conn = conn.key;
-            id;
-            path = e.Protocol.model;
-            digest;
-            points = e.Protocol.points;
-            arrived;
-            deadline;
-            trace = Some tb;
-          })
+    admit_model t conn ?id tb ~path:e.Protocol.model
+      ?deadline:(deadline arrived e.Protocol.deadline_ms)
+      (Eval { points = e.Protocol.points; arrived })
   | Protocol.Sweep_chunk c ->
-    let arrived = now () in
-    let deadline =
-      Option.map (fun ms -> arrived +. (ms /. 1e3)) c.Protocol.sc_deadline_ms
-    in
-    admit_model t conn ?id tb ~path:c.Protocol.sc_model ~deadline
-      (fun ~digest ->
-        J_sweep { conn = conn.key; id; req = c; digest; deadline; trace = Some tb })
+    admit_model t conn ?id tb ~path:c.Protocol.sc_model
+      ?deadline:(deadline (now ()) c.Protocol.sc_deadline_ms)
+      (Sweep c)
   | Protocol.Optimize o ->
-    let arrived = now () in
-    let deadline =
-      Option.map (fun ms -> arrived +. (ms /. 1e3)) o.Protocol.op_deadline_ms
-    in
-    admit_model t conn ?id tb ~path:o.Protocol.op_model ~deadline
-      (fun ~digest ->
-        J_opt { conn = conn.key; id; req = o; digest; deadline; trace = Some tb })
+    admit_model t conn ?id tb ~path:o.Protocol.op_model
+      ?deadline:(deadline (now ()) o.Protocol.op_deadline_ms)
+      (Opt o)
 
 let op_name = function
   | Protocol.Ping -> "ping"
@@ -782,8 +698,6 @@ let drain_wake_pipe t =
 let create config =
   if config.workers < 1 then
     invalid_arg "Server.create: workers must be >= 1";
-  if config.replicas < 1 then
-    invalid_arg "Server.create: replicas must be >= 1";
   if config.worker_queue < 1 then
     invalid_arg "Server.create: worker_queue must be >= 1";
   (* Cache GC runs once here, not in each worker's registry: N workers
@@ -814,7 +728,6 @@ let create config =
   let t =
     {
       config;
-      replicas = min config.replicas config.workers;
       traces =
         Reqtrace.create ~capacity:config.trace_capacity ?log:config.trace_log
           ~log_max_bytes:config.trace_log_max_bytes ();
@@ -840,8 +753,7 @@ let create config =
   in
   t.service <-
     Some
-      (Runtime.Service.start ~workers:config.workers
-         (fun ~worker ~stop -> worker_body t ~worker ~stop));
+      (Runtime.Service.start ~workers:config.workers (worker_body t));
   t
 
 let bound_addr t = t.bound
@@ -873,7 +785,7 @@ let step t ~stop =
        with its backtrace rather than serving with a dead shard. *)
     Atomic.set t.halt true;
     Array.iter (fun sh -> Mailbox.wake sh.mailbox) t.shards;
-    Runtime.Service.stop s
+    Runtime.Service.join s
   | _ -> ());
   if !stop then t.draining <- true;
   if t.draining && not t.drain_signaled then begin
@@ -942,7 +854,7 @@ let shutdown t =
       | None -> None
       | Some s -> (
         try
-          Runtime.Service.stop s;
+          Runtime.Service.join s;
           None
         with e -> Some (e, Printexc.get_raw_backtrace ()))
     in
@@ -973,13 +885,11 @@ let run ?(log = ignore) config =
   let t = create config in
   log
     (Printf.sprintf
-       "awesym serve: listening on %s (%d worker%s, %d replica%s, max batch \
-        %d, linger %g ms)"
+       "awesym serve: listening on %s (%d worker%s, max batch %d, linger %g \
+        ms)"
        (Transport.to_string t.bound)
        config.workers
        (if config.workers = 1 then "" else "s")
-       t.replicas
-       (if t.replicas = 1 then "" else "s")
        config.batch.Batcher.max_batch
        (config.batch.Batcher.linger_s *. 1e3));
   (match config.trace_log with

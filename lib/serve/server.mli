@@ -1,17 +1,16 @@
-(** The serving daemon: one acceptor domain fronting N sharded worker
-    domains.
+(** The serving daemon: one acceptor domain fronting N worker domains.
 
     The acceptor owns the listener ({!Transport}: Unix socket or TCP),
     all connection state, framing, and the trace ring; [ping], [stats],
     [metrics], [trace], and [shutdown] answer inline so readiness probes
-    cost nothing even under full load.  Model-bound requests (eval/info)
-    pass tiered admission ({!Admission}): the client cap and the
-    dead-on-arrival deadline first, then digesting for shard placement
-    ({!Shard} rendezvous hashing, replicated [replicas] ways) under the
-    one per-worker backlog bound [worker_queue]; then they hand off to a
-    worker domain that owns its private {!Registry}
-    and {!Batcher} — so a digest always lands on a warm kernel and the
-    single-owner evaluator contract holds per worker.
+    cost nothing even under full load.  Model-bound requests
+    (eval/info/sweep_chunk/optimize) pass tiered admission
+    ({!Admission}): the client cap and the dead-on-arrival deadline
+    first, then the least-loaded worker under the one per-worker backlog
+    bound [worker_queue].  The acceptor never reads the artifact: the
+    chosen worker resolves the path through its private {!Registry} and
+    evaluates through its private {!Batcher}, so the single-owner
+    evaluator contract holds per worker.
 
     SIGTERM (or a [shutdown] request) starts a graceful drain: the
     listener closes, workers flush immediately, queued evaluations
@@ -27,15 +26,11 @@
 type config = {
   listen : Transport.addr;  (** [unix:PATH] or [tcp:HOST:PORT] *)
   workers : int;  (** worker domains, each owning a registry + batcher *)
-  replicas : int;
-      (** workers serving each digest (capped at [workers]); >1 lets a
-          hot model scale past one shard at the cost of duplicate
-          resident kernels *)
   batch : Batcher.config;  (** per-worker batching knobs *)
   admission : Admission.config;  (** per-client caps, deadline shedding *)
   worker_queue : int;
       (** per-worker backlog bound: requests admitted to the worker and
-          not yet answered.  With every replica at the bound, admission
+          not yet answered.  With every worker at the bound, admission
           sheds [overloaded] at [serve.admission.queue]; neither the
           mailbox nor the batcher holds another bound *)
   max_models : int;  (** per-worker registry LRU capacity *)
@@ -60,9 +55,10 @@ val default_versions : (string * string) list
     versions. *)
 
 val default_config : listen:Transport.addr -> config
-(** One worker, two replicas, default batching and admission knobs,
-    a 1024-request backlog bound per worker, 8 resident models per worker, 256 MiB cache
-    budget, no trace log, 256-trace ring, 16 MiB rotation threshold. *)
+(** One worker, default batching and admission knobs, a 1024-request
+    backlog bound per worker, 8 resident models per worker, 256 MiB
+    cache budget, no trace log, 256-trace ring, 16 MiB rotation
+    threshold. *)
 
 type t
 
@@ -70,8 +66,8 @@ val create : config -> t
 (** Bind + listen (a stale Unix socket is unlinked only after [stat]
     confirms it is a socket; other path kinds are refused) and spawn the
     worker domains.  Raises [Awesym_error.Error] when the address cannot
-    be bound, [Invalid_argument] on non-positive [workers], [replicas],
-    or [worker_queue]. *)
+    be bound, [Invalid_argument] on non-positive [workers] or
+    [worker_queue]. *)
 
 val bound_addr : t -> Transport.addr
 (** The resolved listen address — for [tcp:HOST:0] this carries the

@@ -128,6 +128,65 @@ let test_mutated_documents () =
     (golden ());
   Alcotest.(check int) "documents mutated" 4 !checked
 
+(* Non-finite metric values: ±∞ gauges and a NaN histogram sample (which
+   turns the summary's sum, extrema, mean and quantiles non-finite) encode
+   to a bench document that decodes back to the same bytes, and every
+   one-node mutation of it still decodes to itself or names its path. *)
+let test_nonfinite_snapshot () =
+  let module Err = Awesym_error in
+  let snapshot =
+    Obs.enabled := true;
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.reset ();
+        Obs.enabled := false)
+      (fun () ->
+        Obs.reset ();
+        Obs.Metrics.set_gauge "opt.size.objective" Float.infinity;
+        Obs.Metrics.set_gauge "serve.queue_depth" Float.neg_infinity;
+        List.iter (Obs.Metrics.observe "lu.factor.dim") [ 1.0; Float.nan ];
+        Obs.Metrics.snapshot ())
+  in
+  let doc =
+    Obs.Codec.encode Obs.bench_codec
+      {
+        Obs.machine = Json.Obj [];
+        experiments = [ { Obs.id = "x"; wall_s = 0.5; metrics = snapshot } ];
+      }
+  in
+  let decode j =
+    match Err.decode ~kind:Artifact_corrupt ~where:"bench.check" Obs.bench_codec j with
+    | Ok b -> Ok b
+    | Error e -> Error (Err.to_string e)
+  in
+  let bytes = Json.to_string doc in
+  let back =
+    match Json.of_string bytes with
+    | Error m -> Alcotest.fail m
+    | Ok j -> (
+      match decode j with Ok b -> b | Error m -> Alcotest.failf "decode: %s" m)
+  in
+  Alcotest.(check string) "re-encodes to the same bytes" bytes
+    (Json.to_string (Obs.Codec.encode Obs.bench_codec back));
+  let m = (List.hd back.Obs.experiments).Obs.metrics in
+  Alcotest.(check (list (pair string (float 0.0)))) "gauges"
+    [ ("opt.size.objective", Float.infinity);
+      ("serve.queue_depth", Float.neg_infinity) ]
+    m.Obs.Metrics.gauges;
+  (match List.assoc_opt "lu.factor.dim" m.Obs.Metrics.histograms with
+  | Some s ->
+    Alcotest.(check int) "count" 2 s.Obs.Metrics.count;
+    List.iter
+      (fun (name, v) ->
+        if not (Float.is_nan v) then Alcotest.failf "%s is %h, not NaN" name v)
+      [ ("sum", s.Obs.Metrics.sum); ("mean", s.Obs.Metrics.mean);
+        ("p99", s.Obs.Metrics.p99) ]
+  | None -> Alcotest.fail "histogram lost");
+  let reencode j = Result.map (Obs.Codec.encode Obs.bench_codec) (decode j) in
+  match Mutate.failures ~opaque:[ "machine" ] doc reencode with
+  | [] -> ()
+  | e :: _ -> Alcotest.fail e
+
 let () =
   Alcotest.run "codec"
     [
@@ -137,5 +196,7 @@ let () =
           Alcotest.test_case "golden bytes decode back" `Quick test_corpus_decodes;
           Alcotest.test_case "mutated reports and bench documents name their path" `Quick
             test_mutated_documents;
+          Alcotest.test_case "non-finite metric values round-trip" `Quick
+            test_nonfinite_snapshot;
         ] );
     ]

@@ -429,6 +429,69 @@ let prop_random_network_multi_output =
              (moments_of model_diff)
       | _ -> false)
 
+(* Sparse and dense port reduction compile the same program, or both fail
+   with the same classified kind, on random decks from the lib/circuit
+   generators with random symbol subsets at orders 1–4: the pin that lets
+   the dense branch go.  The two paths' errors differ in their site,
+   which names the factorization (lu.factor, sparse.factor).  On a
+   failure the report prints the shrunk deck. *)
+let gen_sparse_dense_case =
+  let open QCheck2.Gen in
+  let* nl =
+    oneof
+      [
+        map2
+          (fun nodes seed -> random_rc_network (int_rand seed) ~nodes)
+          (int_range 3 12) (int_range 0 10000);
+        map (fun sections -> Builders.rc_ladder ~sections ~r:100.0 ~c:1e-12 ())
+          (int_range 1 12);
+        map (fun depth -> Builders.rc_tree ~depth ~r:50.0 ~c:2e-13 ()) (int_range 1 4);
+        map2
+          (fun rows cols -> Builders.rc_mesh ~rows ~cols ~r:2.0 ~c:20e-15 ())
+          (int_range 2 4) (int_range 2 4);
+        map
+          (fun sections -> Builders.rlc_ladder ~sections ~r:10.0 ~l:1e-9 ~c:1e-12 ())
+          (int_range 1 8);
+        map (fun segments -> Builders.coupled_lines ~segments ()) (int_range 1 8);
+        map2
+          (fun segments k_couple -> Builders.coupled_rlc_lines ~segments ~k_couple ())
+          (int_range 1 6) (float_range 0.0 0.6);
+      ]
+  in
+  let passive =
+    List.filter
+      (fun (e : Element.t) ->
+        match e.Element.kind with
+        | Element.Resistor | Element.Conductance | Element.Capacitor
+        | Element.Inductor ->
+          true
+        | _ -> false)
+      (Netlist.elements nl)
+  in
+  let* picks = list_size (int_range 1 3) (int_bound (List.length passive - 1)) in
+  let* order = int_range 1 4 in
+  let mark nl i =
+    let name = (List.nth passive i).Element.name in
+    Netlist.mark_symbolic nl name (Sym.intern name)
+  in
+  return (List.fold_left mark nl picks, order)
+
+let prop_sparse_dense_same_program =
+  QCheck2.Test.make ~name:"sparse ≡ dense port reduction on random decks"
+    ~count:300
+    ~print:(fun (nl, order) ->
+      Printf.sprintf "order %d\n%s" order (Circuit.Export.to_deck nl))
+    gen_sparse_dense_case
+    (fun (nl, order) ->
+      let build sparse =
+        match Model.build ~order ~sparse nl with
+        | m -> Ok (Symbolic.Slp.digest (Model.program m))
+        | exception e -> Error (Awesym_error.classify e).Awesym_error.kind
+      in
+      match (build true, build false) with
+      | Error Awesym_error.Internal, _ | _, Error Awesym_error.Internal -> false
+      | sparse, dense -> sparse = dense)
+
 (* Two pathologies originally caught by the random-network fuzzer, pinned
    as concrete regressions. *)
 
@@ -632,5 +695,9 @@ let () =
         @ List.map QCheck_alcotest.to_alcotest
             [ prop_random_network_awe_vs_ac;
               prop_random_network_symbolic_identity;
-              prop_random_network_multi_output ] );
+              prop_random_network_multi_output ]
+        @ [
+            QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 1992 |])
+              prop_sparse_dense_same_program;
+          ] );
     ]

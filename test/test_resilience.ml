@@ -679,6 +679,22 @@ let test_cli_missing_references () =
       "V1 in 0 1\nR1 in out 1k\nL1 out 0 1u\nF1 out 0 L1 2\n.output v(out)\n";
     ]
 
+(* Decks the exact solver cannot solve or the linearizer cannot drive:
+   one classified line each, as [awe] gives for the same decks. *)
+let test_cli_exact_and_linearize () =
+  List.iter
+    (fun (cmd, kind, deck) -> check_deck_error ~cmd:[ cmd ] ~kind deck)
+    [
+      (* a floating capacitor pair; parallel voltage sources *)
+      ( "exact", "singular_system",
+        "V1 in 0 1\nR1 in out 1k\nC1 out 0 1p\nC2 x y 1p\n.output v(out)\n" );
+      ( "exact", "singular_system",
+        "V1 in 0 1\nV2 in 0 2\nR1 in out 1k\nC1 out 0 1p\n.output v(out)\n" );
+      (* no independent source; no .output card *)
+      ("linearize", "invalid_request", "R1 in out 1k\nC1 out 0 1p\n.output v(out)\n");
+      ("linearize", "invalid_request", "V1 in 0 1\nR1 in out 1k\nC1 out 0 1p\n");
+    ]
+
 (* An output path under a regular file cannot be created: each output a
    command writes fails as one classified line naming the file. *)
 let test_cli_unwritable_output () =
@@ -749,6 +765,8 @@ let () =
             test_cli_missing_references;
           Alcotest.test_case "unwritable output path is one error line" `Quick
             test_cli_unwritable_output;
+          Alcotest.test_case "exact and linearize failures are one error line each"
+            `Quick test_cli_exact_and_linearize;
         ] );
       ( "containment",
         [

@@ -315,6 +315,10 @@ let test_noncanonical_frames_rejected () =
   request ~path:"$.limit" (frame {|"op":"trace","limit":-3.5|});
   request ~path:"$.deadline_ms"
     (frame {|"op":"eval","model":"m","points":[],"deadline_ms":1e999|});
+  request ~path:"$.deadline_ms"
+    (frame {|"op":"eval","model":"m","points":[],"deadline_ms":"nan"|});
+  request ~path:"$.deadline_ms"
+    (frame {|"op":"eval","model":"m","points":[],"deadline_ms":"inf"|});
   request ~path:"$.points[0][1]"
     (frame {|"op":"eval","model":"m","points":[["3ff0000000000000","3FF0000000000000"]]|});
   request ~path:"$" (frame {|"op":"ping","extra":1|});
@@ -399,7 +403,7 @@ let test_garbage_requests_rejected () =
    which [Client.connect] parses — so the same harness exercises both
    transports. *)
 
-let with_server ?batch ?(max_models = 8) ?(workers = 1) ?replicas ?admission
+let with_server ?batch ?(max_models = 8) ?(workers = 1) ?admission
     ?worker_queue ?trace_log ?(tcp = false) f =
   let batch =
     match batch with Some b -> b | None -> Serve.Batcher.default_config
@@ -416,7 +420,6 @@ let with_server ?batch ?(max_models = 8) ?(workers = 1) ?replicas ?admission
       Serve.Server.batch;
       max_models;
       workers;
-      replicas = (match replicas with Some r -> r | None -> workers);
       admission =
         (match admission with
         | Some a -> a
@@ -481,8 +484,13 @@ let test_ping_and_info () =
   let info2 = ok "info copy" (Serve.Client.info c copy) in
   Alcotest.(check string) "content-checksum identity" info.Protocol.digest
     info2.Protocol.digest;
-  (match Serve.Client.info c (Filename.concat (Filename.dirname path) "no.awm") with
-  | Error e when e.Err.kind = Err.Invalid_request -> ()
+  (* A missing artifact is the worker's registry to report, naming the
+     file: the acceptor never reads it. *)
+  let missing = Filename.concat (Filename.dirname path) "no.awm" in
+  (match Serve.Client.info c missing with
+  | Error e when e.Err.kind = Err.Invalid_request ->
+    Alcotest.(check string) "where" "serve.registry" e.Err.where;
+    Alcotest.(check (option string)) "file" (Some missing) e.Err.file
   | Error e -> Alcotest.failf "wrong kind for missing artifact: %s" (Err.to_string e)
   | Ok _ -> Alcotest.fail "missing artifact must error");
   Serve.Client.close c
@@ -545,9 +553,9 @@ let test_deadline_expiry () =
   | Ok _ -> Alcotest.fail "an already-expired deadline must answer timeout");
   Serve.Client.close c
 
-(* The cheap admission gates run before the acceptor reads the artifact:
-   an expired request naming a missing artifact sheds as a timeout, not
-   as the invalid request the file read would report. *)
+(* No admission gate reads the artifact: an expired request naming a
+   missing artifact sheds as a timeout at admission, not as the invalid
+   request the worker's file read would report. *)
 let test_expired_sheds_before_read () =
   let _, path = Lazy.force fixture in
   with_server @@ fun ~sock ~stop:_ ->
@@ -569,6 +577,18 @@ let queue_depth c =
     match Json.member "queue_depth" s with
     | Some (Json.Num d) -> int_of_float d
     | _ -> Alcotest.fail "stats without queue_depth")
+
+(* Each worker's queue depth, from the stats [worker_shards] member. *)
+let shard_depths c =
+  match Json.member "worker_shards" (ok "stats" (Serve.Client.stats c)) with
+  | Some (Json.List shards) ->
+    List.map
+      (fun sh ->
+        match Json.member "queue_depth" sh with
+        | Some (Json.Num d) -> int_of_float d
+        | _ -> Alcotest.fail "shard entry without queue_depth")
+      shards
+  | _ -> Alcotest.fail "stats without worker_shards"
 
 let rec wait_for_depth c want tries =
   if tries = 0 then Alcotest.failf "queue never reached depth %d" want
@@ -653,18 +673,18 @@ let test_shutdown_request_drains () =
   ok "shutdown" (Serve.Client.shutdown c);
   Serve.Client.close c
 
-(* Multi-worker drain: park requests for two distinct digests across
-   four single-replica shards behind a long linger, flip the stop ref,
-   and require every parked client to get a correct answer — the
-   lose-nothing guarantee must hold when the queues live in worker
-   domains, not just in the acceptor. *)
+(* Multi-worker drain: park requests for two distinct digests on four
+   workers behind a long linger, flip the stop ref, and require every
+   parked client to get a correct answer — the lose-nothing guarantee
+   must hold when the queues live in worker domains, not just in the
+   acceptor. *)
 let test_multi_worker_drain () =
   let model2, path2 = Lazy.force fixture in
   let model3, path3 = Lazy.force fixture3 in
   let batch =
     { Serve.Batcher.max_batch = 4096; linger_s = 10.0 }
   in
-  with_server ~batch ~workers:4 ~replicas:1 @@ fun ~sock ~stop ->
+  with_server ~batch ~workers:4 @@ fun ~sock ~stop ->
   let jobs =
     [ (model2, path2, 1.0); (model3, path3, 1.05); (model2, path2, 0.95);
       (model3, path3, 1.1) ]
@@ -684,6 +704,8 @@ let test_multi_worker_drain () =
   in
   let c = client sock in
   wait_for_depth c (List.length jobs) 200;
+  Alcotest.(check (list int)) "one parked request per worker" [ 1; 1; 1; 1 ]
+    (shard_depths c);
   Serve.Client.close c;
   stop := true;
   List.iter
@@ -691,6 +713,34 @@ let test_multi_worker_drain () =
       let model, points, r = Domain.join d in
       check_moments_match model points (ok "drained eval" r))
     workers
+
+(* Load routing: four single-point requests for one model, from four
+   connections, parked behind a long linger, land one on each of four
+   workers — any worker may serve any model. *)
+let test_one_model_spreads () =
+  let model, path = Lazy.force fixture in
+  let batch =
+    { Serve.Batcher.default_config with Serve.Batcher.linger_s = 10.0 }
+  in
+  with_server ~batch ~workers:4 @@ fun ~sock ~stop ->
+  let point = [| Model.nominal_values model |] in
+  let parked =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () ->
+            let c = client sock in
+            let r = Serve.Client.eval c ~model:path point in
+            Serve.Client.close c;
+            r))
+  in
+  let c = client sock in
+  wait_for_depth c 4 200;
+  Alcotest.(check (list int)) "worker_shards queue depths" [ 1; 1; 1; 1 ]
+    (shard_depths c);
+  Serve.Client.close c;
+  stop := true;
+  List.iter
+    (fun d -> check_moments_match model point (ok "parked eval" (Domain.join d)))
+    parked
 
 (* Stats must expose the shard topology: worker count and one
    queue-depth/residency entry per worker. *)
@@ -1173,45 +1223,7 @@ let test_stale_socket_replaced_but_files_refused () =
     (In_channel.with_open_bin reg In_channel.input_all)
 
 (* ------------------------------------------------------------------ *)
-(* Shard placement + mailbox hand-off *)
-
-let test_shard_rendezvous () =
-  let digest i = Digest.to_hex (Digest.string (string_of_int i)) in
-  let owners = Serve.Shard.owners ~workers:8 ~replicas:3 (digest 1) in
-  Alcotest.(check (list int)) "deterministic" owners
-    (Serve.Shard.owners ~workers:8 ~replicas:3 (digest 1));
-  Alcotest.(check int) "replica count" 3 (List.length owners);
-  Alcotest.(check int) "replicas are distinct" 3
-    (List.length (List.sort_uniq Int.compare owners));
-  List.iter
-    (fun w ->
-      Alcotest.(check bool) "in range" true (w >= 0 && w < 8))
-    owners;
-  Alcotest.(check int) "replicas capped at workers" 2
-    (List.length (Serve.Shard.owners ~workers:2 ~replicas:5 (digest 2)));
-  (* Coverage: many digests spread over every worker. *)
-  let hits = Array.make 4 0 in
-  for i = 0 to 199 do
-    let w = Serve.Shard.owner ~workers:4 (digest i) in
-    hits.(w) <- hits.(w) + 1
-  done;
-  Array.iteri
-    (fun w n ->
-      if n = 0 then Alcotest.failf "worker %d owns no digest out of 200" w)
-    hits;
-  (* Minimal-relocation: growing 4 -> 5 workers moves roughly 1/5 of
-     digests, and certainly not most of them. *)
-  let moved = ref 0 in
-  for i = 0 to 199 do
-    if
-      Serve.Shard.owner ~workers:4 (digest i)
-      <> Serve.Shard.owner ~workers:5 (digest i)
-    then incr moved
-  done;
-  Alcotest.(check bool)
-    (Printf.sprintf "relocations bounded (moved %d/200)" !moved)
-    true
-    (!moved < 100)
+(* Mailbox hand-off *)
 
 let test_mailbox () =
   let m = Serve.Mailbox.create () in
@@ -1259,8 +1271,9 @@ let () =
         ] );
       ( "sharding",
         [
-          quick "rendezvous placement" test_shard_rendezvous;
           quick "mailbox hand-off" test_mailbox;
+          quick "one model's requests spread over every worker"
+            test_one_model_spreads;
         ] );
       ( "daemon",
         [

@@ -744,6 +744,9 @@ let test_noncanonical_sweep_inputs () =
   named "stray dist parameter" "$.axes[0].dist: unknown field"
     (Plan.of_json
        (json {|{"kind":"monte-carlo","points":3,"axes":[{"symbol":"C1","dist":{"kind":"uniform","lo":1,"hi":2,"mean":1}}]}|}));
+  named "non-finite dist parameter" "$.axes[0].dist.lo:"
+    (Plan.of_json
+       (json {|{"kind":"monte-carlo","points":3,"axes":[{"symbol":"C1","dist":{"kind":"uniform","lo":"-inf","hi":"inf"}}]}|}));
   (* A checkpoint names the line of the bad record. *)
   let path = Filename.temp_file "awesym_ckpt" ".json" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
