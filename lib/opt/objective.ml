@@ -117,9 +117,13 @@ let value_grad t model ~free v =
   | exception _ -> (infinity, Array.make nfree nan)
   | moments, jac ->
     let nm = Array.length moments in
+    (* The sweep's fault rule: only a moment the measures read counts. *)
     let base =
-      if Array.exists (fun m -> not (Float.is_finite m)) moments then
-        List.map (fun _ -> nan) ms
+      if
+        Array.exists
+          (fun k -> not (Float.is_finite moments.(k)))
+          (Engine.moments_read ~order:(Model.order model) ms)
+      then List.map (fun _ -> nan) ms
       else finish moments
     in
     let table = List.combine ms base in

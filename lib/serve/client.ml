@@ -11,7 +11,12 @@ type t = { fd : Unix.file_descr; mutable seq : int }
 let protocol_error ~where fmt =
   Printf.ksprintf (fun m -> Err.make Parse ~where m) fmt
 
+(* A write to a peer that has just died must come back as EPIPE, which
+   [rpc] classifies retryable, not kill the process: the coordinator then
+   retries the chunk on another worker.  Whoever opens a connection owns
+   that decision, as the daemon does for its own sockets. *)
 let connect_addr addr =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   match Transport.connect addr with
   | Ok fd -> Ok { fd; seq = 0 }
   | Error e -> Error e

@@ -14,7 +14,10 @@ val connect : string -> (t, Awesym_error.t) result
     bare Unix socket path (back-compat). *)
 
 val connect_addr : Transport.addr -> (t, Awesym_error.t) result
-(** Connect to an already-parsed address (e.g. {!Server.bound_addr}). *)
+(** Connect to an already-parsed address (e.g. {!Server.bound_addr}).
+    Every connect ignores SIGPIPE process-wide, so a request written to
+    a daemon that has just died fails with a retryable [unavailable]
+    error instead of killing the caller. *)
 
 val close : t -> unit
 

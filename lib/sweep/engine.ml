@@ -162,6 +162,43 @@ let moment_measures model ms moments =
   let order = Model.order model in
   List.map (point_finish ~fit:(Awe.Pade.fit ~order) (2 * order) moments) ms
 
+(* The one rule for what a measure list reads, as [point_finish] reads
+   it: [Moment k] reads m_k, [Elmore_delay] m0 and m1, and every measure
+   that fits a ROM all [2 * order] moments.  It picks the program a sweep
+   runs and the moments whose non-finite value faults a point. *)
+let moments_read ~order ms =
+  let nm = 2 * order in
+  let read = Array.make nm false in
+  List.iter
+    (function
+      | Moment k -> if k < nm then read.(k) <- true
+      | Elmore_delay ->
+        read.(0) <- true;
+        read.(1) <- true
+      | Dc_gain | Dc_gain_db | Dominant_pole_hz | Unity_gain_frequency
+      | Phase_margin | Delay_50 | Rise_time ->
+        Array.fill read 0 nm true)
+    ms;
+  Array.of_list (List.filter (fun k -> read.(k)) (List.init nm Fun.id))
+
+(* The point fault: the first read moment, in ascending order, that is
+   not finite, naming the sweep's [point] when there is one. *)
+let check_read ?point read moments =
+  Array.iter
+    (fun k ->
+      let m = moments.(k) in
+      if not (Float.is_finite m) then begin
+        let moment = ("moment", Printf.sprintf "m%d" k) in
+        let context, at =
+          match point with
+          | None -> ([ moment ], "")
+          | Some i -> ([ ("point", string_of_int i); moment ], Printf.sprintf " at point %d" i)
+        in
+        Err.errorf Nonfinite_result ~where:"sweep.point" ~context
+          "compiled moment m%d is non-finite (%h)%s" k m at
+      end)
+    read
+
 (* Single-point evaluation with the same finish [eval_chunk] applies:
    compiled moments, fixed-order Padé fit, strict NaN-measure semantics.
    The optimizer routes objective evaluations through this so a sized
@@ -169,13 +206,7 @@ let moment_measures model ms moments =
    bit for bit. *)
 let point_measures model ms v =
   let moments = Model.eval_moments model v in
-  Array.iteri
-    (fun k m ->
-      if not (Float.is_finite m) then
-        Err.errorf Nonfinite_result ~where:"sweep.point"
-          ~context:[ ("moment", Printf.sprintf "m%d" k) ]
-          "compiled moment m%d is non-finite (%h)" k m)
-    moments;
+  check_read (moments_read ~order:(Model.order model) ms) moments;
   moment_measures model ms moments
 
 (* ------------------------------------------------------------------ *)
@@ -211,6 +242,8 @@ type prep = {
   p_order : int;
   p_nm : int;  (* moments per point = 2 * order *)
   p_marr : measure array;  (* requested measures, spec measures unioned in *)
+  p_read : int array;  (* the moments [p_marr] reads, ascending *)
+  p_prog : Slp.t;  (* the model's program cut to [p_read] *)
   p_specs : spec list;
   p_policy : policy;
   p_max_attempts : int;
@@ -265,7 +298,11 @@ let prepare ?(seed = 42) ?block ?jobs ?(measures = default_measures)
      full model digest — combined with symbols/nominals/order it pins the
      compiled model for any realistic workflow.)  The same key is the
      distributed handshake: a worker that computes a different key from
-     the same request refuses the chunk. *)
+     the same request refuses the chunk.  The point-fault rule is not in
+     the key: older binaries also faulted a point on a non-finite moment
+     no measure reads, and their checkpoints and workers are accepted, so
+     a report blends the two rules where such a point exists
+     (docs/ROBUSTNESS.md). *)
   let ckpt_key =
     Digest.to_hex
       (Digest.string
@@ -287,6 +324,15 @@ let prepare ?(seed = 42) ?block ?jobs ?(measures = default_measures)
             @ Array.to_list symbols
             @ List.map C.hex (Array.to_list nominals))))
   in
+  (* The program resolves once per prep: the model's own when every
+     moment is read, so ROM sweeps and native kernel digests are those
+     of the model, else [Slp.select]'s cut, memoized on the model's
+     program so every prep over the same moments shares it. *)
+  let read = moments_read ~order measures in
+  let prog =
+    if Array.length read = nm then Model.program model
+    else Slp.select (Model.program model) read
+  in
   {
     p_model = model;
     p_plan = plan;
@@ -296,6 +342,8 @@ let prepare ?(seed = 42) ?block ?jobs ?(measures = default_measures)
     p_order = order;
     p_nm = nm;
     p_marr = Array.of_list measures;
+    p_read = read;
+    p_prog = prog;
     p_specs = specs;
     p_policy = policy;
     p_max_attempts = (match policy with Retry k -> 1 + k | _ -> 1);
@@ -349,7 +397,7 @@ let eval_chunk p idx =
   let nmeas = Array.length marr in
   let vals = Array.init nmeas (fun _ -> Array.make c.len nan) in
   let failed_arr : failed_point option array = Array.make c.len None in
-  let prog = Model.program p.p_model in
+  let prog = p.p_prog and read = p.p_read in
   let sub = Array.map (fun col -> Array.sub col c.lo c.len) p.p_cols in
   (* Chunk stage: batched moment evaluation.  A fault here (injected
      worker crash, injected kernel fault) is retried chunk-wise under
@@ -398,8 +446,9 @@ let eval_chunk p idx =
             }
       done)
   | Ok mcols ->
-    (* Point stage: measure finish with per-point isolation. *)
-    let moments = Array.make nm 0.0 in
+    (* Point stage: measure finish with per-point isolation.  Column [j]
+       holds moment [read.(j)]; no measure reads the other slots. *)
+    let moments = Array.make nm nan in
     let fit m =
       match Awe.Pade.fit ~order m with
       | rom -> rom
@@ -425,20 +474,8 @@ let eval_chunk p idx =
       let i = c.lo + li in
       let eval_once attempt =
         Runtime.Fault.cut "sweep.point" ~key:i ~attempt;
-        for k = 0 to nm - 1 do
-          moments.(k) <- mcols.(k).(li)
-        done;
-        for k = 0 to nm - 1 do
-          if not (Float.is_finite moments.(k)) then
-            Err.errorf Nonfinite_result ~where:"sweep.point"
-              ~context:
-                [
-                  ("point", string_of_int i);
-                  ("moment", Printf.sprintf "m%d" k);
-                ]
-              "compiled moment m%d is non-finite (%h) at point %d" k
-              moments.(k) i
-        done;
+        Array.iteri (fun j k -> moments.(k) <- mcols.(j).(li)) read;
+        check_read ~point:i read moments;
         Array.map (point_finish ~fit nm moments) marr
       in
       let rec point_try attempt =

@@ -5,7 +5,8 @@
     [run] materializes the plan's points as input columns, evaluates the
     model's compiled moment program chunk-by-chunk with the batch kernel
     (bit-identical to a per-point [Model.eval_moments] loop, but one
-    instruction dispatch per block), finishes each point with the
+    instruction dispatch per block; cut by [Slp.select] to the moments
+    the measures read, see {!moments_read}), finishes each point with the
     fixed-order Padé fit, extracts the requested performance measures,
     and summarizes.  Everything downstream of the seed is deterministic.
 
@@ -24,10 +25,12 @@
     What counts as a point fault: an exception escaping the point's
     evaluation (singular system, degenerate Padé when a ROM-based
     measure was requested, injected fault) or a non-finite compiled
-    moment.  A NaN {e measure} from a successful model evaluation (e.g.
-    no unity-gain crossing) is a property of the circuit, not a fault —
-    it stays in the report and is excluded per-measure by {!Stats} as
-    before.
+    moment that some requested measure reads (see {!moments_read}): a
+    sweep of [m0] and [m1] keeps a point whose [m2] overflows, while a
+    sweep with any ROM measure faults it.  A NaN {e measure} from a
+    successful model evaluation (e.g. no unity-gain crossing) is a
+    property of the circuit, not a fault — it stays in the report and is
+    excluded per-measure by {!Stats} as before.
 
     {2 Checkpoint/resume}
 
@@ -117,6 +120,14 @@ val survivors : result -> int
 val default_measures : measure list
 (** [Dc_gain; Dominant_pole_hz; Delay_50]. *)
 
+val moments_read : order:int -> measure list -> int array
+(** The moments a measure list reads, ascending and each once: [Moment k]
+    reads [m_k], [Elmore_delay] reads [m0] and [m1], and every other
+    measure fits a ROM and reads all [2·order].  This one rule decides
+    which of the model's program outputs a sweep runs ({!prepare}) and
+    which non-finite moments fault a point in {!eval_chunk},
+    {!point_measures} and the optimizer's gradient. *)
+
 val point_measures :
   Awesymbolic.Model.t -> measure list -> float array -> float list
 (** Evaluate measures at a single input point with {e exactly} the
@@ -126,7 +137,8 @@ val point_measures :
     for a successful fit with no crossing.  The optimizer's objective goes
     through this, so a sized design point and a sweep visiting the same
     point agree bit for bit.  Raises [Nonfinite_result] on a non-finite
-    compiled moment and [Awe.Pade.Degenerate] on a degenerate fit. *)
+    compiled moment that the measures read ({!moments_read}) and
+    [Awe.Pade.Degenerate] on a degenerate fit. *)
 
 val moment_measures :
   Awesymbolic.Model.t -> measure list -> float array -> float list
@@ -148,7 +160,10 @@ val moment_measures :
 
 type prep
 (** Prepared sweep: validated inputs, materialized input columns, the
-    deterministic chunk layout, and the checkpoint key. *)
+    deterministic chunk layout, the checkpoint key, and the program the
+    chunks run: the model's own when the measures read every moment,
+    otherwise [Slp.select] of it cut to {!moments_read}, whose outputs
+    have the same bits. *)
 
 val prepare :
   ?seed:int ->
@@ -169,7 +184,10 @@ val prep_key : prep -> string
 (** The checkpoint key: hex MD5 binding plan, seed, order, block,
     measures, specs, policy, and the model's shape.  Two preps with
     equal keys evaluate chunks identically; the distributed protocol
-    uses key equality as its skew handshake. *)
+    uses key equality as its skew handshake.  The point-fault rule is
+    not in the key: a checkpoint or worker from a binary that faulted a
+    point on any non-finite moment has the same key, and disagrees
+    where a point has a non-finite moment no measure reads. *)
 
 val prep_points : prep -> int
 (** Total points [n]. *)
@@ -219,13 +237,14 @@ val chunk_failures : chunk_result -> int list
 (** Global indices of the chunk's quarantined points, ascending. *)
 
 val eval_chunk : prep -> int -> chunk_result
-(** Evaluate chunk [i]: batched moment evaluation, per-point measure
-    finish, fault policy applied exactly as in {!run} (same fault sites,
-    same retry/quarantine decisions — they are pure functions of the
-    data).  The kernel runs on this domain's batch evaluator, made on
-    its first chunk and reused while the program and the block size stay
-    the same.  Raises under [Fail_fast] on the first fault, and
-    [Invalid_request] on an out-of-range index. *)
+(** Evaluate chunk [i]: batched evaluation of the moments the measures
+    read, per-point measure finish, fault policy applied exactly as in
+    {!run} (same fault sites, same retry/quarantine decisions — they are
+    pure functions of the data; only a non-finite moment some measure
+    reads faults a point).  The kernel runs on this domain's batch
+    evaluator, made on its first chunk and reused while the program and
+    the block size stay the same.  Raises under [Fail_fast] on the first
+    fault, and [Invalid_request] on an out-of-range index. *)
 
 val chunk_result_to_json : chunk_result -> Obs.Json.t
 (** The checkpoint record shape [{lo; len; vals; failed}], floats as

@@ -60,6 +60,8 @@ type t = {
       (* canonical program digest, computed on first use *)
   mutable lowered_memo : lowered option;
       (* batch execution form, computed on the first batch evaluation *)
+  mutable select_memo : (int array * t) option;
+      (* the latest [select] result and the outputs it kept *)
   mutable native_memo : native_kernels option option;
       (* None: provider not yet consulted; Some r: the provider's verdict.
          Racy writes are benign — both racers store equivalent immutable
@@ -74,6 +76,7 @@ let make ~inputs ~instrs ~init ~outputs =
     outputs;
     digest_memo = None;
     lowered_memo = None;
+    select_memo = None;
     native_memo = None;
   }
 
@@ -149,7 +152,9 @@ let sop_operands = function
   | S_add (a, b) | S_mul (a, b) -> [ a; b ]
   | S_neg a | S_inv a | S_sqrt a | S_exp a -> [ a ]
 
-let optimize p =
+(* [optimize] without its counters: [select] runs the same passes and
+   counts what it drops under its own name. *)
+let rewrite p =
   (* Pass 1: rename to SSA, folding every instruction whose operands are all
      compile-time constants (with the interpreter's own float ops). *)
   let cur = Array.map (fun c -> Cst c) p.init in
@@ -327,13 +332,44 @@ let optimize p =
       init.(reg_of.(nc - 1 - k)) <- c)
     !const_vals;
   let outputs = Array.map reg_of_operand out_vals in
+  make ~inputs:p.inputs ~instrs ~init ~outputs
+
+let optimize p =
+  let q = rewrite p in
   if !Obs.enabled then begin
     Obs.Metrics.add "slp.optimize.folded_ops"
-      (Array.length p.instrs - Array.length instrs);
+      (Array.length p.instrs - Array.length q.instrs);
     Obs.Metrics.add "slp.optimize.saved_regs"
-      (Int.max 0 (Array.length p.init - Array.length init))
+      (Int.max 0 (Array.length p.init - Array.length q.init))
   end;
-  make ~inputs:p.inputs ~instrs ~init ~outputs
+  q
+
+(* The program cut down to the outputs [ks]: [rewrite] drops every
+   instruction no kept output reads and keeps the bits.  Memoized on [p]
+   in one slot, as [lowered_memo] is, so every sweep over one subset
+   shares one program, with its lowered form and native kernel.  Racy
+   writes are benign: a lost update only re-runs [rewrite]. *)
+let select p ks =
+  let n = Array.length p.outputs in
+  Array.iter
+    (fun k ->
+      if k < 0 || k >= n then
+        invalid_arg
+          (Printf.sprintf "Slp.select: output %d out of range [0, %d)" k n))
+    ks;
+  match p.select_memo with
+  | Some (kept, q) when kept = ks -> q
+  | _ ->
+    let q =
+      rewrite
+        (make ~inputs:p.inputs ~instrs:p.instrs ~init:p.init
+           ~outputs:(Array.map (fun k -> p.outputs.(k)) ks))
+    in
+    if !Obs.enabled then
+      Obs.Metrics.add "slp.select.dropped_ops"
+        (Array.length p.instrs - Array.length q.instrs);
+    p.select_memo <- Some (Array.copy ks, q);
+    q
 
 (* ------------------------------------------------------------------ *)
 

@@ -39,6 +39,18 @@ val optimize : t -> t
     that recycles a register as soon as its last consumer has run.
     Idempotent; evaluation results are bit-identical. *)
 
+val select : t -> int array -> t
+(** [select p ks] is [p] cut down to the outputs [ks]: output [j] of the
+    result is output [ks.(j)] of [p], computed by {!optimize} over [p]'s
+    instructions, so only the instructions some kept output reads remain
+    and every kept output has the same bits as in [p].  [ks] may be empty,
+    repeat an index, or name constant outputs.  Memoized on [p] for the
+    latest [ks]: selecting the same [ks] again returns the physically
+    same program, with its lowered form and native kernel.  With {!Obs}
+    enabled, a memo miss adds the instructions it dropped to
+    [slp.select.dropped_ops] ({!optimize}'s counters are untouched).
+    Raises [Invalid_argument] on an index outside [\[0, num_outputs p)]. *)
+
 val inputs : t -> Symbol.t array
 val num_outputs : t -> int
 val num_instructions : t -> int

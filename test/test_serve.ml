@@ -857,6 +857,34 @@ let test_server_death_mid_request () =
   Domain.join srv;
   Unix.close lfd
 
+(* A request written to a daemon that has just died fails with EPIPE,
+   classified [unavailable] so a caller can retry elsewhere; it must not
+   kill the client with SIGPIPE.  The disposition is reset first, as in a
+   CLI process that never started a daemon: connecting must ignore it. *)
+let test_client_survives_dead_peer () =
+  let dir = temp_dir "awesym_epipe" in
+  let sock = Filename.concat dir "gone.sock" in
+  let lfd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
+  Unix.bind lfd (ADDR_UNIX sock);
+  Unix.listen lfd 1;
+  Sys.set_signal Sys.sigpipe Sys.Signal_default;
+  let c =
+    match Serve.Client.connect_addr (Serve.Transport.Unix_sock sock) with
+    | Ok c -> c
+    | Error e -> Alcotest.failf "connect: %s" (Err.to_string e)
+  in
+  (match Sys.signal Sys.sigpipe Sys.Signal_ignore with
+  | Sys.Signal_ignore -> ()
+  | _ -> Alcotest.fail "connecting left SIGPIPE able to kill the client");
+  let fd, _ = Unix.accept lfd in
+  Unix.close fd;
+  (match Serve.Client.ping c with
+  | Error e when e.Err.kind = Err.Unavailable -> ()
+  | Error e -> Alcotest.failf "wrong kind: %s" (Err.to_string e)
+  | Ok _ -> Alcotest.fail "a closed peer must not answer");
+  Serve.Client.close c;
+  Unix.close lfd
+
 (* A frame the JSON parser refuses — here a malformed \u escape, which
    once raised out of the parser and took the daemon down — answers a
    parse error naming the node, and the daemon keeps serving. *)
@@ -1297,6 +1325,8 @@ let () =
           quick "stats expose shard topology" test_stats_shard_topology;
           quick "server death mid-request classified, never hangs"
             test_server_death_mid_request;
+          quick "a request to a dead daemon fails retryably, no SIGPIPE"
+            test_client_survives_dead_peer;
           quick "partial frames over tcp" test_partial_frames_over_tcp;
           quick "malformed escape answered, daemon survives"
             test_malformed_escape_survives;

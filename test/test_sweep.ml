@@ -860,6 +860,195 @@ let test_chunk_evaluator_reuse () =
     end
   done
 
+(* A sweep runs only the moments its measures read.  On every deck that
+   builds at orders 1–4, a random nonempty subset of m_k and elmore_delay
+   at jobs 1 and 2 gives the summaries of the same sweep with dc_gain
+   added, which reads every moment and so runs the model's own program.
+   Where the Padé fit behind dc_gain fails at some points, those points
+   may survive the cut sweep: its failures must then be a subset, and its
+   values equal on the points both keep. *)
+let test_moment_only_sweeps () =
+  let rng = Random.State.make [| 28 |] in
+  let dir = decks_dir () in
+  let decks =
+    List.sort compare
+      (List.filter
+         (fun f -> Filename.check_suffix f ".cir")
+         (Array.to_list (Sys.readdir dir)))
+  in
+  let bits = Int64.bits_of_float in
+  let same_summaries = ref 0 and cases = ref 0 in
+  List.iter
+    (fun file ->
+      for order = 1 to 4 do
+        match Model.build ~order (Circuit.Parser.parse_file (Filename.concat dir file)) with
+        | exception _ -> ()
+        | model ->
+          let plan =
+            Plan.make (Plan.Monte_carlo 300)
+              (Array.to_list
+                 (Array.map2
+                    (fun s v -> { Plan.name = Sym.name s; dist = Dist.around ~nominal:v ~pct:20.0 })
+                    (Model.symbols model) (Model.nominal_values model)))
+          in
+          let candidates =
+            Engine.Elmore_delay :: List.init (2 * order) (fun k -> Engine.Moment k)
+          in
+          let measures =
+            match List.filter (fun _ -> Random.State.bool rng) candidates with
+            | [] -> [ List.nth candidates (Random.State.int rng (List.length candidates)) ]
+            | ms -> ms
+          in
+          List.iter
+            (fun jobs ->
+              incr cases;
+              let what =
+                Printf.sprintf "%s -q %d [%s] jobs %d" file order
+                  (String.concat "," (List.map Engine.measure_name measures)) jobs
+              in
+              let sweep measures =
+                let p = Engine.prepare ~seed:order ~block:64 ~jobs ~measures model plan in
+                (p, Engine.evaluate ~jobs p)
+              in
+              let cut_prep, cut = sweep measures
+              and full_prep, full = sweep (measures @ [ Engine.Dc_gain ]) in
+              let failures slots =
+                List.concat_map (fun c -> Engine.chunk_failures (Option.get c)) (Array.to_list slots)
+              in
+              let cut_failed = failures cut and full_failed = failures full in
+              if not (List.for_all (fun i -> List.mem i full_failed) cut_failed) then
+                Alcotest.failf "%s: the cut sweep quarantines a point the full one keeps" what;
+              Array.iteri
+                (fun c slot ->
+                  let cv = Engine.chunk_values (Option.get slot)
+                  and fv = Engine.chunk_values (Option.get full.(c)) in
+                  let lo = Engine.chunk_lo (Option.get slot) in
+                  Array.iteri
+                    (fun j row ->
+                      Array.iteri
+                        (fun li v ->
+                          if not (List.mem (lo + li) full_failed) && bits v <> bits fv.(j).(li)
+                          then Alcotest.failf "%s: %s differs at point %d" what
+                              (Engine.measure_name (List.nth measures j)) (lo + li))
+                        row)
+                    cv)
+                cut;
+              if cut_failed = full_failed && List.length full_failed < Engine.prep_points full_prep
+              then begin
+                incr same_summaries;
+                let summaries p slots =
+                  List.filter_map
+                    (fun (m, s) -> if m = Engine.Dc_gain then None else Some (m, summary_bits s))
+                    (Engine.finish p slots).Engine.summaries
+                in
+                if summaries cut_prep cut <> summaries full_prep full then
+                  Alcotest.failf "%s: summaries differ" what
+              end)
+            [ 1; 2 ]
+      done)
+    decks;
+  Alcotest.(check bool)
+    (Printf.sprintf "summaries compared in %d of %d cases" !same_summaries !cases)
+    true
+    (!same_summaries * 2 >= !cases)
+
+(* An RC lowpass with R1 = C1 = 1e100 at order 2: m1 = -1e200 is
+   finite, m2 = 1e400 is not.  [n] Monte-Carlo points, each symbol
+   within 10 % of its nominal. *)
+let overflow_sweep n =
+  let nl =
+    Circuit.Parser.parse_string
+      "* RC lowpass whose m2 overflows\n\
+       V1 in 0 1\n\
+       R1 in out 1e100\n\
+       C1 out 0 1e100\n\
+       .symbolic R1 r1\n\
+       .symbolic C1 c1\n\
+       .input V1\n\
+       .output v(out)\n"
+  in
+  let model = Model.build ~order:2 nl in
+  let plan =
+    Plan.make (Plan.Monte_carlo n)
+      (Array.to_list
+         (Array.map2
+            (fun s v -> { Plan.name = Sym.name s; dist = Dist.around ~nominal:v ~pct:10.0 })
+            (Model.symbols model) (Model.nominal_values model)))
+  in
+  (model, plan)
+
+(* Only a sweep that reads m2 faults its points, and [point_measures]
+   agrees with the sweep point by point. *)
+let test_unread_moment_faults_nothing () =
+  let model, plan = overflow_sweep 200 in
+  let run measures = Engine.run ~seed:3 ~jobs:2 ~block:64 ~measures model plan in
+  let prep measures = Engine.prepare ~seed:3 ~jobs:1 ~block:64 ~measures model plan in
+  let point p i = Array.map (fun col -> col.(i)) (Engine.prep_inputs p) in
+  let kept = Engine.[ Moment 0; Moment 1 ] in
+  let r = run kept in
+  Alcotest.(check int) "m0,m1 sweep keeps every point" 200 (Engine.survivors r);
+  let p = prep kept in
+  for c = 0 to Engine.prep_num_chunks p - 1 do
+    let chunk = Engine.eval_chunk p c in
+    for li = 0 to Engine.chunk_len chunk - 1 do
+      let i = Engine.chunk_lo chunk + li in
+      List.iteri
+        (fun j v ->
+          if Int64.bits_of_float v <> Int64.bits_of_float (Engine.chunk_values chunk).(j).(li)
+          then Alcotest.failf "point_measures differs from the sweep at point %d" i)
+        (Engine.point_measures model kept (point p i))
+    done
+  done;
+  List.iter
+    (fun measures ->
+      let name = String.concat "," (List.map Engine.measure_name measures) in
+      (match run measures with
+      | _ -> Alcotest.failf "%s sweep kept a point" name
+      | exception Awesym_error.Error e ->
+        Alcotest.(check string) (name ^ ": kind") "nonfinite_result"
+          (Awesym_error.kind_name e.Awesym_error.kind);
+        Alcotest.(check (option string)) (name ^ ": moment") (Some "m2")
+          (List.assoc_opt "moment" e.Awesym_error.context));
+      match Engine.point_measures model measures (point (prep measures) 0) with
+      | _ -> Alcotest.failf "%s: point_measures kept point 0" name
+      | exception Awesym_error.Error e ->
+        Alcotest.(check (option string)) (name ^ ": point_measures moment") (Some "m2")
+          (List.assoc_opt "moment" e.Awesym_error.context))
+    Engine.[ [ Moment 2 ]; [ Moment 0; Dc_gain ] ]
+
+(* The point-fault rule is not part of the checkpoint key, so chunks
+   restored from a checkpoint keep the rule they were written under.
+   [golden/rc_overflow_m0m1_ckpt.txt] is the header and first two chunk
+   lines (points 0-15) of the checkpoint that the library wrote for this
+   m0,m1 sweep when any non-finite moment faulted a point, so those
+   chunks quarantine every point naming m2.  Resumed today, the report
+   blends the two rules: the 16 restored points stay quarantined and the
+   24 evaluated now are kept, where a fresh run keeps all 40. *)
+let test_resumed_checkpoint_keeps_its_rule () =
+  let model, plan = overflow_sweep 40 in
+  let measures = Engine.[ Moment 0; Moment 1 ] in
+  let run ?checkpoint () =
+    Engine.run ~seed:3 ~jobs:1 ~block:8 ~measures ?checkpoint ~resume:true model plan
+  in
+  Alcotest.(check int) "a fresh run keeps every point" 40 (Engine.survivors (run ()));
+  let path = Filename.temp_file "awesym_ckpt" ".txt" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc
+        (In_channel.with_open_bin (Filename.concat "golden" "rc_overflow_m0m1_ckpt.txt")
+           In_channel.input_all));
+  let r = run ~checkpoint:path () in
+  Alcotest.(check int) "the points evaluated now are kept" 24 (Engine.survivors r);
+  Alcotest.(check (list int)) "the restored points stay quarantined" (List.init 16 Fun.id)
+    (List.map (fun (f : Engine.failed_point) -> f.Engine.point) r.Engine.failed);
+  List.iter
+    (fun (f : Engine.failed_point) ->
+      Alcotest.(check (option string))
+        (Printf.sprintf "point %d names m2" f.Engine.point)
+        (Some "m2")
+        (List.assoc_opt "moment" f.Engine.error.Awesym_error.context))
+    r.Engine.failed
+
 (* Committed reports compared byte for byte: any change to the
    Padé/measure finish or to the statistics that moves a single output
    bit fails here.  On a mismatch the fresh report is written next to the
@@ -994,6 +1183,12 @@ let () =
           quick "per-domain chunk evaluator leaks no state"
             test_chunk_evaluator_reuse;
           quick "transient kernel faults heal under retry" test_kernel_faults_heal;
+          quick "moment-only sweeps ≡ the full program on every deck"
+            test_moment_only_sweeps;
+          quick "an unread non-finite moment faults no point"
+            test_unread_moment_faults_nothing;
+          quick "a resumed checkpoint keeps the fault rule it was written under"
+            test_resumed_checkpoint_keeps_its_rule;
           quick "chunk records accept only canonical hex" test_chunk_record_canonical_hex;
         ] );
       ( "codec",

@@ -808,6 +808,98 @@ let test_lowering_fuses_single_use_pairs () =
         ("the reader is not the next instruction", [ Load_input (0, 0); Mul (2, 0, 3); Load_input (1, 1); Add (2, 2, 1) ], [| 2 |], 4);
       ]
 
+(* [Slp.select p ks] keeps only what outputs [ks] read.  The raw programs
+   gain two constant outputs (the registers no snippet writes), so a
+   subset may be empty, constant-only, every output, or a random pick
+   with repeats in any order.  Each kept output has the bits of the full
+   program's, under scalar [eval] and the batch kernel, and selecting the
+   same subset again returns the physically same program. *)
+let select_case_gen =
+  let open QCheck2.Gen in
+  let* p = raw_program_gen in
+  let nr = Slp.num_registers p in
+  let outputs = Array.append (Slp.output_registers p) [| nr - 2; nr - 1 |] in
+  let p =
+    Slp.of_parts ~inputs:(Slp.inputs p) ~instrs:(Slp.instructions p)
+      ~init:(Slp.init_registers p) ~outputs
+  in
+  let n = Array.length outputs in
+  let* ks =
+    frequency
+      [
+        (1, return [||]);
+        (1, array_size (int_range 1 2) (int_range (n - 2) (n - 1)));
+        (1, return (Array.init n Fun.id));
+        (4, array_size (int_range 1 (n + 1)) (int_bound (n - 1)));
+      ]
+  in
+  return (p, ks)
+
+let prop_select_matches_full =
+  QCheck2.Test.make ~name:"select ≡ the full program's outputs, bit for bit"
+    ~count:1000
+    ~print:(fun ((p, ks), _, _, _) ->
+      Printf.sprintf "%s\nselect [%s]" (print_raw_program p)
+        (String.concat "; " (Array.to_list (Array.map string_of_int ks))))
+    QCheck2.Gen.(
+      quad select_case_gen (int_range 1 12) (int_range 1 2)
+        (list_size (int_range 1 40) (pair float_gen float_gen)))
+    (fun ((p, ks), block, jobs, points) ->
+      let q = Slp.select p ks in
+      let xs = Array.of_list (List.map fst points)
+      and ys = Array.of_list (List.map snd points) in
+      let full = Slp.eval_batch ~block ~jobs p [| xs; ys |]
+      and cut = Slp.eval_batch ~block ~jobs q [| xs; ys |] in
+      let scalar_ok =
+        List.for_all
+          (fun (vx, vy) ->
+            let f = Slp.eval p [| vx; vy |] and c = Slp.eval q [| vx; vy |] in
+            Array.length c = Array.length ks
+            && Array.for_all2 (fun k v -> bits v = bits f.(k)) ks c)
+          points
+      in
+      scalar_ok
+      && Array.length cut = Array.length ks
+      && Array.for_all2
+           (fun k col -> Array.for_all2 (fun a b -> bits a = bits b) col full.(k))
+           ks cut
+      && Slp.num_instructions q <= Slp.num_instructions p
+      && Slp.select p ks == q)
+
+(* On a compiled program, [select] drops the work only other outputs
+   need, counts it as dropped rather than folded, memoizes the latest
+   subset, and rejects an index outside the outputs. *)
+let test_select_drops_unread_work () =
+  let a = Expr.mul (Expr.sym x) (Expr.sym y) in
+  let b = Expr.exp (Expr.add a (Expr.sym x)) in
+  let p = Slp.compile ~inputs:[| x; y |] [| a; b; Expr.const 2.0 |] in
+  Obs.Metrics.reset ();
+  Obs.enabled := true;
+  let q =
+    Fun.protect ~finally:(fun () -> Obs.enabled := false) (fun () ->
+        let q = Slp.select p [| 0 |] in
+        ignore (Slp.select p [| 0 |]);
+        q)
+  in
+  Alcotest.(check int) "dropped once, on the memo miss"
+    (Slp.num_instructions p - Slp.num_instructions q)
+    (Obs.Metrics.counter "slp.select.dropped_ops");
+  Alcotest.(check (pair int int)) "optimize counters untouched" (0, 0)
+    ( Obs.Metrics.counter "slp.optimize.folded_ops",
+      Obs.Metrics.counter "slp.optimize.saved_regs" );
+  Alcotest.(check int) "x * y alone" 3 (Slp.num_instructions q);
+  Alcotest.(check bool) "the same subset again: the memoized program" true
+    (Slp.select p [| 0 |] == q);
+  let r = Slp.select p [| 1 |] in
+  Alcotest.(check bool) "another subset: its own memoized program" true
+    (r != q && Slp.select p [| 1 |] == r);
+  Alcotest.(check int) "constant output alone" 0
+    (Slp.num_instructions (Slp.select p [| 2 |]));
+  check_float "kept output" 6.0 (Slp.eval q [| 2.0; 3.0 |]).(0);
+  Alcotest.check_raises "index past the outputs"
+    (Invalid_argument "Slp.select: output 3 out of range [0, 3)") (fun () ->
+      ignore (Slp.select p [| 0; 3 |]))
+
 (* ------------------------------------------------------------------ *)
 (* Interval arithmetic and interval program evaluation *)
 
@@ -927,10 +1019,12 @@ let () =
             test_batch_evaluator_single_owner;
           quick "lowering keeps every unsafe Neg" test_lowering_keeps_unsafe_negs;
           quick "lowering fuses single-use pairs" test_lowering_fuses_single_use_pairs;
+          quick "select drops unread work" test_select_drops_unread_work;
         ]
         @ props
             [ prop_slp_matches_eval; prop_slp_batch_matches_scalar;
-              prop_slp_optimizer_bit_identical; prop_lowered_batch_matches_scalar ] );
+              prop_slp_optimizer_bit_identical; prop_lowered_batch_matches_scalar;
+              prop_select_matches_full ] );
       ( "misc",
         [
           quick "mpoly printer" test_mpoly_printer;
