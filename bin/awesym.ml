@@ -94,8 +94,8 @@ let obs_args =
 (* Shared worker-count flag for the compiled-model commands.  Setting the
    process-wide default (rather than threading the count through every
    call) keeps library signatures optional: anything that takes [?jobs]
-   picks the flag up via [Runtime.default_jobs].  Resolution order is
-   --jobs > AWESYM_JOBS > 1; results are bit-identical for every count. *)
+   picks the flag up via [Runtime.resolve_jobs], the one place a count is
+   resolved (--jobs > AWESYM_JOBS > 1, capped at the cores). *)
 let jobs_arg =
   Arg.(
     value
@@ -103,7 +103,8 @@ let jobs_arg =
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
           "Worker domains for parallel stages (default: \\$AWESYM_JOBS, \
-           else 1).  Results are bit-identical for every jobs count.")
+           else 1), capped at the cores.  Results are bit-identical for \
+           every jobs count.")
 
 (* Shared evaluation-backend flag for the compiled-model commands (see
    docs/CODEGEN.md).  Like --jobs it sets process-wide state: libraries
@@ -1317,10 +1318,10 @@ let with_daemon addr f =
   Fun.protect ~finally:(fun () -> Serve.Client.close c) (fun () -> f c)
 
 let serve_cmd =
-  let run jobs backend listen workers max_batch linger_ms
+  let run backend listen workers max_batch linger_ms
       worker_queue client_inflight max_models gc_mb trace_log
       trace_log_max_mb =
-    set_runtime jobs backend;
+    set_runtime None backend;
     if max_batch < 1 || linger_ms < 0.0 then
       die "serve: --max-batch must be >= 1, --linger-ms >= 0";
     if workers < 1 || worker_queue < 1 || client_inflight < 1 then
@@ -1446,7 +1447,7 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
-      const run $ jobs_arg $ backend_arg $ listen_arg $ workers_arg
+      const run $ backend_arg $ listen_arg $ workers_arg
       $ max_batch_arg $ linger_arg $ worker_queue_arg
       $ client_inflight_arg $ max_models_arg $ gc_arg $ trace_log_arg
       $ trace_log_max_arg)

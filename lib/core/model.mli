@@ -15,8 +15,8 @@ val build : ?order:int -> ?sparse:bool -> ?jobs:int -> Circuit.Netlist.t -> t
     least one symbolic element (mark with [Netlist.mark_symbolic], the
     [.symbolic] deck directive, or [Awe.Sensitivity.select_symbols]).
     [~sparse:true] routes the numeric port reduction through the sparse
-    solver — the right choice for large interconnect.  [jobs] (default
-    [Runtime.default_jobs ()]) parallelizes the numeric port reduction
+    solver — the right choice for large interconnect.  [jobs] (resolved by
+    [Runtime.resolve_jobs]) parallelizes the numeric port reduction
     across ports; results are identical for every jobs count.  It is
     {!build_many} of the netlist's designated output. *)
 

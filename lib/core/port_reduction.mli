@@ -15,8 +15,8 @@ type t = private {
 }
 
 val compute : ?sparse:bool -> ?jobs:int -> count:int -> Partition.t -> t
-(** [count] moment matrices [Y⁰ … Y^{count−1}].  [jobs] (default
-    [Runtime.default_jobs ()]) fans the per-port moment recursions across
+(** [count] moment matrices [Y⁰ … Y^{count−1}].  [jobs] (resolved by
+    [Runtime.resolve_jobs]) fans the per-port moment recursions across
     domains — each port fills its own column of every [Yᵐ], so results
     are identical for every jobs count.  Raises [Numeric.Lu.Singular]
     when the numeric partition has no DC solution (e.g. an internal node

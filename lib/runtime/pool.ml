@@ -43,9 +43,18 @@ type t = { jobs : int; state : state option; domains : unit Domain.t array }
 let spawn_count = Atomic.make 0
 let spawned_total () = Atomic.get spawn_count
 
-(* True while the current domain is executing a task body; guards nested
-   [run] calls onto the inline path. *)
+(* True while the current domain is a runtime worker: executing a task
+   body, or a [Service] body.  Guards nested [run] calls onto the inline
+   path, and makes [Runtime.resolve_jobs] answer 1 there. *)
 let in_task_key = Domain.DLS.new_key (fun () -> ref false)
+
+let in_task () = !(Domain.DLS.get in_task_key)
+
+let as_task f =
+  let flag = Domain.DLS.get in_task_key in
+  let outer = !flag in
+  flag := true;
+  Fun.protect ~finally:(fun () -> flag := outer) f
 
 let size t = t.jobs
 let num_domains t = Array.length t.domains
@@ -60,12 +69,7 @@ let run_inline body n =
    claimed in-range task still counts toward [completed] so the master
    never hangs. *)
 let drain s w (wk : work) =
-  let in_task = Domain.DLS.get in_task_key in
-  let outer = !in_task in
-  in_task := true;
-  Fun.protect
-    ~finally:(fun () -> in_task := outer)
-    (fun () ->
+  as_task (fun () ->
       let running = ref true in
       while !running do
         let i = Atomic.fetch_and_add wk.next 1 in
@@ -132,7 +136,7 @@ let run t ~tasks body =
     match t.state with
     | None -> run_inline body tasks
     | Some s ->
-        if !(Domain.DLS.get in_task_key) || tasks = 1 then run_inline body tasks
+        if in_task () || tasks = 1 then run_inline body tasks
         else begin
           let wk =
             { body; tasks; next = Atomic.make 0; completed = 0; unmerged = 0;

@@ -35,6 +35,15 @@ val shutdown : t -> unit
 (** Stop and join the background domains.  Idempotent; a subsequent
     {!run} raises [Invalid_argument]. *)
 
+val in_task : unit -> bool
+(** Whether this domain is a runtime worker: running a task body (of
+    any pool) or an {!as_task} body. *)
+
+val as_task : (unit -> 'a) -> 'a
+(** [as_task f] runs [f] with this domain marked as a runtime worker, as
+    a task body is, and restores the mark when [f] returns or raises.
+    [Runtime.Service] bodies run under it. *)
+
 val spawned_total : unit -> int
 (** Process-wide count of domains ever spawned by pools — observability
     for the "[jobs = 1] spawns nothing" contract. *)

@@ -3,27 +3,37 @@ module Pool = Pool
 module Fault = Fault
 module Service = Service
 
-let clamp_jobs j = Int.max 1 (Int.min 128 j)
 let override : int option ref = ref None
-let set_default_jobs j = override := Option.map clamp_jobs j
+let set_default_jobs j = override := j
 
-let default_jobs () =
-  match !override with
-  | Some j -> j
-  | None -> (
-      match Sys.getenv_opt "AWESYM_JOBS" with
-      | Some s -> (
-          match int_of_string_opt (String.trim s) with
-          | Some j -> clamp_jobs j
+(* Read once: the query is a system call, and [resolve_jobs] runs on
+   every kernel call. *)
+let cores = Domain.recommended_domain_count ()
+
+let resolve_jobs jobs =
+  if Pool.in_task () then 1
+  else begin
+    let j =
+      match (jobs, !override) with
+      | Some j, _ | None, Some j -> j
+      | None, None -> (
+          match Sys.getenv_opt "AWESYM_JOBS" with
+          | Some s -> Option.value ~default:1 (int_of_string_opt (String.trim s))
           | None -> 1)
-      | None -> 1)
-
-let resolve = function Some j -> clamp_jobs j | None -> default_jobs ()
+    in
+    if j > cores then begin
+      Obs.Metrics.incr "runtime.jobs.clamped";
+      cores
+    end
+    else Int.max 1 j
+  end
 
 (* One long-lived pool, recycled while the jobs count is stable.  Sized
    pools are cheap to swap (shutdown joins parked domains), and a single
    shared pool keeps the total domain count bounded by the largest jobs
-   value in use rather than by the number of call sites. *)
+   value in use rather than by the number of call sites.  Runtime
+   workers resolve to 1 and run inline, so a task never reaches this and
+   cannot swap out the pool that is running it. *)
 let pool_mutex = Mutex.create ()
 let global_pool : Pool.t option ref = ref None
 
@@ -42,7 +52,7 @@ let get_pool ~jobs =
   p
 
 let parallel_iter ?jobs n f =
-  let jobs = resolve jobs in
+  let jobs = resolve_jobs jobs in
   if jobs <= 1 || n <= 1 then
     for i = 0 to n - 1 do
       f ~worker:0 i
@@ -50,7 +60,7 @@ let parallel_iter ?jobs n f =
   else Pool.run (get_pool ~jobs) ~tasks:n f
 
 let iter_chunks ?jobs ~n ~block f =
-  let jobs = resolve jobs in
+  let jobs = resolve_jobs jobs in
   let chunks = Chunk.layout ~n ~block in
   let nc = Array.length chunks in
   if jobs <= 1 || nc <= 1 then Array.iter (fun c -> f ~worker:0 c) chunks
@@ -58,7 +68,7 @@ let iter_chunks ?jobs ~n ~block f =
     Pool.run (get_pool ~jobs) ~tasks:nc (fun ~worker i -> f ~worker chunks.(i))
 
 let parallel_map ?jobs f arr =
-  let jobs = resolve jobs in
+  let jobs = resolve_jobs jobs in
   let n = Array.length arr in
   if jobs <= 1 || n <= 1 then Array.map f arr
   else begin
@@ -67,6 +77,3 @@ let parallel_map ?jobs f arr =
         out.(i) <- Some (f arr.(i)));
     Array.map (function Some v -> v | None -> assert false) out
   end
-
-let parallel_reduce ?jobs ~map ~fold init arr =
-  Array.fold_left fold init (parallel_map ?jobs map arr)

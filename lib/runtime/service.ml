@@ -11,7 +11,11 @@
    and re-raised from {!join} (first failure wins), so a daemon's top
    level still sees worker crashes instead of silently serving with a
    dead shard.  [failed] exposes the flag without joining, letting a
-   supervising loop detect the crash while still running. *)
+   supervising loop detect the crash while still running.
+
+   Bodies run as runtime workers ([Pool.as_task]): parallel calls made
+   from a body run inline on its domain, because the service domains
+   are already the parallelism. *)
 
 type t = {
   failure : (exn * Printexc.raw_backtrace) option Atomic.t;
@@ -28,7 +32,7 @@ let start ~workers body =
   let domains =
     Array.init workers (fun w ->
         Domain.spawn (fun () ->
-            try body ~worker:w
+            try Pool.as_task (fun () -> body ~worker:w)
             with e ->
               let bt = Printexc.get_raw_backtrace () in
               ignore (Atomic.compare_and_set failure None (Some (e, bt)))))

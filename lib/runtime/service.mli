@@ -10,7 +10,9 @@ type t
 
 val start : workers:int -> (worker:int -> unit) -> t
 (** Spawn [workers] domains, each running [body ~worker].  [worker] is
-    in [0 .. workers - 1].  Raises [Invalid_argument] when
+    in [0 .. workers - 1].  A body runs as a runtime worker
+    ({!Pool.as_task}), so [Runtime.resolve_jobs] is 1 inside it and its
+    parallel calls run inline.  Raises [Invalid_argument] when
     [workers < 1]. *)
 
 val join : t -> unit

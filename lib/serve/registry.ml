@@ -11,9 +11,9 @@
    Each entry owns one batch evaluator over the model's moment program.
    Evaluators are single-owner (see the ownership contract on
    Slp.make_batch_evaluator): only the serving domain calls them, one
-   batch at a time, and each call already fans its blocks across the
-   worker pool internally — so a single owner still saturates the
-   machine while the busy-latch in Slp guards the contract. *)
+   batch at a time, and the busy-latch in Slp guards the contract.  The
+   serving domain is a runtime worker, so each call runs its blocks
+   inline there. *)
 
 module Model = Awesymbolic.Model
 module Err = Awesym_error
@@ -32,18 +32,13 @@ type entry = {
 
 type t = {
   max_models : int;
-  eval_jobs : int option;
-      (* jobs for each entry's batch evaluator; None = AWESYM_JOBS
-         resolution.  Sharded daemons pass [Some 1]: the worker domains
-         ARE the parallelism, and the shared Runtime pool must not be
-         entered from several master domains at once. *)
   mutable clock : int;
   mutable entries : entry list;  (* unordered; LRU by [last_used] *)
 }
 
-let create ?eval_jobs ?(max_models = 8) () =
+let create ?(max_models = 8) () =
   if max_models < 1 then invalid_arg "Registry.create: max_models must be >= 1";
-  { max_models; eval_jobs; clock = 0; entries = [] }
+  { max_models; clock = 0; entries = [] }
 
 let loaded t = List.length t.entries
 
@@ -94,9 +89,7 @@ let find t path =
             symbols = Array.map Symbolic.Symbol.name (Model.symbols model);
             nominals = Model.nominal_values model;
             order = Model.order model;
-            evaluate =
-              Symbolic.Slp.make_batch_evaluator ?jobs:t.eval_jobs
-                (Model.program model);
+            evaluate = Symbolic.Slp.make_batch_evaluator (Model.program model);
             last_used = 0;
           }
         in

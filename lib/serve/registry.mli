@@ -19,18 +19,13 @@ type entry = {
       (** the entry's batch evaluator over the moment program: input
           columns in, moment columns out.  {b Single-owner} (see
           [Slp.make_batch_evaluator]): only the serving domain calls it,
-          one batch at a time; each call fans blocks across the worker
-          pool internally. *)
+          one batch at a time. *)
   mutable last_used : int;  (** LRU logical clock, managed by {!find} *)
 }
 
 type t
 
-val create : ?eval_jobs:int -> ?max_models:int -> unit -> t
-(** [eval_jobs] pins each entry's batch-evaluator fan-out; sharded
-    daemons pass [1] because their worker domains are the parallelism
-    and the shared Runtime pool must not be driven from several master
-    domains at once. *)
+val create : ?max_models:int -> unit -> t
 
 val find : t -> string -> (entry, Awesym_error.t) result
 (** Resolve an artifact path: digest the file, return the resident entry

@@ -11,12 +11,12 @@
 
    Each worker domain owns a private Registry + Batcher: it resolves the
    artifact path to a resident model itself, and the single-owner
-   batch-evaluator contract holds per worker.  With more than one
-   worker, per-entry evaluators run with jobs=1 — the worker domains are
-   the parallelism, and the shared Runtime pool must not be driven from
-   several master domains at once.  Workers push completed responses
-   onto a shared completion queue and poke the acceptor through a
-   self-pipe so its select wakes promptly.
+   batch-evaluator contract holds per worker.  Workers are runtime
+   workers (Runtime.Service), so their kernels, sweep chunks and
+   optimizations run inline on their own domain: the worker domains are
+   the parallelism.  Workers push completed responses onto a shared
+   completion queue and poke the acceptor through a self-pipe so its
+   select wakes promptly.
 
    SIGTERM (or a `shutdown` request) starts a graceful drain: the
    listener closes, the drain flag makes every worker flush immediately
@@ -261,12 +261,8 @@ let push_completions t shard resps =
    so a drain always answers everything already admitted. *)
 let worker_body t ~worker =
   let shard = t.shards.(worker) in
-  (* With several workers, each entry's batch evaluator is pinned to
-     jobs=1: the worker domains are the parallelism and the shared
-     Runtime pool has a single-master contract.  Cache GC already ran
-     once in [create]; workers must not race it. *)
-  let eval_jobs = if t.config.workers > 1 then Some 1 else None in
-  let registry = Registry.create ?eval_jobs ~max_models:t.config.max_models () in
+  (* Cache GC already ran once in [create]; workers must not race it. *)
+  let registry = Registry.create ~max_models:t.config.max_models () in
   let batcher = Batcher.create t.config.batch in
   let complete resps = push_completions t shard resps in
   (* Distributed-sweep preparation memo.  Building a prep re-samples the
@@ -309,12 +305,9 @@ let worker_body t ~worker =
       in
       let* specs = parse "spec" (all Sweep.Engine.spec_of_string) req.Protocol.sc_specs in
       let* policy = parse "policy" Sweep.Engine.policy_of_string req.Protocol.sc_policy in
-      (* jobs=1: chunk evaluation must not contend for the shared
-         Runtime pool (same single-master contract as the batchers) —
-         and prep values are jobs-invariant anyway. *)
       match
         Sweep.Engine.prepare ~seed:req.Protocol.sc_seed
-          ~block:req.Protocol.sc_block ~jobs:1 ~measures ~specs ~policy
+          ~block:req.Protocol.sc_block ~measures ~specs ~policy
           entry.Registry.model plan
       with
       | exception e -> Error (Err.classify e)
@@ -408,13 +401,10 @@ let worker_body t ~worker =
               }
           end)
     | Opt req ->
-      (* The same jobs pinning as the batchers and sweep chunks: with
-         several workers the worker domains are the parallelism, and the
-         report bytes are jobs-invariant by the optimizer's determinism
-         contract anyway.  A raise is classified by [safe_handle]. *)
+      (* A raise is classified by [safe_handle]. *)
       let t0 = now () in
       let report =
-        Opt.Request.run ?jobs:eval_jobs entry.Registry.model
+        Opt.Request.run entry.Registry.model
           (Opt.Request.of_json req.Protocol.op_request)
       in
       span job.trace "serve.optimize" t0;

@@ -139,14 +139,15 @@ let default_measures = [ Dc_gain; Dominant_pole_hz; Delay_50 ]
    for.  Strict: [fit] raises (rather than degrading to NaN) when the
    Padé finish fails, so the policy layer in [run] decides what a
    degenerate fit means.  A NaN from a {e successful} fit (no unity-gain
-   crossing, say) is a legitimate value, not a fault. *)
+   crossing, say) is a legitimate value, not a fault, and so is the
+   Elmore delay of a point whose DC gain m0 is exactly 0. *)
 let point_finish ~fit nm moments =
   let rom = lazy (fit moments) in
   let crossing = lazy (Measures.unity_gain_frequency (Lazy.force rom)) in
   let or_nan = Option.value ~default:nan in
   function
   | Moment k -> if k < nm then moments.(k) else nan
-  | Elmore_delay -> Measures.elmore_delay moments
+  | Elmore_delay -> if moments.(0) = 0.0 then nan else Measures.elmore_delay moments
   | Dc_gain -> Measures.dc_gain (Lazy.force rom)
   | Dc_gain_db -> Measures.dc_gain_db (Lazy.force rom)
   | Dominant_pole_hz -> Measures.dominant_pole_hz (Lazy.force rom)
@@ -262,9 +263,6 @@ let prep_inputs p = p.p_cols
 
 let prepare ?(seed = 42) ?block ?jobs ?(measures = default_measures)
     ?(specs = []) ?(policy = Skip) model plan =
-  let jobs =
-    match jobs with Some j -> Int.max 1 j | None -> Runtime.default_jobs ()
-  in
   let order = Model.order model in
   let nm = 2 * order in
   (* Each measure once, at its first request, with the spec measures
@@ -290,7 +288,7 @@ let prepare ?(seed = 42) ?block ?jobs ?(measures = default_measures)
   let nominals = Model.nominal_values model in
   let rng = Obs.Rng.create seed in
   let blk = match block with Some b when b > 0 -> b | _ -> Slp.default_block in
-  let cols = Plan.columns ~symbols ~nominals ~rng ~jobs ~block:blk plan in
+  let cols = Plan.columns ~symbols ~nominals ~rng ?jobs ~block:blk plan in
   let n = Plan.num_points plan in
   (* The checkpoint key binds everything the stored values depend on:
      replaying against a different plan, seed, model shape, or policy must
@@ -698,9 +696,9 @@ let evaluate ?jobs ?checkpoint ?resume p =
 let run ?(seed = 42) ?block ?jobs ?measures ?specs ?policy ?checkpoint ?resume
     model plan =
   Obs.Span.with_ ~name:"sweep.run" @@ fun () ->
-  let jobs =
-    match jobs with Some j -> Int.max 1 j | None -> Runtime.default_jobs ()
-  in
+  (* Resolved once for the sampling and the chunks, so a capped request
+     counts once. *)
+  let jobs = Runtime.resolve_jobs jobs in
   let p = prepare ~seed ?block ~jobs ?measures ?specs ?policy model plan in
   if !Obs.enabled then begin
     Obs.Metrics.incr "sweep.run.count";

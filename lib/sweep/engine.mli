@@ -303,10 +303,11 @@ val run :
   Awesymbolic.Model.t ->
   Plan.t ->
   result
-(** Default seed 42; [block] is forwarded to [Slp.eval_batch].  [jobs]
-    (default [Runtime.default_jobs ()]) fans sampling, batched moment
-    evaluation, and the per-point measure finish across that many
-    domains; the determinism contract guarantees the result — and its
+(** Default seed 42; [block] is forwarded to [Slp.eval_batch].  [jobs],
+    resolved once by [Runtime.resolve_jobs] (capped at the cores, 1 on a
+    runtime worker domain), fans sampling, batched moment evaluation,
+    and the per-point measure finish across that many domains; the
+    determinism contract guarantees the result — and its
     {!to_json} serialization — is bit-identical for every jobs count,
     fault policy decisions included.  A measure requested twice is
     summarized once, and spec measures are automatically added to the

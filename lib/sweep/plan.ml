@@ -68,9 +68,6 @@ let columns ~symbols ~nominals ~rng ?jobs ?(block = 256) t =
   if Array.length symbols <> Array.length nominals then
     invalid_arg "Plan.columns: symbols/nominals length mismatch";
   if block < 1 then invalid_arg "Plan.columns: block must be >= 1";
-  let jobs =
-    match jobs with Some j -> Int.max 1 j | None -> Runtime.default_jobs ()
-  in
   let n = num_points t in
   let axes = Array.of_list t.axes in
   let slots = Array.map (slot_of_axis symbols) axes in
@@ -78,34 +75,32 @@ let columns ~symbols ~nominals ~rng ?jobs ?(block = 256) t =
     Array.init (Array.length symbols) (fun k -> Array.make n nominals.(k))
   in
   (* Writes are indexed by point, so chunked execution fills disjoint
-     ranges; fall through to the plain loop when one chunk covers it. *)
-  let sequential = jobs = 1 || n <= block in
+     ranges, whichever domain runs a chunk. *)
+  let fill f =
+    Runtime.iter_chunks ?jobs ~n ~block (fun ~worker:_ (c : Runtime.Chunk.t) ->
+        for i = c.lo to c.lo + c.len - 1 do
+          f i
+        done)
+  in
   (match t.kind with
   | Monte_carlo _ ->
     (* Point-major order: all axes of point i are drawn before point i+1,
        so adding an axis changes other axes' draws but adding points never
-       changes earlier points. *)
-    let sample_range rng lo hi =
-      for i = lo to hi - 1 do
-        Array.iteri
-          (fun j a -> cols.(slots.(j)).(i) <- Dist.sample a.dist rng)
-          axes
-      done
-    in
-    if sequential then sample_range rng 0 n
-    else begin
-      (* Per-chunk streams are jump-ahead copies of THE sequential
-         stream: chunk c starts [c.lo * draws-per-point] raw draws in, so
-         every point sees exactly the values the jobs=1 loop draws. *)
-      let dpp = Array.fold_left (fun acc a -> acc + Dist.draws a.dist) 0 axes in
-      Runtime.iter_chunks ~jobs ~n ~block
-        (fun ~worker:_ (c : Runtime.Chunk.t) ->
-          let r = Obs.Rng.copy rng in
-          Obs.Rng.skip r (c.lo * dpp);
-          sample_range r c.lo (c.lo + c.len));
-      (* Leave the caller's stream where sequential sampling would. *)
-      Obs.Rng.skip rng (n * dpp)
-    end
+       changes earlier points.  Per-chunk streams are jump-ahead copies of
+       THE sequential stream: chunk c starts [c.lo * draws-per-point] raw
+       draws in, so every point sees exactly the values one sequential
+       loop draws. *)
+    let dpp = Array.fold_left (fun acc a -> acc + Dist.draws a.dist) 0 axes in
+    Runtime.iter_chunks ?jobs ~n ~block (fun ~worker:_ (c : Runtime.Chunk.t) ->
+        let r = Obs.Rng.copy rng in
+        Obs.Rng.skip r (c.lo * dpp);
+        for i = c.lo to c.lo + c.len - 1 do
+          Array.iteri
+            (fun j a -> cols.(slots.(j)).(i) <- Dist.sample a.dist r)
+            axes
+        done);
+    (* Leave the caller's stream where sequential sampling would. *)
+    Obs.Rng.skip rng (n * dpp)
   | Latin_hypercube _ ->
     (* One stratified sample per stratum per axis, then a Fisher–Yates
        shuffle decorrelates the axes.  Shuffle and jitter draws are
@@ -121,42 +116,20 @@ let columns ~symbols ~nominals ~rng ?jobs ?(block = 256) t =
           perm.(k) <- tmp
         done;
         let col = cols.(slots.(j)) in
-        let value i u_raw =
-          let u = (float_of_int perm.(i) +. u_raw) /. float_of_int n in
-          (* Clamp away from the open endpoints quantile rejects. *)
-          let u = Float.max 1e-12 (Float.min (1.0 -. 1e-12) u) in
-          Dist.quantile a.dist u
-        in
-        if sequential then
-          for i = 0 to n - 1 do
-            col.(i) <- value i (Obs.Rng.float rng)
-          done
-        else begin
-          let jitter = Array.make n 0.0 in
-          for i = 0 to n - 1 do
-            jitter.(i) <- Obs.Rng.float rng
-          done;
-          Runtime.iter_chunks ~jobs ~n ~block
-            (fun ~worker:_ (c : Runtime.Chunk.t) ->
-              for i = c.lo to c.lo + c.len - 1 do
-                col.(i) <- value i jitter.(i)
-              done)
-        end)
+        (* [Array.init] draws in index order. *)
+        let jitter = Array.init n (fun _ -> Obs.Rng.float rng) in
+        fill (fun i ->
+            let u = (float_of_int perm.(i) +. jitter.(i)) /. float_of_int n in
+            (* Clamp away from the open endpoints quantile rejects. *)
+            let u = Float.max 1e-12 (Float.min (1.0 -. 1e-12) u) in
+            col.(i) <- Dist.quantile a.dist u))
       axes
   | Corners ->
     Array.iteri
       (fun j a ->
         let lo, hi = Dist.bounds a.dist in
         let col = cols.(slots.(j)) in
-        let fill flo fhi =
-          for i = flo to fhi - 1 do
-            col.(i) <- (if i land (1 lsl j) = 0 then lo else hi)
-          done
-        in
-        if sequential then fill 0 n
-        else
-          Runtime.iter_chunks ~jobs ~n ~block
-            (fun ~worker:_ (c : Runtime.Chunk.t) -> fill c.lo (c.lo + c.len)))
+        fill (fun i -> col.(i) <- (if i land (1 lsl j) = 0 then lo else hi)))
       axes
   | Grid per_axis ->
     Array.iteri
@@ -167,15 +140,7 @@ let columns ~symbols ~nominals ~rng ?jobs ?(block = 256) t =
         (* Axis j varies fastest for low j: index i decomposes in base
            [per_axis] with digit j selecting axis j's grid line. *)
         let rec digit i k = if k = 0 then i mod per_axis else digit (i / per_axis) (k - 1) in
-        let fill flo fhi =
-          for i = flo to fhi - 1 do
-            col.(i) <- lo +. (float_of_int (digit i j) *. step)
-          done
-        in
-        if sequential then fill 0 n
-        else
-          Runtime.iter_chunks ~jobs ~n ~block
-            (fun ~worker:_ (c : Runtime.Chunk.t) -> fill c.lo (c.lo + c.len)))
+        fill (fun i -> col.(i) <- lo +. (float_of_int (digit i j) *. step)))
       axes);
   cols
 

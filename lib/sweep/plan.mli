@@ -40,8 +40,8 @@ val columns :
   float array array
 (** [columns ~symbols ~nominals ~rng t] is the structure-of-arrays input
     block: result[k].(i) is the value of [symbols.(k)] at point [i].
-    Deterministic given the rng state — including under [jobs > 1]
-    (default [Runtime.default_jobs ()]), where chunks of [block] points
+    Deterministic given the rng state at every jobs count ([jobs] is
+    resolved by [Runtime.resolve_jobs]): chunks of [block] points
     (default 256) sample from jump-ahead copies of the same stream
     ({!Obs.Rng.copy} / {!Obs.Rng.skip}), so every jobs count produces the
     exact sequential values and leaves [rng] in the sequential end state.

@@ -199,12 +199,27 @@ let summarize ?(bins = 20) ?(probs = default_probs) xs =
       histogram = [||];
     }
   else begin
+    (* Plain sums, whose bits every finite summary keeps.  Only a result
+       that overflowed on these finite samples is redone scaled: the mean
+       as the sum of x/n, the deviation by the largest |half deviation|
+       (halves, so x - mean itself cannot overflow). *)
+    let fn = float_of_int nf in
     let sum = ref 0.0 in
     for i = 0 to nf - 1 do
       sum := !sum +. finite.(i)
     done;
-    let mean = !sum /. float_of_int nf in
-    let var =
+    let mean = !sum /. fn in
+    let mean =
+      if Float.is_finite mean then mean
+      else begin
+        let acc = ref 0.0 in
+        for i = 0 to nf - 1 do
+          acc := !acc +. (finite.(i) /. fn)
+        done;
+        !acc
+      end
+    in
+    let std =
       if nf < 2 then 0.0
       else begin
         let acc = ref 0.0 in
@@ -212,7 +227,21 @@ let summarize ?(bins = 20) ?(probs = default_probs) xs =
           let d = finite.(i) -. mean in
           acc := !acc +. (d *. d)
         done;
-        !acc /. float_of_int (nf - 1)
+        let std = sqrt (!acc /. float_of_int (nf - 1)) in
+        if Float.is_finite std then std
+        else begin
+          let half i = (finite.(i) *. 0.5) -. (mean *. 0.5) in
+          let s = ref 0.0 in
+          for i = 0 to nf - 1 do
+            s := Float.max !s (Float.abs (half i))
+          done;
+          let acc = ref 0.0 in
+          for i = 0 to nf - 1 do
+            let r = half i /. !s in
+            acc := !acc +. (r *. r)
+          done;
+          2.0 *. !s *. sqrt (!acc /. float_of_int (nf - 1))
+        end
       end
     in
     (* Order statistics by selection, not a sort.  Finite values that
@@ -262,7 +291,7 @@ let summarize ?(bins = 20) ?(probs = default_probs) xs =
       n;
       finite = nf;
       mean;
-      std = sqrt var;
+      std;
       min = mn;
       max = mx;
       quantiles;

@@ -22,8 +22,11 @@ val default_probs : float list
 val summarize : ?bins:int -> ?probs:float list -> float array -> summary
 (** Default 20 histogram bins.  All-NaN input yields NaN statistics and an
     empty histogram.  Quantiles use linear interpolation (Hyndman–Fan
-    type 7, the numpy default).  Raises [Invalid_argument] on an empty
-    sample. *)
+    type 7, the numpy default).  [mean] and [std] come from plain sums;
+    when one of them overflows on finite samples (values near 1e307, or
+    deviations beyond 1e154) it is recomputed in scaled form, so a
+    summary that is finite from plain sums keeps its bits.  Raises
+    [Invalid_argument] on an empty sample. *)
 
 val yield : pass:(float -> bool) -> float array -> float
 (** Fraction of samples that are finite {e and} satisfy [pass] — the

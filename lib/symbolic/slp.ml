@@ -1083,17 +1083,15 @@ let run_block p lw regs inputs outs lo len =
 
 let make_batch_evaluator ?(block = default_block) ?jobs p =
   if block <= 0 then invalid_arg "Slp.make_batch_evaluator: block must be > 0";
-  let jobs =
-    match jobs with Some j -> Int.max 1 j | None -> Runtime.default_jobs ()
-  in
+  let jobs = Runtime.resolve_jobs jobs in
   let nregs = Array.length p.init in
-  (* One register file per worker; file 0 doubles as the sequential
-     path's.  The evaluator closure owns them — its register files are
-     single-owner state, so two overlapping calls would interleave
-     writes into the same lanes and silently corrupt both results.  The
-     [busy] latch turns that data race into an immediate
-     [Invalid_argument]: callers wanting concurrent batches (e.g. a
-     serving scheduler) must keep one evaluator per owning domain. *)
+  (* One register file per worker.  The evaluator closure owns them —
+     its register files are single-owner state, so two overlapping calls
+     would interleave writes into the same lanes and silently corrupt
+     both results.  The [busy] latch turns that data race into an
+     immediate [Invalid_argument]: callers wanting concurrent batches
+     (e.g. a serving scheduler) must keep one evaluator per owning
+     domain. *)
   (* Register files are only needed by the interpreter; allocate them on
      first interpreted call so a native-backed evaluator costs no SoA
      memory.  The thunk is forced under the busy latch (or before the
@@ -1133,36 +1131,16 @@ let make_batch_evaluator ?(block = default_block) ?jobs p =
        holds whichever kernel runs. *)
     (match resolve_native p with
     | Some k ->
-      if jobs = 1 || n <= block then begin
-        let lo = ref 0 in
-        while !lo < n do
-          let len = Int.min block (n - !lo) in
-          k.native_batch inputs outs !lo len;
-          lo := !lo + len
-        done
-      end
-      else
-        Runtime.iter_chunks ~jobs ~n ~block
-          (fun ~worker:_ (c : Runtime.Chunk.t) -> k.native_batch inputs outs c.lo c.len)
+      Runtime.iter_chunks ~jobs ~n ~block
+        (fun ~worker:_ (c : Runtime.Chunk.t) -> k.native_batch inputs outs c.lo c.len)
     | None ->
       let lw = lowered p in
       if !Obs.enabled then
         Obs.Metrics.add "slp.eval_batch.dispatched" (n * Array.length lw.code);
-      if jobs = 1 || n <= block then begin
-        let regs = (Lazy.force files).(0) in
-        let lo = ref 0 in
-        while !lo < n do
-          let len = Int.min block (n - !lo) in
-          run_block p lw regs inputs outs !lo len;
-          lo := !lo + len
-        done
-      end
-      else begin
-        let files = Lazy.force files in
-        Runtime.iter_chunks ~jobs ~n ~block
-          (fun ~worker (c : Runtime.Chunk.t) ->
-            run_block p lw files.(worker) inputs outs c.lo c.len)
-      end);
+      let files = Lazy.force files in
+      Runtime.iter_chunks ~jobs ~n ~block
+        (fun ~worker (c : Runtime.Chunk.t) ->
+          run_block p lw files.(worker) inputs outs c.lo c.len));
     outs
 
 let eval_batch ?block ?jobs p inputs = make_batch_evaluator ?block ?jobs p inputs

@@ -164,11 +164,12 @@ val eval_batch :
     dispatch amortizes across the block and the file stays cache-resident —
     the fast path under Monte-Carlo and corner sweeps.
 
-    [jobs] (default [Runtime.default_jobs ()]) fans the blocks across that
-    many domains, each with a private register file.  Blocks cover disjoint
+    [jobs], resolved by [Runtime.resolve_jobs] (so capped at the cores,
+    and 1 on a runtime worker domain), fans the blocks across that many
+    domains, each with a private register file.  Blocks cover disjoint
     point ranges and every lane runs the scalar operation sequence, so the
     result is bit-identical for every jobs count — and to calling {!eval}
-    point by point.  [jobs = 1] (or [n <= block]) takes the sequential path
+    point by point.  At jobs 1 (or [n <= block]) the blocks run inline
     with zero domain involvement.
 
     The interpreter runs a private execution form, lowered from the
@@ -197,9 +198,10 @@ val eval_batch :
 
 val make_batch_evaluator :
   ?block:int -> ?jobs:int -> t -> float array array -> float array array
-(** Pre-allocates the blocked register files once ([jobs] of them, resolved
-    at creation) and returns the batch evaluation closure — {!eval_batch}
-    is [make_batch_evaluator] applied immediately.  Unlike
+(** Pre-allocates the blocked register files once (one per worker of the
+    jobs count [Runtime.resolve_jobs] gives at creation) and returns the
+    batch evaluation closure — {!eval_batch} is [make_batch_evaluator]
+    applied immediately.  Unlike
     {!make_evaluator}, returned output columns are fresh on every call.
 
     {b Ownership contract:} the closure's register files are

@@ -1,9 +1,10 @@
 (* Tests for the domain-parallel execution runtime: chunk grids, the
-   domain pool, ordered map/reduce, RNG stream splitting, and per-domain
-   metric shards.  The load-bearing property throughout is the
-   determinism contract of docs/PARALLELISM.md: work decomposition is a
-   pure function of the problem size and reduction is ordered, so any
-   jobs count produces bit-identical results to jobs = 1. *)
+   domain pool, the jobs-count rule, ordered helpers, RNG stream
+   splitting, and per-domain metric shards.  The load-bearing property
+   throughout is the determinism contract of docs/PARALLELISM.md: work
+   decomposition is a pure function of the problem size and reduction is
+   ordered, so any jobs count produces bit-identical results to
+   jobs = 1. *)
 
 module Chunk = Runtime.Chunk
 module Pool = Runtime.Pool
@@ -70,6 +71,8 @@ let test_pool_jobs1_spawns_nothing () =
   Array.iter (fun h -> Alcotest.(check int) "each task once" 1 h) hits
 
 let test_pool_runs_every_task () =
+  (* [Pool.create] takes its count as given — only [Runtime.resolve_jobs]
+     caps at the cores — so this runs 4 workers on any host. *)
   let p = Pool.create ~jobs:4 in
   Alcotest.(check int) "size" 4 (Pool.size p);
   Alcotest.(check int) "background domains" 3 (Pool.num_domains p);
@@ -142,22 +145,6 @@ let test_parallel_map_ordered () =
         true (got = expect))
     [ 1; 2; 4 ]
 
-let test_parallel_reduce_ordered () =
-  (* Float summation is order-sensitive; the ordered fold makes the
-     reduction independent of the jobs count bit-for-bit. *)
-  let input = Array.init 1000 (fun i -> 1.0 /. float_of_int (i + 1)) in
-  let at jobs =
-    Runtime.parallel_reduce ~jobs ~map:Float.sqrt ~fold:( +. ) 0.0 input
-  in
-  let seq = at 1 in
-  List.iter
-    (fun jobs ->
-      Alcotest.(check bool)
-        (Printf.sprintf "jobs=%d bit-identical" jobs)
-        true
-        (Int64.bits_of_float (at jobs) = Int64.bits_of_float seq))
-    [ 2; 4 ]
-
 let test_iter_chunks_covers () =
   let n = 1003 in
   let hits = Array.make n 0 in
@@ -168,6 +155,88 @@ let test_iter_chunks_covers () =
   Array.iteri
     (fun i h -> if h <> 1 then Alcotest.failf "index %d visited %d times" i h)
     hits
+
+(* ------------------------------------------------------------------ *)
+(* The jobs-count rule *)
+
+let test_resolve_jobs_capped () =
+  let cores = Domain.recommended_domain_count () in
+  let was = !Obs.enabled in
+  Obs.enabled := true;
+  Obs.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Runtime.set_default_jobs None;
+      Obs.reset ();
+      Obs.enabled := was)
+    (fun () ->
+      let asks = [ -3; 0; 1; 2; 4; 64; 1000 ] in
+      List.iter
+        (fun j ->
+          let got = Runtime.resolve_jobs (Some j) in
+          if got < 1 || got > cores then
+            Alcotest.failf "jobs %d resolved to %d (%d cores)" j got cores)
+        asks;
+      Alcotest.(check int) "explicit count above the cores" cores
+        (Runtime.resolve_jobs (Some (cores + 1)));
+      Alcotest.(check int) "floored at 1" 1 (Runtime.resolve_jobs (Some 0));
+      Runtime.set_default_jobs (Some (cores + 7));
+      Alcotest.(check int) "--jobs above the cores" cores (Runtime.resolve_jobs None);
+      (* The asks above the cores, cores + 1 and the override. *)
+      let above = List.length (List.filter (fun j -> j > cores) asks) in
+      Alcotest.(check int) "each capped request counted" (above + 2)
+        (Obs.Metrics.counter "runtime.jobs.clamped");
+      Alcotest.(check int) "a count within the cores is not" cores
+        (Runtime.resolve_jobs (Some cores));
+      Alcotest.(check int) "counter unchanged" (above + 2)
+        (Obs.Metrics.counter "runtime.jobs.clamped"))
+
+let test_resolve_jobs_on_workers () =
+  let p = Pool.create ~jobs:3 in
+  let seen = Array.make 12 0 in
+  Pool.run p ~tasks:12 (fun ~worker:_ i -> seen.(i) <- Runtime.resolve_jobs (Some 4));
+  Pool.shutdown p;
+  Array.iter (fun j -> Alcotest.(check int) "inside a pool task" 1 j) seen;
+  Alcotest.(check bool) "the caller's mark is restored" false (Runtime.Pool.in_task ());
+  let in_service = Array.make 2 0 in
+  Runtime.Service.join
+    (Runtime.Service.start ~workers:2 (fun ~worker ->
+         in_service.(worker) <- Runtime.resolve_jobs (Some 4)));
+  Array.iter (fun j -> Alcotest.(check int) "inside a service body" 1 j) in_service
+
+(* A parallel call inside a task of another resolves to 1 and runs
+   inline: it never reaches the shared pool, so it cannot swap out the
+   pool that is running it (which used to hang). *)
+let test_nested_parallel_map () =
+  let input = Array.init 8 Fun.id in
+  let inner i = Array.init 6 (fun k -> (i * 10) + k) in
+  let want = Array.map (fun i -> Array.fold_left ( + ) 0 (inner i)) input in
+  for _ = 1 to 50 do
+    let got =
+      Runtime.parallel_map ~jobs:2
+        (fun i ->
+          Array.fold_left ( + ) 0 (Runtime.parallel_map ~jobs:3 Fun.id (inner i)))
+        input
+    in
+    Alcotest.(check (array int)) "nested map ≡ sequential" want got
+  done
+
+(* Service bodies asking for different counts used to swap the shared
+   pool under each other (spawning pools, or raising "pool is shut
+   down"); as runtime workers they run inline and spawn nothing. *)
+let test_services_run_inline () =
+  let before = Pool.spawned_total () in
+  let input = Array.init 16 Fun.id in
+  let want = Array.map (fun x -> x * 2) input in
+  let ok = Array.make 2 true in
+  Runtime.Service.join
+    (Runtime.Service.start ~workers:2 (fun ~worker ->
+         for _ = 1 to 2000 do
+           let got = Runtime.parallel_map ~jobs:(2 + worker) (fun x -> x * 2) input in
+           if got <> want then ok.(worker) <- false
+         done));
+  Alcotest.(check (array bool)) "every map right" [| true; true |] ok;
+  Alcotest.(check int) "no pool domain spawned" before (Pool.spawned_total ())
 
 (* ------------------------------------------------------------------ *)
 (* RNG stream splitting *)
@@ -294,8 +363,14 @@ let () =
       ( "helpers",
         [
           quick "parallel_map is ordered" test_parallel_map_ordered;
-          quick "parallel_reduce is bit-stable" test_parallel_reduce_ordered;
           quick "iter_chunks covers the range" test_iter_chunks_covers;
+        ] );
+      ( "jobs",
+        [
+          quick "capped at the cores, each cap counted" test_resolve_jobs_capped;
+          quick "1 inside a pool task or a service body" test_resolve_jobs_on_workers;
+          quick "nested parallel_map runs inline" test_nested_parallel_map;
+          quick "service bodies spawn no pool" test_services_run_inline;
         ] );
       ( "rng",
         [

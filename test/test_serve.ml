@@ -536,6 +536,27 @@ let test_multi_worker_bit_identical =
 
 let test_tcp_bit_identical = concurrent_bit_identity ~workers:2 ~tcp:true
 
+(* One 1 000-point eval is a single batch of four 256-point blocks, which
+   the worker's evaluator runs inline on its own domain: bit-identical to
+   offline evaluation at any worker count. *)
+let test_large_eval_bit_identical () =
+  let model, path = Lazy.force fixture in
+  let nominals = Model.nominal_values model in
+  List.iter
+    (fun workers ->
+      with_server ~workers @@ fun ~sock ~stop:_ ->
+      let rng = Random.State.make [| 1000; workers |] in
+      let points =
+        Array.init 1000 (fun _ ->
+            Array.map (fun nom -> nom *. (0.5 +. Random.State.float rng 1.0)) nominals)
+      in
+      let c = client sock in
+      let r = ok "eval" (Serve.Client.eval c ~model:path points) in
+      Serve.Client.close c;
+      Alcotest.(check int) "every point answered" 1000 (Array.length r.Protocol.moments);
+      check_moments_match model points r)
+    [ 1; 2 ]
+
 let test_deadline_expiry () =
   let _, path = Lazy.force fixture in
   (* A long linger so the deadline, not the linger, triggers the flush. *)
@@ -1312,6 +1333,8 @@ let () =
             test_multi_worker_bit_identical;
           quick "tcp transport bit-identical to offline"
             test_tcp_bit_identical;
+          quick "1 000-point eval bit-identical at 1 and 2 workers"
+            test_large_eval_bit_identical;
           quick "deadline expiry classified as timeout" test_deadline_expiry;
           quick "expired request sheds before the artifact is read"
             test_expired_sheds_before_read;

@@ -300,7 +300,8 @@ let test_stats_non_finite () =
     (Array.length all_nan.Stats.histogram)
 
 (* Reference summary: the boxed folds and [Array.sort compare] the
-   allocation-free [Stats.summarize] must reproduce bit for bit. *)
+   allocation-free [Stats.summarize] must reproduce bit for bit, with the
+   scaled recomputation of a mean or std whose plain sum overflowed. *)
 let reference_summarize xs =
   let bins = 20 and probs = Stats.default_probs in
   let n = Array.length xs in
@@ -310,16 +311,27 @@ let reference_summarize xs =
     { Stats.n; finite = 0; mean = nan; std = nan; min = nan; max = nan;
       quantiles = List.map (fun p -> (p, nan)) probs; histogram = [||] }
   else begin
-    let mean = Array.fold_left ( +. ) 0.0 finite /. float_of_int nf in
-    let var =
+    let fn = float_of_int nf in
+    let mean = Array.fold_left ( +. ) 0.0 finite /. fn in
+    let mean =
+      if Float.is_finite mean then mean
+      else Array.fold_left (fun acc x -> acc +. (x /. fn)) 0.0 finite
+    in
+    let sum_sq ds = Array.fold_left (fun acc d -> acc +. (d *. d)) 0.0 ds in
+    let std =
       if nf < 2 then 0.0
-      else
-        Array.fold_left
-          (fun acc x ->
-            let d = x -. mean in
-            acc +. (d *. d))
-          0.0 finite
-        /. float_of_int (nf - 1)
+      else begin
+        let plain =
+          sqrt (sum_sq (Array.map (fun x -> x -. mean) finite) /. float_of_int (nf - 1))
+        in
+        if Float.is_finite plain then plain
+        else begin
+          let half = Array.map (fun x -> (x *. 0.5) -. (mean *. 0.5)) finite in
+          let s = Array.fold_left (fun acc h -> Float.max acc (Float.abs h)) 0.0 half in
+          2.0 *. s
+          *. sqrt (sum_sq (Array.map (fun h -> h /. s) half) /. float_of_int (nf - 1))
+        end
+      end
     in
     let sorted = Array.copy finite in
     Array.sort compare sorted;
@@ -353,7 +365,7 @@ let reference_summarize xs =
           counts
       end
     in
-    { Stats.n; finite = nf; mean; std = sqrt var; min = mn; max = mx;
+    { Stats.n; finite = nf; mean; std; min = mn; max = mx;
       quantiles = List.map (fun p -> (p, quantile p)) probs; histogram }
   end
 
@@ -404,6 +416,33 @@ let prop_stats_matches_reference =
     (fun xs ->
       check_summary "random" xs;
       true)
+
+(* Finite samples whose plain sums overflow: 50 values between -1.34e200
+   and -7.5e199 square their deviations past the largest float, and 50
+   near 1e307 also overflow the sum behind the mean.  Both are checked
+   against the plain formulas on the samples scaled by an exact power of
+   two. *)
+let test_stats_huge_values () =
+  let rng = Random.State.make [| 29 |] in
+  let plain ys =
+    let n = float_of_int (Array.length ys) in
+    let mean = Array.fold_left ( +. ) 0.0 ys /. n in
+    let ss = Array.fold_left (fun acc y -> acc +. ((y -. mean) *. (y -. mean))) 0.0 ys in
+    (mean, sqrt (ss /. (n -. 1.0)))
+  in
+  List.iter
+    (fun (what, lo, hi, mean_overflows) ->
+      let xs = Array.init 50 (fun _ -> lo +. Random.State.float rng (hi -. lo)) in
+      let naive_mean, naive_std = plain xs in
+      Alcotest.(check bool) (what ^ ": plain std overflows") false (Float.is_finite naive_std);
+      Alcotest.(check bool) (what ^ ": plain mean overflows") mean_overflows
+        (not (Float.is_finite naive_mean));
+      let mean, std = plain (Array.map (fun x -> Float.ldexp x (-700)) xs) in
+      let s = Stats.summarize xs in
+      check_float ~tol:1e-13 (what ^ ": mean") (Float.ldexp mean 700) s.Stats.mean;
+      check_float ~tol:1e-13 (what ^ ": std") (Float.ldexp std 700) s.Stats.std;
+      check_summary what xs)
+    [ ("near -1e200", -1.34e200, -7.5e199, false); ("near 1e307", 1e307, 9e307, true) ]
 
 let test_stats_yield () =
   let samples = [| 1.0; 2.0; 3.0; Float.nan |] in
@@ -977,17 +1016,11 @@ let overflow_sweep n =
   in
   (model, plan)
 
-(* Only a sweep that reads m2 faults its points, and [point_measures]
-   agrees with the sweep point by point. *)
-let test_unread_moment_faults_nothing () =
-  let model, plan = overflow_sweep 200 in
-  let run measures = Engine.run ~seed:3 ~jobs:2 ~block:64 ~measures model plan in
-  let prep measures = Engine.prepare ~seed:3 ~jobs:1 ~block:64 ~measures model plan in
-  let point p i = Array.map (fun col -> col.(i)) (Engine.prep_inputs p) in
-  let kept = Engine.[ Moment 0; Moment 1 ] in
-  let r = run kept in
-  Alcotest.(check int) "m0,m1 sweep keeps every point" 200 (Engine.survivors r);
-  let p = prep kept in
+let prep_point p i = Array.map (fun col -> col.(i)) (Engine.prep_inputs p)
+
+(* [point_measures] gives every point's sweep values, bit for bit. *)
+let check_point_measures model p =
+  let measures = Engine.prep_measures p in
   for c = 0 to Engine.prep_num_chunks p - 1 do
     let chunk = Engine.eval_chunk p c in
     for li = 0 to Engine.chunk_len chunk - 1 do
@@ -996,9 +1029,20 @@ let test_unread_moment_faults_nothing () =
         (fun j v ->
           if Int64.bits_of_float v <> Int64.bits_of_float (Engine.chunk_values chunk).(j).(li)
           then Alcotest.failf "point_measures differs from the sweep at point %d" i)
-        (Engine.point_measures model kept (point p i))
+        (Engine.point_measures model measures (prep_point p i))
     done
-  done;
+  done
+
+(* Only a sweep that reads m2 faults its points, and [point_measures]
+   agrees with the sweep point by point. *)
+let test_unread_moment_faults_nothing () =
+  let model, plan = overflow_sweep 200 in
+  let run measures = Engine.run ~seed:3 ~jobs:2 ~block:64 ~measures model plan in
+  let prep measures = Engine.prepare ~seed:3 ~jobs:1 ~block:64 ~measures model plan in
+  let kept = Engine.[ Moment 0; Moment 1 ] in
+  let r = run kept in
+  Alcotest.(check int) "m0,m1 sweep keeps every point" 200 (Engine.survivors r);
+  check_point_measures model (prep kept);
   List.iter
     (fun measures ->
       let name = String.concat "," (List.map Engine.measure_name measures) in
@@ -1009,7 +1053,7 @@ let test_unread_moment_faults_nothing () =
           (Awesym_error.kind_name e.Awesym_error.kind);
         Alcotest.(check (option string)) (name ^ ": moment") (Some "m2")
           (List.assoc_opt "moment" e.Awesym_error.context));
-      match Engine.point_measures model measures (point (prep measures) 0) with
+      match Engine.point_measures model measures (prep_point (prep measures) 0) with
       | _ -> Alcotest.failf "%s: point_measures kept point 0" name
       | exception Awesym_error.Error e ->
         Alcotest.(check (option string)) (name ^ ": point_measures moment") (Some "m2")
@@ -1108,21 +1152,40 @@ let golden_rlc_order4_report () =
 let test_golden_rlc_order4_sweep () =
   check_golden "rlc_line_order4_sweep.json" (golden_rlc_order4_report ())
 
+let coupled_rlc_order8 =
+  lazy
+    (Model.build ~order:8
+       (Circuit.Parser.parse_file (Filename.concat (decks_dir ()) "coupled_rlc.cir")))
+
+let coupled_rlc_plan n =
+  Plan.make (Plan.Monte_carlo n) [ { Plan.name = "M"; dist = Dist.uniform ~lo:0.0 ~hi:8e-9 } ]
+
 (* Raw moments of the coupled RLC lines at order 8: 2243 ops, 457 of them
    [Neg], so every bit the batch kernel's lowered form computes reaches the
    report; no fit runs. *)
 let golden_coupled_rlc_order8_report () =
-  let nl =
-    Circuit.Parser.parse_file (Filename.concat (decks_dir ()) "coupled_rlc.cir")
-  in
-  let model = Model.build ~order:8 nl in
-  let plan =
-    Plan.make (Plan.Monte_carlo 2000)
-      [ { Plan.name = "M"; dist = Dist.uniform ~lo:0.0 ~hi:8e-9 } ]
-  in
   let measures = Engine.[ Moment 0; Moment 1; Moment 15 ] in
   Obs.Json.to_string_pretty
-    (Engine.to_json (Engine.run ~seed:5 ~jobs:1 ~measures model plan))
+    (Engine.to_json
+       (Engine.run ~seed:5 ~jobs:1 ~measures (Lazy.force coupled_rlc_order8)
+          (coupled_rlc_plan 2000)))
+
+(* The victim line's DC gain m0 is exactly 0 at every point, so its
+   Elmore delay -m1/m0 is NaN: a property of the circuit, like a missing
+   unity-gain crossing, not a fault.  The sweep keeps every point and
+   reports m0's summary. *)
+let test_zero_dc_gain_elmore () =
+  let model = Lazy.force coupled_rlc_order8 and plan = coupled_rlc_plan 200 in
+  let measures = Engine.[ Moment 0; Elmore_delay ] in
+  let r = Engine.run ~seed:5 ~jobs:2 ~measures model plan in
+  Alcotest.(check int) "every point kept" 200 (Engine.survivors r);
+  let m0 = List.assoc (Engine.Moment 0) r.Engine.summaries in
+  Alcotest.(check int) "m0 summarized over every point" 200 m0.Stats.finite;
+  Alcotest.(check (pair (float 0.0) (float 0.0))) "m0 is 0" (0.0, 0.0)
+    (m0.Stats.min, m0.Stats.max);
+  let elmore = List.assoc Engine.Elmore_delay r.Engine.summaries in
+  Alcotest.(check int) "no finite Elmore delay" 0 elmore.Stats.finite;
+  check_point_measures model (Engine.prepare ~seed:5 ~jobs:1 ~measures model plan)
 
 let test_golden_coupled_rlc_order8_sweep () =
   check_golden "coupled_rlc_order8_sweep.json"
@@ -1157,6 +1220,7 @@ let () =
           quick "moments and quantiles" test_stats_basic;
           quick "non-finite handling" test_stats_non_finite;
           quick "yield" test_stats_yield;
+          quick "overflowing sums recomputed scaled" test_stats_huge_values;
           quick "sorted, reversed, constant, tied inputs ≡ reference"
             test_stats_matches_reference;
           QCheck_alcotest.to_alcotest prop_stats_matches_reference;
@@ -1185,6 +1249,8 @@ let () =
           quick "transient kernel faults heal under retry" test_kernel_faults_heal;
           quick "moment-only sweeps ≡ the full program on every deck"
             test_moment_only_sweeps;
+          quick "a zero DC gain makes the Elmore delay NaN, not a fault"
+            test_zero_dc_gain_elmore;
           quick "an unread non-finite moment faults no point"
             test_unread_moment_faults_nothing;
           quick "a resumed checkpoint keeps the fault rule it was written under"
