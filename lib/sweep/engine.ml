@@ -136,37 +136,67 @@ let default_measures = [ Dc_gain; Dominant_pole_hz; Delay_50 ]
    points: moment measures read the moments; ROM measures share one
    [fit moments], and unity-gain frequency and phase margin share one
    crossing, each solved at most once whatever measures the point asks
-   for.  Strict: [fit] raises (rather than degrading to NaN) when the
-   Padé finish fails, so the policy layer in [run] decides what a
-   degenerate fit means.  A NaN from a {e successful} fit (no unity-gain
-   crossing, say) is a legitimate value, not a fault, and so is the
-   Elmore delay of a point whose DC gain m0 is exactly 0. *)
-let point_finish ~fit nm moments =
-  let rom = lazy (fit moments) in
-  let crossing = lazy (Measures.unity_gain_frequency (Lazy.force rom)) in
-  let or_nan = Option.value ~default:nan in
-  function
-  | Moment k -> if k < nm then moments.(k) else nan
-  | Elmore_delay -> if moments.(0) = 0.0 then nan else Measures.elmore_delay moments
-  | Dc_gain -> Measures.dc_gain (Lazy.force rom)
-  | Dc_gain_db -> Measures.dc_gain_db (Lazy.force rom)
-  | Dominant_pole_hz -> Measures.dominant_pole_hz (Lazy.force rom)
-  | Unity_gain_frequency -> or_nan (Lazy.force crossing)
+   for.  Both live in mutable slots that [next_point] clears, so a sweep
+   reuses one finisher across its chunk's points.  Strict: [fit] raises
+   (rather than degrading to NaN) when the Padé finish fails, so the
+   policy layer in [run] decides what a degenerate fit means.  A NaN
+   from a {e successful} fit (no unity-gain crossing, say) is a
+   legitimate value, not a fault, and so is the Elmore delay of a point
+   whose DC gain m0 is exactly 0. *)
+type finisher = {
+  fit : float array -> Awe.Rom.t;
+  nm : int;
+  moments : float array;  (* the point's moments *)
+  mutable rom : Awe.Rom.t option;  (* the point's fit, once made *)
+  mutable crossing : float option option;  (* its unity-gain crossing, once solved *)
+}
+
+let finisher ~fit nm moments = { fit; nm; moments; rom = None; crossing = None }
+
+let next_point f =
+  f.rom <- None;
+  f.crossing <- None
+
+let rom f =
+  match f.rom with
+  | Some rom -> rom
+  | None ->
+    let rom = f.fit f.moments in
+    f.rom <- Some rom;
+    rom
+
+let crossing f =
+  match f.crossing with
+  | Some c -> c
+  | None ->
+    let c = Measures.unity_gain_frequency (rom f) in
+    f.crossing <- Some c;
+    c
+
+let or_nan = Option.value ~default:nan
+
+let measure f = function
+  | Moment k -> if k < f.nm then f.moments.(k) else nan
+  | Elmore_delay -> if f.moments.(0) = 0.0 then nan else Measures.elmore_delay f.moments
+  | Dc_gain -> Measures.dc_gain (rom f)
+  | Dc_gain_db -> Measures.dc_gain_db (rom f)
+  | Dominant_pole_hz -> Measures.dominant_pole_hz (rom f)
+  | Unity_gain_frequency -> or_nan (crossing f)
   | Phase_margin -> (
-    match Lazy.force crossing with
-    | Some f -> Measures.phase_margin_at (Lazy.force rom) f
+    match crossing f with
+    | Some x -> Measures.phase_margin_at (rom f) x
     | None -> nan)
-  | Delay_50 -> or_nan (Measures.delay_50 (Lazy.force rom))
-  | Rise_time -> or_nan (Measures.rise_time (Lazy.force rom))
+  | Delay_50 -> or_nan (Measures.delay_50 (rom f))
+  | Rise_time -> or_nan (Measures.rise_time (rom f))
 
 let moment_measures model ms moments =
   let order = Model.order model in
-  List.map (point_finish ~fit:(Awe.Pade.fit ~order) (2 * order) moments) ms
+  List.map (measure (finisher ~fit:(Awe.Pade.fit ~order) (2 * order) moments)) ms
 
-(* The one rule for what a measure list reads, as [point_finish] reads
-   it: [Moment k] reads m_k, [Elmore_delay] m0 and m1, and every measure
-   that fits a ROM all [2 * order] moments.  It picks the program a sweep
-   runs and the moments whose non-finite value faults a point. *)
+(* The one rule for what a measure list reads, as [measure] reads it:
+   [Moment k] reads m_k, [Elmore_delay] m0 and m1, and every measure that
+   fits a ROM all [2 * order] moments.  It picks the program a sweep runs
+   and the moments whose non-finite value faults a point. *)
 let moments_read ~order ms =
   let nm = 2 * order in
   let read = Array.make nm false in
@@ -185,20 +215,20 @@ let moments_read ~order ms =
 (* The point fault: the first read moment, in ascending order, that is
    not finite, naming the sweep's [point] when there is one. *)
 let check_read ?point read moments =
-  Array.iter
-    (fun k ->
-      let m = moments.(k) in
-      if not (Float.is_finite m) then begin
-        let moment = ("moment", Printf.sprintf "m%d" k) in
-        let context, at =
-          match point with
-          | None -> ([ moment ], "")
-          | Some i -> ([ ("point", string_of_int i); moment ], Printf.sprintf " at point %d" i)
-        in
-        Err.errorf Nonfinite_result ~where:"sweep.point" ~context
-          "compiled moment m%d is non-finite (%h)%s" k m at
-      end)
-    read
+  for j = 0 to Array.length read - 1 do
+    let k = read.(j) in
+    let m = moments.(k) in
+    if not (Float.is_finite m) then begin
+      let moment = ("moment", Printf.sprintf "m%d" k) in
+      let context, at =
+        match point with
+        | None -> ([ moment ], "")
+        | Some i -> ([ ("point", string_of_int i); moment ], Printf.sprintf " at point %d" i)
+      in
+      Err.errorf Nonfinite_result ~where:"sweep.point" ~context
+        "compiled moment m%d is non-finite (%h)%s" k m at
+    end
+  done
 
 (* Single-point evaluation with the same finish [eval_chunk] applies:
    compiled moments, fixed-order Padé fit, strict NaN-measure semantics.
@@ -383,130 +413,151 @@ let chunk_evaluator prog blk =
     slot := Some (prog, blk, ev);
     ev
 
+(* The fixed-order Padé fit of a sweep's points.  Under [Retry] a
+   degenerate fit at q is retried at q-1 … 1 before it counts as a fault:
+   an unstable or degenerate fit often fits fine with fewer spurious
+   poles chasing noise moments. *)
+let sweep_fit order policy m =
+  match Awe.Pade.fit ~order m with
+  | rom -> rom
+  | exception (Awe.Pade.Degenerate _ as e) -> (
+    match policy with
+    | Retry _ ->
+      let rec down q =
+        if q < 1 then raise e
+        else
+          match Awe.Pade.fit ~order:q m with
+          | rom ->
+            Obs.Metrics.incr "sweep.fault.order_reduced";
+            rom
+          | exception Awe.Pade.Degenerate _ -> down (q - 1)
+      in
+      down (order - 1)
+    | Fail_fast | Skip -> raise e)
+
+(* Point stage: measure finish with per-point isolation, run only at the
+   points that need it.  Column [j] holds moment [read.(j)], and a
+   [Moment k] measure's values are its column, taken as it is (the batch
+   evaluator returns fresh columns on every call).  So a
+   point needs the per-point finish only when some measure is not a
+   moment, when a moment it reads is not finite, or when faults are
+   armed (the ["sweep.point"] site); at any other point the columns
+   already hold its values.  Returns the measure rows and the chunk's
+   quarantined points, ascending. *)
+let finish_points p (c : Runtime.Chunk.t) mcols =
+  let marr = p.p_marr and read = p.p_read and policy = p.p_policy in
+  let nmeas = Array.length marr and nread = Array.length read in
+  let vals =
+    Array.map
+      (function
+        | Moment k ->
+          let rec column j = if read.(j) = k then mcols.(j) else column (j + 1) in
+          column 0
+        | _ -> Array.make c.len nan)
+      marr
+  in
+  let armed = Runtime.Fault.armed () in
+  let every = armed || Array.exists (function Moment _ -> false | _ -> true) marr in
+  let need = Bytes.make c.len (if every then '\001' else '\000') in
+  if not every then
+    Array.iter
+      (fun col ->
+        for li = 0 to c.len - 1 do
+          if not (Float.is_finite col.(li)) then Bytes.set need li '\001'
+        done)
+      mcols;
+  let fin = finisher ~fit:(sweep_fit p.p_order policy) p.p_nm (Array.make p.p_nm nan) in
+  let eval_once li i attempt =
+    if armed then Runtime.Fault.cut "sweep.point" ~key:i ~attempt;
+    for j = 0 to nread - 1 do
+      fin.moments.(read.(j)) <- mcols.(j).(li)
+    done;
+    check_read ~point:i read fin.moments;
+    next_point fin;
+    for j = 0 to nmeas - 1 do
+      match marr.(j) with
+      | Moment _ -> ()
+      | m -> vals.(j).(li) <- measure fin m
+    done
+  in
+  let failed = ref [] in
+  let rec point_try li i attempt =
+    match eval_once li i attempt with
+    | () -> if attempt > 0 then Obs.Metrics.incr "sweep.fault.recovered"
+    | exception e -> (
+      let err = Err.classify e in
+      Obs.Metrics.incr "sweep.fault.seen";
+      (* A non-finite moment is a pure function of the inputs:
+         re-running cannot change it, so don't burn attempts. *)
+      let retryable = err.Err.kind <> Err.Nonfinite_result in
+      if retryable && attempt + 1 < p.p_max_attempts then begin
+        Obs.Metrics.incr "sweep.fault.retried";
+        point_try li i (attempt + 1)
+      end
+      else
+        match policy with
+        | Fail_fast -> raise (Err.Error err)
+        | Skip | Retry _ ->
+          Obs.Metrics.incr "sweep.fault.quarantined";
+          for j = 0 to nmeas - 1 do
+            vals.(j).(li) <- nan
+          done;
+          failed := { point = i; attempts = attempt + 1; error = err } :: !failed)
+  in
+  for li = 0 to c.len - 1 do
+    if Bytes.get need li <> '\000' then point_try li (c.lo + li) 0
+  done;
+  (vals, List.rev !failed)
+
 let eval_chunk p idx =
   if idx < 0 || idx >= Array.length p.p_chunks then
     Err.errorf Invalid_request ~where:"sweep.chunk"
       "chunk %d out of range (layout has %d chunks)" idx
       (Array.length p.p_chunks);
   let c = p.p_chunks.(idx) in
-  let blk = p.p_block and nm = p.p_nm and order = p.p_order in
-  let marr = p.p_marr and policy = p.p_policy in
-  let max_attempts = p.p_max_attempts in
-  let nmeas = Array.length marr in
-  let vals = Array.init nmeas (fun _ -> Array.make c.len nan) in
-  let failed_arr : failed_point option array = Array.make c.len None in
-  let prog = p.p_prog and read = p.p_read in
   let sub = Array.map (fun col -> Array.sub col c.lo c.len) p.p_cols in
   (* Chunk stage: batched moment evaluation.  A fault here (injected
      worker crash, injected kernel fault) is retried chunk-wise under
      Retry; a permanent one quarantines the whole chunk under Skip.  Both
      sites are cut here, where the retry happens, keyed by the chunk and
      the attempt, so a transient fault heals whichever backend runs. *)
-  let mcols =
-    let rec go attempt =
-      match
-        Runtime.Fault.cut "pool.worker" ~key:c.lo ~attempt;
-        Runtime.Fault.cut "slp.eval_batch" ~key:c.lo ~attempt;
-        chunk_evaluator prog blk sub
-      with
-      | m ->
-        if attempt > 0 then Obs.Metrics.incr "sweep.fault.recovered";
-        Ok m
-      | exception e ->
-        let err = Err.classify e in
-        Obs.Metrics.incr "sweep.fault.seen";
-        if attempt + 1 < max_attempts then begin
-          Obs.Metrics.incr "sweep.fault.retried";
-          go (attempt + 1)
-        end
-        else Error (err, attempt + 1)
-    in
-    go 0
+  let rec go attempt =
+    match
+      Runtime.Fault.cut "pool.worker" ~key:c.lo ~attempt;
+      Runtime.Fault.cut "slp.eval_batch" ~key:c.lo ~attempt;
+      chunk_evaluator p.p_prog p.p_block sub
+    with
+    | m ->
+      if attempt > 0 then Obs.Metrics.incr "sweep.fault.recovered";
+      Ok m
+    | exception e ->
+      let err = Err.classify e in
+      Obs.Metrics.incr "sweep.fault.seen";
+      if attempt + 1 < p.p_max_attempts then begin
+        Obs.Metrics.incr "sweep.fault.retried";
+        go (attempt + 1)
+      end
+      else Error (err, attempt + 1)
   in
-  (match mcols with
-  | Error (err, attempts) -> (
-    match policy with
-    | Fail_fast -> raise (Err.Error err)
-    | Skip | Retry _ ->
-      Obs.Metrics.add "sweep.fault.quarantined" c.len;
-      for li = 0 to c.len - 1 do
-        let i = c.lo + li in
-        failed_arr.(li) <-
-          Some
-            {
-              point = i;
-              attempts;
-              error =
-                {
-                  err with
-                  Err.context = ("point", string_of_int i) :: err.Err.context;
-                };
-            }
-      done)
-  | Ok mcols ->
-    (* Point stage: measure finish with per-point isolation.  Column [j]
-       holds moment [read.(j)]; no measure reads the other slots. *)
-    let moments = Array.make nm nan in
-    let fit m =
-      match Awe.Pade.fit ~order m with
-      | rom -> rom
-      | exception (Awe.Pade.Degenerate _ as e) -> (
-        match policy with
-        | Retry _ ->
-          (* Order-reduction fallback: an unstable or degenerate fit at q
-             often fits fine at q-1 (fewer spurious poles chasing noise
-             moments). *)
-          let rec down q =
-            if q < 1 then raise e
-            else
-              match Awe.Pade.fit ~order:q m with
-              | rom ->
-                Obs.Metrics.incr "sweep.fault.order_reduced";
-                rom
-              | exception Awe.Pade.Degenerate _ -> down (q - 1)
-          in
-          down (order - 1)
-        | Fail_fast | Skip -> raise e)
-    in
-    for li = 0 to c.len - 1 do
-      let i = c.lo + li in
-      let eval_once attempt =
-        Runtime.Fault.cut "sweep.point" ~key:i ~attempt;
-        Array.iteri (fun j k -> moments.(k) <- mcols.(j).(li)) read;
-        check_read ~point:i read moments;
-        Array.map (point_finish ~fit nm moments) marr
-      in
-      let rec point_try attempt =
-        match eval_once attempt with
-        | row ->
-          if attempt > 0 then Obs.Metrics.incr "sweep.fault.recovered";
-          Ok row
-        | exception e ->
-          let err = Err.classify e in
-          Obs.Metrics.incr "sweep.fault.seen";
-          (* A non-finite moment is a pure function of the inputs:
-             re-running cannot change it, so don't burn attempts. *)
-          let retryable = err.Err.kind <> Err.Nonfinite_result in
-          if retryable && attempt + 1 < max_attempts then begin
-            Obs.Metrics.incr "sweep.fault.retried";
-            point_try (attempt + 1)
-          end
-          else Error (err, attempt + 1)
-      in
-      match point_try 0 with
-      | Ok row -> Array.iteri (fun j v -> vals.(j).(li) <- v) row
-      | Error (err, attempts) -> (
-        match policy with
-        | Fail_fast -> raise (Err.Error err)
-        | Skip | Retry _ ->
-          Obs.Metrics.incr "sweep.fault.quarantined";
-          failed_arr.(li) <- Some { point = i; attempts; error = err })
-    done);
-  let failed =
-    Array.to_list failed_arr |> List.filter_map (fun fp -> fp)
+  let vals, failed =
+    match go 0 with
+    | Ok mcols -> finish_points p c mcols
+    | Error (err, attempts) -> (
+      match p.p_policy with
+      | Fail_fast -> raise (Err.Error err)
+      | Skip | Retry _ ->
+        Obs.Metrics.add "sweep.fault.quarantined" c.len;
+        ( Array.map (fun _ -> Array.make c.len nan) p.p_marr,
+          List.init c.len (fun li ->
+              let i = c.lo + li in
+              {
+                point = i;
+                attempts;
+                error =
+                  { err with Err.context = ("point", string_of_int i) :: err.Err.context };
+              }) ))
   in
-  { c_index = idx; c_lo = c.lo; c_len = c.len; c_vals = vals;
-    c_failed = failed }
+  { c_index = idx; c_lo = c.lo; c_len = c.len; c_vals = vals; c_failed = failed }
 
 (* ------------------------------------------------------------------ *)
 (* Chunk records: the checkpoint on-disk shape, also the wire shape of
@@ -554,11 +605,18 @@ let chunk_result_of_json ?file p record =
     Array.length r.c_vals <> nmeas
     || Array.exists (fun row -> Array.length row <> len) r.c_vals
   then bad "chunk at %d needs %d measure rows of %d values" lo nmeas len;
-  List.iter
-    (fun fp ->
-      if fp.point < lo || fp.point >= lo + len then
-        bad "failed point %d outside its chunk [%d, +%d)" fp.point lo len)
-    r.c_failed;
+  (* The writer lists failed points strictly ascending, which is what
+     lets [finish] concatenate the chunks' lists. *)
+  ignore
+    (List.fold_left
+       (fun (j, prev) fp ->
+         if fp.point < lo || fp.point >= lo + len then
+           bad "failed point %d outside its chunk [%d, +%d)" fp.point lo len;
+         if fp.point <= prev then
+           bad "$.failed[%d]: failed point %d does not follow point %d (failed points ascend)"
+             j fp.point prev;
+         (j + 1, fp.point))
+       (0, lo - 1) r.c_failed);
   { r with c_index = idx }
 
 (* ------------------------------------------------------------------ *)
@@ -566,30 +624,30 @@ let chunk_result_of_json ?file p record =
    results array, independent of which domain or node produced each
    chunk. *)
 
+(* [f li] for each point [r.c_lo + li] of chunk [r] that survived, in
+   ascending order. *)
+let iter_survivors r f =
+  let next = ref r.c_failed in
+  for li = 0 to r.c_len - 1 do
+    match !next with
+    | fp :: rest when fp.point = r.c_lo + li -> next := rest
+    | _ -> f li
+  done
+
 let finish p (results : chunk_result option array) =
-  Array.iteri
-    (fun i r ->
-      if r = None then
-        Err.errorf Internal ~where:"sweep.finish"
-          "chunk %d was never evaluated" i)
-    results;
+  let chunks =
+    Array.mapi
+      (fun i -> function
+        | Some r -> r
+        | None -> Err.errorf Internal ~where:"sweep.finish" "chunk %d was never evaluated" i)
+      results
+  in
   let n = p.p_n in
   let marr = p.p_marr in
-  let nmeas = Array.length marr in
-  let vals = Array.init nmeas (fun _ -> Array.make n nan) in
-  let failed_arr : failed_point option array = Array.make n None in
-  Array.iter
-    (function
-      | Some r ->
-        for j = 0 to nmeas - 1 do
-          Array.blit r.c_vals.(j) 0 vals.(j) r.c_lo r.c_len
-        done;
-        List.iter (fun fp -> failed_arr.(fp.point) <- Some fp) r.c_failed
-      | None -> ())
-    results;
-  let failed = Array.to_list failed_arr |> List.filter_map (fun fp -> fp) in
-  let n_failed = List.length failed in
-  let n_survive = n - n_failed in
+  (* Each chunk lists its failed points ascending, inside the chunk, and
+     the chunks ascend too. *)
+  let failed = List.concat_map (fun r -> r.c_failed) (Array.to_list chunks) in
+  let n_survive = n - List.length failed in
   if n_survive = 0 && n > 0 then begin
     let first = List.hd failed in
     raise
@@ -602,48 +660,49 @@ let finish p (results : chunk_result option array) =
                first.error.Err.message;
          })
   end;
-  let filter row =
-    if n_failed = 0 then row
-    else begin
-      let out = Array.make n_survive nan in
-      let w = ref 0 in
-      for i = 0 to n - 1 do
-        if failed_arr.(i) = None then begin
-          out.(!w) <- row.(i);
-          incr w
-        end
-      done;
-      out
-    end
-  in
-  let fvals = Array.map filter vals in
-  let summaries =
-    Array.to_list (Array.mapi (fun j m -> (m, Stats.summarize fvals.(j))) marr)
-  in
   let index_of m =
     let rec go j = if marr.(j) = m then j else go (j + 1) in
     go 0
   in
-  let specs = p.p_specs in
-  let spec_yields =
-    List.map
-      (fun s ->
-        (s, Stats.yield ~pass:(passes s.bound) fvals.(index_of s.measure)))
-      specs
-  in
-  let yield =
-    if specs = [] then None
-    else begin
-      let ok = ref 0 in
-      for i = 0 to n_survive - 1 do
-        if
-          List.for_all
-            (fun s -> passes s.bound fvals.(index_of s.measure).(i))
-            specs
-        then incr ok
-      done;
-      Some (float_of_int !ok /. float_of_int n_survive)
-    end
+  let specs = Array.of_list p.p_specs in
+  let rows = Array.map (fun s -> index_of s.measure) specs in
+  let ok = Array.make (Array.length specs) 0 and joint = ref 0 in
+  if specs <> [||] then
+    Array.iter
+      (fun r ->
+        iter_survivors r (fun li ->
+            let all = ref true in
+            for k = 0 to Array.length specs - 1 do
+              if passes specs.(k).bound r.c_vals.(rows.(k)).(li) then ok.(k) <- ok.(k) + 1
+              else all := false
+            done;
+            if !all then incr joint))
+      chunks;
+  let fraction k = float_of_int k /. float_of_int n_survive in
+  let spec_yields = Array.to_list (Array.mapi (fun k s -> (s, fraction ok.(k))) specs) in
+  let yield = if specs = [||] then None else Some (fraction !joint) in
+  (* Each measure's surviving values go, in point order, to one array
+     that its summary then takes over. *)
+  let values = Array.create_float n_survive in
+  let summaries =
+    Array.to_list
+      (Array.mapi
+         (fun j m ->
+           let w = ref 0 in
+           Array.iter
+             (fun r ->
+               let row = r.c_vals.(j) in
+               if r.c_failed = [] then begin
+                 Array.blit row 0 values !w r.c_len;
+                 w := !w + r.c_len
+               end
+               else
+                 iter_survivors r (fun li ->
+                     values.(!w) <- row.(li);
+                     incr w))
+             chunks;
+           (m, Stats.summarize_into values))
+         marr)
   in
   {
     seed = p.p_seed;

@@ -241,10 +241,14 @@ val eval_chunk : prep -> int -> chunk_result
     read, per-point measure finish, fault policy applied exactly as in
     {!run} (same fault sites, same retry/quarantine decisions — they are
     pure functions of the data; only a non-finite moment some measure
-    reads faults a point).  The kernel runs on this domain's batch
-    evaluator, made on its first chunk and reused while the program and
-    the block size stay the same.  Raises under [Fail_fast] on the first
-    fault, and [Invalid_request] on an out-of-range index. *)
+    reads faults a point).  A [Moment k] measure's values are the
+    kernel's output column for [m_k]; the per-point finish runs where a
+    point needs it: at every point when some measure is not a moment or
+    faults are armed, otherwise only at a point with a non-finite read
+    moment.  The kernel runs on this domain's batch evaluator, made on
+    its first chunk and reused while the program and the block size stay
+    the same.  Raises under [Fail_fast] on the first fault, and
+    [Invalid_request] on an out-of-range index. *)
 
 val chunk_result_to_json : chunk_result -> Obs.Json.t
 (** The checkpoint record shape [{lo; len; vals; failed}], floats as
@@ -256,16 +260,18 @@ val chunk_result_of_json : ?file:string -> prep -> Obs.Json.t -> chunk_result
     digits of [Obs.Codec.hexfloat], error kinds by name, no missing or
     unknown keys — and validate it against the prep's layout (bounds,
     block alignment, measure-row count and length, failed points inside
-    the chunk).  Raises [Artifact_corrupt] on any mismatch, naming the
-    JSON path of the bad node and, for a bad value cell, its point — a
-    hostile or stale record cannot scribble outside its chunk or decode
-    to a wrong value.  [file] names the source in error messages. *)
+    the chunk and strictly ascending, as the encoder writes them).
+    Raises [Artifact_corrupt] on any mismatch, naming the JSON path of
+    the bad node and, for a bad value cell, its point — a hostile or
+    stale record cannot scribble outside its chunk or decode to a wrong
+    value.  [file] names the source in error messages. *)
 
 val finish : prep -> chunk_result option array -> result
 (** Merge chunk results (slot [i] = chunk [i]) and compute statistics.
     The merge is by chunk index, so the result is independent of which
-    domain or node produced each chunk.  Raises [Internal] if any slot
-    is [None], and (kind of the first failure) when every point was
+    domain or node produced each chunk; the quarantined points are the
+    chunks' own ascending lists, concatenated.  Raises [Internal] if any
+    slot is [None], and (kind of the first failure) when every point was
     quarantined. *)
 
 val restore :

@@ -19,24 +19,28 @@ let quantile_rank n p =
   let lo = int_of_float (Float.floor h) in
   if lo >= n - 1 then n - 2 else if lo < 0 then 0 else lo
 
-(* Reads only the ranks [quantile_rank] names, so an array in which just
-   those ranks hold their sorted values will do. *)
-let quantile_sorted sorted p =
-  let n = Array.length sorted in
+(* The quantile at [p] of the [n] values in [sorted.(0 .. n - 1)].  Reads
+   only the ranks [quantile_rank] names, so an array in which just those
+   ranks hold their sorted values will do.  The two ranks' difference is
+   taken in halves only when it overflows, so a quantile that is finite
+   from the plain formula keeps its bits. *)
+let quantile_sorted sorted n p =
   if n = 1 then sorted.(0)
   else begin
     let lo = quantile_rank n p in
     let frac = (p *. float_of_int (n - 1)) -. float_of_int lo in
-    sorted.(lo) +. (frac *. (sorted.(lo + 1) -. sorted.(lo)))
+    let a = sorted.(lo) and b = sorted.(lo + 1) in
+    if Float.is_finite (b -. a) then a +. (frac *. (b -. a))
+    else 2.0 *. ((a *. 0.5) +. (frac *. ((b *. 0.5) -. (a *. 0.5))))
   end
 
-(* In-place ternary heap sort: [Array.sort compare]'s algorithm step for
-   step, on unboxed floats.  It allocates nothing, stays O(n log n) on
-   every input (sorted, reversed, constant, duplicated), and on finite
-   samples — where [<] and [compare] agree — leaves exactly the order
-   [Array.sort compare] does, ties between -0.0 and 0.0 included. *)
-let sort_finite (a : float array) =
-  let n = Array.length a in
+(* In-place ternary heap sort of [a.(0 .. n - 1)]: [Array.sort compare]'s
+   algorithm step for step, on unboxed floats.  It allocates nothing,
+   stays O(n log n) on every input (sorted, reversed, constant,
+   duplicated), and on finite samples — where [<] and [compare] agree —
+   leaves exactly the order [Array.sort compare] does, ties between -0.0
+   and 0.0 included. *)
+let sort_finite (a : float array) n =
   (* The largest of the up-to-three children of [i] in the heap [a.(0..l-1)],
      or -1 when [i] is a leaf. *)
   let maxson l i =
@@ -94,99 +98,146 @@ let sort_finite (a : float array) =
     a.(0) <- e
   end
 
-(* Puts the value a sort would put at [a.(r)] there, for every rank [r]
-   in [ranks.(rlo) .. ranks.(rhi - 1)] (ascending, inside [lo .. hi]).
-   Quickselect: Hoare's partition around the median of three, recursing
-   only into the parts that hold a wanted rank, and an insertion sort
-   once a part is short.  Values that compare equal must have equal
-   bits.  Raises [Exit] after [depth] levels, so a caller can bound the
-   work at O(n log n). *)
-let rec select seed (a : float array) ranks rlo rhi lo hi depth =
-  if rlo < rhi then
-    if hi - lo < 16 then
-      for i = lo + 1 to hi do
-        let v = a.(i) and j = ref (i - 1) in
-        while !j >= lo && a.(!j) > v do
-          a.(!j + 1) <- a.(!j);
-          decr j
-        done;
-        a.(!j + 1) <- v
-      done
-    else begin
-      if depth = 0 then raise Exit;
-      let swap i j =
-        let t = a.(i) in
-        a.(i) <- a.(j);
-        a.(j) <- t
-      in
-      (* The median of three values at pseudo-random positions goes to
-         [lo]: no order in the input (sorted, reversed, organ pipe) keeps
-         picking a bad pivot. *)
-      let pick k =
-        seed := (!seed * 2862933555777941757) + 3037000493;
-        swap k (lo + ((!seed lsr 17) mod (hi - lo + 1)))
-      in
-      let mid = lo + 1 and top = lo + 2 in
-      pick lo;
-      pick mid;
-      pick top;
-      if a.(mid) < a.(lo) then swap mid lo;
-      if a.(top) < a.(lo) then swap top lo;
-      if a.(top) < a.(mid) then swap top mid;
-      swap lo mid;
-      let pivot = a.(lo) in
-      (* Afterwards [a.(lo .. j)] <= pivot <= [a.(j+1 .. hi)], lo <= j < hi. *)
-      let i = ref (lo - 1) and j = ref (hi + 1) and go = ref true in
-      while !go do
-        decr j;
-        while a.(!j) > pivot do
-          decr j
-        done;
-        incr i;
-        while a.(!i) < pivot do
-          incr i
-        done;
-        if !i < !j then swap !i !j else go := false
-      done;
-      let split = ref rlo in
-      while !split < rhi && ranks.(!split) <= !j do
-        incr split
-      done;
-      select seed a ranks rlo !split lo !j (depth - 1);
-      select seed a ranks !split rhi (!j + 1) hi (depth - 1)
-    end
+(* Bucketed selection.  Puts at [a.(r)], for each rank [r] in [ranks]
+   (ascending, inside [lo, lo + m)), the value a sort of
+   [a.(lo .. lo + m - 1)] puts there; [mn] and [mx] are that
+   range's extremes.  The values are finite and never both -0.0 and 0.0,
+   so values that compare equal have equal bits.
 
-(* Places the values [quantile_sorted] reads for [probs] at their sorted
-   ranks.  The heap sort takes over when the partitions run deeper than
-   twice log2 n, so the worst case stays O(n log n). *)
-let select_quantiles ~probs a =
-  let n = Array.length a in
-  if n > 1 then begin
-    let ranks =
-      List.concat_map (fun p -> let lo = quantile_rank n p in [ lo; lo + 1 ]) probs
-      |> List.sort_uniq compare |> Array.of_list
-    in
-    let rec log2 k = if k <= 1 then 0 else 1 + log2 (k / 2) in
-    try select (ref 1) a ranks 0 (Array.length ranks) 0 (n - 1) (2 * (log2 n + 1))
-    with Exit -> sort_finite a
+   One counting pass by a monotone bucket index over [mn, mx] finds the
+   buckets that hold a wanted rank.  A second gathers only their values,
+   in bucket order, into a scratch array, where each such bucket is
+   selected from again (a short one is insertion-sorted), and the wanted
+   ranks are copied back.  [mn] and [mx] fall in different buckets, so
+   every bucket is smaller than its range.  [budget] counts down the
+   values the counting passes may visit; once it is spent, or when
+   [mx - mn] does not scale to the buckets, [Exit] is raised before [a]
+   is written, so the caller can fall back on the heap sort. *)
+let rec select_buckets budget (a : float array) lo m mn mx ranks =
+  if m <= 16 then
+    for i = lo + 1 to lo + m - 1 do
+      let v = a.(i) and j = ref (i - 1) in
+      while !j >= lo && a.(!j) > v do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- v
+    done
+  else if mn < mx then begin
+    let nb = min 4096 (m / 4) in
+    let scale = float_of_int nb /. (mx -. mn) in
+    budget := !budget - m;
+    if !budget < 0 || scale = 0.0 || not (Float.is_finite scale) then raise Exit;
+    let counts = Array.make nb 0 in
+    for i = lo to lo + m - 1 do
+      let b = int_of_float ((a.(i) -. mn) *. scale) in
+      let b = if b >= nb then nb - 1 else b in
+      counts.(b) <- counts.(b) + 1
+    done;
+    (* Each bucket that holds a wanted rank gets the next run of the
+       scratch array, [runs.(i) .. runs.(i + 1) - 1] for the [i]th, and
+       [counts] its run's offset; any other bucket gets -1.  [at.(k)] is
+       where rank [ranks.(k)] lands in the scratch array. *)
+    let nk = Array.length ranks in
+    let at = Array.make nk 0 and runs = Array.make (nk + 1) 0 in
+    let k = ref 0 and nruns = ref 0 and first = ref lo and size = ref 0 in
+    for b = 0 to nb - 1 do
+      let c = counts.(b) in
+      if !k < nk && ranks.(!k) < !first + c then begin
+        while !k < nk && ranks.(!k) < !first + c do
+          at.(!k) <- !size + ranks.(!k) - !first;
+          incr k
+        done;
+        runs.(!nruns) <- !size;
+        incr nruns;
+        counts.(b) <- !size;
+        size := !size + c
+      end
+      else counts.(b) <- -1;
+      first := !first + c
+    done;
+    runs.(!nruns) <- !size;
+    let tmp = Array.create_float !size in
+    for i = lo to lo + m - 1 do
+      let x = a.(i) in
+      let b = int_of_float ((x -. mn) *. scale) in
+      let b = if b >= nb then nb - 1 else b in
+      let w = counts.(b) in
+      if w >= 0 then begin
+        tmp.(w) <- x;
+        counts.(b) <- w + 1
+      end
+    done;
+    (* The wanted ranks of one run are consecutive in [at]. *)
+    let k = ref 0 in
+    for i = 0 to !nruns - 1 do
+      let run_lo = runs.(i) and run_hi = runs.(i + 1) in
+      let k0 = !k in
+      while !k < nk && at.(!k) < run_hi do
+        incr k
+      done;
+      let rmn = ref tmp.(run_lo) and rmx = ref tmp.(run_lo) in
+      for j = run_lo + 1 to run_hi - 1 do
+        let x = tmp.(j) in
+        if x < !rmn then rmn := x;
+        if x > !rmx then rmx := x
+      done;
+      select_buckets budget tmp run_lo (run_hi - run_lo) !rmn !rmx
+        (Array.sub at k0 (!k - k0))
+    done;
+    Array.iteri (fun k r -> a.(r) <- tmp.(at.(k))) ranks
   end
 
-let summarize ?(bins = 20) ?(probs = default_probs) xs =
+(* Puts the sorted value at each of [ranks] (ascending, distinct) of the
+   finite values [a.(0 .. n - 1)], whose extremes are [mn] and [mx] and
+   which do not hold both -0.0 and 0.0.  The heap sort takes over when
+   the bucketed selection spends four passes over the sample, which keeps
+   the worst case O(n log n), and when [mx - mn] overflows or is too small
+   to scale to the buckets. *)
+let select a n ~mn ~mx ranks =
+  if Array.length ranks > 0 then
+    try select_buckets (ref (4 * n)) a 0 n mn mx ranks with Exit -> sort_finite a n
+
+(* Finite values that compare equal have equal bits unless they are -0.0
+   and 0.0, so a sample holding both is heap-sorted, which breaks that tie
+   as [Array.sort compare] does. *)
+let select_ranks a ranks =
+  let n = Array.length a in
+  if n > 0 then begin
+    let mn = ref a.(0) and mx = ref a.(0) and zeros = ref 0 in
+    for i = 0 to n - 1 do
+      let x = a.(i) in
+      if x < !mn then mn := x;
+      if x > !mx then mx := x;
+      if x = 0.0 then zeros := !zeros lor if Float.sign_bit x then 2 else 1
+    done;
+    if !zeros = 3 then sort_finite a n else select a n ~mn:!mn ~mx:!mx ranks
+  end
+
+(* The summary of the sample [xs], whose finite values go, in sample
+   order, to the front of [finite] ([xs] itself, or an array as long),
+   where they are then permuted and overwritten.  Loops rather than folds
+   and sequences, so no float is boxed; the sums run in sample order.
+   Each loop does all the work that needs only what earlier loops found:
+   the first also finds the extremes, the second also bins. *)
+let summarize_to ~bins ~probs (xs : float array) (finite : float array) =
   let n = Array.length xs in
   if n = 0 then invalid_arg "Stats.summarize: empty sample";
   if bins < 1 then invalid_arg "Stats.summarize: bins must be >= 1";
-  (* Loops rather than folds and sequences, so no float is boxed; the
-     sums run in sample order. *)
-  let finite = Array.make n 0.0 and nf = ref 0 in
+  let nf = ref 0 and sum = ref 0.0 in
+  let mn = ref infinity and mx = ref neg_infinity and zeros = ref 0 in
   for i = 0 to n - 1 do
     let x = xs.(i) in
     if Float.is_finite x then begin
       finite.(!nf) <- x;
-      incr nf
+      incr nf;
+      sum := !sum +. x;
+      if x < !mn then mn := x;
+      if x > !mx then mx := x;
+      if x = 0.0 then zeros := !zeros lor if Float.sign_bit x then 2 else 1
     end
   done;
   let nf = !nf in
-  let finite = if nf = n then finite else Array.sub finite 0 nf in
   if nf = 0 then
     {
       n;
@@ -204,10 +255,6 @@ let summarize ?(bins = 20) ?(probs = default_probs) xs =
        as the sum of x/n, the deviation by the largest |half deviation|
        (halves, so x - mean itself cannot overflow). *)
     let fn = float_of_int nf in
-    let sum = ref 0.0 in
-    for i = 0 to nf - 1 do
-      sum := !sum +. finite.(i)
-    done;
     let mean = !sum /. fn in
     let mean =
       if Float.is_finite mean then mean
@@ -219,14 +266,30 @@ let summarize ?(bins = 20) ?(probs = default_probs) xs =
         !acc
       end
     in
+    (* Equal-width bins over [mn, mx], in halves only when [mx - mn]
+       overflows: [h] is then 0.5, and otherwise 1.0, which leaves every
+       bit as the plain formula does.  A zero's sign moves no value to
+       another bin, so the scan's extremes bin as the sorted ones would. *)
+    let mn = !mn and mx = !mx in
+    let binned = mn < mx in
+    let h = if Float.is_finite (mx -. mn) then 1.0 else 0.5 in
+    let lo = mn *. h in
+    let w = ((mx *. h) -. lo) /. float_of_int bins in
+    let counts = Array.make (if binned then bins else 0) 0 in
+    let acc = ref 0.0 in
+    for i = 0 to nf - 1 do
+      let x = finite.(i) in
+      let d = x -. mean in
+      acc := !acc +. (d *. d);
+      if binned then begin
+        let b = int_of_float (((x *. h) -. lo) /. w) in
+        let b = if b >= bins then bins - 1 else b in
+        counts.(b) <- counts.(b) + 1
+      end
+    done;
     let std =
       if nf < 2 then 0.0
       else begin
-        let acc = ref 0.0 in
-        for i = 0 to nf - 1 do
-          let d = finite.(i) -. mean in
-          acc := !acc +. (d *. d)
-        done;
         let std = sqrt (!acc /. float_of_int (nf - 1)) in
         if Float.is_finite std then std
         else begin
@@ -244,49 +307,30 @@ let summarize ?(bins = 20) ?(probs = default_probs) xs =
         end
       end
     in
-    (* Order statistics by selection, not a sort.  Finite values that
-       compare equal have equal bits unless they are -0.0 and 0.0, so
-       only a sample holding both needs the sort, to break that tie as
-       [Array.sort compare] does: it shows in [min], [max] and a
-       single-bin histogram.  One scan finds the extremes and the zeros;
-       a sample whose extremes are equal already holds its value at
-       every rank. *)
-    let mn = ref finite.(0) and mx = ref finite.(0) and zeros = ref 0 in
-    for i = 0 to nf - 1 do
-      let x = finite.(i) in
-      if x < !mn then mn := x;
-      if x > !mx then mx := x;
-      if x = 0.0 then zeros := !zeros lor if Float.sign_bit x then 2 else 1
-    done;
-    let mn, mx =
-      if !zeros = 3 then begin
-        sort_finite finite;
-        (finite.(0), finite.(nf - 1))
-      end
-      else begin
-        if !mn < !mx then select_quantiles ~probs finite;
-        (!mn, !mx)
-      end
-    in
-    let quantiles = List.map (fun p -> (p, quantile_sorted finite p)) probs in
+    (* Order statistics by selection, not a sort, except in a sample
+       holding both -0.0 and 0.0: its tie shows in [min], [max] and a
+       single-bin histogram. *)
+    let signed_zeros = !zeros = 3 in
+    if signed_zeros then sort_finite finite nf;
+    let mn, mx = if signed_zeros then (finite.(0), finite.(nf - 1)) else (mn, mx) in
     let histogram =
-      if mn = mx then [| (mn, mx, nf) |]
-      else begin
-        let counts = Array.make bins 0 in
-        let w = (mx -. mn) /. float_of_int bins in
-        for i = 0 to nf - 1 do
-          let b = int_of_float ((finite.(i) -. mn) /. w) in
-          let b = if b >= bins then bins - 1 else b in
-          counts.(b) <- counts.(b) + 1
-        done;
+      if not binned then [| (mn, mx, nf) |]
+      else
         Array.mapi
           (fun b c ->
-            ( mn +. (float_of_int b *. w),
-              (if b = bins - 1 then mx else mn +. (float_of_int (b + 1) *. w)),
+            ( (lo +. (float_of_int b *. w)) /. h,
+              (if b = bins - 1 then mx else (lo +. (float_of_int (b + 1) *. w)) /. h),
               c ))
           counts
-      end
     in
+    if binned && not signed_zeros then begin
+      let ranks =
+        List.concat_map (fun p -> let lo = quantile_rank nf p in [ lo; lo + 1 ]) probs
+        |> List.sort_uniq compare |> Array.of_list
+      in
+      select finite nf ~mn ~mx ranks
+    end;
+    let quantiles = List.map (fun p -> (p, quantile_sorted finite nf p)) probs in
     {
       n;
       finite = nf;
@@ -299,15 +343,11 @@ let summarize ?(bins = 20) ?(probs = default_probs) xs =
     }
   end
 
-let yield ~pass xs =
-  let n = Array.length xs in
-  if n = 0 then invalid_arg "Stats.yield: empty sample";
-  let ok =
-    Array.fold_left
-      (fun acc x -> if Float.is_finite x && pass x then acc + 1 else acc)
-      0 xs
-  in
-  float_of_int ok /. float_of_int n
+let summarize ?(bins = 20) ?(probs = default_probs) xs =
+  summarize_to ~bins ~probs xs (Array.create_float (Array.length xs))
+
+let summarize_into ?(bins = 20) ?(probs = default_probs) xs =
+  summarize_to ~bins ~probs xs xs
 
 let to_json s =
   let open Obs.Json in

@@ -301,7 +301,9 @@ let test_stats_non_finite () =
 
 (* Reference summary: the boxed folds and [Array.sort compare] the
    allocation-free [Stats.summarize] must reproduce bit for bit, with the
-   scaled recomputation of a mean or std whose plain sum overflowed. *)
+   scaled recomputation of a mean or std whose plain sum overflowed, and
+   the histogram and interpolation in halves where a difference they take
+   overflows. *)
 let reference_summarize xs =
   let bins = 20 and probs = Stats.default_probs in
   let n = Array.length xs in
@@ -342,13 +344,16 @@ let reference_summarize xs =
         let lo = int_of_float (Float.floor h) in
         let lo = if lo >= nf - 1 then nf - 2 else if lo < 0 then 0 else lo in
         let frac = h -. float_of_int lo in
-        sorted.(lo) +. (frac *. (sorted.(lo + 1) -. sorted.(lo)))
+        let a = sorted.(lo) and b = sorted.(lo + 1) in
+        if Float.is_finite (b -. a) then a +. (frac *. (b -. a))
+        else (* in halves *)
+          2.0 *. ((a *. 0.5) +. (frac *. ((b *. 0.5) -. (a *. 0.5))))
       end
     in
     let mn = sorted.(0) and mx = sorted.(nf - 1) in
     let histogram =
       if mn = mx then [| (mn, mx, nf) |]
-      else begin
+      else if Float.is_finite (mx -. mn) then begin
         let counts = Array.make bins 0 in
         let w = (mx -. mn) /. float_of_int bins in
         Array.iter
@@ -361,6 +366,23 @@ let reference_summarize xs =
           (fun b c ->
             ( mn +. (float_of_int b *. w),
               (if b = bins - 1 then mx else mn +. (float_of_int (b + 1) *. w)),
+              c ))
+          counts
+      end
+      else begin
+        (* The width overflows: bins, indices and edges in halves. *)
+        let counts = Array.make bins 0 in
+        let w = ((mx *. 0.5) -. (mn *. 0.5)) /. float_of_int bins in
+        Array.iter
+          (fun x ->
+            let b = int_of_float (((x *. 0.5) -. (mn *. 0.5)) /. w) in
+            let b = if b >= bins then bins - 1 else b in
+            counts.(b) <- counts.(b) + 1)
+          finite;
+        Array.mapi
+          (fun b c ->
+            ( 2.0 *. ((mn *. 0.5) +. (float_of_int b *. w)),
+              (if b = bins - 1 then mx else 2.0 *. ((mn *. 0.5) +. (float_of_int (b + 1) *. w))),
               c ))
           counts
       end
@@ -380,6 +402,31 @@ let check_summary what xs =
   if summary_bits want <> summary_bits got then
     Alcotest.failf "%s: summary differs from the Array.sort compare reference" what
 
+(* Samples built to defeat a bucketed selection: equal values but one,
+   geometric spreads (powers of two) and heavy tails, which pile nearly
+   everything into one bucket; subnormals; spreads whose [max - min]
+   overflows; both signed zeros; and, as a control, uniform values.
+   Drawn from [seed], so a failing case prints in a line. *)
+let select_sample shape n seed =
+  let rng = Random.State.make [| seed |] in
+  let u () = Random.State.float rng 1.0 in
+  let sign () = if Random.State.bool rng then 1.0 else -1.0 in
+  match shape with
+  | 0 ->
+    let v = sign () *. u () and o = sign () *. Float.ldexp (u ()) (Random.State.int rng 2000 - 1000) in
+    let at = Random.State.int rng n in
+    Array.init n (fun i -> if i = at then o else v)
+  | 1 -> Array.init n (fun _ -> Float.ldexp 1.0 (Random.State.int rng 2046 - 1022))
+  | 2 -> Array.init n (fun _ -> sign () *. ((1.0 /. (u () +. 1e-300)) ** 3.0))
+  | 3 -> Array.init n (fun _ -> sign () *. Int64.float_of_bits (Random.State.int64 rng 0x10_0000_0000_0000L))
+  | 4 ->
+    Array.init n (fun _ ->
+        if u () < 0.1 then sign () *. max_float *. (0.5 +. (u () /. 2.0)) else sign () *. u ())
+  | 5 ->
+    Array.init n (fun _ ->
+        match Random.State.int rng 3 with 0 -> 0.0 | 1 -> -0.0 | _ -> sign () *. u ())
+  | _ -> Array.init n (fun _ -> u ())
+
 let test_stats_matches_reference () =
   let n = 5000 in
   let ramp = Array.init n (fun i -> float_of_int i *. 0.37) in
@@ -398,7 +445,10 @@ let test_stats_matches_reference () =
     done
   done;
   check_summary "one element" [| 42.0 |];
-  check_summary "one finite among non-finite" [| nan; 7.0; infinity |]
+  check_summary "one finite among non-finite" [| nan; 7.0; infinity |];
+  for shape = 0 to 6 do
+    check_summary (Printf.sprintf "shape %d" shape) (select_sample shape 20_000 1)
+  done
 
 let prop_stats_matches_reference =
   let sample =
@@ -444,12 +494,57 @@ let test_stats_huge_values () =
       check_summary what xs)
     [ ("near -1e200", -1.34e200, -7.5e199, false); ("near 1e307", 1e307, 9e307, true) ]
 
-let test_stats_yield () =
-  let samples = [| 1.0; 2.0; 3.0; Float.nan |] in
-  check_float "non-finite fails" 0.5
-    (Stats.yield ~pass:(fun v -> v <= 2.0) samples);
-  check_float "all pass except NaN" 0.75
-    (Stats.yield ~pass:(fun _ -> true) samples)
+(* Finite samples whose spread overflows: [max - min] is inf, so the
+   histogram's width, indices and edges, and the interpolation between
+   order statistics that far apart, are taken in halves.  Both are
+   checked against the reference, and every reported number is finite. *)
+let test_stats_overflowing_spread () =
+  let four = [| -1e308; 1e308; 0.0; 5e307 |] in
+  check_summary "four values spanning 2e308" four;
+  let s = Stats.summarize four in
+  Array.iter
+    (fun (lo, hi, _) ->
+      if not (Float.is_finite lo && Float.is_finite hi) then
+        Alcotest.failf "bin [%h, %h] is not finite" lo hi)
+    s.Stats.histogram;
+  Alcotest.(check (list int)) "one value in each of four bins" [ 1; 1; 1; 1 ]
+    (List.filter (fun c -> c > 0)
+       (Array.to_list (Array.map (fun (_, _, c) -> c) s.Stats.histogram)));
+  let two = [| -1.7e308; 1.7e308 |] in
+  check_summary "two values spanning 3.4e308" two;
+  let s = Stats.summarize two in
+  List.iter
+    (fun (p, v) ->
+      if not (Float.is_finite v) then Alcotest.failf "p%.2f is %h" p v;
+      check_float ~tol:1e-15 (Printf.sprintf "p%.2f" p) (2.0 *. ((-0.85e308) +. (p *. 1.7e308))) v)
+    s.Stats.quantiles
+
+(* [Stats.select_ranks] against [Array.sort compare] at every wanted
+   rank, on the samples [select_sample] builds, at sizes 2 to 50 000. *)
+let prop_select_ranks =
+  let shapes =
+    [| "one outlier"; "powers of two"; "heavy tail"; "subnormals"; "overflowing spread";
+       "signed zeros"; "uniform" |]
+  in
+  let gen =
+    QCheck2.Gen.(
+      let* shape = int_range 0 (Array.length shapes - 1) in
+      let* n = oneof [ int_range 2 40; int_range 41 3000; int_range 3000 50_000 ] in
+      let* seed = int_range 0 1_000_000 in
+      let* ranks = list_size (int_range 1 10) (int_range 0 (n - 1)) in
+      return (shape, n, seed, List.sort_uniq compare ranks))
+  in
+  QCheck2.Test.make ~name:"select_ranks ≡ Array.sort compare at every wanted rank" ~count:150
+    ~print:(fun (shape, n, seed, ranks) ->
+      Printf.sprintf "%s, n %d, seed %d, ranks [%s]" shapes.(shape) n seed
+        (String.concat "; " (List.map string_of_int ranks)))
+    gen
+    (fun (shape, n, seed, ranks) ->
+      let xs = select_sample shape n seed in
+      let sorted = Array.copy xs in
+      Array.sort compare sorted;
+      Stats.select_ranks xs (Array.of_list ranks);
+      List.for_all (fun r -> Int64.bits_of_float xs.(r) = Int64.bits_of_float sorted.(r)) ranks)
 
 (* ------------------------------------------------------------------ *)
 (* Engine *)
@@ -746,6 +841,79 @@ let prop_record_mutation =
   Mutate.prop ~name:"mutated chunk records decode canonically or name the node" ~count:400
     gen_record Fun.id decode_record
 
+(* [finish] counts a spec's yield and the joint yield over the surviving
+   points only, and a non-finite value fails every spec.  The chunks are
+   records with chosen values, some quarantined points among them. *)
+let test_finish_yields () =
+  let specs =
+    [ { Engine.measure = Engine.Dc_gain; bound = Engine.Ge 0.5 };
+      { Engine.measure = Engine.Delay_50; bound = Engine.Le 2.0 } ]
+  in
+  let prep =
+    Engine.prepare ~seed:1 ~block:16 ~measures:[ Engine.Dc_gain ] ~specs
+      (Lazy.force fig1_model) (plan_c1_g2 (Plan.Monte_carlo 40))
+  in
+  (* (dc_gain, delay_50) at point i *)
+  let value i =
+    match i mod 5 with
+    | 0 -> (1.0, 1.0)
+    | 1 -> (nan, 1.0)
+    | 2 -> (1.0, infinity)
+    | 3 -> (0.1, 3.0)
+    | _ -> (neg_infinity, nan)
+  in
+  let quarantined i = i mod 7 = 6 in
+  let open Obs.Json in
+  let num n = Num (float_of_int n) and hex v = Str (Obs.Codec.hex v) in
+  let record lo len =
+    let points = List.init len (fun k -> lo + k) in
+    Obj
+      [ ("lo", num lo);
+        ("len", num len);
+        ( "vals",
+          List
+            [ List (List.map (fun i -> hex (fst (value i))) points);
+              List (List.map (fun i -> hex (snd (value i))) points) ] );
+        ( "failed",
+          List
+            (List.filter_map
+               (fun i ->
+                 if quarantined i then
+                   Some
+                     (Obj
+                        [ ("point", num i); ("attempts", num 1);
+                          ( "error",
+                            Obj [ ("kind", Str "injected_fault"); ("where", Str "w");
+                                  ("message", Str "m") ] ) ])
+                 else None)
+               points) ) ]
+  in
+  let r =
+    Engine.finish prep
+      (Array.map
+         (fun (lo, len) -> Some (Engine.chunk_result_of_json prep (record lo len)))
+         [| (0, 16); (16, 16); (32, 8) |])
+  in
+  let survivors = List.filter (fun i -> not (quarantined i)) (List.init 40 Fun.id) in
+  let fraction pass =
+    float_of_int (List.length (List.filter pass survivors))
+    /. float_of_int (List.length survivors)
+  in
+  let dc_ok i = i mod 5 = 0 || i mod 5 = 2 and delay_ok i = i mod 5 <= 1 in
+  Alcotest.(check (list int)) "quarantined" (List.filter quarantined (List.init 40 Fun.id))
+    (List.map (fun f -> f.Engine.point) r.Engine.failed);
+  (match r.Engine.spec_yields with
+  | [ (_, dc); (_, delay) ] ->
+    check_float "dc_gain>=0.5 yield" (fraction dc_ok) dc;
+    check_float "delay_50<=2 yield" (fraction delay_ok) delay
+  | _ -> Alcotest.fail "two spec yields expected");
+  check_float "joint yield" (fraction (fun i -> dc_ok i && delay_ok i)) (Option.get r.Engine.yield);
+  Alcotest.(check int) "dc_gain summarized over the survivors" (List.length survivors)
+    (List.assoc Engine.Dc_gain r.Engine.summaries).Stats.n;
+  Alcotest.(check int) "finite dc_gain values"
+    (List.length (List.filter (fun i -> Float.is_finite (fst (value i))) survivors))
+    (List.assoc Engine.Dc_gain r.Engine.summaries).Stats.finite
+
 (* Inputs that used to decode to another value: each names its path. *)
 let test_noncanonical_sweep_inputs () =
   let json s = match Obs.Json.of_string s with Ok j -> j | Error m -> Alcotest.fail m in
@@ -777,6 +945,28 @@ let test_noncanonical_sweep_inputs () =
   | Ok _ -> ()
   | Error m -> Alcotest.failf "a known kind must decode: %s" m);
   named "unknown error kind" "$.failed[0].error.kind:" (decode_record (failed "meltdown"));
+  (* Failed points strictly ascend, as the writer lists them. *)
+  let failed_points points =
+    edit r0
+      (List.map (function
+        | "failed", _ ->
+          ( "failed",
+            Obs.Json.List
+              (List.map
+                 (fun point ->
+                   json (Printf.sprintf
+                     {|{"point":%d,"attempts":1,"error":{"kind":"injected_fault","where":"w","message":"m"}}|}
+                     point))
+                 points) )
+        | kv -> kv))
+  in
+  (match decode_record (failed_points [ 1; 3 ]) with
+  | Ok _ -> ()
+  | Error m -> Alcotest.failf "ascending failed points must decode: %s" m);
+  named "repeated failed point" "$.failed[1]: failed point 3 does not follow point 3"
+    (decode_record (failed_points [ 3; 3; 1 ]));
+  named "descending failed points" "$.failed[1]: failed point 1 does not follow point 3"
+    (decode_record (failed_points [ 3; 1 ]));
   named "corners plan with a wrong point count" "$: points 999"
     (Plan.of_json
        (json {|{"kind":"corners","points":999,"axes":[{"symbol":"C1","dist":{"kind":"uniform","lo":1,"hi":2}}]}|}));
@@ -826,6 +1016,104 @@ let decks_dir () = if Sys.file_exists "../decks" then "../decks" else "decks"
    sticky kernel fault armed on some chunks under Retry: each faulted chunk
    is quarantined whole after every attempt raised, and every other chunk
    equals a fresh [Slp.eval_batch] of its columns. *)
+(* Faults at the ["sweep.point"] site of a moment-only sweep.  Once
+   faults are armed every point takes the per-point path, so under Skip
+   and Retry a sticky fault quarantines, and a transient one quarantines
+   or heals, exactly the points [Fault.would_fire] names; every kept point
+   has the bits of [point_measures]; the [sweep.fault.*] counters count
+   the faults fired; and the chunk records are the same at jobs 1 and 2.
+   With [elmore_delay] every point is finished anyway; without it the
+   values come straight from the kernel's columns. *)
+let test_moment_sweep_point_faults () =
+  let model = Lazy.force fig1_model in
+  let n = 600 in
+  let plan = plan_c1_g2 (Plan.Monte_carlo n) in
+  let bits = Int64.bits_of_float in
+  let records slots =
+    Array.map
+      (fun c -> Obs.Json.to_string (Engine.chunk_result_to_json (Option.get c)))
+      slots
+  in
+  Fun.protect ~finally:(fun () ->
+      Runtime.Fault.disarm ();
+      Obs.reset ();
+      Obs.enabled := false)
+  @@ fun () ->
+  List.iter
+    (fun measures ->
+      let clean =
+        Engine.evaluate ~jobs:1 (Engine.prepare ~seed:5 ~block:64 ~jobs:1 ~measures model plan)
+      in
+      List.iter
+        (fun c -> Alcotest.(check (list int)) "clean run" [] (Engine.chunk_failures (Option.get c)))
+        (Array.to_list clean);
+      List.iter
+        (fun (sticky, policy) ->
+          let what =
+            Printf.sprintf "[%s] %s %s"
+              (String.concat "," (List.map Engine.measure_name measures))
+              (if sticky then "sticky" else "transient")
+              (Engine.policy_name policy)
+          in
+          let arm () =
+            Runtime.Fault.arm ~seed:3
+              (if sticky then "sweep.point:0.05:sticky" else "sweep.point:0.05")
+          in
+          arm ();
+          let fired =
+            List.filter (fun i -> Runtime.Fault.would_fire ~key:i "sweep.point") (List.init n Fun.id)
+          in
+          let nf = List.length fired in
+          let attempts = match policy with Engine.Retry k -> 1 + k | _ -> 1 in
+          let quarantined = if sticky || attempts = 1 then fired else [] in
+          let run jobs =
+            let p = Engine.prepare ~seed:5 ~block:64 ~jobs ~measures ~policy model plan in
+            (p, Engine.evaluate ~jobs p)
+          in
+          Obs.reset ();
+          Obs.enabled := true;
+          let p, slots = run 1 in
+          Obs.enabled := false;
+          let seen, retried, recovered =
+            if sticky then (nf * attempts, nf * (attempts - 1), 0)
+            else if attempts > 1 then (nf, nf, nf)
+            else (nf, 0, 0)
+          in
+          List.iter
+            (fun (name, want) ->
+              Alcotest.(check int) (what ^ ": " ^ name) want (Obs.Metrics.counter name))
+            [ ("fault.injected.count", seen); ("sweep.fault.seen", seen);
+              ("sweep.fault.retried", retried); ("sweep.fault.recovered", recovered);
+              ("sweep.fault.quarantined", List.length quarantined) ];
+          Alcotest.(check bool) (what ^ ": some point faulted") true (nf > 0);
+          Alcotest.(check (list int)) (what ^ ": quarantined points") quarantined
+            (List.concat_map (fun c -> Engine.chunk_failures (Option.get c)) (Array.to_list slots));
+          let inputs = Engine.prep_inputs p in
+          Array.iter
+            (fun slot ->
+              let c = Option.get slot in
+              let vals = Engine.chunk_values c in
+              for li = 0 to Engine.chunk_len c - 1 do
+                let i = Engine.chunk_lo c + li in
+                let want =
+                  if List.mem i quarantined then List.map (fun _ -> nan) measures
+                  else Engine.point_measures model measures (Array.map (fun col -> col.(i)) inputs)
+                in
+                List.iteri
+                  (fun j v ->
+                    if bits v <> bits vals.(j).(li) then
+                      Alcotest.failf "%s: %s differs at point %d" what
+                        (Engine.measure_name (List.nth measures j)) i)
+                  want
+              done)
+            slots;
+          Alcotest.(check (array string)) (what ^ ": records at jobs 2") (records slots)
+            (records (snd (run 2))))
+        [ (true, Engine.Skip); (true, Engine.Retry 2); (false, Engine.Skip);
+          (false, Engine.Retry 2) ];
+      Runtime.Fault.disarm ())
+    Engine.[ [ Moment 0; Moment 1; Elmore_delay ]; [ Moment 0; Moment 1 ] ]
+
 (* A transient kernel fault is cut in the chunk loop keyed by chunk and
    attempt, so Retry heals it: at every fault seed the report is the
    clean run's, bytes and all. *)
@@ -1219,11 +1507,13 @@ let () =
         [
           quick "moments and quantiles" test_stats_basic;
           quick "non-finite handling" test_stats_non_finite;
-          quick "yield" test_stats_yield;
           quick "overflowing sums recomputed scaled" test_stats_huge_values;
+          quick "an overflowing spread is binned and interpolated in halves"
+            test_stats_overflowing_spread;
           quick "sorted, reversed, constant, tied inputs ≡ reference"
             test_stats_matches_reference;
           QCheck_alcotest.to_alcotest prop_stats_matches_reference;
+          QCheck_alcotest.to_alcotest prop_select_ranks;
         ] );
       ( "engine",
         [
@@ -1247,6 +1537,8 @@ let () =
           quick "per-domain chunk evaluator leaks no state"
             test_chunk_evaluator_reuse;
           quick "transient kernel faults heal under retry" test_kernel_faults_heal;
+          quick "sweep.point faults in a moment-only sweep hit the predicted points"
+            test_moment_sweep_point_faults;
           quick "moment-only sweeps ≡ the full program on every deck"
             test_moment_only_sweeps;
           quick "a zero DC gain makes the Elmore delay NaN, not a fault"
@@ -1256,6 +1548,7 @@ let () =
           quick "a resumed checkpoint keeps the fault rule it was written under"
             test_resumed_checkpoint_keeps_its_rule;
           quick "chunk records accept only canonical hex" test_chunk_record_canonical_hex;
+          quick "yields count survivors only" test_finish_yields;
         ] );
       ( "codec",
         [ quick "non-canonical inputs name their path" test_noncanonical_sweep_inputs ]
