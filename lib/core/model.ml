@@ -168,9 +168,15 @@ let nominal_values t = Array.copy t.nominals
 let output_meta t = t.output
 
 let partition_opt t = t.partition
-let moment_exprs t = Array.copy t.moment_exprs
 let program t = t.moment_program
 let num_operations t = Slp.num_instructions t.moment_program
+
+let fingerprint t =
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\x00"
+          ((Slp.digest t.moment_program :: Array.to_list (Array.map Sym.name t.symbols))
+          @ List.map Obs.Codec.hex (Array.to_list t.nominals))))
 
 let values t bindings =
   Array.map

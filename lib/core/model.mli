@@ -54,13 +54,19 @@ val partition_opt : t -> Partition.t option
 (** The netlist analysis behind a built model, or [None] for models loaded
     from an artifact — the partition is not serialized. *)
 
-val moment_exprs : t -> Symbolic.Expr.t array
-(** The symbolic output moments [m₀ … m_{2q−1}] as expression DAGs. *)
-
 val program : t -> Symbolic.Slp.t
 (** The compiled moment program — the paper's "reduced set of operations". *)
 
 val num_operations : t -> int
+
+val fingerprint : t -> string
+(** Hex MD5 naming the computation the model performs: the moment
+    program's {!Symbolic.Slp.digest} (instructions and constant bits),
+    the symbol names in input order, and the nominal values' bit
+    patterns.  Two decks that differ only in a non-symbolic element
+    compile to programs of one shape with different constants, and get
+    different fingerprints.  Every sweep and optimize key binds the model
+    through it.  The program digest is memoized per program. *)
 
 val values : t -> (string * float) list -> float array
 (** Positional value vector from name/value bindings.  Raises
@@ -144,15 +150,12 @@ val eval_pole_sensitivities : t -> float array -> (float array * float array) op
 (** [(dp1, dp2)] with [dpᵢ.(j) = ∂pᵢ/∂symbolⱼ] at the given point, or
     [None] without a closed form. *)
 
-val time_symbol : Symbolic.Symbol.t
-(** The pseudo-symbol (named ["__time"]) that carries the time value in
-    {!transient_program} inputs. *)
-
 val transient_program : t -> Symbolic.Slp.t option
 (** The paper's symbolic time-domain claim, realized: for orders 1–2 with a
     closed pole/residue form, the unit-step response
     [y(t) = Σ (kᵢ/pᵢ)(e^{pᵢ·t} − 1)] compiles into one program whose inputs
-    are the model's symbols followed by {!time_symbol} — Figs. 9–10 of the
+    are the model's symbols followed by the time (the pseudo-symbol
+    ["__time"]) — Figs. 9–10 of the
     paper are "plotted from the second order symbolic form" exactly this
     way.  [None] for orders ≥ 3 (no closed form); NaN at evaluation when the
     poles go complex at the given symbol values (use {!rom} +
@@ -189,15 +192,12 @@ val build_cached :
     Obs counters [model.cache.hit] / [model.cache.miss] record the
     outcome. *)
 
-val omega_symbol : Symbolic.Symbol.t
-(** The pseudo-symbol (named ["__omega"]) carrying the angular frequency in
-    {!frequency_program} inputs. *)
-
 val frequency_program : t -> Symbolic.Slp.t option
 (** The frequency-domain counterpart of {!transient_program}: for orders 1–2
     with a closed pole/residue form, compiles
     [H(jω) = Σ kᵢ/(jω − pᵢ) = Σ kᵢ·(−pᵢ − jω)/(pᵢ² + ω²)]
-    into a program with inputs [symbols…, ω] and outputs
+    into a program with inputs [symbols…, ω] (ω the pseudo-symbol
+    ["__omega"]) and outputs
     [[| Re H; Im H |]] — the mechanism behind the paper's remark that each
     of Figs. 4–7 "was generated by use of the symbolic forms for the poles
     and zeros".  [None] for orders ≥ 3; NaN where the poles go complex. *)

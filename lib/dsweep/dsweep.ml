@@ -56,30 +56,8 @@ let run ?(seed = 42) ?block ?measures ?(specs = []) ?(policy = Engine.Skip)
   let measures =
     match measures with Some m -> m | None -> Engine.default_measures
   in
-  let measure_strs = List.map Engine.measure_name measures in
-  (* Specs cross the wire as their string spelling; refuse a limit the
-     spelling cannot carry exactly, because a worker would then pass/
-     fail boundary points differently than a local run — a silent
-     determinism break, unlike this loud one. *)
-  let spec_strs =
-    List.map
-      (fun s ->
-        let str = Engine.spec_to_string s in
-        (match Engine.spec_of_string str with
-        | Ok s' when s' = s -> ()
-        | _ ->
-          Err.errorf Invalid_request ~where:"dsweep"
-            "spec %s does not survive its wire spelling; use a limit \
-             with an exact short decimal form"
-            str);
-        str)
-      specs
-  in
-  let policy_str = Engine.policy_name policy in
   let prep = Engine.prepare ~seed ?block ~measures ~specs ~policy model plan in
   let key = Engine.prep_key prep in
-  let block = Engine.prep_block prep in
-  let plan_json = Sweep.Plan.to_json plan in
   let nw = List.length config.addrs in
   let addrs = Array.of_list config.addrs in
   let results, record = Engine.restore ?checkpoint ~resume prep in
@@ -98,16 +76,17 @@ let run ?(seed = 42) ?block ?measures ?(specs = []) ?(policy = Engine.Skip)
   let update f = Mutex.protect st.m (fun () -> f (); Condition.broadcast st.cv) in
   let abort e = update (fun () -> if st.abort = None then st.abort <- Some e) in
   Obs.Metrics.incr "dsweep.run.count";
-  let request c =
+  (* Every chunk's request, but for its [sc_chunk]. *)
+  let request =
     {
       Protocol.sc_model = model_path;
-      sc_plan = plan_json;
+      sc_plan = Sweep.Plan.to_json plan;
       sc_seed = seed;
-      sc_block = block;
-      sc_measures = measure_strs;
-      sc_specs = spec_strs;
-      sc_policy = policy_str;
-      sc_chunk = c;
+      sc_block = Engine.prep_block prep;
+      sc_measures = List.map Engine.measure_name measures;
+      sc_specs = List.map Engine.spec_to_string specs;
+      sc_policy = Engine.policy_name policy;
+      sc_chunk = 0;
       sc_key = key;
       sc_deadline_ms = Some (config.chunk_timeout_s *. 1e3);
     }
@@ -164,7 +143,7 @@ let run ?(seed = 42) ?block ?measures ?(specs = []) ?(policy = Engine.Skip)
       try
         Runtime.Fault.cut "dsweep.worker" ~key:w ~attempt:failures;
         Runtime.Fault.cut "dsweep.dispatch" ~key:c ~attempt:failures;
-        match Client.sweep_chunk cl (request c) with
+        match Client.sweep_chunk cl { request with Protocol.sc_chunk = c } with
         | Error _ as e -> e
         | Ok reply ->
           Runtime.Fault.cut "dsweep.recv" ~key:c ~attempt:failures;

@@ -92,11 +92,12 @@ val run :
 (** Distribute the sweep over [config.addrs] and merge
     deterministically.  [model_path] is the artifact path {e as the
     daemons see it}; [model] is the coordinator's own copy, used to
-    build the reference preparation and its key — a worker whose
-    artifact digests differently computes a different key and refuses,
-    so skew is caught before any value is merged.  Defaults and raised
+    build the reference preparation and its key, which binds the
+    model's fingerprint and the specs' exact limits — a worker whose
+    artifact computes differently, even in one constant, computes a
+    different key and refuses, and the run aborts without retrying, so
+    skew is caught before any value is merged.  Defaults and raised
     errors match [Sweep.Engine.run]; additionally raises
     [Awesym_error.Error] (kind [worker_crash]) when every worker is
-    lost, and (kind [invalid_request]) for specs whose limits do not
-    survive their wire spelling.  [log] receives human-readable
-    degradation notices (worker declared dead, ...). *)
+    lost.  [log] receives human-readable degradation notices (worker
+    declared dead, ...). *)

@@ -95,37 +95,35 @@ let device_of_card lineno name rest =
   | _ -> fail lineno "unknown device type %C" name.[0]
 
 let parse_string text =
-  (* Separate device cards from linear cards; the linear remainder goes
-     through the standard deck parser. *)
-  let lines = String.split_on_char '\n' text in
+  (* Device cards go to the device list; every other line goes through the
+     standard deck parser, with a blank in place of each device card, so
+     its line numbers are the file's. *)
   let devices = ref [] in
-  let linear_lines = ref [] in
   let stop = ref false in
-  List.iteri
-    (fun k raw ->
-      let lineno = k + 1 in
-      let line = String.trim raw in
-      if (not !stop) && line <> "" && line.[0] <> '*' then begin
-        match tokens line with
-        | [] -> ()
-        | [ d ] when String.lowercase_ascii d = ".end" -> stop := true
-        | directive :: _ when directive.[0] = '.' ->
-          if String.lowercase_ascii directive = ".symbolic" then
-            fail lineno ".symbolic applies after linearization, not here";
-          linear_lines := raw :: !linear_lines
-        | name :: rest
-          when name.[0] <> '.'
-               && List.mem (Char.lowercase_ascii name.[0]) [ 'd'; 'm'; 'q' ] ->
-          devices := (lineno, name, rest) :: !devices
-        | _ :: _ -> linear_lines := raw :: !linear_lines
-      end)
-    lines;
+  let linear_lines =
+    List.mapi
+      (fun k raw ->
+        let lineno = k + 1 in
+        let line = String.trim raw in
+        if !stop || line = "" || line.[0] = '*' then raw
+        else
+          match tokens line with
+          | [ d ] when String.lowercase_ascii d = ".end" ->
+            stop := true;
+            raw
+          | directive :: _ when directive.[0] = '.' ->
+            if String.lowercase_ascii directive = ".symbolic" then
+              fail lineno ".symbolic applies after linearization, not here";
+            raw
+          | name :: rest when List.mem (Char.lowercase_ascii name.[0]) [ 'd'; 'm'; 'q' ] ->
+            devices := (lineno, name, rest) :: !devices;
+            ""
+          | _ -> raw)
+      (String.split_on_char '\n' text)
+  in
   let linear_nl =
-    try Circuit.Parser.parse_string (String.concat "\n" (List.rev !linear_lines))
-    with Circuit.Parser.Parse_error (line, msg) ->
-      (* Line numbers shift when device cards are stripped; keep the
-         message, drop the unreliable number. *)
-      raise (Parse_error (line, msg))
+    try Circuit.Parser.parse_string (String.concat "\n" linear_lines)
+    with Circuit.Parser.Parse_error (line, msg) -> raise (Parse_error (line, msg))
   in
   let nl = ref Netlist.empty in
   List.iter

@@ -93,19 +93,9 @@ let to_json = C.encode codec
 let of_json = decode Invalid_request "opt.request" codec
 
 let key model t =
-  let symbols = Array.map Sym.name (Model.symbols model) in
-  let nominals = Model.nominal_values model in
   Digest.to_hex
     (Digest.string
-       (String.concat "\x00"
-          ([
-             schema;
-             J.to_string (to_json t);
-             string_of_int (Model.order model);
-             string_of_int (Model.num_operations model);
-           ]
-          @ Array.to_list symbols
-          @ List.map C.hex (Array.to_list nominals))))
+       (String.concat "\x00" [ schema; J.to_string (to_json t); Model.fingerprint model ]))
 
 (* ---- checkpoint unit codecs: sizing restarts and yield iterations,
    floats as the readable + exact pairs the reports carry ---- *)

@@ -15,7 +15,7 @@
     [run ~checkpoint:path] appends each completed sizing restart / yield
     iteration to [path] as one line of an {!Awesymbolic.Checkpoint}
     file; no report is stored.  The header carries {!key} — a digest
-    binding the request JSON and the model's shape — so [~resume:true]
+    binding the request JSON and the model — so [~resume:true]
     restores only a checkpoint written by the {e same} optimization:
     completed units are restored bit-exactly and only the rest is
     computed, and with every unit present the report is rebuilt from
@@ -88,9 +88,9 @@ val report_of_json : Obs.Json.t -> report
     reads the daemon's report. *)
 
 val key : Awesymbolic.Model.t -> t -> string
-(** Hex digest binding the request (its canonical JSON) and the model's
-    shape (order, program size, symbols, nominal bit patterns) — the
-    checkpoint handshake, recorded in every report. *)
+(** Hex digest binding the request (its canonical JSON, spec limits
+    spelled exactly) and the model's {!Awesymbolic.Model.fingerprint} —
+    the checkpoint handshake, recorded in every report. *)
 
 val check_require : require:bool -> report -> unit
 (** With [require = true], raise the classified [Max_iters] /

@@ -70,28 +70,21 @@ module Backoff = struct
     | _ -> false
 end
 
-let with_retry ?(backoff = Backoff.default) ~salt f =
-  let rec go attempt =
-    match f ~attempt with
-    | Ok _ as ok -> ok
-    | Error e when Backoff.retryable e && attempt + 1 < backoff.Backoff.attempts
-      ->
-      Obs.Metrics.incr "serve.client.retries";
-      Unix.sleepf (Backoff.delay backoff ~salt ~attempt);
-      go (attempt + 1)
-    | Error _ as err -> err
-  in
-  go 0
-
-let connect_addr_retry ?backoff addr =
-  with_retry ?backoff
-    ~salt:("connect:" ^ Transport.to_string addr)
-    (fun ~attempt:_ -> connect_addr addr)
-
-let connect_retry ?backoff spec =
+let connect_retry ?(backoff = Backoff.default) spec =
   match Transport.parse spec with
   | Error e -> Error e
-  | Ok addr -> connect_addr_retry ?backoff addr
+  | Ok addr ->
+    let salt = "connect:" ^ Transport.to_string addr in
+    let rec go attempt =
+      match connect_addr addr with
+      | Ok _ as ok -> ok
+      | Error e when Backoff.retryable e && attempt + 1 < backoff.Backoff.attempts ->
+        Obs.Metrics.incr "serve.client.retries";
+        Unix.sleepf (Backoff.delay backoff ~salt ~attempt);
+        go (attempt + 1)
+      | Error _ as err -> err
+    in
+    go 0
 
 (* Per-connection receive/send deadline via socket timeouts.  After a
    receive timeout fires mid-response the stream is unsynchronized

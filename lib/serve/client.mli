@@ -49,24 +49,14 @@ module Backoff : sig
       [injected_fault].  Everything else fails fast. *)
 end
 
-val with_retry :
-  ?backoff:Backoff.t ->
-  salt:string ->
-  (attempt:int -> ('a, Awesym_error.t) result) ->
-  ('a, Awesym_error.t) result
-(** Run [f ~attempt] until it succeeds, fails non-retryably, or the
-    attempt budget is spent; sleeps {!Backoff.delay} between attempts
-    and counts each retry in the [serve.client.retries] metric. *)
-
 val connect_retry :
   ?backoff:Backoff.t -> string -> (t, Awesym_error.t) result
-(** {!connect} with backoff-and-retry on [unavailable] failures — the
-    peer not being up {e yet} (daemon still binding its socket) or not
-    {e right now} (restarting) is handled here instead of by ad-hoc
-    retry loops at call sites. *)
-
-val connect_addr_retry :
-  ?backoff:Backoff.t -> Transport.addr -> (t, Awesym_error.t) result
+(** {!connect} with backoff-and-retry on {!Backoff.retryable} failures —
+    the peer not being up {e yet} (daemon still binding its socket) or
+    not {e right now} (restarting) is handled here instead of by ad-hoc
+    retry loops at call sites.  Sleeps {!Backoff.delay} between
+    attempts, salted by the address, and counts each retry in the
+    [serve.client.retries] metric. *)
 
 val set_timeout : t -> float -> unit
 (** Arm a send/receive deadline (seconds; [0.] disarms) on the

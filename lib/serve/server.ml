@@ -265,27 +265,21 @@ let worker_body t ~worker =
   let registry = Registry.create ~max_models:t.config.max_models () in
   let batcher = Batcher.create t.config.batch in
   let complete resps = push_completions t shard resps in
-  (* Distributed-sweep preparation memo.  Building a prep re-samples the
-     plan's full input grid, which dwarfs a single chunk's evaluation;
-     a coordinator sends this worker many chunks of the same sweep, so
-     keep the last few preps keyed by their defining wire inputs.
-     Worker-domain private, like the registry. *)
-  let preps : (string * Sweep.Engine.prep) list ref = ref [] in
+  (* Distributed-sweep preparation memo: one slot, the last sweep this
+     worker prepared, named by its artifact's digest and its key.  A
+     prep re-samples the plan's whole input grid, which dwarfs one
+     chunk's evaluation, and a coordinator sends a daemon the chunks of
+     one sweep at a time.  A key names one computation, so a request
+     with the slot's artifact and key is the slot's sweep.  A prep is
+     kept only when it computes the request's key: a different key is
+     model or version skew (the handshake), and its chunks must not be
+     merged.  Worker-domain private, like the registry. *)
+  let prep_slot = ref None in
   let sweep_prep entry (req : Protocol.sweep_chunk) =
-    let memo_key =
-      String.concat "\x00"
-        ([
-           entry.Registry.digest;
-           Json.to_string req.Protocol.sc_plan;
-           string_of_int req.Protocol.sc_seed;
-           string_of_int req.Protocol.sc_block;
-           req.Protocol.sc_policy;
-         ]
-        @ req.Protocol.sc_measures @ req.Protocol.sc_specs)
-    in
-    match List.assoc_opt memo_key !preps with
-    | Some p -> Ok p
-    | None ->
+    let id = (entry.Registry.digest, req.Protocol.sc_key) in
+    match !prep_slot with
+    | Some (id', prep) when id' = id -> Ok prep
+    | _ ->
       let parse what f x =
         Result.map_error
           (fun m ->
@@ -312,8 +306,18 @@ let worker_body t ~worker =
       with
       | exception e -> Error (Err.classify e)
       | prep ->
-        preps := (memo_key, prep) :: List.filteri (fun i _ -> i < 3) !preps;
-        Ok prep
+        let key = Sweep.Engine.prep_key prep in
+        if key <> req.Protocol.sc_key then
+          Error
+            (Err.make Invalid_request ~where:"serve.sweep"
+               (Printf.sprintf
+                  "sweep key mismatch (coordinator %s, worker %s): model \
+                   or version skew between nodes"
+                  req.Protocol.sc_key key))
+        else begin
+          prep_slot := Some (id, prep);
+          Ok prep
+        end
   in
   let span trace name t0 =
     Option.iter
@@ -374,32 +378,17 @@ let worker_body t ~worker =
         (match sweep_prep entry req with
         | Error e -> Protocol.R_error e
         | Ok prep ->
-          let key = Sweep.Engine.prep_key prep in
-          if key <> req.Protocol.sc_key then
-            (* The skew handshake: the worker rebuilt the sweep from the
-               wire parameterization and got a different key, so its
-               artifact bytes (or code version) disagree with the
-               coordinator's — evaluating would silently merge
-               non-identical chunks. *)
-            Protocol.R_error
-              (Err.make Invalid_request ~where:"serve.sweep"
-                 (Printf.sprintf
-                    "sweep key mismatch (coordinator %s, worker %s): model \
-                     or version skew between nodes"
-                    req.Protocol.sc_key key))
-          else begin
-            let t0 = now () in
-            let r = Sweep.Engine.eval_chunk prep req.Protocol.sc_chunk in
-            span job.trace "serve.sweep.chunk" t0;
-            Obs.Metrics.incr "serve.sweep.chunks";
-            Protocol.R_chunk
-              {
-                Protocol.cr_digest = entry.Registry.digest;
-                cr_key = key;
-                cr_chunk = req.Protocol.sc_chunk;
-                cr_record = Sweep.Engine.chunk_result_to_json r;
-              }
-          end)
+          let t0 = now () in
+          let r = Sweep.Engine.eval_chunk prep req.Protocol.sc_chunk in
+          span job.trace "serve.sweep.chunk" t0;
+          Obs.Metrics.incr "serve.sweep.chunks";
+          Protocol.R_chunk
+            {
+              Protocol.cr_digest = entry.Registry.digest;
+              cr_key = Sweep.Engine.prep_key prep;
+              cr_chunk = req.Protocol.sc_chunk;
+              cr_record = Sweep.Engine.chunk_result_to_json r;
+            })
     | Opt req ->
       (* A raise is classified by [safe_handle]. *)
       let t0 = now () in

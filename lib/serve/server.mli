@@ -50,10 +50,6 @@ type config = {
           [trace] request type *)
 }
 
-val default_versions : (string * string) list
-(** Serve schema + artifact format; the CLI prepends binary and sweep
-    versions. *)
-
 val default_config : listen:Transport.addr -> config
 (** One worker, default batching and admission knobs, a 1024-request
     backlog bound per worker, 8 resident models per worker, 256 MiB
@@ -79,9 +75,6 @@ val step : t -> stop:bool ref -> bool
     has completed and the daemon should exit.  Exposed so tests can
     drive the loop in-process; [run] is the production wrapper.
     Re-raises a worker domain's exception if one died. *)
-
-val stats_json : t -> Obs.Json.t
-(** The payload a [stats] request answers with. *)
 
 val shutdown : t -> unit
 (** Halt and join the worker domains, close the listener (unlinking a

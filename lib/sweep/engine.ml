@@ -67,9 +67,9 @@ let spec_of_string s =
   in
   let parse name limit mk =
     match (measure_of_string name, float_of_string_opt (String.trim limit)) with
-    | Ok m, Some v -> Ok { measure = m; bound = mk v }
+    | Ok m, Some v when not (Float.is_nan v) -> Ok { measure = m; bound = mk v }
     | (Error _ as e), _ -> e
-    | _, None -> Error (Printf.sprintf "bad limit in spec %S" s)
+    | _, _ -> Error (Printf.sprintf "bad limit in spec %S" s)
   in
   match (split "<=", split ">=") with
   | Some (name, limit), _ -> parse name limit (fun v -> Le v)
@@ -79,10 +79,24 @@ let spec_of_string s =
       (Printf.sprintf "spec %S must look like measure<=limit or measure>=limit"
          s)
 
+(* A limit reads back to its own bits: spelled [%g] wherever that does,
+   so every limit spelled before keeps its bytes, else the shortest of
+   [%.15g], [%.16g] and [%.17g] that does. *)
+let limit_to_string v =
+  let exact p =
+    let s = Printf.sprintf "%.*g" p v in
+    if Int64.equal (Int64.bits_of_float (float_of_string s)) (Int64.bits_of_float v) then
+      Some s
+    else None
+  in
+  match List.find_map exact [ 6; 15; 16 ] with
+  | Some s -> s
+  | None -> Printf.sprintf "%.17g" v
+
 let spec_to_string { measure; bound } =
   match bound with
-  | Le v -> Printf.sprintf "%s<=%g" (measure_name measure) v
-  | Ge v -> Printf.sprintf "%s>=%g" (measure_name measure) v
+  | Le v -> measure_name measure ^ "<=" ^ limit_to_string v
+  | Ge v -> measure_name measure ^ ">=" ^ limit_to_string v
 
 let passes bound v =
   Float.is_finite v
@@ -320,37 +334,25 @@ let prepare ?(seed = 42) ?block ?jobs ?(measures = default_measures)
   let blk = match block with Some b when b > 0 -> b | _ -> Slp.default_block in
   let cols = Plan.columns ~symbols ~nominals ~rng ?jobs ~block:blk plan in
   let n = Plan.num_points plan in
-  (* The checkpoint key binds everything the stored values depend on:
-     replaying against a different plan, seed, model shape, or policy must
-     be rejected, not silently blended.  (Program size stands in for a
-     full model digest — combined with symbols/nominals/order it pins the
-     compiled model for any realistic workflow.)  The same key is the
-     distributed handshake: a worker that computes a different key from
-     the same request refuses the chunk.  The point-fault rule is not in
-     the key: older binaries also faulted a point on a non-finite moment
-     no measure reads, and their checkpoints and workers are accepted, so
-     a report blends the two rules where such a point exists
-     (docs/ROBUSTNESS.md). *)
+  (* The checkpoint key names the one computation whose values a chunk
+     holds: replaying against another plan, seed, model or policy is
+     rejected, not blended.  The same key is the distributed handshake: a
+     worker that computes a different key from the same request refuses
+     the chunk. *)
   let ckpt_key =
     Digest.to_hex
       (Digest.string
          (String.concat "\x00"
             ([
-               (* the layout the key was first made for; kept so keys
-                  and the distributed handshake keep their bytes *)
-               "awesymbolic-ckpt/1";
                Obs.Json.to_string (Plan.to_json plan);
                string_of_int seed;
-               string_of_int order;
                string_of_int blk;
                string_of_int n;
                policy_name policy;
-               string_of_int (Model.num_operations model);
+               Model.fingerprint model;
              ]
             @ List.map measure_name measures
-            @ List.map spec_to_string specs
-            @ Array.to_list symbols
-            @ List.map C.hex (Array.to_list nominals))))
+            @ List.map spec_to_string specs)))
   in
   (* The program resolves once per prep: the model's own when every
      moment is read, so ROM sweeps and native kernel digests are those

@@ -64,9 +64,14 @@ type spec = { measure : measure; bound : bound }
 (** A performance-measure requirement; non-finite values always fail. *)
 
 val spec_of_string : string -> (spec, string) result
-(** Parses ["delay_50<=1e-9"] / ["dc_gain>=0.5"] style strings. *)
+(** Parses ["delay_50<=1e-9"] / ["dc_gain>=0.5"] style strings.  A NaN
+    limit is an error: no value passes it. *)
 
 val spec_to_string : spec -> string
+(** The spelling {!spec_of_string} reads back to the same limit bits:
+    the limit as [%g] wherever that is exact, else the shortest of
+    [%.15g], [%.16g] and [%.17g] that is.  Reports, keys, the optimize
+    request codec and the distributed wire all carry this spelling. *)
 
 val passes : bound -> float -> bool
 (** Whether a measure value meets a bound; non-finite values never do. *)
@@ -181,13 +186,11 @@ val prepare :
     beyond the model's moments or a non-positive retry count. *)
 
 val prep_key : prep -> string
-(** The checkpoint key: hex MD5 binding plan, seed, order, block,
-    measures, specs, policy, and the model's shape.  Two preps with
-    equal keys evaluate chunks identically; the distributed protocol
-    uses key equality as its skew handshake.  The point-fault rule is
-    not in the key: a checkpoint or worker from a binary that faulted a
-    point on any non-finite moment has the same key, and disagrees
-    where a point has a non-finite moment no measure reads. *)
+(** The checkpoint key: hex MD5 binding plan, seed, block, measures,
+    specs (their exact spellings), policy, and the model's
+    {!Awesymbolic.Model.fingerprint}.  Two preps with equal keys
+    evaluate chunks identically; the distributed protocol uses key
+    equality as its skew handshake. *)
 
 val prep_points : prep -> int
 (** Total points [n]. *)

@@ -266,13 +266,19 @@ let summarize_to ~bins ~probs (xs : float array) (finite : float array) =
         !acc
       end
     in
-    (* Equal-width bins over [mn, mx], in halves only when [mx - mn]
-       overflows: [h] is then 0.5, and otherwise 1.0, which leaves every
-       bit as the plain formula does.  A zero's sign moves no value to
-       another bin, so the scan's extremes bin as the sorted ones would. *)
+    (* Equal-width bins over [mn, mx], on the values scaled by a power of
+       two [h], which is exact: 0.5 when [mx - mn] overflows, 2^1022 when
+       it is subnormal (every value is then below about 2^-968, so none
+       overflows), and otherwise 1.0, which leaves every bit as the plain
+       formula does.  A zero's sign moves no value to another bin, so the
+       scan's extremes bin as the sorted ones would. *)
     let mn = !mn and mx = !mx in
     let binned = mn < mx in
-    let h = if Float.is_finite (mx -. mn) then 1.0 else 0.5 in
+    let h =
+      if not (Float.is_finite (mx -. mn)) then 0.5
+      else if binned && mx -. mn < Float.min_float then 0x1p1022
+      else 1.0
+    in
     let lo = mn *. h in
     let w = ((mx *. h) -. lo) /. float_of_int bins in
     let counts = Array.make (if binned then bins else 0) 0 in
@@ -289,6 +295,16 @@ let summarize_to ~bins ~probs (xs : float array) (finite : float array) =
     done;
     let std =
       if nf < 2 then 0.0
+      else if h > 1.0 then begin
+        (* Deviations of a subnormal spread square to nothing: they are
+           taken on the scaled values. *)
+        let acc = ref 0.0 and hmean = mean *. h in
+        for i = 0 to nf - 1 do
+          let d = (finite.(i) *. h) -. hmean in
+          acc := !acc +. (d *. d)
+        done;
+        sqrt (!acc /. float_of_int (nf - 1)) /. h
+      end
       else begin
         let std = sqrt (!acc /. float_of_int (nf - 1)) in
         if Float.is_finite std then std

@@ -29,8 +29,12 @@ val summarize : ?bins:int -> ?probs:float list -> float array -> summary
     the histogram's width, bin indices and edges, and a quantile's
     interpolation, are computed in halves only when the difference they
     take ([max − min], or of two neighbouring order statistics)
-    overflows.  So a summary that is finite from the plain formulas
-    keeps its bits.  Raises [Invalid_argument] on an empty sample. *)
+    overflows.  When [max − min] is nonzero and subnormal, the width,
+    indices, edges and the deviations behind [std] are taken on the
+    values scaled by 2^1022, where the plain ones underflow.  So a
+    summary that is finite from the plain formulas, over a normal
+    spread, keeps its bits.  Raises [Invalid_argument] on an empty
+    sample. *)
 
 val summarize_into : ?bins:int -> ?probs:float list -> float array -> summary
 (** [summarize], on a sample the caller gives up: the array is
@@ -43,7 +47,8 @@ val select_ranks : float array -> int array -> unit
     values.  It counts the values into buckets by a monotone index over
     [min, max], and sorts (or selects from again) only the buckets that
     hold a wanted rank.  A sample holding both -0.0 and 0.0, one whose
-    [max − min] overflows, and one whose buckets keep splitting off few
-    values are heap-sorted instead, so the worst case is O(n log n). *)
+    [max − min] overflows or is too small to scale to the buckets, and
+    one whose buckets keep splitting off few values are heap-sorted
+    instead, so the worst case is O(n log n). *)
 
 val to_json : summary -> Obs.Json.t

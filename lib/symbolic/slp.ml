@@ -489,27 +489,59 @@ let digest p =
   match p.digest_memo with
   | Some d -> d
   | None ->
-    let b = Buffer.create 256 in
+    (* The bytes of the [Printf] spelling ["L %d %d"], ["A %d %d %d"], ...,
+       ["c%Lx"], ["o%d"], written digit by digit: [Printf] and
+       [string_of_int] format through C's [snprintf], at several times the
+       cost, and every sweep key digests its model's program.  Registers
+       and slots are non-negative. *)
+    let b = Buffer.create (16 * (Array.length p.instrs + Array.length p.init)) in
+    let rec dec v =
+      if v >= 10 then dec (v / 10);
+      Buffer.add_char b (Char.unsafe_chr (48 + (v mod 10)))
+    in
+    let rec hex v =
+      if v >= 16 then hex (v lsr 4);
+      Buffer.add_char b "0123456789abcdef".[v land 15]
+    in
+    let op tag regs =
+      Buffer.add_char b '\n';
+      Buffer.add_char b tag;
+      List.iter
+        (fun r ->
+          Buffer.add_char b ' ';
+          dec r)
+        regs
+    in
     Buffer.add_string b "awesym-slp/1\n";
-    Buffer.add_string b (string_of_int (Array.length p.inputs));
+    dec (Array.length p.inputs);
     Array.iter
-      (fun instr ->
-        Buffer.add_char b '\n';
-        match instr with
-        | Load_input (r, s) -> Printf.bprintf b "L %d %d" r s
-        | Add (r, a, c) -> Printf.bprintf b "A %d %d %d" r a c
-        | Mul (r, a, c) -> Printf.bprintf b "M %d %d %d" r a c
-        | Neg (r, a) -> Printf.bprintf b "N %d %d" r a
-        | Inv (r, a) -> Printf.bprintf b "I %d %d" r a
-        | Sqrt (r, a) -> Printf.bprintf b "S %d %d" r a
-        | Exp (r, a) -> Printf.bprintf b "E %d %d" r a)
+      (function
+        | Load_input (r, s) -> op 'L' [ r; s ]
+        | Add (r, a, c) -> op 'A' [ r; a; c ]
+        | Mul (r, a, c) -> op 'M' [ r; a; c ]
+        | Neg (r, a) -> op 'N' [ r; a ]
+        | Inv (r, a) -> op 'I' [ r; a ]
+        | Sqrt (r, a) -> op 'S' [ r; a ]
+        | Exp (r, a) -> op 'E' [ r; a ])
       p.instrs;
     Buffer.add_char b '\n';
     (* Constants by bit pattern: -0.0, infinities and NaN payloads are
-       part of the program's identity. *)
-    Array.iter (fun c -> Printf.bprintf b "c%Lx" (Int64.bits_of_float c)) p.init;
+       part of the program's identity.  All but the last hex digit fit an
+       [int]. *)
+    Array.iter
+      (fun c ->
+        let bits = Int64.bits_of_float c in
+        let top = Int64.to_int (Int64.shift_right_logical bits 4) in
+        Buffer.add_char b 'c';
+        if top > 0 then hex top;
+        hex (Int64.to_int bits land 15))
+      p.init;
     Buffer.add_char b '\n';
-    Array.iter (fun r -> Printf.bprintf b "o%d" r) p.outputs;
+    Array.iter
+      (fun r ->
+        Buffer.add_char b 'o';
+        dec r)
+      p.outputs;
     let d = Digest.to_hex (Digest.string (Buffer.contents b)) in
     p.digest_memo <- Some d;
     d

@@ -278,6 +278,30 @@ let test_dist_kill_worker_mid_run () =
   Domain.join killer;
   Alcotest.(check string) "survivor ≡ local" local r
 
+(* A daemon holding deck B's artifact, under the path the coordinator
+   names for deck A: the decks differ in one non-symbolic constant, so
+   the worker computes another key from the same request and refuses
+   every chunk, and the coordinator aborts at the first refusal without
+   retrying and without merging a value. *)
+let test_dist_other_deck_refused () =
+  let a, b = Fig1_pair.both () in
+  let dir = temp_dir "awesym_dsweep_pair" in
+  let path = Filename.concat dir "m.awm" in
+  Model.save b path;
+  with_daemons 1 @@ fun ds ->
+  let retries = Obs.Metrics.counter "dsweep.retries" in
+  let completed = Obs.Metrics.counter "dsweep.chunks.completed" in
+  (match
+     Dsweep.run ~seed:11 ~block ~specs:(specs ())
+       (config (List.map (fun d -> d.sock) ds))
+       ~model:a ~model_path:path (plan ())
+   with
+  | _ -> Alcotest.fail "a worker holding deck B answered a sweep of deck A"
+  | exception Err.Error e -> Fig1_pair.check_key_mismatch e);
+  Alcotest.(check int) "no retry" retries (Obs.Metrics.counter "dsweep.retries");
+  Alcotest.(check int) "no chunk merged" completed
+    (Obs.Metrics.counter "dsweep.chunks.completed")
+
 let test_dist_checkpoint_resume_after_total_loss () =
   (* Lose EVERY worker mid-run: the coordinator flushes its progress,
      raises worker_crash, and a resumed run (fresh fleet) completes to
@@ -349,5 +373,7 @@ let () =
             test_dist_kill_worker_mid_run;
           quick "total worker loss checkpoints, resume ≡ local"
             test_dist_checkpoint_resume_after_total_loss;
+          quick "a worker holding another deck is refused, no retry"
+            test_dist_other_deck_refused;
         ] );
     ]

@@ -399,6 +399,21 @@ let test_checkpoint_resume () =
   in
   Alcotest.(check string) "resumed report byte-identical" full resumed
 
+(* A checkpoint of deck A does not resume the same request on deck B,
+   which differs in one non-symbolic constant: the key binds the model's
+   fingerprint, not just its shape. *)
+let test_edited_deck_checkpoint_rejected () =
+  let a, b = Fig1_pair.both () in
+  let req = yield_request a in
+  let path = Filename.temp_file "awesym_opt" ".opt" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  Sys.remove path;
+  ignore (run_report ~checkpoint:path a req);
+  match run_report ~checkpoint:path ~resume:true b req with
+  | _ -> Alcotest.fail "deck B resumed deck A's checkpoint"
+  | exception Err.Error e -> Fig1_pair.check_key_mismatch e
+
 (* Checkpoint floats use the sweep checkpoints' codec, which reads only
    what it writes: a trajectory cell with its hex digits upper-cased is
    corrupt, not a float to resume from. *)
@@ -468,13 +483,13 @@ let gen_measure =
                         Phase_margin; Delay_50; Rise_time; Elmore_delay ];
         map (fun k -> Engine.Moment k) (int_range 0 9) ])
 
-(* Specs travel as their "%g" spelling, so the limit is the spelling's. *)
+(* Specs travel as a spelling that reads back to the limit's bits, so
+   any limit does. *)
 let gen_spec =
   QCheck2.Gen.(
     let* measure = gen_measure in
     let* limit = Gens.finite_float in
     let* le = bool in
-    let limit = float_of_string (Printf.sprintf "%g" limit) in
     return { Engine.measure; bound = (if le then Engine.Le limit else Engine.Ge limit) })
 
 let gen_request =
@@ -725,6 +740,7 @@ let () =
           quick "request JSON and key round-trip" test_request_round_trip;
           quick "report bytes invariant across jobs" test_report_jobs_invariant;
           quick "checkpoint resume is byte-identical" test_checkpoint_resume;
+          quick "an edited deck's checkpoint is rejected" test_edited_deck_checkpoint_rejected;
           quick "checkpoint rejects upper-case hex" test_checkpoint_rejects_uppercase_hex;
           quick "checkpoint units resume only in sequence" test_checkpoint_unit_sequence;
           quick "mid-run interrupt/resume is byte-identical"

@@ -695,6 +695,26 @@ let test_cli_exact_and_linearize () =
       ("linearize", "invalid_request", "V1 in 0 1\nR1 in out 1k\nC1 out 0 1p\n");
     ]
 
+(* A transistor deck's parse error names the file's line: the device
+   cards before it still count.  Line 4 of cs_amp.cir is Rd1's card,
+   after three lines the first of which is a comment. *)
+let test_cli_transistor_deck_line () =
+  let lines =
+    String.split_on_char '\n'
+      (In_channel.with_open_bin "../decks/cs_amp.cir" In_channel.input_all)
+  in
+  Alcotest.(check string) "line 4 of the deck" "Rd1 vdd d1 47k" (List.nth lines 3);
+  let bad = "Rd1 vdd d1 12kk" in
+  with_temp_path (fun deck ->
+      Out_channel.with_open_bin deck (fun oc ->
+          output_string oc
+            (String.concat "\n" (List.mapi (fun i l -> if i = 3 then bad else l) lines)));
+      let status, err = run_cli [ "linearize"; deck ] in
+      Alcotest.(check int) "exit status" 1 status;
+      Alcotest.(check (list string)) "one line naming line 4"
+        [ Printf.sprintf "%s:4: malformed value \"12kk\" in card %S" deck bad ]
+        err)
+
 (* An output path under a regular file cannot be created: each output a
    command writes fails as one classified line naming the file. *)
 let test_cli_unwritable_output () =
@@ -767,6 +787,8 @@ let () =
             test_cli_unwritable_output;
           Alcotest.test_case "exact and linearize failures are one error line each"
             `Quick test_cli_exact_and_linearize;
+          Alcotest.test_case "a transistor deck's parse error names its line" `Quick
+            test_cli_transistor_deck_line;
         ] );
       ( "containment",
         [

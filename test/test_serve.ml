@@ -1183,6 +1183,52 @@ let test_optimize_served_matches_local () =
   | Ok _ -> Alcotest.fail "bad opt request must error");
   Serve.Client.close c
 
+(* A served optimization against a spec whose limit has nine digits and
+   binds: the op-amp's phase margin at least 84.0123456 while its
+   unity-gain frequency is maximized.  The request carries the limit
+   exactly, so the daemon optimizes against the local run's limit and
+   answers its bytes; against the six-digit 84.0123 the report differs,
+   which is what a lossy spelling would serve. *)
+let test_optimize_served_binding_spec () =
+  let g, c = Circuit.Builders.opamp_symbol_names in
+  let mark nl name = Netlist.mark_symbolic nl name (Symbolic.Symbol.intern name) in
+  let path = Filename.concat (temp_dir "awesym_serve_opamp") "op.awm" in
+  Model.save (Model.build ~order:2 (mark (mark (Circuit.Builders.opamp741 ()) g) c)) path;
+  let model = Model.load path in
+  let request limit =
+    let objective =
+      Opt.Objective.make
+        ~goal:(Opt.Objective.Maximize Sweep.Engine.Unity_gain_frequency)
+        ~penalty_weight:1e13
+        ~specs:[ { Sweep.Engine.measure = Sweep.Engine.Phase_margin; bound = Sweep.Engine.Ge limit } ]
+        ()
+    in
+    let axes =
+      [ { Sweep.Plan.name = g; dist = Sweep.Dist.uniform ~lo:0.5e-6 ~hi:8.5e-6 };
+        { Sweep.Plan.name = c; dist = Sweep.Dist.uniform ~lo:5e-12 ~hi:65e-12 } ]
+    in
+    Opt.Request.Size { (Opt.Sizing.default_config ~axes objective) with Opt.Sizing.max_iters = 20 }
+  in
+  let local limit =
+    Json.to_string (Opt.Request.report_to_json (Opt.Request.run model (request limit)))
+  in
+  let want = local 84.0123456 in
+  if want = local 84.0123 then Alcotest.fail "the spec's last three digits do not bind";
+  with_server @@ fun ~sock ~stop:_ ->
+  let cl = client sock in
+  Fun.protect ~finally:(fun () -> Serve.Client.close cl) @@ fun () ->
+  let reply =
+    ok "optimize"
+      (Serve.Client.optimize cl
+         {
+           Protocol.op_model = path;
+           op_request = Opt.Request.to_json (request 84.0123456);
+           op_deadline_ms = None;
+         })
+  in
+  Alcotest.(check string) "served report ≡ local report" want
+    (Json.to_string reply.Protocol.or_report)
+
 let test_cache_gc () =
   let dir = temp_dir "awesym_cache_gc" in
   let write name size mtime =
@@ -1359,6 +1405,8 @@ let () =
             test_metrics_exposition;
           quick "served optimize byte-identical to local"
             test_optimize_served_matches_local;
+          quick "served optimize with a binding nine-digit spec ≡ local"
+            test_optimize_served_binding_spec;
         ] );
       ("cache", [ quick "gc evicts oldest first" test_cache_gc ]);
     ]

@@ -301,9 +301,10 @@ let test_stats_non_finite () =
 
 (* Reference summary: the boxed folds and [Array.sort compare] the
    allocation-free [Stats.summarize] must reproduce bit for bit, with the
-   scaled recomputation of a mean or std whose plain sum overflowed, and
-   the histogram and interpolation in halves where a difference they take
-   overflows. *)
+   scaled recomputation of a mean or std whose plain sum overflowed, the
+   histogram and interpolation in halves where a difference they take
+   overflows, and the histogram and deviations scaled up where the
+   spread is subnormal. *)
 let reference_summarize xs =
   let bins = 20 and probs = Stats.default_probs in
   let n = Array.length xs in
@@ -320,8 +321,19 @@ let reference_summarize xs =
       else Array.fold_left (fun acc x -> acc +. (x /. fn)) 0.0 finite
     in
     let sum_sq ds = Array.fold_left (fun acc d -> acc +. (d *. d)) 0.0 ds in
+    let sorted = Array.copy finite in
+    Array.sort compare sorted;
+    let mn = sorted.(0) and mx = sorted.(nf - 1) in
+    (* A nonzero subnormal spread is binned, and its deviations squared,
+       on the values scaled by 2^1022. *)
+    let tiny = mn < mx && mx -. mn < Float.min_float in
     let std =
       if nf < 2 then 0.0
+      else if tiny then
+        sqrt
+          (sum_sq (Array.map (fun x -> (x *. 0x1p1022) -. (mean *. 0x1p1022)) finite)
+          /. float_of_int (nf - 1))
+        /. 0x1p1022
       else begin
         let plain =
           sqrt (sum_sq (Array.map (fun x -> x -. mean) finite) /. float_of_int (nf - 1))
@@ -335,8 +347,6 @@ let reference_summarize xs =
         end
       end
     in
-    let sorted = Array.copy finite in
-    Array.sort compare sorted;
     let quantile p =
       if nf = 1 then sorted.(0)
       else begin
@@ -350,9 +360,27 @@ let reference_summarize xs =
           2.0 *. ((a *. 0.5) +. (frac *. ((b *. 0.5) -. (a *. 0.5))))
       end
     in
-    let mn = sorted.(0) and mx = sorted.(nf - 1) in
+    (* Bins on the values scaled by [s]: in halves where the width
+       overflows, by 2^1022 where it is subnormal. *)
+    let scaled_bins s =
+      let counts = Array.make bins 0 in
+      let w = ((mx *. s) -. (mn *. s)) /. float_of_int bins in
+      Array.iter
+        (fun x ->
+          let b = int_of_float (((x *. s) -. (mn *. s)) /. w) in
+          let b = if b >= bins then bins - 1 else b in
+          counts.(b) <- counts.(b) + 1)
+        finite;
+      Array.mapi
+        (fun b c ->
+          ( ((mn *. s) +. (float_of_int b *. w)) /. s,
+            (if b = bins - 1 then mx else ((mn *. s) +. (float_of_int (b + 1) *. w)) /. s),
+            c ))
+        counts
+    in
     let histogram =
       if mn = mx then [| (mn, mx, nf) |]
+      else if tiny then scaled_bins 0x1p1022
       else if Float.is_finite (mx -. mn) then begin
         let counts = Array.make bins 0 in
         let w = (mx -. mn) /. float_of_int bins in
@@ -369,23 +397,7 @@ let reference_summarize xs =
               c ))
           counts
       end
-      else begin
-        (* The width overflows: bins, indices and edges in halves. *)
-        let counts = Array.make bins 0 in
-        let w = ((mx *. 0.5) -. (mn *. 0.5)) /. float_of_int bins in
-        Array.iter
-          (fun x ->
-            let b = int_of_float (((x *. 0.5) -. (mn *. 0.5)) /. w) in
-            let b = if b >= bins then bins - 1 else b in
-            counts.(b) <- counts.(b) + 1)
-          finite;
-        Array.mapi
-          (fun b c ->
-            ( 2.0 *. ((mn *. 0.5) +. (float_of_int b *. w)),
-              (if b = bins - 1 then mx else 2.0 *. ((mn *. 0.5) +. (float_of_int (b + 1) *. w))),
-              c ))
-          counts
-      end
+      else scaled_bins 0.5
     in
     { Stats.n; finite = nf; mean; std; min = mn; max = mx;
       quantiles = List.map (fun p -> (p, quantile p)) probs; histogram }
@@ -446,6 +458,14 @@ let test_stats_matches_reference () =
   done;
   check_summary "one element" [| 42.0 |];
   check_summary "one finite among non-finite" [| nan; 7.0; infinity |];
+  check_summary "three subnormals" [| 0.0; 5e-324; 1e-323 |];
+  check_summary "a subnormal ramp"
+    (Array.init n (fun i -> Float.ldexp (float_of_int (i mod 997)) (-1074)));
+  check_summary "signed subnormals"
+    (Array.init n (fun i ->
+         Float.ldexp (float_of_int (if i mod 2 = 0 then i else -i)) (-1074)));
+  check_summary "normal values with a subnormal spread"
+    (Array.init n (fun i -> 0x1p-1000 +. Float.ldexp (float_of_int (i * 7919 mod n)) (-1052)));
   for shape = 0 to 6 do
     check_summary (Printf.sprintf "shape %d" shape) (select_sample shape 20_000 1)
   done
@@ -460,9 +480,15 @@ let prop_stats_matches_reference =
           map Int64.float_of_bits int64;
         ])
   in
+  (* Signed subnormals and zeros only: a subnormal spread. *)
+  let subnormal =
+    QCheck2.Gen.map
+      (fun b -> Int64.float_of_bits (Int64.logand b 0x800F_FFFF_FFFF_FFFFL))
+      QCheck2.Gen.int64
+  in
   QCheck2.Test.make ~name:"summarize ≡ Array.sort compare reference" ~count:300
     ~print:QCheck2.Print.(array float)
-    QCheck2.Gen.(array_size (1 -- 300) sample)
+    QCheck2.Gen.(oneof [ array_size (1 -- 300) sample; array_size (1 -- 300) subnormal ])
     (fun xs ->
       check_summary "random" xs;
       true)
@@ -519,6 +545,32 @@ let test_stats_overflowing_spread () =
       check_float ~tol:1e-15 (Printf.sprintf "p%.2f" p) (2.0 *. ((-0.85e308) +. (p *. 1.7e308))) v)
     s.Stats.quantiles
 
+(* Finite samples whose spread is nonzero and subnormal: the width
+   [(max - min) / 20] and the squared deviations would underflow, so both
+   are taken on the values scaled by 2^1022.  The probe's values, 0, 1
+   and 2 units of the last place of the subnormals, land in three bins,
+   the first and the last among them, and their standard deviation is
+   one unit. *)
+let test_stats_subnormal_spread () =
+  let s = Stats.summarize [| 0.0; 5e-324; 1e-323 |] in
+  Alcotest.(check int64) "std is one unit" (Int64.bits_of_float 5e-324)
+    (Int64.bits_of_float s.Stats.std);
+  let counts = Array.map (fun (_, _, c) -> c) s.Stats.histogram in
+  Alcotest.(check (list int)) "one value in each of three bins" [ 1; 1; 1 ]
+    (List.filter (fun c -> c > 0) (Array.to_list counts));
+  Alcotest.(check (pair int int)) "the first and last bins hold one each" (1, 1)
+    (counts.(0), counts.(19));
+  List.iter
+    (fun (what, xs) ->
+      let s = Stats.summarize xs in
+      if not (s.Stats.std > 0.0) then Alcotest.failf "%s: std %h" what s.Stats.std;
+      if Array.exists (fun (_, _, c) -> c = Array.length xs) s.Stats.histogram then
+        Alcotest.failf "%s: one bin holds every value" what)
+    [
+      ("subnormal ramp", Array.init 100 (fun i -> Float.ldexp (float_of_int i) (-1074)));
+      ("normal values", Array.init 100 (fun i -> 0x1p-1000 +. Float.ldexp (float_of_int i) (-1052)));
+    ]
+
 (* [Stats.select_ranks] against [Array.sort compare] at every wanted
    rank, on the samples [select_sample] builds, at sizes 2 to 50 000. *)
 let prop_select_ranks =
@@ -565,9 +617,48 @@ let test_spec_parsing () =
   (match Engine.spec_of_string "nonsense<=1" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown measure accepted");
+  (match Engine.spec_of_string "dc_gain>=nan" with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a NaN limit accepted");
   match Engine.spec_of_string "delay_50" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "missing bound accepted"
+
+(* A spec's spelling reads back to its limit's bits, whatever the limit:
+   raw bit patterns, subnormals, infinities, extreme exponents, short
+   decimals.  Where [%g] reads back exactly, the spelling is the [%g]
+   one reports have always carried. *)
+let prop_spec_spelling_exact =
+  let limit =
+    QCheck2.Gen.(
+      map
+        (fun v -> if Float.is_nan v then 1.0 else v)
+        (oneof
+           [
+             map Int64.float_of_bits int64;
+             map (fun b -> Int64.float_of_bits (Int64.logand b 0x800F_FFFF_FFFF_FFFFL)) int64;
+             map2 Float.ldexp (float_range (-2.0) 2.0) (int_range (-1080) 1030);
+             map (fun x -> float_of_string (Printf.sprintf "%g" x)) (float_range (-1e6) 1e6);
+             oneofl
+               [ 0.0; -0.0; infinity; neg_infinity; 5e-324; Float.min_float; max_float;
+                 60.0; 84.0123456; 0.1; 1e-9 ];
+           ]))
+  in
+  let bits = Int64.bits_of_float in
+  QCheck2.Test.make ~name:"spec spelling reads back to the limit's bits" ~count:2000
+    ~print:(fun (v, le) -> Printf.sprintf "%s %h" (if le then "<=" else ">=") v)
+    QCheck2.Gen.(pair limit bool)
+    (fun (v, le) ->
+      let bound = if le then Engine.Le v else Engine.Ge v in
+      let spelled = Engine.spec_to_string { Engine.measure = Engine.Phase_margin; bound } in
+      let g = Printf.sprintf "%g" v in
+      (match Engine.spec_of_string spelled with
+      | Ok { Engine.measure = Engine.Phase_margin; bound = Engine.Le v' } -> le && bits v' = bits v
+      | Ok { Engine.measure = Engine.Phase_margin; bound = Engine.Ge v' } ->
+        (not le) && bits v' = bits v
+      | Ok _ | Error _ -> false)
+      && (bits (float_of_string g) <> bits v
+         || spelled = "phase_margin" ^ (if le then "<=" else ">=") ^ g))
 
 let test_measure_names_roundtrip () =
   List.iter
@@ -1348,38 +1439,47 @@ let test_unread_moment_faults_nothing () =
           (List.assoc_opt "moment" e.Awesym_error.context))
     Engine.[ [ Moment 2 ]; [ Moment 0; Dc_gain ] ]
 
-(* The point-fault rule is not part of the checkpoint key, so chunks
-   restored from a checkpoint keep the rule they were written under.
-   [golden/rc_overflow_m0m1_ckpt.txt] is the header and first two chunk
-   lines (points 0-15) of the checkpoint that the library wrote for this
-   m0,m1 sweep when any non-finite moment faulted a point, so those
-   chunks quarantine every point naming m2.  Resumed today, the report
-   blends the two rules: the 16 restored points stay quarantined and the
-   24 evaluated now are kept, where a fresh run keeps all 40. *)
-let test_resumed_checkpoint_keeps_its_rule () =
+(* [golden/rc_overflow_m0m1_ckpt.txt] is the header and first two chunk
+   lines (points 0-15) of a checkpoint of this m0,m1 sweep that the
+   library wrote when sweep keys named the model by its shape alone (and
+   any non-finite moment faulted a point, so its chunks quarantine every
+   point naming m2).  Its key binds no model fingerprint, so resuming it
+   is refused at the header, with the file left as it was: no report
+   blends it with points evaluated today. *)
+let test_old_checkpoint_rejected_at_key () =
   let model, plan = overflow_sweep 40 in
   let measures = Engine.[ Moment 0; Moment 1 ] in
-  let run ?checkpoint () =
-    Engine.run ~seed:3 ~jobs:1 ~block:8 ~measures ?checkpoint ~resume:true model plan
+  let old =
+    In_channel.with_open_bin (Filename.concat "golden" "rc_overflow_m0m1_ckpt.txt")
+      In_channel.input_all
   in
-  Alcotest.(check int) "a fresh run keeps every point" 40 (Engine.survivors (run ()));
   let path = Filename.temp_file "awesym_ckpt" ".txt" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  Out_channel.with_open_bin path (fun oc ->
-      output_string oc
-        (In_channel.with_open_bin (Filename.concat "golden" "rc_overflow_m0m1_ckpt.txt")
-           In_channel.input_all));
-  let r = run ~checkpoint:path () in
-  Alcotest.(check int) "the points evaluated now are kept" 24 (Engine.survivors r);
-  Alcotest.(check (list int)) "the restored points stay quarantined" (List.init 16 Fun.id)
-    (List.map (fun (f : Engine.failed_point) -> f.Engine.point) r.Engine.failed);
-  List.iter
-    (fun (f : Engine.failed_point) ->
-      Alcotest.(check (option string))
-        (Printf.sprintf "point %d names m2" f.Engine.point)
-        (Some "m2")
-        (List.assoc_opt "moment" f.Engine.error.Awesym_error.context))
-    r.Engine.failed
+  Out_channel.with_open_bin path (fun oc -> output_string oc old);
+  (match
+     Engine.run ~seed:3 ~jobs:1 ~block:8 ~measures ~checkpoint:path ~resume:true model plan
+   with
+  | _ -> Alcotest.fail "a checkpoint keyed by the model's shape resumed"
+  | exception Awesym_error.Error e -> Fig1_pair.check_key_mismatch e);
+  Alcotest.(check string) "the file is left as it was" old
+    (In_channel.with_open_bin path In_channel.input_all)
+
+(* A checkpoint of deck A does not resume a sweep of deck B, which
+   differs in one non-symbolic constant: the key binds the model's
+   fingerprint. *)
+let test_edited_deck_checkpoint_rejected () =
+  let a, b = Fig1_pair.both () in
+  let plan = plan_c1_g2 (Plan.Monte_carlo 200) in
+  let measures = Engine.[ Moment 0; Moment 1 ] in
+  let path = Filename.temp_file "awesym_ckpt" ".txt" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let run ~resume model =
+    Engine.run ~seed:3 ~jobs:1 ~block:64 ~measures ~checkpoint:path ~resume model plan
+  in
+  ignore (run ~resume:false a);
+  match run ~resume:true b with
+  | _ -> Alcotest.fail "a sweep of deck B resumed deck A's checkpoint"
+  | exception Awesym_error.Error e -> Fig1_pair.check_key_mismatch e
 
 (* Committed reports compared byte for byte: any change to the
    Padé/measure finish or to the statistics that moves a single output
@@ -1510,6 +1610,7 @@ let () =
           quick "overflowing sums recomputed scaled" test_stats_huge_values;
           quick "an overflowing spread is binned and interpolated in halves"
             test_stats_overflowing_spread;
+          quick "a subnormal spread is binned and deviated scaled" test_stats_subnormal_spread;
           quick "sorted, reversed, constant, tied inputs ≡ reference"
             test_stats_matches_reference;
           QCheck_alcotest.to_alcotest prop_stats_matches_reference;
@@ -1518,6 +1619,7 @@ let () =
       ( "engine",
         [
           quick "spec parsing" test_spec_parsing;
+          QCheck_alcotest.to_alcotest prop_spec_spelling_exact;
           quick "measure names round-trip" test_measure_names_roundtrip;
           quick "10k-point MC ≡ per-point evaluation" test_mc_10k_matches_per_point;
           quick "summaries and yields" test_engine_run_summaries;
@@ -1545,8 +1647,9 @@ let () =
             test_zero_dc_gain_elmore;
           quick "an unread non-finite moment faults no point"
             test_unread_moment_faults_nothing;
-          quick "a resumed checkpoint keeps the fault rule it was written under"
-            test_resumed_checkpoint_keeps_its_rule;
+          quick "a shape-keyed checkpoint is rejected"
+            test_old_checkpoint_rejected_at_key;
+          quick "an edited deck's checkpoint is rejected" test_edited_deck_checkpoint_rejected;
           quick "chunk records accept only canonical hex" test_chunk_record_canonical_hex;
           quick "yields count survivors only" test_finish_yields;
         ] );

@@ -733,6 +733,43 @@ let prop_lowered_batch_matches_scalar =
       and ys = Array.of_list (List.map snd points) in
       batch_matches_scalar ~block ~jobs p xs ys)
 
+(* [Slp.digest] writes the bytes its [Printf] spelling below names: codegen
+   cache entries, artifacts' kernels and run keys stay put. *)
+let printf_digest p =
+  let b = Buffer.create 256 in
+  Printf.bprintf b "awesym-slp/1\n%d" (Array.length (Slp.inputs p));
+  Array.iter
+    (fun instr ->
+      Buffer.add_char b '\n';
+      match instr with
+      | Slp.Load_input (r, s) -> Printf.bprintf b "L %d %d" r s
+      | Slp.Add (r, a, c) -> Printf.bprintf b "A %d %d %d" r a c
+      | Slp.Mul (r, a, c) -> Printf.bprintf b "M %d %d %d" r a c
+      | Slp.Neg (r, a) -> Printf.bprintf b "N %d %d" r a
+      | Slp.Inv (r, a) -> Printf.bprintf b "I %d %d" r a
+      | Slp.Sqrt (r, a) -> Printf.bprintf b "S %d %d" r a
+      | Slp.Exp (r, a) -> Printf.bprintf b "E %d %d" r a)
+    (Slp.instructions p);
+  Buffer.add_char b '\n';
+  Array.iter (fun c -> Printf.bprintf b "c%Lx" (bits c)) (Slp.init_registers p);
+  Buffer.add_char b '\n';
+  Array.iter (fun r -> Printf.bprintf b "o%d" r) (Slp.output_registers p);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let prop_digest_matches_printf =
+  QCheck2.Test.make ~name:"digest ≡ its Printf spelling" ~count:500
+    ~print:print_raw_program raw_program_gen (fun p -> Slp.digest p = printf_digest p)
+
+(* Hundreds of registers, so every field is several digits long. *)
+let test_digest_wide_program () =
+  let terms = List.init 300 (fun i -> Expr.mul (Expr.const (float_of_int i -. 150.5)) (Expr.sym x)) in
+  let e = List.fold_left Expr.add (Expr.sym y) terms in
+  List.iter
+    (fun optimize ->
+      let p = Slp.compile ~optimize ~inputs:[| x; y |] [| e; Expr.neg e |] in
+      Alcotest.(check string) "digest" (printf_digest p) (Slp.digest p))
+    [ false; true ]
+
 (* Lowered-instruction counts, read off [slp.eval_batch.dispatched]
    (points × lowered instructions): each program runs once per initial
    register file in [inits], and is checked against scalar eval over
@@ -1020,11 +1057,12 @@ let () =
           quick "lowering keeps every unsafe Neg" test_lowering_keeps_unsafe_negs;
           quick "lowering fuses single-use pairs" test_lowering_fuses_single_use_pairs;
           quick "select drops unread work" test_select_drops_unread_work;
+          quick "digest of a wide program ≡ its Printf spelling" test_digest_wide_program;
         ]
         @ props
             [ prop_slp_matches_eval; prop_slp_batch_matches_scalar;
               prop_slp_optimizer_bit_identical; prop_lowered_batch_matches_scalar;
-              prop_select_matches_full ] );
+              prop_select_matches_full; prop_digest_matches_printf ] );
       ( "misc",
         [
           quick "mpoly printer" test_mpoly_printer;
