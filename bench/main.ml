@@ -281,9 +281,6 @@ let time32 () =
   let nl_num = Builders.coupled_lines ~segments ~output:Builders.Crosstalk () in
   let _, t_awe = wall (fun () -> Awe.Driver.analyze ~order:2 nl_num) in
   let model, t_compile = wall (fun () -> Model.build ~order:2 nl_sym) in
-  let _, t_compile_sparse =
-    wall (fun () -> Model.build ~order:2 ~sparse:true nl_sym)
-  in
   let eval = Model.evaluator model in
   let rand = lcg 0xCAFE in
   let n = 1000 in
@@ -303,7 +300,6 @@ let time32 () =
   Printf.printf "  (same with the sparse solver:  %.3f s)\n" t_awe_sparse;
   Printf.printf "AWEsymbolic one-time compile:    %.3f s   (paper: 5.41 s)\n"
     t_compile;
-  Printf.printf "  (same with the sparse solver:  %.3f s)\n" t_compile_sparse;
   Printf.printf "AWEsymbolic incremental eval:    %.3g ms  (paper: 0.11 ms)\n"
     (t_incr *. 1e3);
   Printf.printf "incremental speedup over AWE:    %.0fx    (paper: ~10^4)\n"

@@ -756,16 +756,16 @@ let load_model path =
 
 let cache_arg doc = Arg.(value & flag & info [ "cache" ] ~doc)
 
-let build_model ~order ~sparse ~cache nl =
-  if cache then Awesymbolic.Model.build_cached ~order ~sparse nl
-  else Awesymbolic.Model.build ~order ~sparse nl
+let build_model ~order ~cache nl =
+  if cache then Awesymbolic.Model.build_cached ~order nl
+  else Awesymbolic.Model.build ~order nl
 
 let symbol_names model = Array.map Symbolic.Symbol.name (Awesymbolic.Model.symbols model)
 
 let compile_cmd =
-  let run ((_, _, backend) as rt) deck order sparse out cache =
+  let run ((_, _, backend) as rt) deck order out cache =
     with_runtime rt @@ fun () ->
-    let model = build_model ~order ~sparse ~cache (or_die (read_netlist deck)) in
+    let model = build_model ~order ~cache (or_die (read_netlist deck)) in
     let out =
       match out with
       | Some o -> o
@@ -810,8 +810,7 @@ let compile_cmd =
      checksummed artifact for later `eval` and `sweep` runs."
   in
   Cmd.v (Cmd.info "compile" ~doc)
-    Term.(const run $ runtime_args $ deck_arg $ order_arg $ sparse_arg $ out_arg
-          $ cache_arg)
+    Term.(const run $ runtime_args $ deck_arg $ order_arg $ out_arg $ cache_arg)
 
 let model_arg =
   let doc = "Load a compiled model artifact instead of building a deck." in
@@ -821,8 +820,8 @@ let model_arg =
     & info [ "model"; "m" ] ~docv:"FILE" ~doc)
 
 (* DECK or --model FILE, for `sweep` and `optimize`: the artifact path
-   given, and a loader that builds the deck (with --order, --sparse and
-   --cache) or loads the artifact. *)
+   given, and a loader that builds the deck (with --order and --cache) or
+   loads the artifact. *)
 let model_source_arg =
   let deck =
     let doc = "Input netlist deck (alternative to --model)." in
@@ -833,17 +832,17 @@ let model_source_arg =
       "Consult and populate the content-addressed model cache when building \
        from a deck."
   in
-  let source deck model_path order sparse cache =
+  let source deck model_path order cache =
     let load () =
       match (model_path, deck) with
       | Some _, Some _ -> die "give either a DECK or --model, not both"
       | None, None -> die "need a DECK or --model FILE"
       | Some p, None -> load_model p
-      | None, Some d -> build_model ~order ~sparse ~cache (or_die (read_netlist d))
+      | None, Some d -> build_model ~order ~cache (or_die (read_netlist d))
     in
     (model_path, load)
   in
-  Term.(const source $ deck $ model_arg $ order_arg $ sparse_arg $ cache)
+  Term.(const source $ deck $ model_arg $ order_arg $ cache)
 
 let unknown_symbol names n =
   die

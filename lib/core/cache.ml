@@ -1,19 +1,18 @@
 (* Content-addressed store for compiled-model artifacts.
 
    The key hashes the canonical deck text (Circuit.Export.to_deck
-   round-trips elements, values, symbols, input and output), the build
-   options that change the compiled program, and the artifact format
-   version — so a format bump or a netlist edit misses cleanly instead of
-   loading a stale model. *)
+   round-trips elements, values, symbols, input and output), the order
+   (the only build option that changes the compiled program) and the
+   artifact format version, so a format bump or a netlist edit misses
+   cleanly instead of loading a stale model. *)
 
-let key ?(order = 2) ?(sparse = false) nl =
+let key ?(order = 2) nl =
   let canonical =
     String.concat "\x00"
       [
         "awesymbolic-model";
         string_of_int Artifact.version;
         string_of_int order;
-        string_of_bool sparse;
         Circuit.Export.to_deck nl;
       ]
   in

@@ -1,15 +1,14 @@
 (** Content-addressed on-disk cache for compiled models.
 
-    Keys hash the canonical deck text together with the build options and
-    the {!Artifact.version}, so cache entries can never be confused across
+    Keys hash the canonical deck text together with the order and the
+    {!Artifact.version}, so cache entries can never be confused across
     netlist edits, different expansion orders, or format bumps.
     {!Model.build_cached} is the high-level entry point; this module only
     computes keys and paths. *)
 
-val key : ?order:int -> ?sparse:bool -> Circuit.Netlist.t -> string
-(** Hex digest identifying the compiled form of [nl] at the given build
-    options (defaults match {!Model.build}: [order = 2],
-    [sparse = false]). *)
+val key : ?order:int -> Circuit.Netlist.t -> string
+(** Hex digest identifying the compiled form of [nl] at the given order
+    (default 2, as for {!Model.build}). *)
 
 val default_dir : unit -> string
 (** [$AWESYM_CACHE_DIR] if set and non-empty, else [".awesym-cache"]. *)

@@ -103,14 +103,14 @@ let assemble_compiled partition ~output order moment_exprs bounds_program
    projection plus a compile.  [outputs = None] builds the netlist's
    designated output, resolved after the partition so a deck's errors
    surface in the partition's order. *)
-let build_outputs ?(order = 2) ?(sparse = false) ?jobs nl outputs =
+let build_outputs ?(order = 2) ?jobs nl outputs =
   if order < 1 then invalid_arg "Model.build: order must be >= 1";
   Obs.Span.with_ ~name:"model.compile" @@ fun () ->
   if !Obs.enabled then Obs.Metrics.incr "model.build.count";
   let partition = Partition.make ?extra_outputs:outputs nl in
   let outputs = Option.value outputs ~default:[ Circuit.Netlist.output nl ] in
   let count = 2 * order in
-  let reduction = Port_reduction.compute ~sparse ?jobs ~count partition in
+  let reduction = Port_reduction.compute ?jobs ~count partition in
   let system = Global_system.build partition reduction in
   let nominal sym = Partition.nominal partition sym in
   let vectors = Global_system.solve_vectors_expr system ~nominal ~count in
@@ -153,14 +153,14 @@ let build_outputs ?(order = 2) ?(sparse = false) ?jobs nl outputs =
            bounds_program ~moment_program ~closed)
        prepared)
 
-let build ?order ?sparse ?jobs nl =
-  match build_outputs ?order ?sparse ?jobs nl None with
+let build ?order ?sparse:_ ?jobs nl =
+  match build_outputs ?order ?jobs nl None with
   | [ m ] -> m
   | _ -> assert false
 
-let build_many ?order ?sparse ?jobs nl ~outputs =
+let build_many ?order ?jobs nl ~outputs =
   if outputs = [] then invalid_arg "Model.build_many: no outputs";
-  build_outputs ?order ?sparse ?jobs nl (Some outputs)
+  build_outputs ?order ?jobs nl (Some outputs)
 
 let order t = t.order
 let symbols t = Array.copy t.symbols
@@ -437,11 +437,11 @@ let of_payload (p : Artifact.payload) =
 let save t path = Artifact.save path (to_payload t)
 let load path = of_payload (Artifact.load path)
 
-let build_cached ?cache_dir ?(order = 2) ?(sparse = false) ?jobs nl =
+let build_cached ?cache_dir ?(order = 2) ?jobs nl =
   let dir =
     match cache_dir with Some d -> d | None -> Cache.default_dir ()
   in
-  let key = Cache.key ~order ~sparse nl in
+  let key = Cache.key ~order nl in
   let file = Cache.path ~dir key in
   let cached =
     if Sys.file_exists file then
@@ -466,7 +466,7 @@ let build_cached ?cache_dir ?(order = 2) ?(sparse = false) ?jobs nl =
   | Some m -> m
   | None ->
     if !Obs.enabled then Obs.Metrics.incr "model.cache.miss";
-    let m = build ~order ~sparse ?jobs nl in
+    let m = build ~order ?jobs nl in
     (try
        Cache.ensure_dir dir;
        (* Temp-file + rename: concurrent builders racing on this key each

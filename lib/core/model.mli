@@ -14,15 +14,14 @@ val build : ?order:int -> ?sparse:bool -> ?jobs:int -> Circuit.Netlist.t -> t
 (** Default order 2 (the paper's workhorse).  The netlist must carry at
     least one symbolic element (mark with [Netlist.mark_symbolic], the
     [.symbolic] deck directive, or [Awe.Sensitivity.select_symbols]).
-    [~sparse:true] routes the numeric port reduction through the sparse
-    solver — the right choice for large interconnect.  [jobs] (resolved by
-    [Runtime.resolve_jobs]) parallelizes the numeric port reduction
-    across ports; results are identical for every jobs count.  It is
-    {!build_many} of the netlist's designated output. *)
+    The numeric port reduction is sparse ({!Port_reduction.compute}).
+    [sparse] is ignored, and goes once the benchmark stops naming it.
+    [jobs] (resolved by [Runtime.resolve_jobs]) parallelizes the numeric
+    port reduction across ports; results are identical for every jobs
+    count.  It is {!build_many} of the netlist's designated output. *)
 
 val build_many :
   ?order:int ->
-  ?sparse:bool ->
   ?jobs:int ->
   Circuit.Netlist.t ->
   outputs:Circuit.Netlist.output list ->
@@ -178,12 +177,11 @@ val load : string -> t
 val build_cached :
   ?cache_dir:string ->
   ?order:int ->
-  ?sparse:bool ->
   ?jobs:int ->
   Circuit.Netlist.t ->
   t
 (** Like {!build}, but consults a content-addressed on-disk cache first
-    (keyed by {!Cache.key}: deck text + build options + artifact version)
+    (keyed by {!Cache.key}: deck text + order + artifact version)
     and writes the artifact back on a miss, so repeated runs skip the
     one-time analysis.  Cache writes go through {!Cache.atomic_write}
     (temp file + rename), so concurrent builders and crashes never leave a

@@ -1,39 +1,38 @@
 module Mna = Circuit.Mna
 module Matrix = Numeric.Matrix
+module Sparse = Numeric.Sparse
 
 type t = { ports : string array; series : Matrix.t array }
 
-(* Shared core: the netlist must already carry one 0-V probe source per
-   port (rows given by [aux_rows]).  The per-port chained solves are
-   independent — port k writes only column k of every series matrix, and
-   the factored system plus mul_c are pure readers allocating fresh
-   vectors — so the ports fan out across the domain pool. *)
-let run ~sparse ~jobs ~count mna aux_rows ports =
-  let p = Array.length ports in
-  let n = Mna.size (Mna.index mna) in
-  let solve, mul_c =
-    if sparse then begin
-      (* Assemble from stamps directly — no dense detour. *)
-      let lu = Numeric.Sparse.factor (Mna.g_sparse mna) in
-      let sc = Mna.c_sparse mna in
-      (Numeric.Sparse.solve lu, Numeric.Sparse.mul_vec sc)
-    end
-    else begin
-      let lu = Numeric.Lu.factor (Mna.g mna) in
-      (Numeric.Lu.solve lu, Matrix.mul_vec (Mna.c mna))
-    end
+(* Shared core: [probed] must already carry one 0-V probe source per
+   port.  Its only sources are those probes, so the standard MNA build
+   applies (its notion of "input" is irrelevant here — each port is
+   excited through a hand-built RHS), assembled from the stamps with no
+   dense detour.  The per-port chained solves are independent — port k
+   writes only column k of every series matrix, and the factored system
+   plus the C product are pure readers allocating fresh vectors — so the
+   ports fan out across the domain pool. *)
+let run ~jobs ~count ports probed =
+  let mna = Mna.build probed in
+  let ix = Mna.index mna in
+  let aux_rows =
+    Array.map (fun node -> Mna.aux_row ix (Partition.port_source_name node)) ports
   in
+  let p = Array.length ports in
+  let n = Mna.size ix in
+  let lu = Sparse.factor (Mna.g_sparse mna) in
+  let c = Mna.c_sparse mna in
   let series = Array.init count (fun _ -> Matrix.create p p) in
   Runtime.parallel_iter ?jobs p (fun ~worker:_ k ->
       (* Unit voltage at port k: RHS 1 at the port source's branch row. *)
       let b = Array.make n 0.0 in
       b.(aux_rows.(k)) <- 1.0;
-      let x = ref (solve b) in
+      let x = ref (Sparse.solve lu b) in
       for m = 0 to count - 1 do
         if m > 0 then begin
-          let rhs = mul_c !x in
+          let rhs = Sparse.mul_vec c !x in
           Array.iteri (fun i v -> rhs.(i) <- -.v) rhs;
-          x := solve rhs
+          x := Sparse.solve lu rhs
         end;
         (* The branch current of port j's probe source leaves the network;
            the admittance entry is the current flowing in. *)
@@ -43,22 +42,13 @@ let run ~sparse ~jobs ~count mna aux_rows ports =
       done);
   { ports; series }
 
-let compute ?(sparse = false) ?jobs ~count partition =
+let compute ?sparse:_ ?jobs ~count partition =
   if count < 1 then invalid_arg "Port_reduction.compute: count must be >= 1";
   Obs.Span.with_ ~name:"model.port_reduction" @@ fun () ->
   if !Obs.enabled then Obs.Metrics.incr "port_reduction.compute.count";
-  let ports = partition.Partition.ports in
-  (* The partition netlist's only sources are the 0-V port probes, so the
-     standard MNA build applies (its notion of "input" is irrelevant here —
-     each port is excited through a hand-built RHS). *)
-  let mna = Mna.build partition.Partition.numeric in
-  let ix = Mna.index mna in
-  let aux_rows =
-    Array.map (fun node -> Mna.aux_row ix (Partition.port_source_name node)) ports
-  in
-  run ~sparse ~jobs ~count mna aux_rows ports
+  run ~jobs ~count partition.Partition.ports partition.Partition.numeric
 
-let of_netlist ?(sparse = false) ?jobs ~count ~ports nl =
+let of_netlist ?jobs ~count ~ports nl =
   if count < 1 then invalid_arg "Port_reduction.of_netlist: count must be >= 1";
   Array.iter
     (fun node ->
@@ -74,14 +64,7 @@ let of_netlist ?(sparse = false) ?jobs ~count ~ports nl =
              ~kind:Circuit.Element.Vsource ~pos:node ~neg:"0" ~value:0.0 ()))
       nl ports
   in
-  let mna = Mna.build with_probes in
-  let ix = Mna.index mna in
-  let aux_rows =
-    Array.map
-      (fun node -> Mna.aux_row ix (Partition.port_source_name node))
-      ports
-  in
-  run ~sparse ~jobs ~count mna aux_rows ports
+  run ~jobs ~count ports with_probes
 
 let admittance_at t s =
   let p = Array.length t.ports in

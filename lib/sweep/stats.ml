@@ -293,17 +293,21 @@ let summarize_to ~bins ~probs (xs : float array) (finite : float array) =
         counts.(b) <- counts.(b) + 1
       end
     done;
+    let dev = Float.max (mx -. mean) (mean -. mn) in
     let std =
       if nf < 2 then 0.0
-      else if h > 1.0 then begin
-        (* Deviations of a subnormal spread square to nothing: they are
-           taken on the scaled values. *)
-        let acc = ref 0.0 and hmean = mean *. h in
+      else if dev > 0.0 && dev < 0x1p-511 then begin
+        (* The largest squared deviation is subnormal: the deviations are
+           taken on the values scaled by 2^600, exactly.  Every value is
+           then below about 2^-456, every nonzero deviation squares to a
+           normal and no sum overflows, so the result has the bits any
+           such scale gives. *)
+        let acc = ref 0.0 and smean = mean *. 0x1p600 in
         for i = 0 to nf - 1 do
-          let d = (finite.(i) *. h) -. hmean in
+          let d = (finite.(i) *. 0x1p600) -. smean in
           acc := !acc +. (d *. d)
         done;
-        sqrt (!acc /. float_of_int (nf - 1)) /. h
+        sqrt (!acc /. float_of_int (nf - 1)) /. 0x1p600
       end
       else begin
         let std = sqrt (!acc /. float_of_int (nf - 1)) in

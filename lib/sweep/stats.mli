@@ -30,11 +30,12 @@ val summarize : ?bins:int -> ?probs:float list -> float array -> summary
     interpolation, are computed in halves only when the difference they
     take ([max − min], or of two neighbouring order statistics)
     overflows.  When [max − min] is nonzero and subnormal, the width,
-    indices, edges and the deviations behind [std] are taken on the
-    values scaled by 2^1022, where the plain ones underflow.  So a
-    summary that is finite from the plain formulas, over a normal
-    spread, keeps its bits.  Raises [Invalid_argument] on an empty
-    sample. *)
+    indices and edges are taken on the values scaled by 2^1022, and
+    when the largest deviation from [mean] is nonzero and below 2^-511,
+    the deviations behind [std] are taken on the values scaled by
+    2^600: there the plain ones square to subnormals.  So every other
+    summary that is finite from the plain formulas keeps its bits.
+    Raises [Invalid_argument] on an empty sample. *)
 
 val summarize_into : ?bins:int -> ?probs:float list -> float array -> summary
 (** [summarize], on a sample the caller gives up: the array is

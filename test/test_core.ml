@@ -107,6 +107,35 @@ C1 b 0 1p
   check_float "Y1[b][b]" 1e-12 (Matrix.get y1 1 1);
   check_float "Y1[a][a]" 0.0 (Matrix.get y1 0 0)
 
+(* A default build factors the numeric partition once, sparsely: one
+   [sparse.factor], and no dense LU anywhere near the partition's size
+   (the 200-segment lines' partition has 408 unknowns). *)
+let test_port_reduction_is_sparse () =
+  let nl = Builders.coupled_lines ~segments:200 () in
+  let nl =
+    List.fold_left
+      (fun nl (e, s) -> Netlist.mark_symbolic nl e (sym s))
+      nl
+      [ ("rdrv_a", "g_drv"); ("rdrv_b", "g_drv"); ("cload_a", "c_load"); ("cload_b", "c_load") ]
+  in
+  let was = !Obs.enabled in
+  Obs.enabled := true;
+  Obs.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.reset ();
+      Obs.enabled := was)
+    (fun () ->
+      let model = Model.build nl in
+      let p = Option.get (Model.partition_opt model) in
+      let dim = Mna.size (Mna.index (Mna.build p.Partition.numeric)) in
+      Alcotest.(check int) "one sparse factorization" 1
+        (Obs.Metrics.counter "sparse.factor.count");
+      match Obs.Metrics.histogram "lu.factor.dim" with
+      | Some h when h.Obs.Metrics.max >= float_of_int dim ->
+        Alcotest.failf "a dense LU of dimension %g (the partition has %d)" h.Obs.Metrics.max dim
+      | _ -> ())
+
 let test_port_reduction_internal_storage () =
   (* Internal RC behind a port: Y(s) = (g + sC·g·R·g…) — check against a
      direct complex calculation at a test frequency. *)
@@ -1352,6 +1381,8 @@ let () =
         [
           quick "resistive two-port" test_port_reduction_resistive;
           quick "internal storage vs direct" test_port_reduction_internal_storage;
+          quick "a default build factors the partition sparsely once"
+            test_port_reduction_is_sparse;
         ] );
       ( "symbolic_moments",
         [

@@ -429,12 +429,58 @@ let prop_random_network_multi_output =
              (moments_of model_diff)
       | _ -> false)
 
-(* Sparse and dense port reduction compile the same program, or both fail
-   with the same classified kind, on random decks from the lib/circuit
-   generators with random symbol subsets at orders 1–4: the pin that lets
-   the dense branch go.  The two paths' errors differ in their site,
-   which names the factorization (lu.factor, sparse.factor).  On a
-   failure the report prints the shrunk deck. *)
+(* The dense port reduction the library once ran beside the sparse one,
+   kept as the oracle: one dense LU of the probed netlist's conductance
+   matrix, then the same moment recursion, one port at a time.  [probed]
+   carries a 0-V probe source per port. *)
+let dense_port_series ~count ports probed =
+  let mna = Mna.build probed in
+  let ix = Mna.index mna in
+  let aux_rows =
+    Array.map (fun node -> Mna.aux_row ix (Awesymbolic.Partition.port_source_name node)) ports
+  in
+  let p = Array.length ports and n = Mna.size ix in
+  let lu = Numeric.Lu.factor (Mna.g mna) in
+  let c = Mna.c mna in
+  let series = Array.init count (fun _ -> Numeric.Matrix.create p p) in
+  for k = 0 to p - 1 do
+    let b = Array.make n 0.0 in
+    b.(aux_rows.(k)) <- 1.0;
+    let x = ref (Numeric.Lu.solve lu b) in
+    for m = 0 to count - 1 do
+      if m > 0 then begin
+        let rhs = Numeric.Matrix.mul_vec c !x in
+        Array.iteri (fun i v -> rhs.(i) <- -.v) rhs;
+        x := Numeric.Lu.solve lu rhs
+      end;
+      Array.iteri (fun j row -> Numeric.Matrix.set series.(m) j k (-. !x.(row))) aux_rows
+    done
+  done;
+  series
+
+(* A series' bits, or the classified kind of the error that stopped it.
+   The two paths' errors differ in their site, which names the
+   factorization (lu.factor, sparse.factor).  A zero's sign is not
+   compared: the dense products with structural zeros can turn -0.0 into
+   0.0 where the sparse path, which skips them, does not, and
+   [Global_system.build] drops every entry at or below its dust floor. *)
+let series_outcome f =
+  let bits v = if v = 0.0 then 0L else Int64.bits_of_float v in
+  match f () with
+  | series ->
+    Ok (Array.map (fun m -> Array.map (Array.map bits) (Numeric.Matrix.to_arrays m)) series)
+  | exception e -> Error (Awesym_error.classify e).Awesym_error.kind
+
+let same_outcome sparse dense =
+  match (sparse, dense) with
+  | Error Awesym_error.Internal, _ | _, Error Awesym_error.Internal -> false
+  | sparse, dense -> sparse = dense
+
+(* The sparse port reduction every build runs gives the dense oracle's
+   series bit for bit, or both fail with the same classified kind, on
+   random decks from the lib/circuit generators with random symbol
+   subsets at orders 1–4.  On a failure the report prints the shrunk
+   deck. *)
 let gen_sparse_dense_case =
   let open QCheck2.Gen in
   let* nl =
@@ -483,14 +529,53 @@ let prop_sparse_dense_same_program =
       Printf.sprintf "order %d\n%s" order (Circuit.Export.to_deck nl))
     gen_sparse_dense_case
     (fun (nl, order) ->
-      let build sparse =
-        match Model.build ~order ~sparse nl with
-        | m -> Ok (Symbolic.Slp.digest (Model.program m))
-        | exception e -> Error (Awesym_error.classify e).Awesym_error.kind
-      in
-      match (build true, build false) with
-      | Error Awesym_error.Internal, _ | _, Error Awesym_error.Internal -> false
-      | sparse, dense -> sparse = dense)
+      let count = 2 * order in
+      match Awesymbolic.Partition.make nl with
+      | exception e -> (Awesym_error.classify e).Awesym_error.kind <> Awesym_error.Internal
+      | p ->
+        same_outcome
+          (series_outcome (fun () ->
+               (Awesymbolic.Port_reduction.compute ~count p).Awesymbolic.Port_reduction.series))
+          (series_outcome (fun () ->
+               dense_port_series ~count p.Awesymbolic.Partition.ports
+                 p.Awesymbolic.Partition.numeric)))
+
+(* [Port_reduction.of_netlist], Macromodel's path, against the same
+   oracle on source-free generator blocks seen from a few of their
+   nodes. *)
+let test_of_netlist_matches_dense () =
+  let block nl =
+    Netlist.add_all Netlist.empty
+      (List.filter (fun (e : Element.t) -> not (Element.is_source e)) (Netlist.elements nl))
+  in
+  let probe nl ports =
+    Array.fold_left
+      (fun acc node ->
+        Netlist.add acc
+          (Element.make
+             ~name:(Awesymbolic.Partition.port_source_name node)
+             ~kind:Element.Vsource ~pos:node ~neg:"0" ~value:0.0 ()))
+      nl ports
+  in
+  List.iter
+    (fun (what, nl, ports) ->
+      let nl = block nl and count = 6 in
+      if
+        not
+          (same_outcome
+             (series_outcome (fun () ->
+                  (Awesymbolic.Port_reduction.of_netlist ~count ~ports nl)
+                    .Awesymbolic.Port_reduction.series))
+             (series_outcome (fun () -> dense_port_series ~count ports (probe nl ports))))
+      then Alcotest.failf "%s: of_netlist differs from the dense reduction" what)
+    [
+      ("coupled lines", Builders.coupled_lines ~segments:20 (), [| "a_drv"; "b_drv"; "a20"; "b20" |]);
+      ( "coupled RLC lines",
+        Builders.coupled_rlc_lines ~segments:6 ~k_couple:0.3 (),
+        [| "a_drv"; "b_drv"; "a6"; "b6" |] );
+      ("RLC ladder", Builders.rlc_ladder ~sections:5 ~r:10.0 ~l:1e-9 ~c:1e-12 (), [| "n1"; "n5" |]);
+      ("RC mesh", Builders.rc_mesh ~rows:3 ~cols:3 ~r:2.0 ~c:20e-15 (), [| "drv"; "x2_2" |]);
+    ]
 
 (* Two pathologies originally caught by the random-network fuzzer, pinned
    as concrete regressions. *)
@@ -699,5 +784,7 @@ let () =
         @ [
             QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 1992 |])
               prop_sparse_dense_same_program;
+            Alcotest.test_case "of_netlist ≡ dense port reduction on generator blocks"
+              `Quick test_of_netlist_matches_dense;
           ] );
     ]

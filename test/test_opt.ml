@@ -93,7 +93,7 @@ let prop_grad_matches_fd =
         else nl
       in
       match Model.build ~order:(if rlc then 3 else 2) nl with
-      | exception Numeric.Lu.Singular _ ->
+      | exception Numeric.Sparse.Singular _ ->
         (* A degenerate parameter combination (e.g. extreme L/C ratios
            at order 3) has no model to differentiate — skip, the same
            way the sweep engine quarantines singular points. *)

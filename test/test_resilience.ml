@@ -617,15 +617,18 @@ let run_cli args =
       let status = Sys.command cmd in
       (status, String.split_on_char '\n' (String.trim (read err))))
 
-(* [file], when given, is the file the error line must name. *)
-let check_cli_error ?file ~kind args =
+(* [file], when given, is the file the error line must name, and [site]
+   the site it must give. *)
+let check_cli_error ?file ?site ~kind args =
   let status, lines = run_cli args in
   Alcotest.(check int) "exit status" 1 status;
   match lines with
   | [ line ] ->
-    let want = "awesym: error: " ^ kind ^ " " in
+    let want =
+      "awesym: error: " ^ kind ^ match site with Some at -> " at " ^ at ^ ":" | None -> " "
+    in
     if not (String.starts_with ~prefix:want line) then
-      Alcotest.failf "expected a %s error, got %S" kind line;
+      Alcotest.failf "expected a line starting %S, got %S" want line;
     Option.iter
       (fun f ->
         if not (String.ends_with ~suffix:("(" ^ f ^ ")") line) then
@@ -640,10 +643,10 @@ let test_cli_deck_without_symbols () =
       Alcotest.(check bool) "no artifact written" false (Sys.file_exists out))
 
 (* [awesym awe] (or [cmd]) on a deck given as text. *)
-let check_deck_error ?(cmd = [ "awe" ]) ~kind deck_text =
+let check_deck_error ?(cmd = [ "awe" ]) ?site ~kind deck_text =
   with_temp_path (fun deck ->
       Out_channel.with_open_bin deck (fun oc -> output_string oc deck_text);
-      check_cli_error ~kind (cmd @ [ deck ]))
+      check_cli_error ?site ~kind (cmd @ [ deck ]))
 
 (* Node b reaches ground only through capacitors: G is singular. *)
 let singular_deck = "V1 in 0 1\nR1 in a 1k\nC1 a b 1p\nC2 b 0 1p\n.output v(b)\n"
@@ -655,6 +658,17 @@ let test_cli_singular_matrix () =
   with_temp_path (fun out ->
       check_deck_error ~cmd:[ "compile"; "-o"; out ] ~kind:"singular_system"
         (singular_deck ^ ".symbolic C2\n"))
+
+(* Node island reaches ground only through capacitors, and the symbolic
+   C3 leaves it in the numeric partition: the port reduction's sparse
+   factorization finds no pivot, before the global system is built. *)
+let test_cli_singular_partition () =
+  with_temp_path (fun out ->
+      check_deck_error ~cmd:[ "compile"; "-o"; out ] ~site:"sparse.factor"
+        ~kind:"singular_system"
+        "V1 in 0 1\nR1 in out 1k\nC1 out island 1p\nC2 island 0 1p\nC3 out 0 1p\n\
+         .output v(out)\n.symbolic C3\n";
+      Alcotest.(check bool) "no artifact written" false (Sys.file_exists out))
 
 (* A deck that lacks what a card or the analysis needs. *)
 let test_cli_missing_references () =
@@ -777,6 +791,8 @@ let () =
             test_cli_deck_without_symbols;
           Alcotest.test_case "singular matrix is one error line" `Quick
             test_cli_singular_matrix;
+          Alcotest.test_case "a singular numeric partition is one error line" `Quick
+            test_cli_singular_partition;
           Alcotest.test_case "unknown output node is one error line" `Quick
             test_cli_unknown_output_node;
           Alcotest.test_case "non-finite moment is one error line" `Quick

@@ -303,8 +303,9 @@ let test_stats_non_finite () =
    allocation-free [Stats.summarize] must reproduce bit for bit, with the
    scaled recomputation of a mean or std whose plain sum overflowed, the
    histogram and interpolation in halves where a difference they take
-   overflows, and the histogram and deviations scaled up where the
-   spread is subnormal. *)
+   overflows, the histogram scaled up where the spread is subnormal, and
+   the deviations scaled up where the largest of them squares to a
+   subnormal. *)
 let reference_summarize xs =
   let bins = 20 and probs = Stats.default_probs in
   let n = Array.length xs in
@@ -324,16 +325,18 @@ let reference_summarize xs =
     let sorted = Array.copy finite in
     Array.sort compare sorted;
     let mn = sorted.(0) and mx = sorted.(nf - 1) in
-    (* A nonzero subnormal spread is binned, and its deviations squared,
-       on the values scaled by 2^1022. *)
+    (* A nonzero subnormal spread is binned on the values scaled by
+       2^1022; deviations whose largest is below 2^-511 are squared on
+       the values scaled by 2^600. *)
     let tiny = mn < mx && mx -. mn < Float.min_float in
+    let dev = Float.max (mx -. mean) (mean -. mn) in
     let std =
       if nf < 2 then 0.0
-      else if tiny then
+      else if dev > 0.0 && dev < 0x1p-511 then
         sqrt
-          (sum_sq (Array.map (fun x -> (x *. 0x1p1022) -. (mean *. 0x1p1022)) finite)
+          (sum_sq (Array.map (fun x -> (x *. 0x1p600) -. (mean *. 0x1p600)) finite)
           /. float_of_int (nf - 1))
-        /. 0x1p1022
+        /. 0x1p600
       else begin
         let plain =
           sqrt (sum_sq (Array.map (fun x -> x -. mean) finite) /. float_of_int (nf - 1))
@@ -569,6 +572,24 @@ let test_stats_subnormal_spread () =
     [
       ("subnormal ramp", Array.init 100 (fun i -> Float.ldexp (float_of_int i) (-1074)));
       ("normal values", Array.init 100 (fun i -> 0x1p-1000 +. Float.ldexp (float_of_int i) (-1052)));
+    ]
+
+(* Normal samples whose deviations square below the smallest normal:
+   unscaled, the std of 0, 1e-200 and 2e-200 is 0 (each square is about
+   1e-400), and that of 0 to 3e-160 in steps of 1e-160 keeps only four
+   digits.  Both are exact to rounding when the deviations are taken
+   scaled, and the other summaries keep the reference's bits. *)
+let test_stats_tiny_deviations () =
+  List.iter
+    (fun (what, xs, want) ->
+      let s = Stats.summarize xs in
+      if Float.abs (s.Stats.std -. want) > 1e-15 *. want then
+        Alcotest.failf "%s: std %.17g, want %.17g" what s.Stats.std want;
+      check_summary what xs)
+    [
+      ("0 to 2e-200", [| 0.0; 1e-200; 2e-200 |], 1e-200);
+      ("0 to 3e-160", [| 0.0; 1e-160; 2e-160; 3e-160 |], sqrt (5.0 /. 3.0) *. 1e-160);
+      ("around 2^-600", Array.init 5 (fun i -> 0x1p-600 *. (1.0 +. float_of_int i)), sqrt 2.5 *. 0x1p-600);
     ]
 
 (* [Stats.select_ranks] against [Array.sort compare] at every wanted
@@ -1611,6 +1632,8 @@ let () =
           quick "an overflowing spread is binned and interpolated in halves"
             test_stats_overflowing_spread;
           quick "a subnormal spread is binned and deviated scaled" test_stats_subnormal_spread;
+          quick "deviations that square to subnormals are taken scaled"
+            test_stats_tiny_deviations;
           quick "sorted, reversed, constant, tied inputs ≡ reference"
             test_stats_matches_reference;
           QCheck_alcotest.to_alcotest prop_stats_matches_reference;
